@@ -15,6 +15,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from math import comb
 
 import numpy as np
 
@@ -50,7 +51,7 @@ _SCHEMA = {
         "t_max": _NUM, "dt_init": _NUM, "dt_max": _NUM,
         "cfl_coefficient": _NUM, "sample_every": _INT,
     },
-    "tolerances": {"tol_conserve": _NUM, "tol_round": _NUM, "cone_tol": _NUM},
+    "tolerances": {"tol_conserve": _NUM, "tol_round": _NUM},
     "output": {"trajectory_path": _STR, "snapshot_every": _INT, "snapshot_dir": _STR},
     "verify": {
         "report_path": _STR, "samples": _INT, "seed": _INT, "grid_N": _INT,
@@ -62,13 +63,22 @@ _SCHEMA = {
     },
 }
 
-_RUN_REQUIRED = (
+# FlowConfig field -> the config key it is read from; FlowConfig's own
+# defaults apply to every key the config leaves out
+_FLOW_KEYS = {
+    "n": "problem.n", "k": "problem.k", "mode": "problem.mode", "grid_n": "grid.N",
+    "t_max": "stepping.t_max", "dt_init": "stepping.dt_init", "dt_max": "stepping.dt_max",
+    "cfl_coefficient": "stepping.cfl_coefficient", "sample_every": "stepping.sample_every",
+    "tol_conserve": "tolerances.tol_conserve", "tol_round": "tolerances.tol_round",
+}
+
+_FLOW_REQUIRED = (
     ("problem", ("n", "k", "mode")),
     ("shape", ("type", "params")),
     ("grid", ("N",)),
     ("stepping", ("t_max",)),
-    ("output", ("trajectory_path",)),
 )
+_RUN_REQUIRED = _FLOW_REQUIRED + (("output", ("trajectory_path",)),)
 
 
 def _type_ok(kind: str, value) -> bool:
@@ -155,39 +165,18 @@ def _require(cfg: dict, spec=_RUN_REQUIRED) -> None:
 
 
 def flow_config_from(cfg: dict) -> flowmod.FlowConfig:
-    prob = cfg["problem"]
-    stepping = cfg.get("stepping", {})
-    tol = cfg.get("tolerances", {})
-    n, k, mode = prob["n"], prob["k"], prob["mode"]
-    if n not in (1, 2):
-        raise ConfigError("problem.n", f"n must be 1 or 2, got {n}")
-    if not 1 <= k <= n:
-        raise ConfigError("problem.k", f"k={k} out of range 1..{n}")
-    if mode not in flowmod.MODES:
-        raise ConfigError("problem.mode", f"mode must be one of {flowmod.MODES}")
-    if mode == "normalized" and k > n - 1:
-        raise ConfigError("problem.k", f"normalized mode needs k <= n-1, got k={k}")
-    num = cfg["grid"]["N"]
-    if num < geom.MIN_NODES or num % 2:
-        raise ConfigError("grid.N", f"N must be even and >= {geom.MIN_NODES}, got {num}")
-    dt_init = stepping.get("dt_init", 1e-3)
-    dt_max = stepping.get("dt_max", 1.0)
-    t_max = stepping["t_max"]
-    if dt_init <= 0 or dt_init > dt_max:
-        raise ConfigError("stepping.dt_init", f"need 0 < dt_init <= dt_max, got {dt_init}")
-    if t_max <= 0:
-        raise ConfigError("stepping.t_max", f"t_max must be positive, got {t_max}")
-    cfl = stepping.get("cfl_coefficient", flowmod.DEFAULT_CFL)
-    if cfl <= 0:
-        raise ConfigError("stepping.cfl_coefficient", "must be positive")
-    return flowmod.FlowConfig(
-        n=n, k=k, mode=mode, t_max=float(t_max), dt_init=float(dt_init),
-        dt_max=float(dt_max), sample_every=stepping.get("sample_every", 10),
-        tol_conserve=tol.get("tol_conserve", 1e-5),
-        tol_round=tol.get("tol_round", 0.0),
-        cone_tol=tol.get("cone_tol", 1e-10),
-        cfl_coefficient=float(cfl), grid_n=num,
-    )
+    """The FlowConfig a config describes; a value FlowConfig rejects is a
+    ConfigError at its key. JSON integers in number keys become floats."""
+    kwargs = {}
+    for field, key in _FLOW_KEYS.items():
+        section, leaf = key.split(".")
+        if leaf in cfg.get(section, {}):
+            value = cfg[section][leaf]
+            kwargs[field] = float(value) if _SCHEMA[section][leaf] == _NUM else value
+    try:
+        return flowmod.FlowConfig(**kwargs)
+    except flowmod.FlowConfigError as exc:
+        raise ConfigError(_FLOW_KEYS[exc.field], str(exc)) from None
 
 
 def _make_shape(cfg: dict, n: int, num: int) -> geom.RadialGraph:
@@ -211,7 +200,7 @@ def cmd_run(args) -> int:
         cfg = apply_overrides(load_config(args.config), args.set)
         _require(cfg)
         fc = flow_config_from(cfg)
-        initial = _make_shape(cfg, fc.n, cfg["grid"]["N"])
+        initial = _make_shape(cfg, fc.n, fc.grid_n)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
@@ -261,53 +250,33 @@ def cmd_run(args) -> int:
 
 
 def _tol(ov: dict, name: str, default: float) -> float:
-    if name in ov:
-        return float(ov[name])
-    head = name.split("/")[0]
-    if head in ov:
-        return float(ov[head])
+    for key in (name, name.split("/")[0]):
+        if key in ov:
+            try:
+                return float(ov[key])
+            except (TypeError, ValueError):
+                raise ConfigError(f"verify.tolerance_overrides.{key}",
+                                  f"expected num, got {ov[key]!r}") from None
     return default
 
 
-def _order_report(name, err_coarse, err_fine, expected, window, grid, ov):
-    ratio = err_coarse / err_fine if err_fine > 0 else float("inf")
-    dev = abs(ratio - expected)
-    return vfy.IdentityReport(
-        name=name, lhs=float(err_coarse), rhs=float(err_fine),
-        abs_residual=float(dev), rel_residual=float(dev),
-        grid=grid, tolerance=_tol(ov, name, window),
-        passed=bool(dev <= _tol(ov, name, window)),
-    )
-
-
-def _min_order_report(name, err_coarse, err_fine, min_ratio, grid, ov):
-    ratio = err_coarse / max(err_fine, 1e-300)
-    short = max(0.0, min_ratio - ratio)
-    return vfy.IdentityReport(
-        name=name, lhs=float(err_coarse), rhs=float(err_fine),
-        abs_residual=float(short), rel_residual=float(short),
-        grid=grid, tolerance=0.0,
-        passed=bool(ratio >= min_ratio),
-    )
-
-
-def _gap_report(name, worst, tol, grid, lhs=0.0, rhs=0.0):
-    return vfy.IdentityReport(
-        name=name, lhs=float(lhs), rhs=float(rhs),
-        abs_residual=float(worst), rel_residual=float(worst),
-        grid=grid, tolerance=tol, passed=bool(worst <= tol),
-    )
+def _override_tolerances(reports, ov: dict) -> list:
+    """Reports with each tolerance taken from `ov` (the full check name
+    first, then the part before the first '/') and pass re-judged."""
+    out = []
+    for rep in reports:
+        tol = _tol(ov, rep.name, rep.tolerance)
+        out.append(replace(rep, tolerance=tol, passed=bool(rep.rel_residual <= tol)))
+    return out
 
 
 def suite_symfunc(cfg: dict) -> list:
     vcfg = cfg.get("verify", {})
-    ov = vcfg.get("tolerance_overrides", {})
     samples = vcfg.get("samples", 100_000)
     rng = np.random.default_rng(vcfg.get("seed", 20260808))
     dims = (2, 3, 4, 5, 6)
     per = max(1, samples // len(dims))
     binom_err = 0.0
-    from math import comb
     for n in range(1, 9):
         sig = elem_sym_all(np.ones(n))
         for k in range(n + 1):
@@ -330,27 +299,28 @@ def suite_symfunc(cfg: dict) -> list:
             ref = sig[:, 1] * sig[:, m] - tail
             pscale = np.sum(np.abs(grad * lam * lam), axis=1) + np.abs(ref) + 1e-30
             polar_worst = max(polar_worst, float(np.max(np.abs(pol - ref) / pscale)))
-        from math import comb as _c
         for k in range(1, n):
             ok = np.abs(sig[:, k]) > 1e-8
             ratio = sig[ok, k + 1] * sig[ok, k - 1] / sig[ok, k] ** 2
-            ref_i = _c(n, k + 1) * _c(n, k - 1) / _c(n, k) ** 2
+            ref_i = comb(n, k + 1) * comb(n, k - 1) / comb(n, k) ** 2
             newton_min = min(newton_min, float(np.min(ref_i - ratio)))
         pos = np.abs(rng.normal(size=(per, n))) + 0.05
         pos /= np.max(pos, axis=1, keepdims=True)  # scale-normalize the gap
         psig = elem_sym_table(pos)
         for k in range(1, n):
-            c = _c(n, k + 1) / _c(n, k) ** ((k + 1) / k)
+            c = comb(n, k + 1) / comb(n, k) ** ((k + 1) / k)
             gap = c * psig[:, k] ** (1.0 + 1.0 / k) - psig[:, k + 1]
             maclaurin_min = min(maclaurin_min, float(np.min(gap)))
     grid = f"samples={per * len(dims)}"
-    return [
-        _gap_report("symfunc/binomial_at_ones", binom_err, _tol(ov, "symfunc/binomial_at_ones", 1e-12), grid),
-        _gap_report("symfunc/euler_identity", euler_worst, _tol(ov, "symfunc/euler_identity", 1e-12), grid),
-        _gap_report("symfunc/polarization_identity", polar_worst, _tol(ov, "symfunc/polarization_identity", 1e-12), grid),
-        _gap_report("symfunc/newton_gap", max(0.0, -newton_min), _tol(ov, "symfunc/newton_gap", 1e-12), grid),
-        _gap_report("symfunc/maclaurin_power_gap", max(0.0, -maclaurin_min), _tol(ov, "symfunc/maclaurin_power_gap", 1e-12), grid),
-    ]
+    gaps = {
+        "binomial_at_ones": binom_err,
+        "euler_identity": euler_worst,
+        "polarization_identity": polar_worst,
+        "newton_gap": max(0.0, -newton_min),
+        "maclaurin_power_gap": max(0.0, -maclaurin_min),
+    }
+    return [vfy._report(f"symfunc/{name}", 0.0, 0.0, gap, gap, grid, 1e-12)
+            for name, gap in gaps.items()]
 
 
 def _battery_shapes(num: int):
@@ -365,9 +335,7 @@ def _battery_shapes(num: int):
 
 
 def suite_geometry(cfg: dict) -> list:
-    vcfg = cfg.get("verify", {})
-    ov = vcfg.get("tolerance_overrides", {})
-    num = vcfg.get("grid_N", 512)
+    num = cfg.get("verify", {}).get("grid_N", 512)
     reports = []
     for label, g in _battery_shapes(num):
         geo = geom.compute_geometry(g)
@@ -379,112 +347,88 @@ def suite_geometry(cfg: dict) -> list:
             rel = abs(a - b) / abs(a)
             if rel > worst:
                 worst, at = rel, (a, b)
-        name = f"geometry/minkowski_{label}"
-        reports.append(vfy.IdentityReport(
-            name=name, lhs=at[0], rhs=at[1], abs_residual=abs(at[0] - at[1]),
-            rel_residual=worst, grid=f"N={num}", tolerance=_tol(ov, name, 1e-6),
-            passed=worst <= _tol(ov, name, 1e-6)))
+        reports.append(vfy._report(f"geometry/minkowski_{label}", at[0], at[1],
+                                   abs(at[0] - at[1]), worst, f"N={num}", 1e-6))
     for n, ks in ((1, (0,)), (2, (0, 1))):
         g = geom.sphere(1.0, n, 512)
         geo = geom.compute_geometry(g)
         for k in ks:
             a = geom.iso_ratio(geo, k)
             b = geom.iso_ratio_ball(n, k)
-            rel = abs(a - b) / b
-            name = f"geometry/ball_ratio_n{n}k{k}"
-            reports.append(vfy.IdentityReport(
-                name=name, lhs=a, rhs=b, abs_residual=abs(a - b), rel_residual=rel,
-                grid="N=512", tolerance=_tol(ov, name, 1e-10), passed=rel <= _tol(ov, name, 1e-10)))
+            reports.append(vfy._report(f"geometry/ball_ratio_n{n}k{k}", a, b,
+                                       abs(a - b), abs(a - b) / b, "N=512", 1e-10))
+    # convergence orders: the error ratio must reach min_ratio, so the
+    # residual is the shortfall (NaN stays NaN and fails) against tolerance 0
+    orders = []
     errs = []
     for nn in (num, 2 * num):
         g = geom.ellipse(2.0, 1.0, nn)
         geo = geom.compute_geometry(g)
         kap = vfy._curve_geometry(geom.embed(g)).kappa
         errs.append(float(np.max(np.abs(geo.kappa[:, 0] - kap))))
-    reports.append(_min_order_report(
-        "geometry/curvature_consistency_dim1", errs[0], errs[1], 12.0,
-        f"N={num}->{2 * num}", ov))
+    orders.append(("geometry/curvature_consistency_dim1", errs, 12.0, f"N={num}->{2 * num}"))
     errs = []
     for nn in (num // 2, num):
         g = geom.ellipsoid_of_revolution(1.5, 1.0, nn)
         geo = geom.compute_geometry(g)
         mg = vfy._meridian_geometry(geom.embed(g))
         errs.append(float(np.max(np.abs(geo.kappa[1:-1] - mg.kappa[1:-1]))))
-    reports.append(_min_order_report(
-        "geometry/curvature_oracle_dim2", errs[0], errs[1], 3.0,
-        f"N={num // 2}->{num}", ov))
+    orders.append(("geometry/curvature_oracle_dim2", errs, 3.0, f"N={num // 2}->{num}"))
     verrs = []
     for nn in (num // 4, num // 2):
         coarse = geom.compute_geometry(geom.ellipse(2.0, 1.0, nn))
         fine = geom.compute_geometry(geom.ellipse(2.0, 1.0, 8 * num))
         verrs.append(abs(geom.quermass_sigma(coarse, 1) - geom.quermass_sigma(fine, 1)))
-    reports.append(_min_order_report(
-        "geometry/refinement_order", verrs[0], verrs[1], 12.0,
-        f"N={num // 4}->{num // 2}", ov))
+    orders.append(("geometry/refinement_order", verrs, 12.0, f"N={num // 4}->{num // 2}"))
+    for name, (err_coarse, err_fine), min_ratio, grid in orders:
+        short = max(min_ratio - err_coarse / max(err_fine, 1e-300), 0.0)
+        reports.append(vfy._report(name, err_coarse, err_fine, short, short, grid, 0.0))
     return reports
 
 
 def suite_prop1(cfg: dict) -> list:
-    vcfg = cfg.get("verify", {})
-    ov = vcfg.get("tolerance_overrides", {})
-    reports = []
     circle = vfy.curve_from_radial(geom.sphere(1.0, 1, 128))
-    for rep in vfy.check_prop1_pointwise(circle, 1, 7e-5, tol=1e-8):
-        name = rep.name + "_circle"
-        reports.append(replace(rep, name=name, tolerance=_tol(ov, name, 1e-8),
-                               passed=rep.rel_residual <= _tol(ov, name, 1e-8)))
+    reports = [replace(rep, name=rep.name + "_circle")
+               for rep in vfy.check_prop1_pointwise(circle, 1, 7e-5, tol=1e-8)]
     coarse = vfy.check_prop1_pointwise(vfy.curve_from_radial(geom.ellipse(2.0, 1.0, 128)), 1, 4e-4)
     fine = vfy.check_prop1_pointwise(vfy.curve_from_radial(geom.ellipse(2.0, 1.0, 256)), 1, 2e-4)
     for rc, rf in zip(coarse, fine):
-        reports.append(_order_report(
-            rc.name + "_richardson", rc.rel_residual, rf.rel_residual,
-            4.0, 0.5, "M=128->256,dt=4e-4->2e-4", ov))
+        # Richardson: halving M and dt together divides the O(dt^2) error by 4
+        ratio = rc.rel_residual / rf.rel_residual if rf.rel_residual > 0 else float("inf")
+        dev = abs(ratio - 4.0)
+        reports.append(vfy._report(rc.name + "_richardson", rc.rel_residual, rf.rel_residual,
+                                   dev, dev, "M=128->256,dt=4e-4->2e-4", 0.5))
     sph = geom.sphere(1.0, 2, 256)
-    for rep in vfy.check_prop1_axisym(sph, 1, 1e-5, tol=1e-3):
-        name = rep.name + "_sphere"
-        reports.append(replace(rep, name=name, tolerance=_tol(ov, name, 1e-3),
-                               passed=rep.rel_residual <= _tol(ov, name, 1e-3)))
+    reports.extend(replace(rep, name=rep.name + "_sphere")
+                   for rep in vfy.check_prop1_axisym(sph, 1, 1e-5, tol=1e-3))
     ell = geom.ellipsoid_of_revolution(1.2, 1.0, 256)
-    for rep in vfy.check_prop1_axisym(ell, 1, 1e-5, tol=5e-3):
-        name = rep.name + "_spheroid"
-        reports.append(replace(rep, name=name, tolerance=_tol(ov, name, 5e-3),
-                               passed=rep.rel_residual <= _tol(ov, name, 5e-3)))
+    reports.extend(replace(rep, name=rep.name + "_spheroid")
+                   for rep in vfy.check_prop1_axisym(ell, 1, 1e-5, tol=5e-3))
     return reports
 
 
 def suite_lemma(cfg: dict) -> list:
-    vcfg = cfg.get("verify", {})
-    ov = vcfg.get("tolerance_overrides", {})
     stepping = cfg.get("stepping", {})
-    dt = stepping.get("dt_init", 1e-3)
-    t_max = stepping.get("t_max", 0.1)
+    opts = {key: stepping[key] for key in ("t_max", "dt_init") if key in stepping}
+    opts.setdefault("t_max", 0.1)
     reports = []
-    fc1 = flowmod.FlowConfig(n=1, k=1, mode="raw", t_max=t_max, dt_init=dt)
+    fc1 = flowmod.FlowConfig(n=1, k=1, mode="raw", **opts)
     g1 = geom.ellipse(2.0, 1.0, 256)
     for l in (0, 1):
-        for rep in vfy.check_lemma_integral(fc1, g1, l,
-                                            rate_tol=_tol(ov, f"lemma/rate_sigma{l}_k1", 1e-3),
-                                            topo_tol=_tol(ov, "lemma/topological_constant_n1", 1e-6)):
-            reports.append(rep)
-    fc2 = flowmod.FlowConfig(n=2, k=1, mode="raw", t_max=t_max, dt_init=dt)
+        reports.extend(vfy.check_lemma_integral(fc1, g1, l))
+    fc2 = flowmod.FlowConfig(n=2, k=1, mode="raw", **opts)
     g2 = geom.ellipsoid_of_revolution(1.5, 1.0, 256)
     for l in (0, 1, 2):
-        for rep in vfy.check_lemma_integral(fc2, g2, l,
-                                            rate_tol=_tol(ov, f"lemma/rate_sigma{l}_k1", 1e-3),
-                                            topo_tol=_tol(ov, "lemma/topological_constant_n2", 1e-6)):
-            reports.append(rep)
+        reports.extend(vfy.check_lemma_integral(fc2, g2, l))
     return reports
 
 
 def suite_variation(cfg: dict) -> list:
-    vcfg = cfg.get("verify", {})
-    ov = vcfg.get("tolerance_overrides", {})
-    tol = _tol(ov, "variation", 1e-3)
     ones = lambda t: np.ones_like(t)
     return [
-        vfy.check_first_variation(geom.sphere(1.0, 1, 256), ones, 0, tol=tol),
-        vfy.check_first_variation(geom.sphere(1.0, 2, 256), ones, 1, tol=tol),
-        vfy.check_first_variation(geom.ellipse(2.0, 1.0, 512), lambda t: np.cos(2 * t), 0, tol=tol),
+        vfy.check_first_variation(geom.sphere(1.0, 1, 256), ones, 0),
+        vfy.check_first_variation(geom.sphere(1.0, 2, 256), ones, 1),
+        vfy.check_first_variation(geom.ellipse(2.0, 1.0, 512), lambda t: np.cos(2 * t), 0),
     ]
 
 
@@ -504,23 +448,20 @@ def _random_kconvex_sample(rng, n: int, k: int, num: int):
 
 def suite_af(cfg: dict) -> list:
     vcfg = cfg.get("verify", {})
-    ov = vcfg.get("tolerance_overrides", {})
     if "shape" in cfg:
         _require(cfg, (("problem", ("n", "k")), ("shape", ("type", "params")), ("grid", ("N",))))
-        n, k = cfg["problem"]["n"], cfg["problem"]["k"]
-        g = _make_shape(cfg, n, cfg["grid"]["N"])
-        return vfy.check_af_chain(geom.compute_geometry(g), k,
-                                  slack=_tol(ov, "af_chain", 1e-6))
+        fc = flow_config_from(cfg)
+        g = _make_shape(cfg, fc.n, fc.grid_n)
+        return vfy.check_af_chain(geom.compute_geometry(g), fc.k)
     reports = []
     for n, num in ((1, 512), (2, 512)):
         geo = geom.compute_geometry(geom.sphere(1.0, n, num))
-        for rep in vfy.check_af_chain(geo, n, slack=1e-6):
+        for rep in vfy.check_af_chain(geo, n):
             worst = abs(rep.lhs - rep.rhs)
-            name = rep.name + f"_sphere_eq_n{n}"
-            reports.append(_gap_report(name, worst, _tol(ov, name, 1e-10),
-                                       f"N={num}", rep.lhs, rep.rhs))
+            reports.append(vfy._report(rep.name + f"_sphere_eq_n{n}", rep.lhs, rep.rhs,
+                                       worst, worst, f"N={num}", 1e-10))
     geo = geom.compute_geometry(geom.ellipse(2.0, 1.0, 512))
-    reports.extend(vfy.check_af_chain(geo, 1, slack=_tol(ov, "af_chain", 1e-6)))
+    reports.extend(vfy.check_af_chain(geo, 1))
     rng = np.random.default_rng(vcfg.get("seed", 20260808))
     count = vcfg.get("samples", 100_000)
     count = min(100, max(10, count // 1000))
@@ -529,30 +470,26 @@ def suite_af(cfg: dict) -> list:
         at = (0.0, 0.0)
         for _ in range(count):
             geo = _random_kconvex_sample(rng, n, k, 256)
-            for rep in vfy.check_af_chain(geo, k, slack=1e-6):
+            for rep in vfy.check_af_chain(geo, k):
                 if rep.abs_residual > worst:
                     worst, at = rep.abs_residual, (rep.lhs, rep.rhs)
-        name = f"af_chain/random_n{n}k{k}"
-        reports.append(_gap_report(name, max(0.0, worst), _tol(ov, name, 1e-6),
-                                   f"samples={count},N=256", at[0], at[1]))
+        worst = max(0.0, worst)
+        reports.append(vfy._report(f"af_chain/random_n{n}k{k}", at[0], at[1], worst, worst,
+                                   f"samples={count},N=256", 1e-6))
     return reports
 
 
 def _monotone_run(n, k, shape_graph, t_max):
-    fc = flowmod.FlowConfig(n=n, k=k, mode="rescaled_raw", t_max=t_max,
-                            dt_init=1e-3, sample_every=20)
+    fc = flowmod.FlowConfig(n=n, k=k, mode="rescaled_raw", t_max=t_max, sample_every=20)
     return flowmod.run(fc, shape_graph)
 
 
 def suite_monotone(cfg: dict) -> list:
-    vcfg = cfg.get("verify", {})
-    ov = vcfg.get("tolerance_overrides", {})
     if all(s in cfg for s in ("problem", "shape", "grid", "stepping")):
-        fc = flow_config_from({**cfg, "output": {"trajectory_path": "unused"}})
-        g = _make_shape(cfg, fc.n, cfg["grid"]["N"])
-        record = flowmod.run(fc, g)
-        return vfy.check_monotone_series(record,
-                                         conserve_tol=_tol(ov, "monotone", 1e-6))
+        _require(cfg, _FLOW_REQUIRED)
+        fc = flow_config_from(cfg)
+        g = _make_shape(cfg, fc.n, fc.grid_n)
+        return vfy.check_monotone_series(flowmod.run(fc, g))
     reports = []
     rec = _monotone_run(1, 1, geom.ellipse(2.0, 1.0, 128), 2.0)
     reports.extend(vfy.check_monotone_series(rec))
@@ -584,8 +521,13 @@ def cmd_verify(args) -> int:
     try:
         for name in names:
             reports.extend(_SUITE_FUNCS[name](cfg))
+        reports = _override_tolerances(
+            reports, cfg.get("verify", {}).get("tolerance_overrides", {}))
     except ConfigError as exc:
         print(exc, file=sys.stderr)
+        return EXIT_CONFIG
+    except flowmod.FlowConfigError as exc:  # a suite's own FlowConfig, from stepping keys
+        print(ConfigError(_FLOW_KEYS[exc.field], str(exc)), file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
@@ -630,7 +572,7 @@ def _sweep_combo(payload):
     }
     try:
         fc = flow_config_from(cfg)
-        g = _make_shape(cfg, fc.n, cfg["grid"]["N"])
+        g = _make_shape(cfg, fc.n, fc.grid_n)
         record = flowmod.run(fc, g)
         os.makedirs(traj_dir, exist_ok=True)
         record.to_csv(traj_path)
@@ -659,6 +601,14 @@ def cmd_sweep(args) -> int:
         cfg = apply_overrides(load_config(args.config), args.set)
         _require(cfg)
         _require(cfg, (("sweep", ("shapes", "k_values", "index_path")),))
+        flow_config_from(cfg)
+        for k in cfg["sweep"]["k_values"]:
+            if not _type_ok(_INT, k):
+                raise ConfigError("sweep.k_values", f"expected int, got {k!r}")
+            try:
+                flow_config_from({**cfg, "problem": {**cfg["problem"], "k": k}})
+            except ConfigError as exc:
+                raise ConfigError("sweep.k_values", str(exc)) from None
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG

@@ -41,6 +41,7 @@ from .symfunc import cnk
 __all__ = [
     "MODES",
     "FlowConfig",
+    "FlowConfigError",
     "FlowState",
     "TrajectoryRecord",
     "FlowError",
@@ -77,7 +78,13 @@ class FlowError(RuntimeError):
         self.state = state
 
 
-DEFAULT_CFL = 0.05
+class FlowConfigError(ValueError):
+    """A FlowConfig field holds a value the flow cannot run with; `field`
+    names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -92,30 +99,47 @@ class FlowConfig:
     # per-step guard; the trajectory-level conservation checks are tighter
     tol_conserve: float = 1e-5
     tol_round: float = 0.0  # 0 disables the roundness stop
-    cfl_coefficient: float = DEFAULT_CFL
-    cone_tol: float = 1e-10
+    cfl_coefficient: float = 0.05
     grid_n: int | None = None
 
     def __post_init__(self):
+        # the `not x > 0` form also rejects NaN, which compares false
         if self.n not in (1, 2):
-            raise ValueError(f"n must be 1 or 2, got {self.n}")
+            raise FlowConfigError("n", f"n must be 1 or 2, got {self.n}")
         if not 1 <= self.k <= self.n:
-            raise ValueError(f"flow degree k={self.k} out of range 1..{self.n}")
+            raise FlowConfigError("k", f"flow degree k={self.k} out of range 1..{self.n}")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise FlowConfigError("mode", f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "normalized" and self.k > self.n - 1:
-            raise ValueError(
+            raise FlowConfigError(
+                "k",
                 f"normalized mode needs k <= n-1 (r(t) degenerates at k=n); "
-                f"got k={self.k}, n={self.n}; use rescaled_raw instead"
+                f"got k={self.k}, n={self.n}; use rescaled_raw instead",
             )
-        if self.dt_init <= 0.0 or self.dt_max <= 0.0 or self.dt_init > self.dt_max:
-            raise ValueError("need 0 < dt_init <= dt_max")
-        if self.t_max <= 0.0:
-            raise ValueError("t_max must be positive")
+        if self.grid_n is not None and (self.grid_n < geomod.MIN_NODES or self.grid_n % 2):
+            raise FlowConfigError(
+                "grid_n", f"grid_n must be even and >= {geomod.MIN_NODES}, got {self.grid_n}"
+            )
+        if not self.t_max > 0.0:
+            raise FlowConfigError("t_max", f"t_max must be positive, got {self.t_max}")
+        if not self.dt_max > 0.0:
+            raise FlowConfigError("dt_max", f"dt_max must be positive, got {self.dt_max}")
+        if not 0.0 < self.dt_init <= self.dt_max:
+            raise FlowConfigError(
+                "dt_init", f"need 0 < dt_init <= dt_max, got {self.dt_init} and {self.dt_max}"
+            )
         if self.sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
-        if self.cfl_coefficient <= 0.0:
-            raise ValueError("cfl_coefficient must be positive")
+            raise FlowConfigError(
+                "sample_every", f"sample_every must be >= 1, got {self.sample_every}"
+            )
+        if not self.tol_conserve >= 0.0:
+            raise FlowConfigError(
+                "tol_conserve", f"tol_conserve must be >= 0, got {self.tol_conserve}"
+            )
+        if not self.cfl_coefficient > 0.0:
+            raise FlowConfigError(
+                "cfl_coefficient", f"cfl_coefficient must be positive, got {self.cfl_coefficient}"
+            )
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from . import flow as flowmod
 from .geometry import (
     PointwiseGeometry,
     RadialGraph,
+    _simpson_weights,
     embed,
     iso_ratio_ball,
     kconvex_report,
@@ -128,15 +129,13 @@ def _periodic_spline_coeffs(x: np.ndarray, y: np.ndarray, period: float):
     m = x.size
     h = np.diff(np.append(x, x[0] + period))
     yy = np.append(y, y[0])
+    i = np.arange(m)
+    hm = h[i - 1]
     a = np.zeros((m, m))
-    rhs = np.zeros(m)
-    for i in range(m):
-        hm = h[i - 1]
-        hp = h[i]
-        a[i, (i - 1) % m] += hm / 6.0
-        a[i, i] += (hm + hp) / 3.0
-        a[i, (i + 1) % m] += hp / 6.0
-        rhs[i] = (yy[i + 1] - y[i]) / hp - (y[i] - y[i - 1]) / hm
+    a[i, (i - 1) % m] = hm / 6.0
+    a[i, i] = (hm + h) / 3.0
+    a[i, (i + 1) % m] = h / 6.0
+    rhs = (yy[1:] - y) / h - (y - y[i - 1]) / hm
     return np.linalg.solve(a, rhs), h
 
 
@@ -222,6 +221,19 @@ def _curve_speed(cg: _CurveGeo, k: int) -> np.ndarray:
     return 1.0 / cg.kappa
 
 
+def _rk4(rhs, pts: np.ndarray, t_total: float, dt_sub: float) -> np.ndarray:
+    """Advance dX/dt = rhs(X) over t_total in equal RK4 steps of at most dt_sub."""
+    steps = max(1, ceil(t_total / dt_sub))
+    dt = t_total / steps
+    for _ in range(steps):
+        k1 = rhs(pts)
+        k2 = rhs(pts + 0.5 * dt * k1)
+        k3 = rhs(pts + 0.5 * dt * k2)
+        k4 = rhs(pts + dt * k3)
+        pts = pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return pts
+
+
 def _evolve_curve(pts: np.ndarray, t_total: float, k: int) -> np.ndarray:
     """Material normal motion dX/dt = F nu by substepped RK4."""
     if t_total == 0.0:
@@ -230,20 +242,12 @@ def _evolve_curve(pts: np.ndarray, t_total: float, k: int) -> np.ndarray:
     chords = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
     diff = float(np.max(1.0 / cg.kappa**2))
     dt_sub = 0.2 * float(np.min(chords)) ** 2 / diff
-    steps = max(1, ceil(t_total / dt_sub))
-    dt = t_total / steps
 
     def rhs(p):
         geo = _curve_geometry(p)
         return _curve_speed(geo, k)[:, None] * geo.nu
 
-    for _ in range(steps):
-        k1 = rhs(pts)
-        k2 = rhs(pts + 0.5 * dt * k1)
-        k3 = rhs(pts + 0.5 * dt * k2)
-        k4 = rhs(pts + dt * k3)
-        pts = pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return pts
+    return _rk4(rhs, pts, t_total, dt_sub)
 
 
 def check_prop1_pointwise(curve: LagrangianCurve, k: int, dt: float, tol: float = 1e-3):
@@ -358,11 +362,7 @@ def _meridian_geometry(pts: np.ndarray) -> _MeridianGeo:
     k_par[0] = (4.0 * k_par[1] - k_par[2]) / 3.0
     k_par[-1] = (4.0 * k_par[-2] - k_par[-3]) / 3.0
     h_par = k_par * rr * rr  # h_thth with g_thth = rho^2
-    simp = np.ones(m)
-    simp[1:-1:2] = 4.0
-    simp[2:-1:2] = 2.0
-    simp *= delta / 3.0
-    dmu = 2.0 * pi * rr * wa * simp
+    dmu = 2.0 * pi * rr * wa * _simpson_weights(m - 1, delta)
     return _MeridianGeo(
         delta=delta, ga=ga, gth=rr * rr, wa=wa, nu=nu,
         h_mer=h_mer, h_par=h_par,
@@ -398,21 +398,13 @@ def _evolve_meridian(pts: np.ndarray, t_total: float, k: int) -> np.ndarray:
     _, sig = _meridian_speed(mg, k)
     chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     dt_sub = 0.35 * float(np.min(chords)) ** 2 / _meridian_diffusivity(sig, mg.kappa, k)
-    steps = max(1, ceil(t_total / dt_sub))
-    dt = t_total / steps
 
     def rhs(p):
         geo = _meridian_geometry(p)
         f, _ = _meridian_speed(geo, k)
         return f[:, None] * geo.nu
 
-    for _ in range(steps):
-        k1 = rhs(pts)
-        k2 = rhs(pts + 0.5 * dt * k1)
-        k3 = rhs(pts + 0.5 * dt * k2)
-        k4 = rhs(pts + dt * k3)
-        pts = pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return pts
+    return _rk4(rhs, pts, t_total, dt_sub)
 
 
 def _dmid(f: np.ndarray, delta: float) -> np.ndarray:

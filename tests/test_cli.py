@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from starflow import cli
+from starflow import flow as flowmod
 
 
 def write_config(path, **overrides):
@@ -65,6 +67,31 @@ class TestConfigHandling:
         bad.write_text("{nope")
         assert cli.main(["run", str(bad)]) == cli.EXIT_CONFIG
 
+    # keys read by something other than flow_config_from, and the reader
+    _OTHER_READERS = {
+        "stepping.t_max": "suite_lemma",
+        "stepping.dt_init": "suite_lemma",
+    }
+
+    def test_no_dead_flow_keys(self):
+        flow_keys = set(cli._FLOW_KEYS.values())
+        for section in ("problem", "grid", "stepping", "tolerances"):
+            for leaf in cli._SCHEMA[section]:
+                key = f"{section}.{leaf}"
+                assert key in flow_keys or key in self._OTHER_READERS, f"{key} is read by nothing"
+        for field in dataclasses.fields(flowmod.FlowConfig):
+            section, leaf = cli._FLOW_KEYS[field.name].split(".")
+            assert leaf in cli._SCHEMA[section], field.name
+
+    def test_flow_config_defaults_come_from_dataclass(self):
+        fc = cli.flow_config_from({
+            "problem": {"n": 1, "k": 1, "mode": "raw"},
+            "grid": {"N": 64},
+            "stepping": {"t_max": 1},
+        })
+        assert fc == flowmod.FlowConfig(n=1, k=1, mode="raw", t_max=1.0, grid_n=64)
+        assert isinstance(fc.t_max, float)
+
 
 class TestRun:
     def test_sphere_run_and_outputs(self, tmp_path, capsys):
@@ -98,6 +125,47 @@ class TestRun:
         for row in read_csv(tmp_path / "traj.csv")[1:]:
             for cell in row:
                 assert repr(float(cell)) == cell  # shortest round-trip format
+
+    @pytest.mark.parametrize("command, assignment, key", [
+        ("run", "problem.n=3", "problem.n"),
+        ("run", "problem.k=0", "problem.k"),
+        ("run", "problem.mode=sideways", "problem.mode"),
+        ("run", "problem.mode=normalized", "problem.k"),  # k = n = 1
+        ("run", "grid.N=63", "grid.N"),
+        ("run", "grid.N=8", "grid.N"),
+        ("run", "stepping.dt_init=0", "stepping.dt_init"),
+        ("run", "stepping.dt_init=2.0", "stepping.dt_init"),  # above dt_max
+        ("run", "stepping.t_max=0", "stepping.t_max"),
+        ("run", "stepping.t_max=NaN", "stepping.t_max"),
+        ("run", "stepping.dt_init=NaN", "stepping.dt_init"),
+        ("run", "stepping.cfl_coefficient=0", "stepping.cfl_coefficient"),
+        ("run", "stepping.sample_every=0", "stepping.sample_every"),
+        ("run", "tolerances.tol_conserve=-1", "tolerances.tol_conserve"),
+        ("verify monotone", "stepping.sample_every=0", "stepping.sample_every"),
+        ("verify lemma", "stepping.t_max=0", "stepping.t_max"),
+        ("sweep", "grid.N=63", "grid.N"),
+        ("sweep", "sweep.k_values=[1, 2]", "sweep.k_values"),
+    ])
+    def test_config_error_exits_two_naming_key(self, tmp_path, capsys, command, assignment, key):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, **{
+            "problem.mode": "rescaled_raw",
+            "sweep.shapes": [{"type": "sphere", "params": {"radius": 1.0}}],
+            "sweep.k_values": [1],
+            "sweep.index_path": str(tmp_path / "index.csv"),
+        })
+        argv = command.split() + [str(cfg_path), "--quiet", "--set", assignment]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    def test_verify_monotone_missing_mode_named(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path)
+        del cfg["problem"]["mode"]
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["verify", "monotone", str(cfg_path), "--quiet"]) == cli.EXIT_CONFIG
+        assert "problem.mode" in capsys.readouterr().err
 
     def test_bad_degree_cites_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -159,6 +227,51 @@ class TestVerify:
                          "--set", 'verify.tolerance_overrides={"symfunc/euler_identity": 1e-30}'])
         assert code == cli.EXIT_TOLERANCE
         assert "FAILED" in capsys.readouterr().err
+
+    def test_override_fails_order_check(self, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        code = cli.main(["verify", "geometry", "--quiet",
+                         "--set", f"verify.report_path={report}",
+                         "--set", 'verify.tolerance_overrides={"geometry/curvature_consistency_dim1": -1.0}'])
+        assert code == cli.EXIT_TOLERANCE
+        rows = {row[0]: row for row in read_csv(report)[1:]}
+        assert rows["geometry/curvature_consistency_dim1"][5:] == ["-1.0", "False"]
+        assert all(row[6] == "True" for name, row in rows.items()
+                   if name != "geometry/curvature_consistency_dim1")
+
+    def test_section_override_applies_to_every_check(self, tmp_path):
+        report = tmp_path / "report.csv"
+        code = cli.main(["verify", "geometry", "--quiet",
+                         "--set", f"verify.report_path={report}",
+                         "--set", 'verify.tolerance_overrides={"geometry": 0.25}'])
+        assert code == cli.EXIT_OK
+        assert [row[5] for row in read_csv(report)[1:]] == ["0.25"] * 12
+
+    def test_non_numeric_override_is_config_error(self, capsys):
+        code = cli.main(["verify", "variation", "--quiet",
+                         "--set", 'verify.tolerance_overrides={"variation": "loose"}'])
+        assert code == cli.EXIT_CONFIG
+        assert "verify.tolerance_overrides.variation" in capsys.readouterr().err
+
+    def test_reports_pass_by_their_own_tolerance(self):
+        cfg = {"stepping": {"t_max": 0.005}, "verify": {"samples": 20000}}
+        reports = []
+        for suite in ("symfunc", "geometry", "prop1", "lemma", "variation", "af"):
+            reports.extend(cli._SUITE_FUNCS[suite](cfg))
+        assert len(reports) == 58
+        for rep in reports:
+            assert rep.passed == (rep.rel_residual <= rep.tolerance), rep.name
+
+    def test_nan_order_ratio_fails(self, monkeypatch):
+        real = cli.vfy._curve_geometry
+
+        def nan_kappa(pts):
+            geo = real(pts)
+            return dataclasses.replace(geo, kappa=np.full_like(geo.kappa, np.nan))
+
+        monkeypatch.setattr(cli.vfy, "_curve_geometry", nan_kappa)
+        reports = {r.name: r for r in cli.suite_geometry({"verify": {"grid_N": 64}})}
+        assert not reports["geometry/curvature_consistency_dim1"].passed
 
     def test_af_on_nonconvex_shape_is_precondition(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
