@@ -374,11 +374,9 @@ def suite_geometry(cfg: dict) -> list:
         mg = vfy._meridian_geometry(geom.embed(g))
         errs.append(float(np.max(np.abs(geo.kappa[1:-1] - mg.kappa[1:-1]))))
     orders.append(("geometry/curvature_oracle_dim2", errs, 3.0, f"N={num // 2}->{num}"))
-    verrs = []
-    for nn in (num // 4, num // 2):
-        coarse = geom.compute_geometry(geom.ellipse(2.0, 1.0, nn))
-        fine = geom.compute_geometry(geom.ellipse(2.0, 1.0, 8 * num))
-        verrs.append(abs(geom.quermass_sigma(coarse, 1) - geom.quermass_sigma(fine, 1)))
+    fine = geom.quermass_sigma(geom.compute_geometry(geom.ellipse(2.0, 1.0, 8 * num)), 1)
+    verrs = [abs(geom.quermass_sigma(geom.compute_geometry(geom.ellipse(2.0, 1.0, nn)), 1) - fine)
+             for nn in (num // 4, num // 2)]
     orders.append(("geometry/refinement_order", verrs, 12.0, f"N={num // 4}->{num // 2}"))
     for name, (err_coarse, err_fine), min_ratio, grid in orders:
         short = max(min_ratio - err_coarse / max(err_fine, 1e-300), 0.0)
@@ -411,16 +409,10 @@ def suite_lemma(cfg: dict) -> list:
     stepping = cfg.get("stepping", {})
     opts = {key: stepping[key] for key in ("t_max", "dt_init") if key in stepping}
     opts.setdefault("t_max", 0.1)
-    reports = []
     fc1 = flowmod.FlowConfig(n=1, k=1, mode="raw", **opts)
-    g1 = geom.ellipse(2.0, 1.0, 256)
-    for l in (0, 1):
-        reports.extend(vfy.check_lemma_integral(fc1, g1, l))
     fc2 = flowmod.FlowConfig(n=2, k=1, mode="raw", **opts)
-    g2 = geom.ellipsoid_of_revolution(1.5, 1.0, 256)
-    for l in (0, 1, 2):
-        reports.extend(vfy.check_lemma_integral(fc2, g2, l))
-    return reports
+    return (vfy.check_lemma_integral(fc1, geom.ellipse(2.0, 1.0, 256))
+            + vfy.check_lemma_integral(fc2, geom.ellipsoid_of_revolution(1.5, 1.0, 256)))
 
 
 def suite_variation(cfg: dict) -> list:
@@ -485,7 +477,7 @@ def _monotone_run(n, k, shape_graph, t_max):
 
 
 def suite_monotone(cfg: dict) -> list:
-    if all(s in cfg for s in ("problem", "shape", "grid", "stepping")):
+    if "shape" in cfg:
         _require(cfg, _FLOW_REQUIRED)
         fc = flow_config_from(cfg)
         g = _make_shape(cfg, fc.n, fc.grid_n)
@@ -602,6 +594,9 @@ def cmd_sweep(args) -> int:
         _require(cfg)
         _require(cfg, (("sweep", ("shapes", "k_values", "index_path")),))
         flow_config_from(cfg)
+        for spec in cfg["sweep"]["shapes"]:
+            if not isinstance(spec, dict):
+                raise ConfigError("sweep.shapes", f"expected object, got {spec!r}")
         for k in cfg["sweep"]["k_values"]:
             if not _type_ok(_INT, k):
                 raise ConfigError("sweep.k_values", f"expected int, got {k!r}")

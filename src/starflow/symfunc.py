@@ -95,12 +95,7 @@ def elem_sym_gradient(lam, m) -> np.ndarray:
     n = lam.size
     if not 1 <= m <= n:
         raise ValueError(f"gradient degree m={m} out of range 1..{n}")
-    if n == 1:
-        return np.ones(1)  # sigma_0 of the empty vector
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = elem_sym_all(np.delete(lam, i))[m - 1]
-    return out
+    return elem_sym_gradient_table(lam[None, :], m)[0]
 
 
 def elem_sym_gradient_table(lams: np.ndarray, m: int) -> np.ndarray:
@@ -111,7 +106,7 @@ def elem_sym_gradient_table(lams: np.ndarray, m: int) -> np.ndarray:
     if not 1 <= m <= n:
         raise ValueError(f"gradient degree m={m} out of range 1..{n}")
     if n == 1:
-        return np.ones((rows, 1))
+        return np.ones((rows, 1))  # sigma_0 of the empty vector
     out = np.empty((rows, n))
     for i in range(n):
         out[:, i] = elem_sym_table(np.delete(lams, i, axis=1))[:, m - 1]

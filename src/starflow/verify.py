@@ -479,41 +479,37 @@ def check_prop1_axisym(g: RadialGraph, k: int, dt: float, tol: float = 1e-3):
 def check_lemma_integral(
     config: flowmod.FlowConfig,
     initial: RadialGraph,
-    l: int,
     rate_tol: float = 1e-3,
     topo_tol: float = 1e-6,
 ):
-    """Rate identity d/dt int sigma_l dmu = (l+1) int sigma_{l+1}
-    sigma_{k-1}/sigma_k dmu along a raw-flow trajectory.
+    """Rate identities d/dt int sigma_l dmu = (l+1) int sigma_{l+1}
+    sigma_{k-1}/sigma_k dmu for every l = 0..n along one raw-flow
+    trajectory.
 
-    Samples both sides densely, differentiates the left side with
-    three-point nonuniform centered differences, and reports the worst
-    relative mismatch. For l = n the right side vanishes identically and
-    the integral must sit at its topological value |S^n|; that pins a
-    second report.
+    Samples both sides of each l densely from a single run,
+    differentiates the left side with three-point nonuniform centered
+    differences, and reports the worst relative mismatch per l. For l = n
+    the right side vanishes identically and the integral must sit at its
+    topological value |S^n|; that pins a last report.
     """
-    n = config.n
+    n, k = config.n, config.k
     if config.mode != "raw":
         raise ValueError("lemma rate check requires raw flow mode")
-    if not 0 <= l <= n:
-        raise ValueError(f"sigma index l={l} out of range 0..{n}")
     times, lhs_series, rhs_series = [], [], []
 
     def observer(state):
         geo = state.geo
         times.append(state.t)
-        lhs_series.append(float(np.sum(geo.sigma[:, l] * geo.dmu)))
-        if l + 1 <= n:
-            sk = geo.sigma[:, config.k]
-            rhs_series.append(
-                (l + 1) * float(np.sum(geo.sigma[:, l + 1] * geo.sigma[:, config.k - 1] / sk * geo.dmu))
-            )
-        else:
-            rhs_series.append(0.0)
+        lhs_series.append([float(np.sum(geo.sigma[:, l] * geo.dmu)) for l in range(n + 1)])
+        sk = geo.sigma[:, k]
+        rhs_series.append(
+            [(l + 1) * float(np.sum(geo.sigma[:, l + 1] * geo.sigma[:, k - 1] / sk * geo.dmu))
+             for l in range(n)] + [0.0]
+        )
 
     flowmod.run(replace(config, sample_every=1), initial, observer=observer,
                 record_samples=False)
-    t = np.array(times)
+    t = np.array(times)[:, None]
     a = np.array(lhs_series)
     b = np.array(rhs_series)
     tm, t0, tp = t[:-2], t[1:-1], t[2:]
@@ -524,27 +520,24 @@ def check_lemma_integral(
         + ap * (t0 - tm) / ((tp - tm) * (tp - t0))
     )
     resid = np.abs(da - b[1:-1])
-    scale = float(np.max(np.abs(b)))
-    if scale == 0.0:
-        scale = float(np.max(np.abs(a)))
-    j = int(np.argmax(resid))
     grid = f"N={initial.num_intervals},samples={t.size}"
-    reports = [
-        _report(
-            f"lemma/rate_sigma{l}_k{config.k}", da[j], b[1:-1][j],
-            resid[j], resid[j] / scale, grid, rate_tol,
-        )
-    ]
-    if l == n:
-        topo = sphere_area(n)
-        dev = np.abs(a - topo)
-        j = int(np.argmax(dev))
-        reports.append(
-            _report(
-                f"lemma/topological_constant_n{n}", a[j], topo,
-                dev[j], dev[j] / topo, grid, topo_tol,
-            )
-        )
+    reports = []
+    for l in range(n + 1):
+        scale = float(np.max(np.abs(b[:, l])))
+        if scale == 0.0:
+            scale = float(np.max(np.abs(a[:, l])))
+        j = int(np.argmax(resid[:, l]))
+        reports.append(_report(
+            f"lemma/rate_sigma{l}_k{k}", da[j, l], b[1:-1][j, l],
+            resid[j, l], resid[j, l] / scale, grid, rate_tol,
+        ))
+    topo = sphere_area(n)
+    dev = np.abs(a[:, n] - topo)
+    j = int(np.argmax(dev))
+    reports.append(_report(
+        f"lemma/topological_constant_n{n}", a[j, n], topo,
+        dev[j], dev[j] / topo, grid, topo_tol,
+    ))
     return reports
 
 

@@ -145,6 +145,7 @@ class TestRun:
         ("verify lemma", "stepping.t_max=0", "stepping.t_max"),
         ("sweep", "grid.N=63", "grid.N"),
         ("sweep", "sweep.k_values=[1, 2]", "sweep.k_values"),
+        ("sweep", 'sweep.shapes=["sphere"]', "sweep.shapes"),
     ])
     def test_config_error_exits_two_naming_key(self, tmp_path, capsys, command, assignment, key):
         cfg_path = tmp_path / "cfg.json"
@@ -159,13 +160,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
 
-    def test_verify_monotone_missing_mode_named(self, tmp_path, capsys):
+    @pytest.mark.parametrize("deleted", ["problem.mode", "stepping"])
+    def test_verify_monotone_missing_mode_named(self, tmp_path, capsys, deleted):
         cfg_path = tmp_path / "cfg.json"
         cfg = write_config(cfg_path)
-        del cfg["problem"]["mode"]
+        section, _, key = deleted.partition(".")
+        if key:
+            del cfg[section][key]
+        else:
+            del cfg[section]
         cfg_path.write_text(json.dumps(cfg))
         assert cli.main(["verify", "monotone", str(cfg_path), "--quiet"]) == cli.EXIT_CONFIG
-        assert "problem.mode" in capsys.readouterr().err
+        assert deleted in capsys.readouterr().err
 
     def test_bad_degree_cites_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -4,6 +4,7 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
+from starflow import flow
 from starflow.flow import FlowConfig, run
 from starflow.geometry import (
     compute_geometry,
@@ -105,24 +106,28 @@ class TestProp1Axisym:
             assert rep.passed, rep
 
 
+def _by_name(reports):
+    return {rep.name: rep for rep in reports}
+
+
 class TestLemmaIntegral:
     def test_curve_total_curvature_conserved(self):
         config = FlowConfig(n=1, k=1, mode="raw", t_max=0.05, dt_init=1e-3)
-        reports = check_lemma_integral(config, ellipse(2.0, 1.0, 256), 1)
-        rate, topo = reports
+        reports = _by_name(check_lemma_integral(config, ellipse(2.0, 1.0, 256)))
+        rate, topo = reports["lemma/rate_sigma1_k1"], reports["lemma/topological_constant_n1"]
         assert rate.passed and rate.rel_residual < 1e-3
         assert topo.rhs == pytest.approx(2 * pi, rel=1e-15)
         assert topo.passed and topo.abs_residual < 1e-7  # pinned at 2 pi
 
     def test_curve_perimeter_growth(self):
         config = FlowConfig(n=1, k=1, mode="raw", t_max=0.05, dt_init=1e-3)
-        (rate,) = check_lemma_integral(config, ellipse(2.0, 1.0, 256), 0)
+        rate = _by_name(check_lemma_integral(config, ellipse(2.0, 1.0, 256)))["lemma/rate_sigma0_k1"]
         assert rate.passed and rate.rel_residual < 1e-3
 
     def test_surface_gauss_bonnet_conserved(self):
         config = FlowConfig(n=2, k=1, mode="raw", t_max=0.05, dt_init=1e-3)
-        reports = check_lemma_integral(config, ellipsoid_of_revolution(1.5, 1.0, 256), 2)
-        rate, topo = reports
+        reports = _by_name(check_lemma_integral(config, ellipsoid_of_revolution(1.5, 1.0, 256)))
+        rate, topo = reports["lemma/rate_sigma2_k1"], reports["lemma/topological_constant_n2"]
         assert rate.passed
         assert topo.rhs == pytest.approx(4 * pi, rel=1e-15)
         assert topo.abs_residual < 1e-6
@@ -130,15 +135,36 @@ class TestLemmaIntegral:
     def test_requires_raw_mode(self):
         config = FlowConfig(n=2, k=1, mode="normalized", t_max=0.05)
         with pytest.raises(ValueError, match="raw"):
-            check_lemma_integral(config, sphere(1.0, 2, 64), 1)
+            check_lemma_integral(config, sphere(1.0, 2, 64))
 
     def test_residual_drops_under_refinement(self):
         residuals = []
         for num in (128, 256):
             config = FlowConfig(n=1, k=1, mode="raw", t_max=0.05, dt_init=1e-3)
-            (rate,) = check_lemma_integral(config, ellipse(2.0, 1.0, num), 0)
+            rate = _by_name(check_lemma_integral(config, ellipse(2.0, 1.0, num)))["lemma/rate_sigma0_k1"]
             residuals.append(rate.rel_residual)
         assert residuals[0] / residuals[1] > 4.0  # at least second order
+
+    @pytest.mark.parametrize("n, initial", [
+        (1, ellipse(2.0, 1.0, 64)),
+        (2, ellipsoid_of_revolution(1.5, 1.0, 64)),
+    ])
+    def test_one_run_checks_every_l(self, monkeypatch, n, initial):
+        calls = []
+        real_run = flow.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "run", counting_run)
+        config = FlowConfig(n=n, k=1, mode="raw", t_max=0.002, dt_init=1e-3)
+        reports = check_lemma_integral(config, initial)
+        assert len(calls) == 1
+        assert [rep.name for rep in reports] == (
+            [f"lemma/rate_sigma{l}_k1" for l in range(n + 1)]
+            + [f"lemma/topological_constant_n{n}"]
+        )
 
 
 class TestFirstVariation:
