@@ -593,10 +593,17 @@ def cmd_sweep(args) -> int:
         cfg = apply_overrides(load_config(args.config), args.set)
         _require(cfg)
         _require(cfg, (("sweep", ("shapes", "k_values", "index_path")),))
-        flow_config_from(cfg)
+        base = flow_config_from(cfg)
         for spec in cfg["sweep"]["shapes"]:
             if not isinstance(spec, dict):
                 raise ConfigError("sweep.shapes", f"expected object, got {spec!r}")
+            try:
+                geom.make_shape(spec, base.n, base.grid_n)
+            except geom.ShapeError as exc:
+                raise ConfigError("sweep.shapes", f"{spec!r}: {exc}") from None
+        for seed in cfg["sweep"].get("seeds", ()):
+            if seed is not None and not _type_ok(_INT, seed):
+                raise ConfigError("sweep.seeds", f"expected int or null, got {seed!r}")
         for k in cfg["sweep"]["k_values"]:
             if not _type_ok(_INT, k):
                 raise ConfigError("sweep.k_values", f"expected int, got {k!r}")

@@ -4,9 +4,12 @@ The raw flow moves the surface at normal speed sigma_{k-1}/sigma_k of the
 principal curvatures; in the radial gauge this is d r/dt = F * w / r at
 every grid node. The normalized variant subtracts r(t) * u * nu, chosen so
 that the quermassintegral V_{n-k} stays constant, which in the radial gauge
-is an extra -r(t) * r term. Stepping is classical RK4 with geometry
-recomputed at every stage; the accumulated log-scale integral of r(t) is
-advanced with the same stage weights so that e^{-log_scale} times the raw
+is an extra -r(t) * r term. Stepping is classical RK4. Stages 2-4 of an
+attempt compute only the curvature data the speed and the scale rate
+need; the full PointwiseGeometry is built once per attempt, for the
+candidate state, and that state's conserved quantity is kept on it for
+the next step. The accumulated log-scale integral of r(t) is advanced
+with the same stage weights so that e^{-log_scale} times the raw
 trajectory reproduces the normalized one to integration order.
 
 Step-size control is accept/reject: a step is accepted when the radius
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
-from math import exp
+from math import exp, isfinite
 
 import numpy as np
 
@@ -151,10 +154,21 @@ class FlowState:
     last_dt: float = 0.0
     accepted: int = 0
     rejections: int = 0
+    # conserved quantity of this state under the config that produced it
+    # (None: not computed yet, or raw mode); _attempt recomputes it when None
+    conserved: float | None = field(default=None, compare=False, repr=False)
 
 
 def initial_state(graph: RadialGraph) -> FlowState:
     return FlowState(t=0.0, graph=graph, log_scale=0.0, geo=compute_geometry(graph))
+
+
+def _speed(sigma: np.ndarray, k: int) -> np.ndarray:
+    sk = sigma[:, k]
+    if sk.min() <= 0.0:
+        j = int(sk.argmin())
+        raise ConeExitError(f"sigma_{k} <= 0 at node {j}: {sk[j]:.6e}")
+    return sigma[:, k - 1] / sk
 
 
 def speed_raw(geo: PointwiseGeometry, k: int) -> np.ndarray:
@@ -162,11 +176,24 @@ def speed_raw(geo: PointwiseGeometry, k: int) -> np.ndarray:
     k-convex data. Raises ConeExitError naming the worst node otherwise."""
     if not 1 <= k <= geo.dim:
         raise ValueError(f"flow degree k={k} out of range 1..{geo.dim}")
-    sk = geo.sigma[:, k]
-    if np.min(sk) <= 0.0:
-        j = int(np.argmin(sk))
-        raise ConeExitError(f"sigma_{k} <= 0 at node {j}: {sk[j]:.6e}")
-    return geo.sigma[:, k - 1] / sk
+    return _speed(geo.sigma, k)
+
+
+def _rate(sigma: np.ndarray, dmu: np.ndarray, u: np.ndarray | None, f: np.ndarray | None,
+          k: int, top: bool) -> float:
+    """Log-scale rate from per-node arrays; the caller has checked sigma_k > 0.
+
+    top: int(F dmu) / int(u dmu) for the speed f and support function u,
+    the rate holding V_{n+1}. Otherwise r(t) = int(sigma_{k+1}
+    sigma_{k-1} / sigma_k) / (C_{n,k+1} int sigma_k), holding V_{n-k}
+    (k <= n-1), and u and f are not read.
+    """
+    if top:
+        return float((f * dmu).sum()) / float((u * dmu).sum())
+    n = sigma.shape[1] - 1
+    sk = sigma[:, k]
+    num = float((sigma[:, k + 1] * sigma[:, k - 1] / sk * dmu).sum())
+    return num / (cnk(n, k + 1) * float((sk * dmu).sum()))
 
 
 def normalization_rt(geo: PointwiseGeometry, k: int) -> float:
@@ -176,16 +203,10 @@ def normalization_rt(geo: PointwiseGeometry, k: int) -> float:
     scale invariant. Only defined for k <= n-1: at k = n both numerator
     and the constant vanish identically.
     """
-    n = geo.dim
-    if not 1 <= k <= n - 1:
+    if not 1 <= k <= geo.dim - 1:
         raise ValueError(f"normalization constant needs 1 <= k <= n-1, got k={k}")
-    sk = geo.sigma[:, k]
-    if np.min(sk) <= 0.0:
-        j = int(np.argmin(sk))
-        raise ConeExitError(f"sigma_{k} <= 0 at node {j}: {sk[j]:.6e}")
-    num = float(np.sum(geo.sigma[:, k + 1] * geo.sigma[:, k - 1] / sk * geo.dmu))
-    den = cnk(n, k + 1) * float(np.sum(sk * geo.dmu))
-    return num / den
+    _speed(geo.sigma, k)  # raises ConeExitError off the cone
+    return _rate(geo.sigma, geo.dmu, None, None, k, top=False)
 
 
 def volume_scale_rate(geo: PointwiseGeometry, k: int) -> float:
@@ -194,8 +215,7 @@ def volume_scale_rate(geo: PointwiseGeometry, k: int) -> float:
     Equals int(F dmu) / int(u dmu); used as the rescaling rate for the
     k = n flow where r(t) is unavailable.
     """
-    f = speed_raw(geo, k)
-    return float(np.sum(f * geo.dmu)) / quermass_minkowski(geo, 0)
+    return _rate(geo.sigma, geo.dmu, geo.u, speed_raw(geo, k), k, top=True)
 
 
 def _scale_rate(geo: PointwiseGeometry, k: int) -> float:
@@ -204,13 +224,28 @@ def _scale_rate(geo: PointwiseGeometry, k: int) -> float:
     return volume_scale_rate(geo, k)
 
 
+def _rhs(r: np.ndarray, w: np.ndarray, f: np.ndarray, rate: float, mode: str) -> np.ndarray:
+    drdt = f * w / r
+    if mode == "normalized":
+        drdt = drdt - rate * r
+    return drdt
+
+
 def _rhs_and_rate(geo: PointwiseGeometry, mode: str, k: int):
     f = speed_raw(geo, k)
-    drdt = f * geo.w / geo.r
-    rate = _scale_rate(geo, k)
-    if mode == "normalized":
-        drdt = drdt - rate * geo.r
-    return drdt, rate
+    rate = _rate(geo.sigma, geo.dmu, geo.u, f, k, top=k == geo.dim)
+    return _rhs(geo.r, geo.w, f, rate, mode), rate
+
+
+def _stage(kit: geomod._GridKit, r: np.ndarray, mode: str, k: int):
+    """`_rhs_and_rate` of the radial samples r on kit's grid, from the
+    checked curvature arrays alone: no PointwiseGeometry is built."""
+    _, _, w, rr, _, sigma, dmu = geomod._curvatures(kit, r)
+    f = _speed(sigma, k)
+    top = k == kit.dim
+    # only the k = n rate reads the support function u = r^2 / w
+    rate = _rate(sigma, dmu, rr / w if top else None, f, k, top)
+    return _rhs(r, w, f, rate, mode), rate
 
 
 def radial_rhs(geo: PointwiseGeometry, mode: str, k: int) -> np.ndarray:
@@ -229,15 +264,15 @@ def stability_cap(geo: PointwiseGeometry, k: int, cfl: float) -> float:
     (sigma_{k-1} * max kappa)); a stability guard, not an error bound."""
     kmax = geo.kappa.max(axis=1)
     expr = geo.sigma[:, k] ** 2 / (geo.sigma[:, k - 1] * kmax)
-    lo = float(np.min(expr))
-    if not np.isfinite(lo) or lo <= 0.0:
+    lo = float(expr.min())
+    if not isfinite(lo) or lo <= 0.0:
         raise ConeExitError("stability cap undefined: nonpositive curvature data")
     return cfl * geo.h * geo.h * lo
 
 
 def _strictly_kconvex(geo: PointwiseGeometry, k: int) -> tuple[bool, str]:
     mins = geo.sigma[:, 1 : k + 1].min(axis=0)
-    if np.all(mins > 0.0):
+    if (mins > 0.0).all():
         return True, ""
     m = int(np.argmin(mins > 0.0)) + 1
     return False, f"sigma_{m} min {mins[m - 1]:.6e}"
@@ -260,24 +295,25 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
     r0 = state.graph.r
     dim = state.graph.dim
     kit = geomod._grid_kit(dim, r0.size)
+    mode, k = config.mode, config.k
     try:
-        k1, q1 = _rhs_and_rate(state.geo, config.mode, config.k)
-        geo2 = geomod._pointwise(kit, r0 + 0.5 * dt * k1)
-        k2, q2 = _rhs_and_rate(geo2, config.mode, config.k)
-        geo3 = geomod._pointwise(kit, r0 + 0.5 * dt * k2)
-        k3, q3 = _rhs_and_rate(geo3, config.mode, config.k)
-        geo4 = geomod._pointwise(kit, r0 + dt * k3)
-        k4, q4 = _rhs_and_rate(geo4, config.mode, config.k)
+        k1, q1 = _rhs_and_rate(state.geo, mode, k)
+        k2, q2 = _stage(kit, r0 + 0.5 * dt * k1, mode, k)
+        k3, q3 = _stage(kit, r0 + 0.5 * dt * k2, mode, k)
+        k4, q4 = _stage(kit, r0 + dt * k3, mode, k)
         r_new = r0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         graph_new = RadialGraph(dim, r_new)
         geo_new = geomod._pointwise(kit, graph_new.r)
     except (ShapeError, ConeExitError, ValueError) as exc:
         return None, str(exc)
-    ok, why = _strictly_kconvex(geo_new, config.k)
+    ok, why = _strictly_kconvex(geo_new, k)
     if not ok:
         return None, f"k-convexity lost: {why}"
     log_new = state.log_scale + (dt / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-    v_old = _conserved_value(state.geo, state.log_scale, config)
+    v_old = state.conserved
+    if v_old is None:
+        v_old = _conserved_value(state.geo, state.log_scale, config)
+    v_new = None
     if v_old is not None:
         v_new = _conserved_value(geo_new, log_new, config)
         if abs(v_new - v_old) > config.tol_conserve * dt * abs(v_old):
@@ -293,6 +329,7 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
         last_dt=dt,
         accepted=state.accepted + 1,
         rejections=state.rejections,
+        conserved=v_new,
     )
     return new_state, None
 

@@ -4,10 +4,11 @@ A surface is stored as a positive radial function on a uniform parameter
 grid: N periodic samples of r(theta) on [0, 2pi) for a plane curve
 (dim 1), or N+1 samples of r(phi) on [0, pi] for the profile of an
 axisymmetric surface (dim 2). Curvatures, support function and area
-weights come from sixth-order centered difference stencils (periodic
-wrap for dim 1, even ghost reflection at the poles for dim 2);
-quermassintegrals from trapezoid (dim 1) or composite Simpson (dim 2)
-quadrature. The parallel principal curvature at the poles is assigned
+weights come from sixth-order centered difference stencils, applied
+through per-grid gather tables of the nodes one to three places ahead
+of and behind each node (indices wrap for dim 1 and reflect evenly at
+both poles for dim 2); quermassintegrals from trapezoid (dim 1) or
+composite Simpson (dim 2) quadrature. The parallel principal curvature at the poles is assigned
 its smooth limit, the meridian value; the sin(phi) area weight vanishes
 there, so the choice does not touch any integral.
 """
@@ -15,8 +16,10 @@ there, so the choice does not touch any integral.
 from __future__ import annotations
 
 import csv
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import comb, gamma, pi
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -49,9 +52,11 @@ __all__ = [
 
 MIN_NODES = 16
 
-# sixth-order centered first/second derivative stencils, offsets -3..3
-_D1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-_D2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
+# sixth-order centered stencil weights of the offsets 1, 2, 3 (as columns
+# against the gather tables): first derivative on ahead - behind, second
+# derivative on ahead + behind, whose centre weight is -490
+_D1_WEIGHTS = np.array([[45.0], [9.0], [1.0]])
+_D2_WEIGHTS = np.array([[270.0], [27.0], [2.0]])
 
 
 class ShapeError(ValueError):
@@ -76,10 +81,10 @@ class RadialGraph:
         arr = np.array(self.r, dtype=float)
         if arr.ndim != 1:
             raise ShapeError("radial samples must form a one-dimensional array")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ShapeError("radial samples contain non-finite values")
-        if np.min(arr) <= 0.0:
-            j = int(np.argmin(arr))
+        if arr.min() <= 0.0:
+            j = int(arr.argmin())
             raise ShapeError(f"radial function not positive at node {j}: r={arr[j]}")
         n_int = arr.size if self.dim == 1 else arr.size - 1
         if n_int < MIN_NODES or n_int % 2 != 0:
@@ -248,18 +253,29 @@ _SHAPES = {
 def make_shape(spec, dim: int, num: int) -> RadialGraph:
     """Build a RadialGraph from a config-style description.
 
-    `spec` is a mapping with keys `type`, `params` and optionally `seed`.
+    `spec` is a mapping with keys `type`, `params` and optionally `seed`
+    (an integer); `params` maps parameter names to numbers, and a null
+    value counts as left out.
     """
     kind = spec.get("type")
-    if kind not in _SHAPES:
+    if not isinstance(kind, str) or kind not in _SHAPES:
         raise ShapeError(f"unknown shape type {kind!r}; expected one of {sorted(_SHAPES)}")
     if kind == "ellipse" and dim != 1:
         raise ShapeError("ellipse is a dim-1 shape")
     if kind == "ellipsoid_of_revolution" and dim != 2:
         raise ShapeError("ellipsoid_of_revolution is a dim-2 shape")
-    params = dict(spec.get("params", {}))
+    params = spec.get("params", {})
+    if not isinstance(params, Mapping):
+        raise ShapeError(f"shape params must be a mapping, got {params!r}")
+    params = {key: value for key, value in params.items() if value is not None}
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ShapeError(f"shape parameter {key!r} must be a number, got {value!r}")
+    seed = spec.get("seed")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, Integral)):
+        raise ShapeError(f"shape seed must be an integer, got {seed!r}")
     try:
-        return _SHAPES[kind](params, dim, num, spec.get("seed"))
+        return _SHAPES[kind](params, dim, num, seed)
     except KeyError as exc:
         raise ShapeError(f"shape {kind!r} is missing parameter {exc.args[0]!r}") from None
 
@@ -268,27 +284,20 @@ def make_shape(spec, dim: int, num: int) -> RadialGraph:
 # derivatives and pointwise geometry
 
 
-def _stencil_derivatives(pad: np.ndarray, h: float):
-    # pad carries 3 ghost nodes on each side
-    f = pad[3:-3]
-    a1 = pad[4:-2] - pad[2:-4]
-    a2 = pad[5:-1] - pad[1:-5]
-    a3 = pad[6:] - pad[:-6]
-    s1 = pad[4:-2] + pad[2:-4]
-    s2 = pad[5:-1] + pad[1:-5]
-    s3 = pad[6:] + pad[:-6]
-    d1 = (45.0 * a1 - 9.0 * a2 + a3) / (60.0 * h)
-    d2 = (270.0 * s1 - 27.0 * s2 + 2.0 * s3 - 490.0 * f) / (180.0 * h * h)
+def _stencil_derivatives(kit: _GridKit, r: np.ndarray):
+    """Sixth-order centered first and second derivatives of r on kit's grid.
+
+    The rows of `a` and `s` are the offset-1, -2 and -3 terms in the order
+    the stencil adds them, so the sums round exactly as the textbook
+    formula (45 a1 - 9 a2 + a3) / 60h, (270 s1 - 27 s2 + 2 s3 - 490 f) / 180h^2.
+    """
+    ahead, behind = r[kit.ahead], r[kit.behind]
+    a = (ahead - behind) * _D1_WEIGHTS
+    s = (ahead + behind) * _D2_WEIGHTS
+    h = kit.h
+    d1 = (a[0] - a[1] + a[2]) / (60.0 * h)
+    d2 = (s[0] - s[1] + s[2] - 490.0 * r) / (180.0 * h * h)
     return d1, d2
-
-
-def _periodic_derivatives(f: np.ndarray, h: float):
-    return _stencil_derivatives(np.concatenate([f[-3:], f, f[:3]]), h)
-
-
-def _even_reflect_derivatives(f: np.ndarray, h: float):
-    # ghost nodes by even reflection about both endpoints
-    return _stencil_derivatives(np.concatenate([f[3:0:-1], f, f[-2:-5:-1]]), h)
 
 
 def _simpson_weights(n_int: int, h: float) -> np.ndarray:
@@ -309,6 +318,9 @@ class _GridKit:
     sin: np.ndarray | None
     cos: np.ndarray | None
     area_weight: np.ndarray  # h for dim 1, simpson * 2 pi sin(phi) for dim 2
+    # (3, size) indices of the nodes 1..3 places ahead of / behind each node
+    ahead: np.ndarray
+    behind: np.ndarray
 
 
 _KIT_CACHE: dict = {}
@@ -318,35 +330,46 @@ def _grid_kit(dim: int, size: int) -> _GridKit:
     key = (dim, size)
     kit = _KIT_CACHE.get(key)
     if kit is None:
+        nodes = np.arange(size)
+        ahead = nodes + np.arange(1, 4)[:, None]
+        behind = nodes - np.arange(1, 4)[:, None]
         if dim == 1:
-            param = 2.0 * pi * np.arange(size) / size
+            param = 2.0 * pi * nodes / size
             h = 2.0 * pi / size
-            kit = _GridKit(dim, size, h, param, None, None, np.full(size, h))
+            kit = _GridKit(dim, size, h, param, None, None, np.full(size, h),
+                           ahead % size, behind % size)
         else:
-            n_int = size - 1
-            param = pi * np.arange(size) / n_int
-            h = pi / n_int
+            # even reflection about both poles: node -j is node j, node
+            # top + j is node top - j
+            top = size - 1
+            param = pi * nodes / top
+            h = pi / top
             sin, cos = np.sin(param), np.cos(param)
             kit = _GridKit(dim, size, h, param, sin, cos,
-                           _simpson_weights(n_int, h) * (2.0 * pi) * sin)
+                           _simpson_weights(top, h) * (2.0 * pi) * sin,
+                           np.where(ahead > top, 2 * top - ahead, ahead), np.abs(behind))
         if len(_KIT_CACHE) > 64:
             _KIT_CACHE.clear()
         _KIT_CACHE[key] = kit
     return kit
 
 
-def _pointwise(kit: _GridKit, r: np.ndarray) -> PointwiseGeometry:
-    rmin = float(np.min(r))
+def _curvatures(kit: _GridKit, r: np.ndarray):
+    """Checked curvature data of the radial samples r on kit's grid.
+
+    Returns (r1, r2, w, rr, kappa, sigma, dmu) with rr = r * r, the arrays
+    of PointwiseGeometry that a flow stage needs. Raises ShapeError on
+    r <= 0 and ValueError on non-finite curvature data.
+    """
+    rmin = float(r.min())
     if not rmin > 0.0:
         raise ShapeError(f"radial function not positive (min r = {rmin})")
-    if kit.dim == 1:
-        r1, r2 = _periodic_derivatives(r, kit.h)
-    else:
-        r1, r2 = _even_reflect_derivatives(r, kit.h)
-    w2 = r * r + r1 * r1
+    r1, r2 = _stencil_derivatives(kit, r)
+    rr = r * r
+    r1r1 = r1 * r1
+    w2 = rr + r1r1
     w = np.sqrt(w2)
-    u = r * r / w
-    k_rad = (r * r + 2.0 * r1 * r1 - r * r2) / (w2 * w)
+    k_rad = (rr + 2.0 * r1r1 - r * r2) / (w2 * w)
     if kit.dim == 1:
         kappa = k_rad[:, None]
         sig = np.empty((r.size, 2))
@@ -366,11 +389,16 @@ def _pointwise(kit: _GridKit, r: np.ndarray) -> PointwiseGeometry:
         sig[:, 1] = kappa[:, 0] + kappa[:, 1]
         sig[:, 2] = kappa[:, 0] * kappa[:, 1]
         dmu = kit.area_weight * (r * w)
-    if not np.all(np.isfinite(sig)):
+    if not np.isfinite(sig).all():
         bad = int(np.argwhere(~np.isfinite(sig))[0][0])
         raise ValueError(f"non-finite curvature data at node {bad}")
+    return r1, r2, w, rr, kappa, sig, dmu
+
+
+def _pointwise(kit: _GridKit, r: np.ndarray) -> PointwiseGeometry:
+    r1, r2, w, rr, kappa, sig, dmu = _curvatures(kit, r)
     return PointwiseGeometry(
-        dim=kit.dim, param=kit.param, h=kit.h, r=r, r1=r1, r2=r2, w=w, u=u,
+        dim=kit.dim, param=kit.param, h=kit.h, r=r, r1=r1, r2=r2, w=w, u=rr / w,
         kappa=kappa, sigma=sig, dmu=dmu,
     )
 
@@ -408,7 +436,7 @@ def quermass_sigma(geo: PointwiseGeometry, m: int) -> float:
     n = geo.dim
     if not 1 <= m <= n:
         raise ValueError(f"sigma-form index m={m} out of range 1..{n}")
-    return cnk(n, m) * float(np.sum(geo.sigma[:, m - 1] * geo.dmu))
+    return cnk(n, m) * float((geo.sigma[:, m - 1] * geo.dmu).sum())
 
 
 def quermass_minkowski(geo: PointwiseGeometry, m: int) -> float:
@@ -419,7 +447,7 @@ def quermass_minkowski(geo: PointwiseGeometry, m: int) -> float:
     n = geo.dim
     if not 0 <= m <= n:
         raise ValueError(f"Minkowski-form index m={m} out of range 0..{n}")
-    return float(np.sum(geo.u * geo.sigma[:, m] * geo.dmu))
+    return float((geo.u * geo.sigma[:, m] * geo.dmu).sum())
 
 
 def quermass_vector(geo: PointwiseGeometry) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's evaluation paths: symmetric
 functions by subset enumeration, curvature by second-order finite
-differences on embedded points, integrals by very fine trapezoid sums.
+differences on embedded points, integrals by very fine trapezoid sums,
+and the sixth-order radial stencils on an array padded with ghost nodes.
 """
 
 from itertools import combinations
@@ -19,6 +20,28 @@ def sigma_subsets(lam, m):
     if m > len(lam):
         return 0.0
     return float(sum(prod(c) for c in combinations(lam, m)))
+
+
+def stencil_derivatives_padded(r, dim, h):
+    """Sixth-order centered first and second derivatives of radial samples,
+    evaluated on a copy padded with three ghost nodes at each end:
+    periodic wrap for dim 1, even reflection about both poles for dim 2.
+    Written as the plain slice formula, term by term in stencil order."""
+    r = np.asarray(r, float)
+    if dim == 1:
+        pad = np.concatenate([r[-3:], r, r[:3]])
+    else:
+        pad = np.concatenate([r[3:0:-1], r, r[-2:-5:-1]])
+    f = pad[3:-3]
+    a1 = pad[4:-2] - pad[2:-4]
+    a2 = pad[5:-1] - pad[1:-5]
+    a3 = pad[6:] - pad[:-6]
+    s1 = pad[4:-2] + pad[2:-4]
+    s2 = pad[5:-1] + pad[1:-5]
+    s3 = pad[6:] + pad[:-6]
+    d1 = (45.0 * a1 - 9.0 * a2 + a3) / (60.0 * h)
+    d2 = (270.0 * s1 - 27.0 * s2 + 2.0 * s3 - 490.0 * f) / (180.0 * h * h)
+    return d1, d2
 
 
 def curve_curvature_fd2(points):

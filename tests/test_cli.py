@@ -146,6 +146,11 @@ class TestRun:
         ("sweep", "grid.N=63", "grid.N"),
         ("sweep", "sweep.k_values=[1, 2]", "sweep.k_values"),
         ("sweep", 'sweep.shapes=["sphere"]', "sweep.shapes"),
+        ("sweep", 'sweep.shapes=[{"type": "sphere", "params": [1.0]}]', "sweep.shapes"),
+        ("sweep", 'sweep.shapes=[{"type": "sphere", "params": {"radius": "one"}}]',
+         "sweep.shapes"),
+        ("run", 'shape.params={"radius": "one"}', "shape.params"),
+        ("sweep", 'sweep.seeds=["x"]', "sweep.seeds"),
     ])
     def test_config_error_exits_two_naming_key(self, tmp_path, capsys, command, assignment, key):
         cfg_path = tmp_path / "cfg.json"

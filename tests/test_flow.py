@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import starflow.flow as fl
+import starflow.geometry as geomod
 from starflow.flow import (
     ConeExitError,
     FlowConfig,
@@ -258,3 +259,94 @@ class TestGaugeEquivalence:
         rn = run(fc_n, g).final_state.graph.r
         rr = rescale_state(run(fc_r, g).final_state).r
         assert np.max(np.abs(rn - rr)) < 1e-6
+
+
+def _accepted_combos():
+    combos = []
+    for n in (1, 2):
+        for k in range(1, n + 1):
+            for mode in fl.MODES:
+                try:
+                    FlowConfig(n=n, k=k, mode=mode)
+                except fl.FlowConfigError:
+                    continue
+                combos.append((n, k, mode))
+    return combos
+
+
+def _kit_and_profile(n, eps):
+    g = perturbed_sphere(1.0, eps, mode=3, dim=n, num=64)
+    return geomod._grid_kit(n, g.r.size), g.r
+
+
+def _full_stage(kit, r, mode, k):
+    return fl._rhs_and_rate(geomod._pointwise(kit, r), mode, k)
+
+
+class TestLeanStage:
+    @pytest.mark.parametrize("n, k, mode", _accepted_combos())
+    def test_matches_full_geometry_bitwise(self, n, k, mode):
+        kit, r = _kit_and_profile(n, 0.05)
+        lean_rhs, lean_rate = fl._stage(kit, r, mode, k)
+        full_rhs, full_rate = _full_stage(kit, r, mode, k)
+        assert lean_rhs.tobytes() == full_rhs.tobytes()
+        assert lean_rate == full_rate
+
+    @pytest.mark.parametrize("n, k, mode", _accepted_combos())
+    def test_same_error_off_the_cone(self, n, k, mode):
+        kit, r = _kit_and_profile(n, 0.3)
+        with pytest.raises(Exception) as lean:
+            fl._stage(kit, r, mode, k)
+        with pytest.raises(Exception) as full:
+            _full_stage(kit, r, mode, k)
+        assert lean.type is full.type is ConeExitError
+        assert str(lean.value) == str(full.value)
+
+    @pytest.mark.parametrize("config, shape", [
+        (FlowConfig(n=1, k=1, mode="raw", t_max=0.02, sample_every=3), ellipse(2.0, 1.0, 64)),
+        (FlowConfig(n=2, k=1, mode="normalized", t_max=0.01, sample_every=3),
+         ellipsoid_of_revolution(1.2, 1.0, 64)),
+        (FlowConfig(n=2, k=2, mode="rescaled_raw", t_max=0.01, sample_every=3),
+         ellipsoid_of_revolution(1.2, 1.0, 64)),
+    ], ids=["raw", "normalized", "rescaled_raw"])
+    def test_run_csv_identical_to_full_geometry_stages(self, monkeypatch, tmp_path, config, shape):
+        lean = run(config, shape)
+        monkeypatch.setattr(fl, "_stage", _full_stage)
+        full = run(config, shape)
+        lean.to_csv(tmp_path / "lean.csv")
+        full.to_csv(tmp_path / "full.csv")
+        assert len(lean.rows) > 3
+        assert (tmp_path / "lean.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+
+class TestConservedCache:
+    @staticmethod
+    def _outcome(result):
+        new, reason = result
+        if new is None:
+            return reason
+        return (new.t, new.log_scale, new.graph.r.tobytes(), new.conserved,
+                new.accepted, new.rejections)
+
+    @pytest.mark.parametrize("mode", ["normalized", "rescaled_raw", "raw"])
+    def test_cached_value_changes_nothing(self, mode):
+        config = FlowConfig(n=2, k=1, mode=mode, t_max=0.01, sample_every=1)
+        state = run(config, ellipsoid_of_revolution(1.2, 1.0, 64)).final_state
+        assert state.accepted > 0
+        expected = fl._conserved_value(state.geo, state.log_scale, config)
+        assert state.conserved == expected
+        if mode != "raw":
+            assert state.conserved is not None
+        cold = replace(state, conserved=None)
+        dt = state.last_dt
+        assert self._outcome(fl._attempt(state, dt, config)) == \
+            self._outcome(fl._attempt(cold, dt, config))
+        # a rejection (no drift allowed), then the retry at half the step
+        strict = replace(config, tol_conserve=0.0)
+        rejected = fl._attempt(state, dt, strict)
+        assert rejected[0] is None or mode == "raw"
+        assert self._outcome(rejected) == self._outcome(fl._attempt(cold, dt, strict))
+        state = replace(state, rejections=state.rejections + 1)
+        cold = replace(cold, rejections=cold.rejections + 1)
+        assert self._outcome(fl._attempt(state, 0.5 * dt, config)) == \
+            self._outcome(fl._attempt(cold, 0.5 * dt, config))

@@ -29,6 +29,7 @@ from _oracles import (
     ellipse_mean_radius,
     ellipse_perimeter,
     meridian_curvatures_fd2,
+    stencil_derivatives_padded,
 )
 
 
@@ -82,6 +83,17 @@ class TestShapes:
             make_shape({"type": "ellipse", "params": {"a": 2}}, 1, 64)
         with pytest.raises(ShapeError):
             make_shape({"type": "ellipse", "params": {"a": 2, "b": 1}}, 2, 64)
+        for params in ({"radius": "one"}, {"radius": True}, [1.0], {"radius": None}):
+            with pytest.raises(ShapeError):
+                make_shape({"type": "sphere", "params": params}, 1, 64)
+        with pytest.raises(ShapeError, match="seed"):
+            make_shape({"type": "perturbed_sphere", "params": {"radius": 1.0, "eps": 0.1},
+                        "seed": "x"}, 1, 64)
+        # a null parameter is left out: mode falls back to random harmonics
+        spec = {"type": "perturbed_sphere", "params": {"radius": 1.0, "eps": 0.1, "mode": None},
+                "seed": 3}
+        assert np.array_equal(make_shape(spec, 1, 64).r,
+                              perturbed_sphere(1.0, 0.1, None, 1, 64, 3).r)
 
 
 class TestPointwiseGeometry:
@@ -137,6 +149,19 @@ class TestPointwiseGeometry:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ShapeError):
             RadialGraph(1, np.concatenate([np.ones(63), [-0.1]]))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("num", [16, 18, 128, 512])
+    def test_stencils_match_ghost_node_oracle_bitwise(self, dim, num):
+        # 16 and 18 are the smallest grids allowed (geometry.MIN_NODES = 16)
+        rng = np.random.default_rng(1000 * dim + num)
+        size = num if dim == 1 else num + 1
+        for r in (rng.uniform(0.5, 2.0, size), 1.0 + 0.1 * rng.standard_normal(size)):
+            g = RadialGraph(dim, r)
+            geo = compute_geometry(g)
+            d1, d2 = stencil_derivatives_padded(g.r, dim, g.h)
+            assert geo.r1.tobytes() == d1.tobytes()
+            assert geo.r2.tobytes() == d2.tobytes()
 
     def test_pole_derivative_vanishes(self):
         # even reflection makes the profile derivative exactly zero at poles
