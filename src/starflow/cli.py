@@ -241,7 +241,8 @@ def cmd_run(args) -> int:
          f"run complete: t={final[cols.index('t')]:.6g} "
          f"I{mono}={final[cols.index(f'I{mono}')]:.9f} "
          f"roundness={final[cols.index('roundness_rescaled')]:.3e} "
-         f"steps={record.final_state.accepted} stop={record.stop_reason}")
+         f"steps={record.final_state.accepted} rejected={record.final_state.rejections} "
+         f"stop={record.stop_reason}")
     return EXIT_OK
 
 

@@ -16,15 +16,23 @@ Step-size control is accept/reject: a step is accepted when the radius
 stays positive, strict k-convexity holds, and (in conserving modes) the
 per-step drift of the conserved quermassintegral stays under
 tol_conserve * dt. The working dt doubles after ten straight acceptances
-and is clamped by a heuristic parabolic stability cap
-cfl * h^2 * min(sigma_k^2 / (sigma_{k-1} * max kappa)).
+and is clamped by the stability cap cfl * 2.785 / rho: 2.785 is the
+length of RK4's stability interval on the negative real axis, where the
+spectrum of this parabolic flow lies, and rho bounds the spectral radius
+of the Jacobian of the stage map. rho is 1.2 times a nonlinear power
+iteration estimate on difference quotients of the stage map (the RKC
+estimate of Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88,
+1998), refreshed every 25 accepted steps and after every rejection, each
+time warm-started from the previous iterate. A run of conservation
+rejections whose drift rate does not fall as dt is halved stops with
+the first drift rate and its dt: no step size can fix it.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
-from math import exp, isfinite
+from math import exp, isfinite, sqrt
 
 import numpy as np
 
@@ -65,6 +73,17 @@ MODES = ("raw", "normalized", "rescaled_raw")
 DT_UNDERFLOW_FRACTION = 1e-12
 DOUBLE_AFTER = 10
 MAX_STEPS = 5_000_000
+# RK4 is stable for dt * lambda in [-2.785, 0] on the real axis
+RK4_REAL_STABILITY = 2.785
+# the power iteration approaches rho from below or alternates about it;
+# the cap divides by RHO_SAFETY times the estimate
+RHO_SAFETY = 1.2
+RHO_EVERY = 25  # accepted steps between spectral-radius estimates
+RHO_RTOL = 5e-3  # the iteration stops when the estimate moves less than this
+RHO_MAX_ITER = 60
+# a halving of dt that leaves the drift rate above this fraction of its
+# previous value did not reduce it; two in a row end the run
+DRIFT_STALL = 0.75
 
 
 class ConeExitError(RuntimeError):
@@ -102,7 +121,8 @@ class FlowConfig:
     # per-step guard; the trajectory-level conservation checks are tighter
     tol_conserve: float = 1e-5
     tol_round: float = 0.0  # 0 disables the roundness stop
-    cfl_coefficient: float = 0.05
+    # fraction of RK4's real-axis stability interval the step may use
+    cfl_coefficient: float = 0.5
     grid_n: int | None = None
 
     def __post_init__(self):
@@ -259,15 +279,51 @@ def radial_rhs(geo: PointwiseGeometry, mode: str, k: int) -> np.ndarray:
     return _rhs_and_rate(geo, mode, k)[0]
 
 
+def _spectral_radius(geo: PointwiseGeometry, k: int, v: np.ndarray | None = None):
+    """Power-iteration estimate of the spectral radius of the Jacobian J of
+    the raw stage map r -> F w / r at geo's radius; returns (rho, v).
+
+    J v is the difference quotient (stage(r + v) - stage(r)) with |v| =
+    sqrt(eps) |r|, divided by |v|. The estimate is the two-step ratio
+    sqrt(|J^2 v| / |v|), which settles where the one-step ratio alternates
+    (the pole mode of dim 2). v starts from the node-alternating mode, or
+    from the v of the previous call (a warm start); the returned v is the
+    last iterate. The normalization term of mode normalized is of order
+    r(t) and is left out.
+    """
+    r = geo.r
+    kit = geomod._grid_kit(geo.dim, r.size)
+    if v is None:
+        v = np.where(np.arange(r.size) % 2 == 0, 1.0, -1.0)
+    f0 = _rhs(r, geo.w, speed_raw(geo, k), 0.0, "raw")
+    size = sqrt(np.finfo(float).eps) * sqrt(float(r @ r))
+    ratio = est = 0.0
+    for it in range(RHO_MAX_ITER):
+        v = v * (size / sqrt(float(v @ v)))
+        drdt, _ = _stage(kit, r + v, "raw", k)
+        v = drdt - f0
+        prev_ratio, prev_est = ratio, est
+        ratio = sqrt(float(v @ v)) / size
+        est = sqrt(ratio * prev_ratio)
+        if not ratio > 0.0:
+            break
+        if it >= 2 and abs(est - prev_est) <= RHO_RTOL * est:
+            break
+    return est, v
+
+
+def _cap(rho: float, cfl: float) -> float:
+    bound = RHO_SAFETY * rho
+    if not (isfinite(bound) and bound > 0.0):
+        raise ConeExitError(f"stability cap undefined: spectral radius estimate {rho}")
+    return cfl * RK4_REAL_STABILITY / bound
+
+
 def stability_cap(geo: PointwiseGeometry, k: int, cfl: float) -> float:
-    """Heuristic parabolic step cap cfl * h^2 * min(sigma_k^2 /
-    (sigma_{k-1} * max kappa)); a stability guard, not an error bound."""
-    kmax = geo.kappa.max(axis=1)
-    expr = geo.sigma[:, k] ** 2 / (geo.sigma[:, k - 1] * kmax)
-    lo = float(expr.min())
-    if not isfinite(lo) or lo <= 0.0:
-        raise ConeExitError("stability cap undefined: nonpositive curvature data")
-    return cfl * geo.h * geo.h * lo
+    """RK4 step cap cfl * 2.785 / (1.2 rho) on the flow at geo, with rho a
+    cold-start power-iteration estimate of the stage map's spectral
+    radius; a stability guard, not an error bound."""
+    return _cap(_spectral_radius(geo, k)[0], cfl)
 
 
 def _strictly_kconvex(geo: PointwiseGeometry, k: int) -> tuple[bool, str]:
@@ -290,8 +346,20 @@ def _conserved_value(geo: PointwiseGeometry, log_scale: float, config: FlowConfi
     return exp(-(n + 1) * log_scale) * quermass_minkowski(geo, 0)
 
 
+@dataclass(frozen=True)
+class _Rejection:
+    """Why a trial step was rejected; drift_rate (relative drift of the
+    conserved quantity per unit time) is set for a conservation rejection."""
+
+    reason: str
+    drift_rate: float | None = None
+
+    def __str__(self) -> str:
+        return self.reason
+
+
 def _attempt(state: FlowState, dt: float, config: FlowConfig):
-    """One RK4 trial step; returns (new_state, None) or (None, reason)."""
+    """One RK4 trial step; returns (new_state, None) or (None, _Rejection)."""
     r0 = state.graph.r
     dim = state.graph.dim
     kit = geomod._grid_kit(dim, r0.size)
@@ -305,10 +373,10 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
         graph_new = RadialGraph(dim, r_new)
         geo_new = geomod._pointwise(kit, graph_new.r)
     except (ShapeError, ConeExitError, ValueError) as exc:
-        return None, str(exc)
+        return None, _Rejection(str(exc))
     ok, why = _strictly_kconvex(geo_new, k)
     if not ok:
-        return None, f"k-convexity lost: {why}"
+        return None, _Rejection(f"k-convexity lost: {why}")
     log_new = state.log_scale + (dt / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
     v_old = state.conserved
     if v_old is None:
@@ -316,10 +384,11 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
     v_new = None
     if v_old is not None:
         v_new = _conserved_value(geo_new, log_new, config)
-        if abs(v_new - v_old) > config.tol_conserve * dt * abs(v_old):
-            return None, (
-                f"conservation drift {abs(v_new - v_old) / abs(v_old):.3e} "
-                f"exceeds {config.tol_conserve:.1e} * dt"
+        drift = abs(v_new - v_old) / abs(v_old)
+        if drift > config.tol_conserve * dt:
+            return None, _Rejection(
+                f"conservation drift {drift:.3e} exceeds {config.tol_conserve:.1e} * dt",
+                drift / dt,
             )
     new_state = FlowState(
         t=state.t + dt,
@@ -410,8 +479,10 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
     `observer(state)` is called at each sample. record_samples=False keeps
     only the first and final record rows (observers still fire), for
     callers that collect their own series. Raises ValueError when the
-    initial surface is not strictly k-convex and FlowError on cone exit
-    or dt underflow, with the partial record attached.
+    initial surface is not strictly k-convex, and FlowError, with the
+    partial record attached, on dt underflow, on a conservation drift
+    rate that halving dt does not reduce, or when the stability cap is
+    undefined.
     """
     if initial.dim != config.n:
         raise ValueError(f"config n={config.n} does not match graph dim={initial.dim}")
@@ -446,22 +517,44 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
     since_sample = 0
     t_end = config.t_max
     eps_t = 1e-14 * max(1.0, t_end)
+    since_estimate = RHO_EVERY
+    vec = None  # the power iteration's last vector, its next start
+    drifts = []  # (drift rate, dt) of the current run of conservation rejections
     for _ in range(MAX_STEPS):
         if state.t >= t_end - eps_t:
             return finish("t_max")
         if config.tol_round > 0.0 and roundness(state.graph) < config.tol_round:
             return finish("round")
-        cap = stability_cap(state.geo, config.k, config.cfl_coefficient)
+        if since_estimate >= RHO_EVERY:
+            since_estimate = 0
+            try:
+                rho, vec = _spectral_radius(state.geo, config.k, vec)
+                cap = _cap(rho, config.cfl_coefficient)
+            except (ShapeError, ConeExitError, ValueError) as exc:
+                raise FlowError(f"stiffness estimate failed: {exc}", finish("cap_undefined"),
+                                state) from exc
         dt_eff = min(dt_work, config.dt_max, cap, t_end - state.t)
-        new_state, reason = _attempt(state, dt_eff, config)
+        new_state, why = _attempt(state, dt_eff, config)
         if new_state is None:
             dt_work = 0.5 * dt_eff
             streak = 0
+            since_estimate = RHO_EVERY
             state = replace(state, rejections=state.rejections + 1)
+            drifts = [] if why.drift_rate is None else drifts + [(why.drift_rate, dt_eff)]
+            last = [rate for rate, _ in drifts[-3:]]
+            if len(last) == 3 and last[1] > DRIFT_STALL * last[0] and last[2] > DRIFT_STALL * last[1]:
+                rate, dt_first = drifts[0]
+                raise FlowError(
+                    f"conservation drift rate {rate:.3e} per unit time, first at "
+                    f"dt={dt_first:.3e}, does not fall as dt is halved "
+                    f"(budget tol_conserve={config.tol_conserve:.1e})",
+                    finish("drift_stall"), state)
             if dt_work < dt_floor:
-                raise FlowError(f"dt underflow after rejection: {reason}", finish("dt_underflow"), state)
+                raise FlowError(f"dt underflow after rejection: {why}", finish("dt_underflow"), state)
             continue
         state = new_state
+        drifts = []
+        since_estimate += 1
         streak += 1
         since_sample += 1
         if streak >= DOUBLE_AFTER:

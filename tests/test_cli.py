@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,10 @@ class TestRun:
         assert cli.main(["run", str(cfg_path)]) == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "run complete" in out and "I0=" in out
+        counts = re.search(r"\bsteps=(\d+) rejected=(\d+) stop=t_max\b", out)
+        assert counts, out
+        assert int(counts.group(1)) > 0
+        assert int(counts.group(2)) == 0
         rows = read_csv(tmp_path / "traj.csv")
         assert rows[0] == ["t", "dt", "log_scale", "V2", "V1", "I0",
                            "r_t", "roundness_rescaled", "min_sigma_k"]

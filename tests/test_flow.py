@@ -1,4 +1,5 @@
 import io
+import re
 from dataclasses import replace
 from math import e, exp, pi, sqrt
 
@@ -148,7 +149,73 @@ class TestStep:
         assert record.final_state.t == pytest.approx(0.05, abs=1e-12)
 
 
+def _dense_spectral_radius(graph, k):
+    # central-difference Jacobian of the raw stage map, one column per node
+    kit = geomod._grid_kit(graph.dim, graph.r.size)
+    r = graph.r
+    jac = np.empty((r.size, r.size))
+    for j in range(r.size):
+        step = np.zeros(r.size)
+        step[j] = 1e-6 * r[j]
+        plus = fl._stage(kit, r + step, "raw", k)[0]
+        minus = fl._stage(kit, r - step, "raw", k)[0]
+        jac[:, j] = (plus - minus) / (2e-6 * r[j])
+    return float(np.max(np.abs(np.linalg.eigvals(jac))))
+
+
+class TestStabilityCap:
+    @pytest.mark.parametrize("graph, k", [
+        (ellipse(2.0, 1.0, 64), 1),
+        (ellipse(2.0, 1.0, 128), 1),
+        (ellipsoid_of_revolution(1.5, 1.0, 64), 1),
+        (ellipsoid_of_revolution(1.5, 1.0, 128), 1),
+        (ellipsoid_of_revolution(1.5, 1.0, 128), 2),
+        (perturbed_sphere(1.0, 0.1, dim=1, num=64, seed=3), 1),
+        (perturbed_sphere(1.0, 0.1, dim=2, num=64, seed=3), 1),
+    ], ids=["ellipse-64", "ellipse-128", "spheroid-64", "spheroid-128", "spheroid-128-k2",
+            "perturbed-dim1", "perturbed-dim2"])
+    def test_power_iteration_matches_dense_jacobian(self, graph, k):
+        geo = compute_geometry(graph)
+        assert geomod.kconvex_report(geo, k).strict
+        rho, _ = fl._spectral_radius(geo, k)
+        ratio = rho / _dense_spectral_radius(graph, k)
+        assert 0.95 <= ratio <= 1.35, ratio
+        cap = fl.stability_cap(geo, k, 0.5)
+        assert cap == pytest.approx(0.5 * fl.RK4_REAL_STABILITY / (fl.RHO_SAFETY * rho), rel=1e-12)
+
+    def test_warm_start_keeps_the_estimate(self):
+        geo = compute_geometry(ellipsoid_of_revolution(1.5, 1.0, 128))
+        cold, vec = fl._spectral_radius(geo, 1)
+        warm, _ = fl._spectral_radius(geo, 1, vec)
+        assert warm == pytest.approx(cold, rel=2e-2)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bound_does_not_shrink_with_size(self, dim):
+        # the stage map is homogeneous of degree one in r, so its Jacobian
+        # and the cap do not depend on the radius (the curvature-based cap
+        # this replaced fell like 1/R, 4x between these two spheres)
+        small = fl.stability_cap(compute_geometry(sphere(1.0, dim, 64)), 1, 0.5)
+        large = fl.stability_cap(compute_geometry(sphere(4.0, dim, 64)), 1, 0.5)
+        assert large == pytest.approx(small, rel=2e-2)
+
+
 class TestRun:
+    def test_drift_that_dt_cannot_fix_fails_fast(self):
+        # a spatial-discretization drift rate of about 5e-6 per unit time
+        # against a budget of 1e-9: halving dt leaves the rate where it is
+        config = FlowConfig(n=2, k=1, mode="rescaled_raw", t_max=1.0, dt_init=1e-3,
+                            tol_conserve=1e-9)
+        with pytest.raises(FlowError) as info:
+            run(config, ellipsoid_of_revolution(1.5, 1.0, 32))
+        err = info.value
+        assert err.state.rejections == 3
+        assert err.state.accepted == 0
+        assert err.record.stop_reason == "drift_stall"
+        found = re.search(r"drift rate (\S+) per unit time, first at dt=(\S+),", err.reason)
+        assert found, err.reason
+        assert 1e-6 < float(found.group(1)) < 1e-5
+        assert float(found.group(2)) == pytest.approx(1e-3)
+
     def test_sphere_exponential(self):
         config = FlowConfig(n=1, k=1, mode="raw", t_max=0.25, dt_init=1e-3,
                             cfl_coefficient=0.2, sample_every=50)
@@ -194,6 +261,8 @@ class TestRun:
             run(config, perturbed_sphere(1.0, 0.3, mode=3, dim=1, num=64))
 
     def test_dt_underflow_reports_partial_record(self):
+        # with no drift budget at all, the run ends at the third rejection:
+        # the drift rate does not fall as dt is halved
         config = FlowConfig(n=2, k=1, mode="normalized", t_max=1.0,
                             dt_init=1e-3, tol_conserve=0.0)
         with pytest.raises(FlowError) as info:
