@@ -22,7 +22,7 @@ import numpy as np
 from . import flow as flowmod
 from . import geometry as geom
 from . import verify as vfy
-from .symfunc import elem_sym_all, elem_sym_gradient_table, elem_sym_table
+from . import symfunc as sfc
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -271,15 +271,27 @@ def _override_tolerances(reports, ov: dict) -> list:
     return out
 
 
-def suite_symfunc(cfg: dict) -> list:
+def _verify_keys(cfg: dict) -> tuple:
+    """(verify.seed, verify.samples, verify.grid_N) with defaults; a value out of range is a
+    ConfigError at its key. suite_geometry also builds grids at grid_N/4 and grid_N/2."""
     vcfg = cfg.get("verify", {})
-    samples = vcfg.get("samples", 100_000)
-    rng = np.random.default_rng(vcfg.get("seed", 20260808))
+    values = (vcfg.get("seed", 20260808), vcfg.get("samples", 100_000), vcfg.get("grid_N", 512))
+    seed, samples, num = values
+    for key, bad, need in (("seed", seed < 0, ">= 0"), ("samples", samples < 1, ">= 1"),
+                           ("grid_N", num < 64 or num % 8, "a multiple of 8 and >= 64")):
+        if bad:
+            raise ConfigError(f"verify.{key}", f"must be {need}, got {vcfg[key]!r}")
+    return values
+
+
+def suite_symfunc(cfg: dict) -> list:
+    seed, samples, _ = _verify_keys(cfg)
+    rng = np.random.default_rng(seed)
     dims = (2, 3, 4, 5, 6)
     per = max(1, samples // len(dims))
     binom_err = 0.0
     for n in range(1, 9):
-        sig = elem_sym_all(np.ones(n))
+        sig = sfc.elem_sym_all(np.ones(n))
         for k in range(n + 1):
             binom_err = max(binom_err, abs(sig[k] - comb(n, k)) / comb(n, k))
     euler_worst = 0.0
@@ -288,29 +300,27 @@ def suite_symfunc(cfg: dict) -> list:
     maclaurin_min = np.inf
     for n in dims:
         lam = rng.uniform(-2.0, 2.0, size=(per, n))
-        sig = elem_sym_table(lam)
+        sig = sfc.elem_sym_table(lam)
         for m in range(1, n + 1):
-            grad = elem_sym_gradient_table(lam, m)
+            grad = sfc.elem_sym_gradient_table(lam, m)
             lhs = np.sum(lam * grad, axis=1)
             rhs = m * sig[:, m]
             scale = np.sum(np.abs(lam * grad), axis=1) + np.abs(rhs) + 1e-30
             euler_worst = max(euler_worst, float(np.max(np.abs(lhs - rhs) / scale)))
-            pol = np.sum(grad * lam * lam, axis=1)
+            pol = sfc.polarized_sigma_square_table(lam, grad)
             tail = (m + 1) * sig[:, m + 1] if m + 1 <= n else 0.0
             ref = sig[:, 1] * sig[:, m] - tail
-            pscale = np.sum(np.abs(grad * lam * lam), axis=1) + np.abs(ref) + 1e-30
+            # sum_i |grad_i lam_i^2|: a product of absolute values rounds to the absolute product
+            pscale = sfc.polarized_sigma_square_table(np.abs(lam), np.abs(grad)) + np.abs(ref) + 1e-30
             polar_worst = max(polar_worst, float(np.max(np.abs(pol - ref) / pscale)))
         for k in range(1, n):
             ok = np.abs(sig[:, k]) > 1e-8
-            ratio = sig[ok, k + 1] * sig[ok, k - 1] / sig[ok, k] ** 2
-            ref_i = comb(n, k + 1) * comb(n, k - 1) / comb(n, k) ** 2
-            newton_min = min(newton_min, float(np.min(ref_i - ratio)))
+            newton_min = min(newton_min, float(np.min(sfc.newton_gap_table(sig[ok], k))))
         pos = np.abs(rng.normal(size=(per, n))) + 0.05
         pos /= np.max(pos, axis=1, keepdims=True)  # scale-normalize the gap
-        psig = elem_sym_table(pos)
+        psig = sfc.elem_sym_table(pos)
         for k in range(1, n):
-            c = comb(n, k + 1) / comb(n, k) ** ((k + 1) / k)
-            gap = c * psig[:, k] ** (1.0 + 1.0 / k) - psig[:, k + 1]
+            gap = sfc.maclaurin_power_gap_table(psig, k)
             maclaurin_min = min(maclaurin_min, float(np.min(gap)))
     grid = f"samples={per * len(dims)}"
     gaps = {
@@ -336,7 +346,7 @@ def _battery_shapes(num: int):
 
 
 def suite_geometry(cfg: dict) -> list:
-    num = cfg.get("verify", {}).get("grid_N", 512)
+    _, _, num = _verify_keys(cfg)
     reports = []
     for label, g in _battery_shapes(num):
         geo = geom.compute_geometry(g)
@@ -440,7 +450,7 @@ def _random_kconvex_sample(rng, n: int, k: int, num: int):
 
 
 def suite_af(cfg: dict) -> list:
-    vcfg = cfg.get("verify", {})
+    seed, samples, _ = _verify_keys(cfg)
     if "shape" in cfg:
         _require(cfg, (("problem", ("n", "k")), ("shape", ("type", "params")), ("grid", ("N",))))
         fc = flow_config_from(cfg)
@@ -455,9 +465,8 @@ def suite_af(cfg: dict) -> list:
                                        worst, worst, f"N={num}", 1e-10))
     geo = geom.compute_geometry(geom.ellipse(2.0, 1.0, 512))
     reports.extend(vfy.check_af_chain(geo, 1))
-    rng = np.random.default_rng(vcfg.get("seed", 20260808))
-    count = vcfg.get("samples", 100_000)
-    count = min(100, max(10, count // 1000))
+    rng = np.random.default_rng(seed)
+    count = min(100, max(10, samples // 1000))
     for n, k in ((1, 1), (2, 1), (2, 2)):
         worst = -np.inf
         at = (0.0, 0.0)

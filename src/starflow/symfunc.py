@@ -3,9 +3,11 @@
 sigma_m is evaluated by building the coefficient row sigma_0..sigma_n
 incrementally, one entry at a time. The recurrence costs O(n*m), avoids
 the cancellation of naive subset expansion, and is exact for integer
-input up to rounding. Garding-cone tests, the Newton and MacLaurin gaps
-and the polarization identity used by the evolution equations live here
-as well.
+input up to rounding. Garding-cone tests live here as well, and each
+identity the paper's argument uses (the polarization row-sum, the Newton
+gap, the MacLaurin power gap) is written here once, as a table form on
+the arrays of `elem_sym_table` and `elem_sym_gradient_table`. The scalar
+helpers and `starflow verify symfunc` both read those table forms.
 """
 
 from __future__ import annotations
@@ -23,8 +25,11 @@ __all__ = [
     "cnk",
     "in_gamma_k",
     "polarized_sigma_square",
+    "polarized_sigma_square_table",
     "newton_maclaurin_check",
+    "newton_gap_table",
     "maclaurin_power_bound",
+    "maclaurin_power_gap_table",
 ]
 
 
@@ -37,6 +42,13 @@ def _vector(lam) -> np.ndarray:
     return arr
 
 
+def _batch(lams) -> np.ndarray:
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 2:
+        raise ValueError("expected a (M, n) array of curvature vectors")
+    return lams
+
+
 def _degree(m) -> int:
     if m != int(m):
         raise ValueError(f"degree must be an integer, got {m!r}")
@@ -44,20 +56,9 @@ def _degree(m) -> int:
 
 
 def elem_sym_table(lams: np.ndarray) -> np.ndarray:
-    """All sigma_0 .. sigma_n for a batch of vectors.
-
-    Parameters
-    ----------
-    lams : (M, n) array
-        One curvature vector per row.
-
-    Returns
-    -------
-    (M, n + 1) array with column m holding sigma_m of each row.
-    """
-    lams = np.asarray(lams, dtype=float)
-    if lams.ndim != 2:
-        raise ValueError("expected a (M, n) array of curvature vectors")
+    """All sigma_0 .. sigma_n of a batch of vectors: (M, n) -> (M, n + 1), column
+    m holding sigma_m of each row."""
+    lams = _batch(lams)
     rows, n = lams.shape
     e = np.zeros((rows, n + 1))
     e[:, 0] = 1.0
@@ -84,29 +85,22 @@ def elem_sym(lam, m) -> float:
 
 
 def elem_sym_gradient(lam, m) -> np.ndarray:
-    """Gradient of sigma_m in the principal frame.
-
-    Entry i is sigma_{m-1} of lam with entry i removed, which is the
-    diagonal of the matrix derivative of sigma_m evaluated on a
-    diagonal argument.
-    """
-    lam = _vector(lam)
-    m = _degree(m)
-    n = lam.size
-    if not 1 <= m <= n:
-        raise ValueError(f"gradient degree m={m} out of range 1..{n}")
-    return elem_sym_gradient_table(lam[None, :], m)[0]
+    """elem_sym_gradient_table of one vector."""
+    return elem_sym_gradient_table(_vector(lam)[None, :], m)[0]
 
 
 def elem_sym_gradient_table(lams: np.ndarray, m: int) -> np.ndarray:
-    """Batched elem_sym_gradient: (M, n) -> (M, n)."""
-    lams = np.asarray(lams, dtype=float)
+    """Gradient of sigma_m in the principal frame, per row: (M, n) -> (M, n).
+
+    Entry i is sigma_{m-1} of the row with entry i removed, which is the
+    diagonal of the matrix derivative of sigma_m evaluated on a
+    diagonal argument.
+    """
+    lams = _batch(lams)
     rows, n = lams.shape
     m = _degree(m)
     if not 1 <= m <= n:
         raise ValueError(f"gradient degree m={m} out of range 1..{n}")
-    if n == 1:
-        return np.ones((rows, 1))  # sigma_0 of the empty vector
     out = np.empty((rows, n))
     for i in range(n):
         out[:, i] = elem_sym_table(np.delete(lams, i, axis=1))[:, m - 1]
@@ -140,50 +134,58 @@ def in_gamma_k(lam, k, strict: bool = True, tol_cone: float = 1e-10) -> bool:
     return bool(np.all(sig[1 : k + 1] >= floor))
 
 
-def polarized_sigma_square(lam, m) -> float:
-    """Polarization sigma_{m-1,1}(lam; lam^2) = sum_i dsigma_m/dlam_i * lam_i^2.
+def polarized_sigma_square_table(lams: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Polarization sum_i dsigma_m/dlam_i * lam_i^2 of each row, from grad =
+    elem_sym_gradient_table(lams, m); equals sigma_1*sigma_m - (m+1)*sigma_{m+1}."""
+    return np.sum(grad * lams * lams, axis=1)
 
-    Satisfies sigma_1*sigma_m - (m+1)*sigma_{m+1} identically.
-    """
-    lam = _vector(lam)
-    grad = elem_sym_gradient(lam, m)
-    return float(np.dot(grad, lam * lam))
+
+def polarized_sigma_square(lam, m) -> float:
+    """polarized_sigma_square_table of one vector."""
+    lam = _vector(lam)[None, :]
+    return float(polarized_sigma_square_table(lam, elem_sym_gradient_table(lam, m))[0])
+
+
+def newton_gap_table(sig: np.ndarray, k: int) -> np.ndarray:
+    """Newton gap at level k of each row of sig = elem_sym_table(lams):
+    sigma_{k+1}sigma_{k-1}/sigma_k^2 at the all-ones vector minus the same
+    ratio at the row. Nonnegative for every real vector with sigma_k != 0."""
+    n = sig.shape[1] - 1
+    ref = comb(n, k + 1) * comb(n, k - 1) / comb(n, k) ** 2
+    return ref - sig[:, k + 1] * sig[:, k - 1] / sig[:, k] ** 2
 
 
 def newton_maclaurin_check(lam, k) -> float:
-    """Gap of the Newton inequality at level k.
-
-    Returns sigma_{k+1}(I)sigma_{k-1}(I)/sigma_k(I)^2 minus the same
-    ratio at lam; nonnegative for every real vector. Raises
-    ZeroDivisionError when sigma_k(lam) vanishes.
-    """
+    """newton_gap_table of one vector; ZeroDivisionError when sigma_k vanishes."""
     lam = _vector(lam)
     k = _degree(k)
-    n = lam.size
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    sig = elem_sym_all(lam)
-    if sig[k] == 0.0:
+    if not 1 <= k <= lam.size - 1:
+        raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={lam.size}")
+    sig = elem_sym_table(lam[None, :])
+    if sig[0, k] == 0.0:
         raise ZeroDivisionError(f"sigma_{k} vanishes; Newton ratio undefined")
-    ref = comb(n, k + 1) * comb(n, k - 1) / comb(n, k) ** 2
-    return ref - sig[k + 1] * sig[k - 1] / sig[k] ** 2
+    return float(newton_gap_table(sig, k)[0])
+
+
+def maclaurin_power_gap_table(sig: np.ndarray, k: int) -> np.ndarray:
+    """Gap C * sigma_k^(1+1/k) - sigma_{k+1} of the MacLaurin power bound, per row
+    of sig = elem_sym_table(lams); nonnegative on rows strictly inside Gamma_k.
+
+    C = binom(n,k+1)/binom(n,k)^((k+1)/k) is sharp, attained on multiples of
+    the all-ones vector; at k = n both C and sigma_{k+1} vanish.
+    """
+    n = sig.shape[1] - 1
+    c = comb(n, k + 1) / comb(n, k) ** ((k + 1) / k)
+    return c * sig[:, k] ** (1.0 + 1.0 / k) - (sig[:, k + 1] if k < n else 0.0)
 
 
 def maclaurin_power_bound(lam, k) -> float:
-    """Gap of the MacLaurin power bound sigma_{k+1} <= C * sigma_k^(1+1/k).
-
-    C is the sharp dimensional constant binom(n,k+1)/binom(n,k)^((k+1)/k),
-    attained on multiples of the all-ones vector. Requires lam strictly
-    inside the Garding cone of level k.
-    """
+    """maclaurin_power_gap_table of one vector, which must lie strictly in Gamma_k."""
     lam = _vector(lam)
     k = _degree(k)
-    n = lam.size
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if not in_gamma_k(lam, k, strict=True):
+    if not 1 <= k <= lam.size:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={lam.size}")
+    sig = elem_sym_table(lam[None, :])
+    if not np.all(sig[0, 1 : k + 1] > 0.0):
         raise ValueError(f"vector is not strictly {k}-convex")
-    sig = elem_sym_all(lam)
-    c = comb(n, k + 1) / comb(n, k) ** ((k + 1) / k) if k < n else 0.0
-    tail = sig[k + 1] if k + 1 <= n else 0.0
-    return c * sig[k] ** (1.0 + 1.0 / k) - tail
+    return float(maclaurin_power_gap_table(sig, k)[0])

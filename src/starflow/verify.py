@@ -33,7 +33,7 @@ from .geometry import (
     sphere_area,
     unit_ball_quermass,
 )
-from .symfunc import elem_sym_table
+from .symfunc import elem_sym_gradient_table, elem_sym_table, polarized_sigma_square_table
 
 __all__ = [
     "IdentityReport",
@@ -439,11 +439,10 @@ def check_prop1_axisym(g: RadialGraph, k: int, dt: float, tol: float = 1e-3):
     hess_par = (_dmid(mid.gth, delta) / (2.0 * mid.ga)) * f1
     rho = np.sqrt(mid.gth)
     sqrt_det = mid.wa * rho
-    k_mer, k_par = mid.kappa[:, 0], mid.kappa[:, 1]
+    k_par = mid.kappa[:, 1]
     sig1 = sig[:, 1]
-    sig2 = sig[:, 2]
-    pol1 = k_mer**2 + k_par**2
-    pol2 = k_mer * k_par * (k_mer + k_par)
+    pol1, pol2 = (polarized_sigma_square_table(mid.kappa, elem_sym_gradient_table(mid.kappa, m))
+                  for m in (1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         div_t0 = _dmid(rho * f1 / mid.wa, delta) / sqrt_det
         div_t1 = _dmid(rho * k_par * f1 / mid.wa, delta) / sqrt_det
@@ -545,20 +544,13 @@ def check_lemma_integral(
 # first variation
 
 
-def _curve_sigma_integral(pts: np.ndarray, l: int) -> float:
-    cg = _curve_geometry(pts)
-    dens = cg.sqrtg * cg.delta
-    if l == 0:
-        return float(np.sum(dens))
-    return float(np.sum(cg.kappa * dens))
-
-
-def _meridian_sigma_integral(pts: np.ndarray, l: int) -> float:
+def _material_frame(pts: np.ndarray, dim: int):
+    """(nu, dmu, sigma table) of a material curve (dim 1) or meridian (dim 2)."""
+    if dim == 1:
+        cg = _curve_geometry(pts)
+        return cg.nu, cg.sqrtg * cg.delta, elem_sym_table(cg.kappa[:, None])
     mg = _meridian_geometry(pts)
-    if l == 0:
-        return float(np.sum(mg.dmu))
-    sig = elem_sym_table(mg.kappa)
-    return float(np.sum(sig[:, l] * mg.dmu))
+    return mg.nu, mg.dmu, elem_sym_table(mg.kappa)
 
 
 def check_first_variation(target, rho, l: int, s: float | None = None, tol: float = 1e-3):
@@ -586,16 +578,7 @@ def check_first_variation(target, rho, l: int, s: float | None = None, tol: floa
         rho_arr = np.asarray(rho, dtype=float)
     if rho_arr.shape != (m,):
         raise ValueError(f"rho must have one value per node ({m})")
-    if dim == 1:
-        geo = _curve_geometry(pts)
-        nu, dmu = geo.nu, geo.sqrtg * geo.delta
-        sig = elem_sym_table(geo.kappa[:, None])
-        integral = _curve_sigma_integral
-    else:
-        geo = _meridian_geometry(pts)
-        nu, dmu = geo.nu, geo.dmu
-        sig = elem_sym_table(geo.kappa)
-        integral = _meridian_sigma_integral
+    nu, dmu, sig = _material_frame(pts, dim)
     n = dim
     if not 0 <= l <= n:
         raise ValueError(f"sigma index l={l} out of range 0..{n}")
@@ -612,7 +595,12 @@ def check_first_variation(target, rho, l: int, s: float | None = None, tol: floa
         else:
             if np.min(probe[1:-1, 0]) <= 0.0:
                 raise ValueError("variation pushes the meridian through the axis")
-    lhs = (integral(plus, l) - integral(minus, l)) / (2.0 * s)
+
+    def integral(probe):
+        _, w, tab = _material_frame(probe, dim)
+        return float(np.sum(tab[:, l] * w))
+
+    lhs = (integral(plus) - integral(minus)) / (2.0 * s)
     tail = sig[:, l + 1] if l + 1 <= n else np.zeros(m)
     rhs = (l + 1) * float(np.sum(tail * rho_arr * dmu))
     resid = abs(lhs - rhs)

@@ -9,6 +9,7 @@ import pytest
 
 from starflow import cli
 from starflow import flow as flowmod
+from starflow import symfunc
 
 
 def write_config(path, **overrides):
@@ -156,6 +157,13 @@ class TestRun:
          "sweep.shapes"),
         ("run", 'shape.params={"radius": "one"}', "shape.params"),
         ("sweep", 'sweep.seeds=["x"]', "sweep.seeds"),
+        ("verify symfunc", "verify.seed=-1", "verify.seed"),
+        ("verify symfunc", "verify.samples=-5", "verify.samples"),
+        ("verify symfunc", "verify.samples=0", "verify.samples"),
+        ("verify af", "verify.seed=-1", "verify.seed"),
+        ("verify geometry", "verify.grid_N=0", "verify.grid_N"),
+        ("verify geometry", "verify.grid_N=32", "verify.grid_N"),  # N/4 = 8 intervals
+        ("verify geometry", "verify.grid_N=68", "verify.grid_N"),  # N/4 = 17 is odd
     ])
     def test_config_error_exits_two_naming_key(self, tmp_path, capsys, command, assignment, key):
         cfg_path = tmp_path / "cfg.json"
@@ -234,6 +242,21 @@ class TestVerify:
         assert rows[0] == ["check", "lhs", "rhs", "abs_residual",
                            "rel_residual", "tolerance", "pass"]
         assert all(row[6] == "True" for row in rows[1:])
+
+    @pytest.mark.parametrize("table_form, check", [
+        ("polarized_sigma_square_table", "symfunc/polarization_identity"),
+        ("newton_gap_table", "symfunc/newton_gap"),
+        ("maclaurin_power_gap_table", "symfunc/maclaurin_power_gap"),
+    ])
+    def test_symfunc_suite_reads_symfunc_table_forms(self, monkeypatch, table_form, check):
+        # the suite holds no copy of these formulas: a wrong table form in
+        # symfunc fails exactly the matching report
+        def wrong(table, arg):
+            return np.full(table.shape[0], -1.0)
+
+        monkeypatch.setattr(symfunc, table_form, wrong)
+        reports = cli.suite_symfunc({"verify": {"samples": 2000, "seed": 1}})
+        assert [rep.name for rep in reports if not rep.passed] == [check]
 
     def test_tolerance_violation_exits_four(self, tmp_path, capsys):
         report = tmp_path / "report.csv"

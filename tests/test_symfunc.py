@@ -11,6 +11,11 @@ finite_entries = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 vectors = st.lists(finite_entries, min_size=1, max_size=7)
 
 
+def bits(x) -> bytes:
+    """Bit pattern of a float, so that bitwise-equal NaNs compare equal."""
+    return np.float64(x).tobytes()
+
+
 class TestElemSym:
     def test_examples(self):
         assert sfc.elem_sym([2, 3], 1) == 5.0
@@ -54,6 +59,8 @@ class TestGradient:
         grad = sfc.elem_sym_gradient([1, 2, 3], 2)
         assert grad[0] == 5.0  # 2 + 3
         assert list(sfc.elem_sym_gradient([4, -2, 7], 1)) == [1.0, 1.0, 1.0]
+        # one entry: sigma_0 of the empty vector in every row
+        assert sfc.elem_sym_gradient_table(np.array([[5.0], [-2.0]]), 1).tolist() == [[1.0], [1.0]]
 
     @given(vectors)
     @settings(max_examples=200, deadline=None)
@@ -72,6 +79,10 @@ class TestGradient:
             sfc.elem_sym_gradient([1, 2], 0)
         with pytest.raises(ValueError):
             sfc.elem_sym_gradient([1, 2], 3)
+        # the table form takes only an (M, n) array, like elem_sym_table
+        for bad in (np.ones(3), np.ones((2, 3, 4))):
+            with pytest.raises(ValueError, match=r"\(M, n\)"):
+                sfc.elem_sym_gradient_table(bad, 1)
 
 
 class TestCnk:
@@ -134,6 +145,14 @@ class TestPolarization:
             scale = abs(lhs) + abs(sig[1] * sig[m]) + abs(tail) + 1.0
             assert abs(lhs - rhs) <= 1e-12 * scale
 
+    @given(vectors)
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_is_row_of_table(self, lam):
+        table = np.asarray(lam, dtype=float)[None, :]
+        for m in range(1, table.shape[1] + 1):
+            row = sfc.polarized_sigma_square_table(table, sfc.elem_sym_gradient_table(table, m))
+            assert bits(sfc.polarized_sigma_square(lam, m)) == bits(row[0])
+
 
 class TestNewtonMacLaurin:
     def test_equality_at_ones(self):
@@ -154,6 +173,7 @@ class TestNewtonMacLaurin:
                 ratio = sig[ok, k + 1] * sig[ok, k - 1] / sig[ok, k] ** 2
                 ref = math.comb(n, k + 1) * math.comb(n, k - 1) / math.comb(n, k) ** 2
                 assert float(np.min(ref - ratio)) >= -1e-12
+                assert np.array_equal(sfc.newton_gap_table(sig[ok], k), ref - ratio)
 
     def test_scale_invariance(self):
         lam = np.array([0.3, 1.7, 2.2, -0.4])
@@ -166,6 +186,15 @@ class TestNewtonMacLaurin:
         with pytest.raises(ZeroDivisionError):
             sfc.newton_maclaurin_check([1.0, -1.0], 1)
 
+    @given(st.lists(finite_entries, min_size=2, max_size=7))
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_is_row_of_table(self, lam):
+        sig = sfc.elem_sym_table(np.asarray(lam, dtype=float)[None, :])
+        for k in range(1, len(lam)):
+            if sig[0, k] != 0.0:
+                table = sfc.newton_gap_table(sig, k)[0]
+                assert bits(sfc.newton_maclaurin_check(lam, k)) == bits(table)
+
 
 class TestMacLaurinPowerBound:
     def test_equality_at_ones(self):
@@ -174,6 +203,7 @@ class TestMacLaurinPowerBound:
 
     def test_example(self):
         assert sfc.maclaurin_power_bound([1.0, 2.0], 1) == pytest.approx(0.25, rel=1e-12)
+        assert sfc.maclaurin_power_bound([0.5, 2.0, 3.0], 3) == 0.0  # k = n: C = 0, no sigma_{n+1}
 
     def test_nonnegative_on_cone(self):
         rng = np.random.default_rng(99)
@@ -185,7 +215,16 @@ class TestMacLaurinPowerBound:
                 c = math.comb(n, k + 1) / math.comb(n, k) ** ((k + 1) / k)
                 gap = c * sig[:, k] ** (1 + 1 / k) - sig[:, k + 1]
                 assert float(np.min(gap)) >= -1e-12
+                assert np.array_equal(sfc.maclaurin_power_gap_table(sig, k), gap)
 
     def test_rejects_outside_cone(self):
         with pytest.raises(ValueError):
             sfc.maclaurin_power_bound([-1.0, -2.0], 1)
+
+    @given(st.lists(st.floats(min_value=0.01, max_value=3.0), min_size=1, max_size=7))
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_is_row_of_table(self, lam):
+        sig = sfc.elem_sym_table(np.asarray(lam, dtype=float)[None, :])
+        for k in range(1, len(lam) + 1):
+            table = sfc.maclaurin_power_gap_table(sig, k)[0]
+            assert bits(sfc.maclaurin_power_bound(lam, k)) == bits(table)
