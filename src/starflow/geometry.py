@@ -254,8 +254,9 @@ def make_shape(spec, dim: int, num: int) -> RadialGraph:
     """Build a RadialGraph from a config-style description.
 
     `spec` is a mapping with keys `type`, `params` and optionally `seed`
-    (an integer); `params` maps parameter names to numbers, and a null
-    value counts as left out.
+    (an integer; missing or null means 0, so a config always names one
+    shape); `params` maps parameter names to numbers, and a null value
+    counts as left out.
     """
     kind = spec.get("type")
     if not isinstance(kind, str) or kind not in _SHAPES:
@@ -275,7 +276,7 @@ def make_shape(spec, dim: int, num: int) -> RadialGraph:
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, Integral)):
         raise ShapeError(f"shape seed must be an integer, got {seed!r}")
     try:
-        return _SHAPES[kind](params, dim, num, seed)
+        return _SHAPES[kind](params, dim, num, 0 if seed is None else seed)
     except KeyError as exc:
         raise ShapeError(f"shape {kind!r} is missing parameter {exc.args[0]!r}") from None
 

@@ -156,14 +156,14 @@ def newton_gap_table(sig: np.ndarray, k: int) -> np.ndarray:
 
 
 def newton_maclaurin_check(lam, k) -> float:
-    """newton_gap_table of one vector; ZeroDivisionError when sigma_k vanishes."""
+    """newton_gap_table of one vector; ZeroDivisionError when sigma_k^2 vanishes."""
     lam = _vector(lam)
     k = _degree(k)
     if not 1 <= k <= lam.size - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={lam.size}")
     sig = elem_sym_table(lam[None, :])
-    if sig[0, k] == 0.0:
-        raise ZeroDivisionError(f"sigma_{k} vanishes; Newton ratio undefined")
+    if sig[0, k] ** 2 == 0.0:  # sigma_k is zero or its square underflows
+        raise ZeroDivisionError(f"sigma_{k}^2 vanishes; Newton ratio undefined")
     return float(newton_gap_table(sig, k)[0])
 
 

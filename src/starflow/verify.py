@@ -1,15 +1,17 @@
 """Independent checks of the pointwise and integral evolution identities.
 
-The pointwise identities are tested on Lagrangian representations, where
-the motion is purely normal: a material plane curve for dim 1, the
-material meridian of an axisymmetric surface for dim 2. Time derivatives
-come from centered differences of a short forward evolution window.
-Spatial derivatives on the closed curve are spectral in the material
-parameter (exact on circles, so the circle residuals isolate the O(dt^2)
-time error); the meridian pipeline uses second-order stencils with
-odd/even pole reflection. The integral identities, the first-variation
-formula, the quermassintegral inequality chain and trajectory
-monotonicity are checked on the radial pipeline directly.
+The pointwise identities and the first-variation formula are tested on
+Lagrangian representations, where the motion is purely normal: a
+material plane curve for dim 1, the material meridian of an
+axisymmetric surface for dim 2. Spatial derivatives on the closed curve
+are spectral in the material parameter (exact on circles, so the circle
+residuals isolate the O(dt^2) time error); the meridian uses
+second-order stencils with odd/even pole reflection. Above these two
+discretizations both dimensions share one speed sigma_{k-1}/sigma_k,
+one substepped RK4 evolver and one worst-node report. Time derivatives
+come from centered differences of a short forward evolution window. The
+integral rate identities, the quermassintegral inequality chain and
+trajectory monotonicity are checked on the radial pipeline directly.
 """
 
 from __future__ import annotations
@@ -75,6 +77,12 @@ def _report(name, lhs, rhs, abs_res, rel_res, grid, tol) -> IdentityReport:
         abs_residual=float(abs_res), rel_residual=float(rel_res),
         grid=grid, tolerance=float(tol), passed=bool(rel_res <= tol),
     )
+
+
+def _worst(name, lhs, rhs, resid, scale, grid, tol) -> IdentityReport:
+    """The report at the largest entry of resid, relative to scale."""
+    j = int(np.argmax(resid))
+    return _report(name, lhs[j], rhs[j], resid[j], resid[j] / scale, grid, tol)
 
 
 def write_report_csv(reports, path) -> None:
@@ -180,6 +188,7 @@ class _CurveGeo:
     nu: np.ndarray
     h11: np.ndarray
     kappa: np.ndarray
+    dmu: np.ndarray  # arc length per node, sqrtg * delta
 
 
 def _dspec(f: np.ndarray) -> np.ndarray:
@@ -209,104 +218,7 @@ def _curve_geometry(pts: np.ndarray) -> _CurveGeo:
     sqrtg = np.sqrt(g11)
     nu = np.stack([d1[:, 1], -d1[:, 0]], axis=1) / sqrtg[:, None]
     h11 = -(d2[:, 0] * nu[:, 0] + d2[:, 1] * nu[:, 1])
-    return _CurveGeo(delta, g11, sqrtg, nu, h11, h11 / g11)
-
-
-def _curve_speed(cg: _CurveGeo, k: int) -> np.ndarray:
-    if k != 1:
-        raise ValueError("plane curves only support flow degree k = 1")
-    if np.min(cg.kappa) <= 0.0:
-        j = int(np.argmin(cg.kappa))
-        raise ValueError(f"curve not convex: kappa <= 0 at node {j} ({cg.kappa[j]:.3e})")
-    return 1.0 / cg.kappa
-
-
-def _rk4(rhs, pts: np.ndarray, t_total: float, dt_sub: float) -> np.ndarray:
-    """Advance dX/dt = rhs(X) over t_total in equal RK4 steps of at most dt_sub."""
-    steps = max(1, ceil(t_total / dt_sub))
-    dt = t_total / steps
-    for _ in range(steps):
-        k1 = rhs(pts)
-        k2 = rhs(pts + 0.5 * dt * k1)
-        k3 = rhs(pts + 0.5 * dt * k2)
-        k4 = rhs(pts + dt * k3)
-        pts = pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return pts
-
-
-def _evolve_curve(pts: np.ndarray, t_total: float, k: int) -> np.ndarray:
-    """Material normal motion dX/dt = F nu by substepped RK4."""
-    if t_total == 0.0:
-        return pts
-    cg = _curve_geometry(pts)
-    chords = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-    diff = float(np.max(1.0 / cg.kappa**2))
-    dt_sub = 0.2 * float(np.min(chords)) ** 2 / diff
-
-    def rhs(p):
-        geo = _curve_geometry(p)
-        return _curve_speed(geo, k)[:, None] * geo.nu
-
-    return _rk4(rhs, pts, t_total, dt_sub)
-
-
-def check_prop1_pointwise(curve: LagrangianCurve, k: int, dt: float, tol: float = 1e-3):
-    """Pointwise evolution identities on a material plane curve.
-
-    Evolves the curve at normal speed 1/kappa over a window [0, 2*dt],
-    centered-differences the tracked metric, area element, second
-    fundamental form, Weingarten map and sigma_1 at fixed material index,
-    and compares with the stated right-hand sides at the window center.
-    Residuals are O(dt^2) plus a spectrally small space error, and vanish
-    to rounding on circles up to the time truncation. Returns one report
-    per identity.
-    """
-    p0 = curve.points
-    m = curve.size
-    grid = f"M={m},dt={dt:g}"
-    p1 = _evolve_curve(p0, dt, k)
-    p2 = _evolve_curve(p1, dt, k)
-    geos = [_curve_geometry(p) for p in (p0, p1, p2)]
-    mid = geos[1]
-    f = _curve_speed(mid, k)
-    f1 = _dspec(f)
-    f2 = _d2spec(f)
-    gamma = _dspec(mid.g11) / (2.0 * mid.g11)
-    hess = f2 - gamma * f1
-    lap = _dspec(f1 / mid.sqrtg) / mid.sqrtg
-    sig1 = mid.kappa  # sigma_1 = kappa for curves
-    pairs = {
-        "g11": (
-            [g.g11 for g in geos],
-            2.0 * f * mid.h11,
-        ),
-        "area_element": (
-            [g.sqrtg for g in geos],
-            f * sig1 * mid.sqrtg,
-        ),
-        "h11": (
-            [g.h11 for g in geos],
-            -hess + f * mid.h11**2 / mid.g11,
-        ),
-        "weingarten": (
-            [g.kappa for g in geos],
-            -hess / mid.g11 - f * mid.kappa**2,
-        ),
-        "sigma1": (
-            [g.kappa for g in geos],
-            -lap - f * mid.kappa**2,
-        ),
-    }
-    reports = []
-    for name, (series, rhs) in pairs.items():
-        lhs = (series[2] - series[0]) / (2.0 * dt)
-        resid = np.abs(lhs - rhs)
-        j = int(np.argmax(resid))
-        scale = float(np.max(np.abs(rhs)))
-        reports.append(
-            _report(f"prop1/{name}", lhs[j], rhs[j], resid[j], resid[j] / scale, grid, tol)
-        )
-    return reports
+    return _CurveGeo(delta, g11, sqrtg, nu, h11, h11 / g11, sqrtg * delta)
 
 
 # ---------------------------------------------------------------------------
@@ -370,49 +282,121 @@ def _meridian_geometry(pts: np.ndarray) -> _MeridianGeo:
     )
 
 
-def meridian_from_radial(g: RadialGraph) -> np.ndarray:
-    if g.dim != 2:
-        raise ValueError("meridian_from_radial needs a dim-2 radial graph")
-    return embed(g)
-
-
-def _meridian_speed(mg: _MeridianGeo, k: int):
-    sig = elem_sym_table(mg.kappa)
-    if np.min(sig[:, k]) <= 0.0:
-        j = int(np.argmin(sig[:, k]))
-        raise ValueError(f"meridian not strictly {k}-convex: sigma_{k} <= 0 at node {j}")
-    return sig[:, k - 1] / sig[:, k], sig
-
-
-def _meridian_diffusivity(sig: np.ndarray, kappa: np.ndarray, k: int) -> float:
-    gk = np.ones(sig.shape[0]) if k == 1 else np.max(np.abs(kappa), axis=1)
-    gkm = np.zeros(sig.shape[0]) if k == 1 else np.ones(sig.shape[0])
-    d = (gkm * sig[:, k] + sig[:, k - 1] * gk) / sig[:, k] ** 2
-    return float(np.max(d))
-
-
-def _evolve_meridian(pts: np.ndarray, t_total: float, k: int) -> np.ndarray:
-    if t_total == 0.0:
-        return pts
-    mg = _meridian_geometry(pts)
-    _, sig = _meridian_speed(mg, k)
-    chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    dt_sub = 0.35 * float(np.min(chords)) ** 2 / _meridian_diffusivity(sig, mg.kappa, k)
-
-    def rhs(p):
-        geo = _meridian_geometry(p)
-        f, _ = _meridian_speed(geo, k)
-        return f[:, None] * geo.nu
-
-    return _rk4(rhs, pts, t_total, dt_sub)
-
-
 def _dmid(f: np.ndarray, delta: float) -> np.ndarray:
     out = np.empty_like(f)
     out[1:-1] = (f[2:] - f[:-2]) / (2.0 * delta)
     out[0] = out[1]
     out[-1] = out[-2]
     return out
+
+
+# ---------------------------------------------------------------------------
+# material normal motion, either dimension
+
+# RK4 substep as a fraction of the explicit diffusive limit: spectral
+# curve derivatives have a larger spectral radius than the meridian's
+# second-order stencils
+_SUBSTEP = {1: 0.2, 2: 0.35}
+
+
+def _material_geometry(pts: np.ndarray, dim: int):
+    return _curve_geometry(pts) if dim == 1 else _meridian_geometry(pts)
+
+
+def _material_speed(geo, k: int):
+    """(sigma_{k-1}/sigma_k, sigma table) of a material curve or meridian."""
+    kappa = geo.kappa.reshape(len(geo.nu), -1)  # a curve keeps kappa 1-D
+    dim = kappa.shape[1]
+    if not 1 <= k <= dim:
+        raise ValueError(f"flow degree k={k} out of range 1..{dim}")
+    sig = elem_sym_table(kappa)
+    if np.min(sig[:, k]) <= 0.0:
+        j = int(np.argmin(sig[:, k]))
+        raise ValueError(f"not strictly {k}-convex: sigma_{k} = {sig[j, k]:.3e} at node {j}")
+    return sig[:, k - 1] / sig[:, k], sig
+
+
+def _rk4(rhs, pts: np.ndarray, t_total: float, dt_sub: float) -> np.ndarray:
+    """Advance dX/dt = rhs(X) over t_total in equal RK4 steps of at most dt_sub."""
+    steps = max(1, ceil(t_total / dt_sub))
+    dt = t_total / steps
+    for _ in range(steps):
+        k1 = rhs(pts)
+        k2 = rhs(pts + 0.5 * dt * k1)
+        k3 = rhs(pts + 0.5 * dt * k2)
+        k4 = rhs(pts + dt * k3)
+        pts = pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return pts
+
+
+def _evolve(pts: np.ndarray, t_total: float, k: int, dim: int) -> np.ndarray:
+    """Material normal motion dX/dt = F nu of a closed curve (dim 1) or a
+    meridian (dim 2) by substepped RK4, the substep set by the shortest
+    chord and a bound on the diffusivity of F = sigma_{k-1}/sigma_k."""
+    if t_total == 0.0:
+        return pts
+    geo = _material_geometry(pts, dim)
+    _, sig = _material_speed(geo, k)
+    ends = np.concatenate([pts, pts[:1]]) if dim == 1 else pts  # the curve closes
+    chords = np.linalg.norm(np.diff(ends, axis=0), axis=1)
+    gk = 1.0 if k == 1 else np.max(np.abs(geo.kappa), axis=1)
+    lead = 0.0 if k == 1 else sig[:, k]
+    diff = float(np.max((lead + sig[:, k - 1] * gk) / sig[:, k] ** 2))
+    dt_sub = _SUBSTEP[dim] * float(np.min(chords)) ** 2 / diff
+
+    def rhs(p):
+        geo = _material_geometry(p, dim)
+        return _material_speed(geo, k)[0][:, None] * geo.nu
+
+    return _rk4(rhs, pts, t_total, dt_sub)
+
+
+def _identity_reports(prefix, pairs, dt, grid, tol, sl=slice(None)) -> list:
+    """One worst-node report per identity: the centered difference of its
+    series over [0, 2*dt] against its right side, on the nodes `sl`."""
+    reports = []
+    for name, (series, rhs) in pairs.items():
+        lhs = ((series[2] - series[0]) / (2.0 * dt))[sl]
+        rhs = rhs[sl]
+        scale = float(np.max(np.abs(rhs))) or 1.0
+        reports.append(_worst(f"{prefix}/{name}", lhs, rhs, np.abs(lhs - rhs), scale, grid, tol))
+    return reports
+
+
+# ---------------------------------------------------------------------------
+# pointwise evolution identities
+
+
+def check_prop1_pointwise(curve: LagrangianCurve, k: int, dt: float, tol: float = 1e-3):
+    """Pointwise evolution identities on a material plane curve.
+
+    Evolves the curve at normal speed 1/kappa over a window [0, 2*dt],
+    centered-differences the tracked metric, area element, second
+    fundamental form, Weingarten map and sigma_1 at fixed material index,
+    and compares with the stated right-hand sides at the window center.
+    Residuals are O(dt^2) plus a spectrally small space error, and vanish
+    to rounding on circles up to the time truncation. Returns one report
+    per identity.
+    """
+    p0 = curve.points
+    p1 = _evolve(p0, dt, k, 1)
+    p2 = _evolve(p1, dt, k, 1)
+    geos = [_curve_geometry(p) for p in (p0, p1, p2)]
+    mid = geos[1]
+    f, _ = _material_speed(mid, k)
+    f1 = _dspec(f)
+    f2 = _d2spec(f)
+    gamma = _dspec(mid.g11) / (2.0 * mid.g11)
+    hess = f2 - gamma * f1
+    lap = _dspec(f1 / mid.sqrtg) / mid.sqrtg
+    pairs = {  # sigma_1 = kappa for curves
+        "g11": ([g.g11 for g in geos], 2.0 * f * mid.h11),
+        "area_element": ([g.sqrtg for g in geos], f * mid.kappa * mid.sqrtg),
+        "h11": ([g.h11 for g in geos], -hess + f * mid.h11**2 / mid.g11),
+        "weingarten": ([g.kappa for g in geos], -hess / mid.g11 - f * mid.kappa**2),
+        "sigma1": ([g.kappa for g in geos], -lap - f * mid.kappa**2),
+    }
+    return _identity_reports("prop1", pairs, dt, f"M={curve.size},dt={dt:g}", tol)
 
 
 def check_prop1_axisym(g: RadialGraph, k: int, dt: float, tol: float = 1e-3):
@@ -423,15 +407,15 @@ def check_prop1_axisym(g: RadialGraph, k: int, dt: float, tol: float = 1e-3):
     and covariant derivatives only need meridian stencils. Pole nodes
     and their neighbors are excluded from the residual norms.
     """
-    p0 = meridian_from_radial(g)
-    m = p0.shape[0]
-    grid = f"M={m},dt={dt:g}"
-    p1 = _evolve_meridian(p0, dt, k)
-    p2 = _evolve_meridian(p1, dt, k)
+    if g.dim != 2:
+        raise ValueError("check_prop1_axisym needs a dim-2 radial graph")
+    p0 = embed(g)
+    p1 = _evolve(p0, dt, k, 2)
+    p2 = _evolve(p1, dt, k, 2)
     geos = [_meridian_geometry(p) for p in (p0, p1, p2)]
     mid = geos[1]
     delta = mid.delta
-    f, sig = _meridian_speed(mid, k)
+    f, sig = _material_speed(mid, k)
     f1 = _dmid(f, delta)
     gamma = _dmid(mid.ga, delta) / (2.0 * mid.ga)
     hess_mer = _dmid(f1, delta) - gamma * f1
@@ -441,8 +425,8 @@ def check_prop1_axisym(g: RadialGraph, k: int, dt: float, tol: float = 1e-3):
     sqrt_det = mid.wa * rho
     k_par = mid.kappa[:, 1]
     sig1 = sig[:, 1]
-    pol1, pol2 = (polarized_sigma_square_table(mid.kappa, elem_sym_gradient_table(mid.kappa, m))
-                  for m in (1, 2))
+    pol1, pol2 = (polarized_sigma_square_table(mid.kappa, elem_sym_gradient_table(mid.kappa, deg))
+                  for deg in (1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         div_t0 = _dmid(rho * f1 / mid.wa, delta) / sqrt_det
         div_t1 = _dmid(rho * k_par * f1 / mid.wa, delta) / sqrt_det
@@ -456,19 +440,8 @@ def check_prop1_axisym(g: RadialGraph, k: int, dt: float, tol: float = 1e-3):
         "sigma1": ([g_.kappa.sum(axis=1) for g_ in geos], -div_t0 - f * pol1),
         "sigma2": ([g_.kappa.prod(axis=1) for g_ in geos], -div_t1 - f * pol2),
     }
-    reports = []
-    sl = slice(2, -2)
-    for name, (series, rhs) in pairs.items():
-        lhs = (series[2] - series[0]) / (2.0 * dt)
-        resid = np.abs(lhs[sl] - rhs[sl])
-        j = int(np.argmax(resid))
-        scale = float(np.max(np.abs(rhs[sl])))
-        if scale == 0.0:
-            scale = 1.0
-        reports.append(
-            _report(f"prop1_axisym/{name}", lhs[sl][j], rhs[sl][j], resid[j], resid[j] / scale, grid, tol)
-        )
-    return reports
+    grid = f"M={p0.shape[0]},dt={dt:g}"
+    return _identity_reports("prop1_axisym", pairs, dt, grid, tol, slice(2, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -522,35 +495,18 @@ def check_lemma_integral(
     grid = f"N={initial.num_intervals},samples={t.size}"
     reports = []
     for l in range(n + 1):
-        scale = float(np.max(np.abs(b[:, l])))
-        if scale == 0.0:
-            scale = float(np.max(np.abs(a[:, l])))
-        j = int(np.argmax(resid[:, l]))
-        reports.append(_report(
-            f"lemma/rate_sigma{l}_k{k}", da[j, l], b[1:-1][j, l],
-            resid[j, l], resid[j, l] / scale, grid, rate_tol,
-        ))
+        scale = float(np.max(np.abs(b[:, l]))) or float(np.max(np.abs(a[:, l])))
+        reports.append(_worst(f"lemma/rate_sigma{l}_k{k}", da[:, l], b[1:-1, l], resid[:, l],
+                              scale, grid, rate_tol))
     topo = sphere_area(n)
     dev = np.abs(a[:, n] - topo)
-    j = int(np.argmax(dev))
-    reports.append(_report(
-        f"lemma/topological_constant_n{n}", a[j, n], topo,
-        dev[j], dev[j] / topo, grid, topo_tol,
-    ))
+    reports.append(_worst(f"lemma/topological_constant_n{n}", a[:, n], np.full_like(dev, topo),
+                          dev, topo, grid, topo_tol))
     return reports
 
 
 # ---------------------------------------------------------------------------
 # first variation
-
-
-def _material_frame(pts: np.ndarray, dim: int):
-    """(nu, dmu, sigma table) of a material curve (dim 1) or meridian (dim 2)."""
-    if dim == 1:
-        cg = _curve_geometry(pts)
-        return cg.nu, cg.sqrtg * cg.delta, elem_sym_table(cg.kappa[:, None])
-    mg = _meridian_geometry(pts)
-    return mg.nu, mg.dmu, elem_sym_table(mg.kappa)
 
 
 def check_first_variation(target, rho, l: int, s: float | None = None, tol: float = 1e-3):
@@ -569,6 +525,8 @@ def check_first_variation(target, rho, l: int, s: float | None = None, tol: floa
         pts, dim, param = embed(target), target.dim, target.param
     else:
         raise TypeError("target must be a RadialGraph or LagrangianCurve")
+    if not 0 <= l <= dim:
+        raise ValueError(f"sigma index l={l} out of range 0..{dim}")
     m = pts.shape[0]
     if callable(rho):
         if param is None:
@@ -578,14 +536,11 @@ def check_first_variation(target, rho, l: int, s: float | None = None, tol: floa
         rho_arr = np.asarray(rho, dtype=float)
     if rho_arr.shape != (m,):
         raise ValueError(f"rho must have one value per node ({m})")
-    nu, dmu, sig = _material_frame(pts, dim)
-    n = dim
-    if not 0 <= l <= n:
-        raise ValueError(f"sigma index l={l} out of range 0..{n}")
+    geo = _material_geometry(pts, dim)
     if s is None:
         s = 1e-4 * float(np.mean(np.hypot(pts[:, 0], pts[:, 1])))
-    plus = pts + s * rho_arr[:, None] * nu
-    minus = pts - s * rho_arr[:, None] * nu
+    plus = pts + s * rho_arr[:, None] * geo.nu
+    minus = pts - s * rho_arr[:, None] * geo.nu
     for probe in (plus, minus):
         radii = np.hypot(probe[:, 0], probe[:, 1])
         if dim == 1:
@@ -597,12 +552,12 @@ def check_first_variation(target, rho, l: int, s: float | None = None, tol: floa
                 raise ValueError("variation pushes the meridian through the axis")
 
     def integral(probe):
-        _, w, tab = _material_frame(probe, dim)
-        return float(np.sum(tab[:, l] * w))
+        pg = _material_geometry(probe, dim)
+        return float(np.sum(elem_sym_table(pg.kappa.reshape(m, -1))[:, l] * pg.dmu))
 
     lhs = (integral(plus) - integral(minus)) / (2.0 * s)
-    tail = sig[:, l + 1] if l + 1 <= n else np.zeros(m)
-    rhs = (l + 1) * float(np.sum(tail * rho_arr * dmu))
+    tail = elem_sym_table(geo.kappa.reshape(m, -1))[:, l + 1] if l < dim else np.zeros(m)
+    rhs = (l + 1) * float(np.sum(tail * rho_arr * geo.dmu))
     resid = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     grid = f"M={m},s={s:g}"

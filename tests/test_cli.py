@@ -132,6 +132,19 @@ class TestRun:
             for cell in row:
                 assert repr(float(cell)) == cell  # shortest round-trip format
 
+    def test_seedless_random_shape_is_reproducible(self, tmp_path):
+        # random harmonics with no shape.seed draw from seed 0, not from OS entropy
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, **{
+            "shape.type": "perturbed_sphere", "shape.params": {"radius": 1.0, "eps": 0.05},
+            "stepping.t_max": 0.01,
+        })
+        runs = []
+        for _ in range(2):
+            assert cli.main(["run", str(cfg_path), "--quiet"]) == cli.EXIT_OK
+            runs.append((tmp_path / "traj.csv").read_bytes())
+        assert runs[0] == runs[1]
+
     @pytest.mark.parametrize("command, assignment, key", [
         ("run", "problem.n=3", "problem.n"),
         ("run", "problem.k=0", "problem.k"),
@@ -149,6 +162,7 @@ class TestRun:
         ("run", "tolerances.tol_conserve=-1", "tolerances.tol_conserve"),
         ("verify monotone", "stepping.sample_every=0", "stepping.sample_every"),
         ("verify lemma", "stepping.t_max=0", "stepping.t_max"),
+        ("verify lemma", "stepping.dt_init=5", "stepping.dt_init"),  # above dt_max
         ("sweep", "grid.N=63", "grid.N"),
         ("sweep", "sweep.k_values=[1, 2]", "sweep.k_values"),
         ("sweep", 'sweep.shapes=["sphere"]', "sweep.shapes"),
@@ -297,6 +311,28 @@ class TestVerify:
         reports = []
         for suite in ("symfunc", "geometry", "prop1", "lemma", "variation", "af"):
             reports.extend(cli._SUITE_FUNCS[suite](cfg))
+        axisym = ["g_meridian", "g_parallel", "area_element", "h_meridian", "h_parallel",
+                  "sigma1", "sigma2"]
+        assert [rep.name for rep in reports] == [
+            "symfunc/binomial_at_ones", "symfunc/euler_identity", "symfunc/polarization_identity",
+            "symfunc/newton_gap", "symfunc/maclaurin_power_gap",
+            "geometry/minkowski_sphere_n1", "geometry/minkowski_ellipse",
+            "geometry/minkowski_perturbed_n1", "geometry/minkowski_sphere_n2",
+            "geometry/minkowski_ellipsoid", "geometry/minkowski_perturbed_n2",
+            "geometry/ball_ratio_n1k0", "geometry/ball_ratio_n2k0", "geometry/ball_ratio_n2k1",
+            "geometry/curvature_consistency_dim1", "geometry/curvature_oracle_dim2",
+            "geometry/refinement_order",
+        ] + [f"prop1/{name}_{case}" for case in ("circle", "richardson")
+             for name in ("g11", "area_element", "h11", "weingarten", "sigma1")] + [
+            f"prop1_axisym/{name}_{case}" for case in ("sphere", "spheroid") for name in axisym
+        ] + [
+            "lemma/rate_sigma0_k1", "lemma/rate_sigma1_k1", "lemma/topological_constant_n1",
+            "lemma/rate_sigma0_k1", "lemma/rate_sigma1_k1", "lemma/rate_sigma2_k1",
+            "lemma/topological_constant_n2",
+            "variation/sigma0", "variation/sigma1", "variation/sigma0",
+            "af_chain/m0_sphere_eq_n1", "af_chain/m0_sphere_eq_n2", "af_chain/m1_sphere_eq_n2",
+            "af_chain/m0", "af_chain/random_n1k1", "af_chain/random_n2k1", "af_chain/random_n2k2",
+        ]
         assert len(reports) == 58
         for rep in reports:
             assert rep.passed == (rep.rel_residual <= rep.tolerance), rep.name

@@ -94,6 +94,11 @@ class TestShapes:
                 "seed": 3}
         assert np.array_equal(make_shape(spec, 1, 64).r,
                               perturbed_sphere(1.0, 0.1, None, 1, 64, 3).r)
+        # a missing or null seed means seed 0, so a config names one shape
+        for seed in ({}, {"seed": None}):
+            spec = {"type": "perturbed_sphere", "params": {"radius": 1.0, "eps": 0.1}, **seed}
+            assert np.array_equal(make_shape(spec, 2, 64).r,
+                                  perturbed_sphere(1.0, 0.1, None, 2, 64, 0).r)
 
 
 class TestPointwiseGeometry:

@@ -105,6 +105,14 @@ class TestProp1Axisym:
         for rep in check_prop1_axisym(ellipsoid_of_revolution(1.2, 1.0, 256), k, 1e-5, tol=5e-3):
             assert rep.passed, rep
 
+    def test_rejects_dim1_graph(self):
+        with pytest.raises(ValueError, match="dim-2"):
+            check_prop1_axisym(sphere(1.0, 1, 64), 1, 1e-5)
+
+    def test_rejects_k_above_surface_dim(self):
+        with pytest.raises(ValueError, match="k=3"):
+            check_prop1_axisym(sphere(1.0, 2, 64), 3, 1e-5)
+
 
 def _by_name(reports):
     return {rep.name: rep for rep in reports}
