@@ -284,6 +284,37 @@ def _verify_keys(cfg: dict) -> tuple:
     return values
 
 
+def _symfunc_worst(rng, n: int, per: int) -> tuple:
+    """(worst Euler residual, worst polarization residual, least Newton gap,
+    least MacLaurin power gap) over `per` random vectors of dimension n. The
+    samples are column-major, so every row sum is n - 1 contiguous column adds."""
+    lam = np.asfortranarray(rng.uniform(-2.0, 2.0, size=(per, n)))
+    abs_lam = np.abs(lam)
+    sig = sfc.elem_sym_table(lam)
+    euler = polar = 0.0
+    for m in range(1, n + 1):
+        grad = sfc.elem_sym_gradient_table(lam, m)
+        lam_grad = lam * grad
+        rhs = m * sig[:, m]
+        scale = np.sum(np.abs(lam_grad), axis=1) + np.abs(rhs) + 1e-30
+        euler = max(euler, float(np.max(np.abs(np.sum(lam_grad, axis=1) - rhs) / scale)))
+        pol = sfc.polarized_sigma_square_table(lam, grad)
+        tail = (m + 1) * sig[:, m + 1] if m + 1 <= n else 0.0
+        ref = sig[:, 1] * sig[:, m] - tail
+        # sum_i |grad_i lam_i^2|: a product of absolute values rounds to the absolute product
+        pscale = sfc.polarized_sigma_square_table(abs_lam, np.abs(grad)) + np.abs(ref) + 1e-30
+        polar = max(polar, float(np.max(np.abs(pol - ref) / pscale)))
+    pos = np.abs(rng.normal(size=(per, n))) + 0.05
+    pos /= np.max(pos, axis=1, keepdims=True)  # scale-normalize the gap
+    psig = sfc.elem_sym_table(pos)
+    newton = maclaurin = np.inf
+    for k in range(1, n):
+        ok = np.abs(sig[:, k]) > 1e-8
+        newton = min(newton, float(np.min(sfc.newton_gap_table(sig[ok], k))))
+        maclaurin = min(maclaurin, float(np.min(sfc.maclaurin_power_gap_table(psig, k))))
+    return euler, polar, newton, maclaurin
+
+
 def suite_symfunc(cfg: dict) -> list:
     seed, samples, _ = _verify_keys(cfg)
     rng = np.random.default_rng(seed)
@@ -294,41 +325,15 @@ def suite_symfunc(cfg: dict) -> list:
         sig = sfc.elem_sym_all(np.ones(n))
         for k in range(n + 1):
             binom_err = max(binom_err, abs(sig[k] - comb(n, k)) / comb(n, k))
-    euler_worst = 0.0
-    polar_worst = 0.0
-    newton_min = np.inf
-    maclaurin_min = np.inf
-    for n in dims:
-        lam = rng.uniform(-2.0, 2.0, size=(per, n))
-        sig = sfc.elem_sym_table(lam)
-        for m in range(1, n + 1):
-            grad = sfc.elem_sym_gradient_table(lam, m)
-            lhs = np.sum(lam * grad, axis=1)
-            rhs = m * sig[:, m]
-            scale = np.sum(np.abs(lam * grad), axis=1) + np.abs(rhs) + 1e-30
-            euler_worst = max(euler_worst, float(np.max(np.abs(lhs - rhs) / scale)))
-            pol = sfc.polarized_sigma_square_table(lam, grad)
-            tail = (m + 1) * sig[:, m + 1] if m + 1 <= n else 0.0
-            ref = sig[:, 1] * sig[:, m] - tail
-            # sum_i |grad_i lam_i^2|: a product of absolute values rounds to the absolute product
-            pscale = sfc.polarized_sigma_square_table(np.abs(lam), np.abs(grad)) + np.abs(ref) + 1e-30
-            polar_worst = max(polar_worst, float(np.max(np.abs(pol - ref) / pscale)))
-        for k in range(1, n):
-            ok = np.abs(sig[:, k]) > 1e-8
-            newton_min = min(newton_min, float(np.min(sfc.newton_gap_table(sig[ok], k))))
-        pos = np.abs(rng.normal(size=(per, n))) + 0.05
-        pos /= np.max(pos, axis=1, keepdims=True)  # scale-normalize the gap
-        psig = sfc.elem_sym_table(pos)
-        for k in range(1, n):
-            gap = sfc.maclaurin_power_gap_table(psig, k)
-            maclaurin_min = min(maclaurin_min, float(np.min(gap)))
+    # one dimension at a time, so that its arrays are freed before the next draw
+    euler, polar, newton, maclaurin = zip(*(_symfunc_worst(rng, n, per) for n in dims))
     grid = f"samples={per * len(dims)}"
     gaps = {
         "binomial_at_ones": binom_err,
-        "euler_identity": euler_worst,
-        "polarization_identity": polar_worst,
-        "newton_gap": max(0.0, -newton_min),
-        "maclaurin_power_gap": max(0.0, -maclaurin_min),
+        "euler_identity": max(0.0, *euler),
+        "polarization_identity": max(0.0, *polar),
+        "newton_gap": max(0.0, -min(np.inf, *newton)),
+        "maclaurin_power_gap": max(0.0, -min(np.inf, *maclaurin)),
     }
     return [vfy._report(f"symfunc/{name}", 0.0, 0.0, gap, gap, grid, 1e-12)
             for name, gap in gaps.items()]

@@ -3,16 +3,18 @@
 sigma_m is evaluated by building the coefficient row sigma_0..sigma_n
 incrementally, one entry at a time. The recurrence costs O(n*m), avoids
 the cancellation of naive subset expansion, and is exact for integer
-input up to rounding. Garding-cone tests live here as well, and each
-identity the paper's argument uses (the polarization row-sum, the Newton
-gap, the MacLaurin power gap) is written here once, as a table form on
-the arrays of `elem_sym_table` and `elem_sym_gradient_table`. The scalar
-helpers and `starflow verify symfunc` both read those table forms.
+input up to rounding. Tables are column-major: the recurrence runs on one
+contiguous array per degree, and each table is a view with contiguous
+columns. Garding-cone tests live here as well, and each identity the
+paper's argument uses (the polarization row-sum, the Newton gap, the
+MacLaurin power gap) is written here once, as a table form on the arrays
+of `elem_sym_table` and `elem_sym_gradient_table`. The scalar helpers and
+`starflow verify symfunc` both read those table forms.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, frexp, isfinite
 
 import numpy as np
 
@@ -55,17 +57,23 @@ def _degree(m) -> int:
     return int(m)
 
 
+def _sym_rows(rows: np.ndarray, top: int) -> np.ndarray:
+    """sigma_0 .. sigma_top of each column of an (n, M) array, as a (top + 1, M)
+    array with contiguous rows; the lower degrees never read the higher ones."""
+    e = np.zeros((top + 1, rows.shape[1]))
+    e[0] = 1.0
+    for j in range(rows.shape[0]):
+        hi = min(j + 1, top)
+        # simultaneous update: new e_m = e_m + lam_j * e_{m-1} (right side first)
+        e[1 : hi + 1] += rows[j] * e[0:hi]
+    return e
+
+
 def elem_sym_table(lams: np.ndarray) -> np.ndarray:
     """All sigma_0 .. sigma_n of a batch of vectors: (M, n) -> (M, n + 1), column
-    m holding sigma_m of each row."""
+    m holding sigma_m of each row. The result is a column-major view."""
     lams = _batch(lams)
-    rows, n = lams.shape
-    e = np.zeros((rows, n + 1))
-    e[:, 0] = 1.0
-    for j in range(n):
-        # simultaneous update: new e_m = e_m + lam_j * e_{m-1}
-        e[:, 1 : j + 2] = e[:, 1 : j + 2] + lams[:, j : j + 1] * e[:, 0 : j + 1]
-    return e
+    return _sym_rows(lams.T, lams.shape[1]).T
 
 
 def elem_sym_all(lam) -> np.ndarray:
@@ -101,10 +109,10 @@ def elem_sym_gradient_table(lams: np.ndarray, m: int) -> np.ndarray:
     m = _degree(m)
     if not 1 <= m <= n:
         raise ValueError(f"gradient degree m={m} out of range 1..{n}")
-    out = np.empty((rows, n))
+    out = np.empty((n, rows))
     for i in range(n):
-        out[:, i] = elem_sym_table(np.delete(lams, i, axis=1))[:, m - 1]
-    return out
+        out[i] = _sym_rows(np.delete(lams.T, i, axis=0), m - 1)[m - 1]
+    return out.T
 
 
 def cnk(n, k) -> float:
@@ -156,15 +164,21 @@ def newton_gap_table(sig: np.ndarray, k: int) -> np.ndarray:
 
 
 def newton_maclaurin_check(lam, k) -> float:
-    """newton_gap_table of one vector; ZeroDivisionError when sigma_k^2 vanishes."""
+    """newton_gap_table of one vector; ZeroDivisionError when sigma_k^2 vanishes.
+    A gap that overflows is recomputed on the vector scaled by a power of two."""
     lam = _vector(lam)
     k = _degree(k)
     if not 1 <= k <= lam.size - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={lam.size}")
-    sig = elem_sym_table(lam[None, :])
-    if sig[0, k] ** 2 == 0.0:  # sigma_k is zero or its square underflows
-        raise ZeroDivisionError(f"sigma_{k}^2 vanishes; Newton ratio undefined")
-    return float(newton_gap_table(sig, k)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sig = elem_sym_table(lam[None, :])
+        if sig[0, k] ** 2 == 0.0:  # sigma_k is zero or its square underflows
+            raise ZeroDivisionError(f"sigma_{k}^2 vanishes; Newton ratio undefined")
+        gap = float(newton_gap_table(sig, k)[0])
+    if not isfinite(gap):  # products overflowed; the gap is scale-invariant
+        lam = np.ldexp(lam, -frexp(np.max(np.abs(lam)))[1])  # max |lam| now in [0.5, 1)
+        gap = float(newton_gap_table(elem_sym_table(lam[None, :]), k)[0])
+    return gap
 
 
 def maclaurin_power_gap_table(sig: np.ndarray, k: int) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Independent oracles used across the test modules.
 
 These deliberately avoid the library's evaluation paths: symmetric
-functions by subset enumeration, curvature by second-order finite
-differences on embedded points, integrals by very fine trapezoid sums,
-and the sixth-order radial stencils on an array padded with ghost nodes.
+functions by subset enumeration and by the row-major table update,
+curvature by second-order finite differences on embedded points,
+integrals by very fine trapezoid sums, and the sixth-order radial
+stencils on an array padded with ghost nodes.
 """
 
 from itertools import combinations
@@ -20,6 +21,29 @@ def sigma_subsets(lam, m):
     if m > len(lam):
         return 0.0
     return float(sum(prod(c) for c in combinations(lam, m)))
+
+
+def elem_sym_table_rowmajor(lams):
+    """sigma_0..sigma_n of each row of an (M, n) array by the simultaneous
+    update e_m <- e_m + lam_j * e_{m-1}, written on a row-major (M, n + 1)
+    table one strided column slice at a time."""
+    lams = np.asarray(lams, float)
+    rows, n = lams.shape
+    e = np.zeros((rows, n + 1))
+    e[:, 0] = 1.0
+    for j in range(n):
+        e[:, 1 : j + 2] = e[:, 1 : j + 2] + lams[:, j : j + 1] * e[:, 0 : j + 1]
+    return e
+
+
+def elem_sym_gradient_rowmajor(lams, m):
+    """Gradient of sigma_m per row: entry i is sigma_{m-1} of the row with
+    entry i deleted, read from the full row-major table of that row."""
+    lams = np.asarray(lams, float)
+    out = np.empty(lams.shape)
+    for i in range(lams.shape[1]):
+        out[:, i] = elem_sym_table_rowmajor(np.delete(lams, i, axis=1))[:, m - 1]
+    return out
 
 
 def stencil_derivatives_padded(r, dim, h):

@@ -10,6 +10,7 @@ import pytest
 from starflow import cli
 from starflow import flow as flowmod
 from starflow import symfunc
+from _oracles import elem_sym_gradient_rowmajor, elem_sym_table_rowmajor
 
 
 def write_config(path, **overrides):
@@ -271,6 +272,14 @@ class TestVerify:
         monkeypatch.setattr(symfunc, table_form, wrong)
         reports = cli.suite_symfunc({"verify": {"samples": 2000, "seed": 1}})
         assert [rep.name for rep in reports if not rep.passed] == [check]
+
+    def test_symfunc_suite_same_with_rowmajor_oracles(self, monkeypatch):
+        # the column-major kernels change no bit of the report
+        cfg = {"verify": {"samples": 2000, "seed": 1}}
+        reports = [repr(rep) for rep in cli.suite_symfunc(cfg)]
+        monkeypatch.setattr(symfunc, "elem_sym_table", elem_sym_table_rowmajor)
+        monkeypatch.setattr(symfunc, "elem_sym_gradient_table", elem_sym_gradient_rowmajor)
+        assert [repr(rep) for rep in cli.suite_symfunc(cfg)] == reports
 
     def test_tolerance_violation_exits_four(self, tmp_path, capsys):
         report = tmp_path / "report.csv"

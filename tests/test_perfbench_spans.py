@@ -1,7 +1,13 @@
-"""The benchmark's per-layer metrics read spans by starflow name; a name that
-no longer resolves would read 0 without any error. This guard runs
+"""Guards on what the benchmark reads from starflow.
+
+The per-layer metrics read spans by starflow name; a name that no longer
+resolves would read 0 without any error. One guard runs
 `perfbench/child.py`'s metric function against a recorder and checks that
-every name it reads is still an attribute of its starflow module."""
+every name it reads is still an attribute of its starflow module.
+
+The replay metrics time single layer functions on states captured at a
+fixed accepted step of three flows. A flow that ends before that step fails
+the traced benchmark run, so the second guard builds those captures."""
 
 import importlib
 import importlib.util
@@ -25,12 +31,19 @@ class NameRecorder:
     calls = self_s = total_s = mean_us = calls_from = read
 
 
-def traced_names(monkeypatch) -> set:
-    monkeypatch.setattr(sys, "path", list(sys.path))  # child.py extends it
+def load_perfbench(monkeypatch, name: str):
+    """perfbench/<name>.py as a module, importing its siblings from perfbench/."""
+    perfbench = os.path.join(ROOT, "perfbench")
+    monkeypatch.setattr(sys, "path", [perfbench, *sys.path])  # restored after the test
     spec = importlib.util.spec_from_file_location(
-        "perfbench_child", os.path.join(ROOT, "perfbench", "child.py"))
-    child = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(child)
+        f"perfbench_{name}", os.path.join(perfbench, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def traced_names(monkeypatch) -> set:
+    child = load_perfbench(monkeypatch, "child")
     recorder = NameRecorder()
     child.layer_metrics(recorder, [], [], {"drift_rate": 0.0})
     return recorder.names
@@ -49,3 +62,12 @@ def test_every_span_name_resolves(monkeypatch):
         if obj is None:
             missing.append(name)
     assert missing == []
+
+
+def test_replay_captures_reach_their_step(monkeypatch):
+    # a change to the step count that ends a capture flow early shows here,
+    # not first as a failed traced benchmark run
+    replay = load_perfbench(monkeypatch, "replay")
+    captures = replay.captures()
+    assert sorted(captures) == ["n1_N128", "n2_N256", "n2_N512"]
+    assert [state.accepted for _, state in captures.values()] == [replay.CAPTURE_STEP] * 3

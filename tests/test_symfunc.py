@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starflow import symfunc as sfc
-from _oracles import sigma_subsets
+from _oracles import elem_sym_gradient_rowmajor, elem_sym_table_rowmajor, sigma_subsets
 
 finite_entries = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 vectors = st.lists(finite_entries, min_size=1, max_size=7)
@@ -52,6 +52,33 @@ class TestElemSym:
         table = sfc.elem_sym_table(lam)
         for i in range(40):
             assert table[i] == pytest.approx(list(sfc.elem_sym_all(lam[i])), rel=1e-14)
+
+
+def layouts(rows: int, n: int) -> dict:
+    """The same (rows, n) values C-ordered, F-ordered and as a strided view."""
+    strided = np.random.default_rng(rows * 16 + n).uniform(-2.0, 2.0, size=(2 * rows, 2 * n))[::2, 1::2]
+    return {"C": np.ascontiguousarray(strided), "F": np.asfortranarray(strided), "strided": strided}
+
+
+class TestColumnMajorKernel:
+    """The column-major tables repeat the row-major update's IEEE operations,
+    so they equal it bit for bit whatever the input layout."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_table_is_rowmajor_oracle(self, n, layout):
+        for rows in (1, 2, 257):
+            lam = layouts(rows, n)[layout]
+            assert sfc.elem_sym_table(lam).tobytes() == elem_sym_table_rowmajor(lam).tobytes()
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_gradient_is_rowmajor_oracle(self, n, layout):
+        for rows in (1, 2, 257):
+            lam = layouts(rows, n)[layout]
+            for m in range(1, n + 1):
+                got = sfc.elem_sym_gradient_table(lam, m)
+                assert got.tobytes() == elem_sym_gradient_rowmajor(lam, m).tobytes()
 
 
 class TestGradient:
@@ -175,12 +202,16 @@ class TestNewtonMacLaurin:
                 assert float(np.min(ref - ratio)) >= -1e-12
                 assert np.array_equal(sfc.newton_gap_table(sig[ok], k), ref - ratio)
 
+    @pytest.mark.filterwarnings("error")
     def test_scale_invariance(self):
         lam = np.array([0.3, 1.7, 2.2, -0.4])
-        for s in (0.01, 3.0, 250.0):
+        # from 1e100 on, the sigma products overflow though the vector is finite
+        for s in (0.01, 3.0, 250.0, 1e100, 1e160, 1e200):
             assert sfc.newton_maclaurin_check(s * lam, 2) == pytest.approx(
                 sfc.newton_maclaurin_check(lam, 2), abs=1e-12
             )
+        for big in ([1e200, 1e200], [1e160] * 3):
+            assert sfc.newton_maclaurin_check(big, 1) == pytest.approx(0.0, abs=1e-14)
 
     def test_degenerate_sigma_k(self):
         # sigma_1 is zero, or nonzero with a square that underflows to zero
