@@ -1,9 +1,11 @@
 """Command line front end: flow runs, verification suites, parameter sweeps.
 
 One JSON config per run keeps every invocation reproducible; `--set
-key=value` applies dotted-path overrides after parsing. Exit codes:
-0 success, 2 config or precondition error, 3 numerical failure (the last
-valid state is still exported), 4 verification tolerance violation.
+key=value` applies dotted-path overrides after parsing. `main` loads the
+config for every command and is the one place that turns an exception
+into an exit code: 0 success, 2 config or precondition error, 3
+numerical failure (`run` still exports the last valid state), 4
+verification tolerance violation.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from math import comb
 
@@ -195,15 +196,10 @@ def _say(quiet: bool, *args) -> None:
 # run
 
 
-def cmd_run(args) -> int:
-    try:
-        cfg = apply_overrides(load_config(args.config), args.set)
-        _require(cfg)
-        fc = flow_config_from(cfg)
-        initial = _make_shape(cfg, fc.n, fc.grid_n)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_run(cfg: dict, args) -> int:
+    _require(cfg)
+    fc = flow_config_from(cfg)
+    initial = _make_shape(cfg, fc.n, fc.grid_n)
     out = cfg["output"]
     traj_path = out["trajectory_path"]
     snap_every = out.get("snapshot_every", 0)
@@ -222,19 +218,15 @@ def cmd_run(args) -> int:
 
     try:
         record = flowmod.run(fc, initial, observer=observer)
-    except ValueError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except flowmod.FlowError as exc:
         exc.record.to_csv(traj_path)
         if snap_every > 0:
             os.makedirs(snap_dir, exist_ok=True)
             geom.export_snapshot(exc.state.geo, fc.k, os.path.join(snap_dir, "snapshot_last.csv"))
-        print(f"numerical failure: {exc.reason} (t={exc.state.t:.6g}); "
-              f"partial trajectory in {traj_path}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        print(f"partial trajectory in {traj_path}", file=sys.stderr)
+        raise
     record.to_csv(traj_path)
-    mono = fc.k if fc.k <= fc.n - 1 else 0
+    mono = flowmod.monotone_pair(fc.n, fc.k)[0]
     final = record.rows[-1]
     cols = record.columns
     _say(args.quiet,
@@ -516,26 +508,12 @@ _SUITE_FUNCS = {
 }
 
 
-def cmd_verify(args) -> int:
-    try:
-        cfg = load_config(args.config) if args.config else {}
-        apply_overrides(cfg, args.set)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_verify(cfg: dict, args) -> int:
     names = list(_SUITE_FUNCS) if args.suite == "all" else [args.suite]
     reports = []
-    try:
-        for name in names:
-            reports.extend(_SUITE_FUNCS[name](cfg))
-        reports = _override_tolerances(
-            reports, cfg.get("verify", {}).get("tolerance_overrides", {}))
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    for name in names:
+        reports.extend(_SUITE_FUNCS[name](cfg))
+    reports = _override_tolerances(reports, cfg.get("verify", {}).get("tolerance_overrides", {}))
     path = cfg.get("verify", {}).get("report_path", "verification_report.csv")
     if os.path.dirname(path):
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -556,31 +534,13 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_combo(payload):
-    idx, base, shape_spec, k, seed = payload
-    cfg = json.loads(json.dumps(base))
-    cfg["shape"] = dict(shape_spec)
-    if seed is not None:
-        cfg["shape"]["seed"] = seed
-    cfg["problem"]["k"] = k
-    traj_dir = cfg["sweep"].get("trajectory_dir",
-                                os.path.dirname(cfg["sweep"]["index_path"]) or ".")
-    traj_path = os.path.join(traj_dir, f"traj_{idx:03d}.csv")
-    row = {
-        "id": f"{idx:03d}",
-        "shape_type": shape_spec.get("type", "?"),
-        "params": ";".join(f"{key}={shape_spec.get('params', {})[key]!r}"
-                           for key in sorted(shape_spec.get("params", {}))),
-        "seed": "" if seed is None else str(seed),
-        "n": str(cfg["problem"]["n"]),
-        "k": str(k),
-    }
+    """Run one built combination, write its trajectory and fill in its index row."""
+    fc, graph, row, traj_path = payload
     try:
-        fc = flow_config_from(cfg)
-        g = _make_shape(cfg, fc.n, fc.grid_n)
-        record = flowmod.run(fc, g)
-        os.makedirs(traj_dir, exist_ok=True)
+        record = flowmod.run(fc, graph)
+        os.makedirs(os.path.dirname(traj_path), exist_ok=True)
         record.to_csv(traj_path)
-        mono = fc.k if fc.k <= fc.n - 1 else 0
+        mono = flowmod.monotone_pair(fc.n, fc.k)[0]
         checks = (vfy.check_monotone_series(record)
                   if fc.mode in ("normalized", "rescaled_raw") else [])
         row.update({
@@ -593,54 +553,60 @@ def _sweep_combo(payload):
         # the terminal-ball check only binds on long runs; the sweep flag
         # tracks monotonicity and conservation
         ok = all(r.passed for r in checks[:2]) if checks else True
-    except (ConfigError, ValueError, flowmod.FlowError) as exc:
+    except (ValueError, flowmod.FlowError) as exc:
         row.update({"status": f"failed: {exc}", "final_t": "", "final_iso": "",
                     "monotone_pass": "False", "conserve_pass": "False"})
         ok = False
-    return idx, row, ok
+    return row, ok
 
 
-def cmd_sweep(args) -> int:
-    try:
-        cfg = apply_overrides(load_config(args.config), args.set)
-        _require(cfg)
-        _require(cfg, (("sweep", ("shapes", "k_values", "index_path")),))
-        base = flow_config_from(cfg)
-        for spec in cfg["sweep"]["shapes"]:
-            if not isinstance(spec, dict):
-                raise ConfigError("sweep.shapes", f"expected object, got {spec!r}")
-            try:
-                geom.make_shape(spec, base.n, base.grid_n)
-            except geom.ShapeError as exc:
-                raise ConfigError("sweep.shapes", f"{spec!r}: {exc}") from None
-        for seed in cfg["sweep"].get("seeds", ()):
-            if seed is not None and not _type_ok(_INT, seed):
-                raise ConfigError("sweep.seeds", f"expected int or null, got {seed!r}")
-        for k in cfg["sweep"]["k_values"]:
-            if not _type_ok(_INT, k):
-                raise ConfigError("sweep.k_values", f"expected int, got {k!r}")
-            try:
-                flow_config_from({**cfg, "problem": {**cfg["problem"], "k": k}})
-            except ConfigError as exc:
-                raise ConfigError("sweep.k_values", str(exc)) from None
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_sweep(cfg: dict, args) -> int:
+    _require(cfg, _FLOW_REQUIRED + (("sweep", ("shapes", "k_values", "index_path")),))
     sweep = cfg["sweep"]
     seeds = sweep.get("seeds", [None])
+    for key in ("shapes", "k_values", "seeds"):
+        if sweep.get(key) == []:
+            raise ConfigError(f"sweep.{key}", "must not be empty")
+    for seed in seeds:
+        if seed is not None and not _type_ok(_INT, seed):
+            raise ConfigError("sweep.seeds", f"expected int or null, got {seed!r}")
+    configs = []
+    for k in sweep["k_values"]:
+        if not _type_ok(_INT, k):
+            raise ConfigError("sweep.k_values", f"expected int, got {k!r}")
+        try:
+            configs.append(flow_config_from({**cfg, "problem": {**cfg["problem"], "k": k}}))
+        except ConfigError as exc:
+            if exc.key != "problem.k":
+                raise
+            raise ConfigError("sweep.k_values", str(exc)) from None
+    # every combination is built here, before any run starts: the build is the validation
+    traj_dir = sweep.get("trajectory_dir", os.path.dirname(sweep["index_path"]) or ".")
     payloads = []
-    idx = 0
-    for shape_spec in sweep["shapes"]:
-        for k in sweep["k_values"]:
+    for spec in sweep["shapes"]:
+        if not isinstance(spec, dict):
+            raise ConfigError("sweep.shapes", f"expected object, got {spec!r}")
+        params = spec.get("params", {})
+        for fc in configs:
             for seed in seeds:
-                payloads.append((idx, cfg, shape_spec, k, seed))
-                idx += 1
+                shape = spec if seed is None else {**spec, "seed": seed}
+                try:
+                    graph = geom.make_shape(shape, fc.n, fc.grid_n)
+                except geom.ShapeError as exc:
+                    raise ConfigError("sweep.shapes", f"{shape!r}: {exc}") from None
+                idx = f"{len(payloads):03d}"
+                row = {"id": idx, "shape_type": spec["type"],
+                       "params": ";".join(f"{key}={params[key]!r}" for key in sorted(params)),
+                       "seed": "" if seed is None else str(seed), "n": str(fc.n), "k": str(fc.k)}
+                payloads.append((fc, graph, row, os.path.join(traj_dir, f"traj_{idx}.csv")))
     if args.jobs > 1:
+        # imported here so that only a pooled sweep loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_combo, payloads))
     else:
         results = [_sweep_combo(p) for p in payloads]
-    results.sort(key=lambda r: r[0])
     index_path = sweep["index_path"]
     if os.path.dirname(index_path):
         os.makedirs(os.path.dirname(index_path), exist_ok=True)
@@ -649,12 +615,10 @@ def cmd_sweep(args) -> int:
     with open(index_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
-        for _, row, _ok in results:
-            writer.writerow(row)
-    all_ok = all(ok for _, _, ok in results)
-    _say(args.quiet, f"sweep: {len(results)} combinations, "
-                     f"{sum(ok for _, _, ok in results)} passed; index in {index_path}")
-    return EXIT_OK if all_ok else EXIT_TOLERANCE
+        writer.writerows(row for row, _ok in results)
+    passed = sum(ok for _, ok in results)
+    _say(args.quiet, f"sweep: {len(results)} combinations, {passed} passed; index in {index_path}")
+    return EXIT_OK if passed == len(results) else EXIT_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -685,12 +649,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.quiet = getattr(args, "quiet", False)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_sweep(args)
+    commands = {"run": cmd_run, "verify": cmd_verify, "sweep": cmd_sweep}
+    try:
+        cfg = apply_overrides(load_config(args.config) if args.config else {}, args.set)
+        return commands[args.command](cfg, args)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_CONFIG
+    except ValueError as exc:
+        print(f"precondition failed: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except flowmod.FlowError as exc:
+        print(f"numerical failure: {exc.reason} (t={exc.state.t:.6g})", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

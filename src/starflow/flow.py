@@ -456,6 +456,12 @@ def record_columns(n: int) -> tuple:
     return tuple(cols)
 
 
+def monotone_pair(n: int, k: int) -> tuple:
+    """(m, j): the flow of degree k raises the iso ratio I_m and holds V_j,
+    that is (k, n - k) for k <= n - 1 and (0, n + 1) at k = n."""
+    return (k, n - k) if k <= n - 1 else (0, n + 1)
+
+
 def _record_row(state: FlowState, config: FlowConfig) -> tuple:
     n, k = config.n, config.k
     geo = state.geo

@@ -617,10 +617,10 @@ def check_monotone_series(
     if record.mode not in ("normalized", "rescaled_raw"):
         raise ValueError("monotonicity check needs a normalized or rescaled_raw record")
     n, k = record.n, record.k
-    mono_idx = k if k <= n - 1 else 0
+    mono_idx, held = flowmod.monotone_pair(n, k)
     iso = record.column(f"I{mono_idx}")
     t = record.column("t")
-    cons_name = f"V{n - k}" if k <= n - 1 else f"V{n + 1}"
+    cons_name = f"V{held}"
     vcons = record.column(cons_name)
     grid = f"samples={t.size}"
     drops = np.diff(iso)

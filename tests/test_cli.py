@@ -3,6 +3,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,6 +174,9 @@ class TestRun:
          "sweep.shapes"),
         ("run", 'shape.params={"radius": "one"}', "shape.params"),
         ("sweep", 'sweep.seeds=["x"]', "sweep.seeds"),
+        ("sweep", "sweep.seeds=[]", "sweep.seeds"),
+        ("sweep", "sweep.k_values=[]", "sweep.k_values"),
+        ("sweep", "sweep.shapes=[]", "sweep.shapes"),
         ("verify symfunc", "verify.seed=-1", "verify.seed"),
         ("verify symfunc", "verify.samples=-5", "verify.samples"),
         ("verify symfunc", "verify.samples=0", "verify.samples"),
@@ -235,6 +240,30 @@ class TestRun:
         assert "numerical failure" in capsys.readouterr().err
         rows = read_csv(tmp_path / "traj.csv")
         assert len(rows) >= 2  # header plus at least the initial sample
+
+    def test_verify_monotone_numerical_failure_exits_three(self, tmp_path, capsys):
+        # stops with a conservation drift stall on its first step
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "problem": {"n": 2, "k": 1, "mode": "rescaled_raw"},
+            "shape": {"type": "perturbed_sphere",
+                      "params": {"radius": 1.0, "eps": 0.3, "mode": 2}},
+            "grid": {"N": 128},
+            "stepping": {"t_max": 3.0},
+            "verify": {"report_path": str(tmp_path / "report.csv")},
+        }))
+        assert cli.main(["verify", "monotone", str(cfg_path), "--quiet"]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "Traceback" not in err
+
+    def test_importing_cli_loads_no_process_pool(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        probe = (f"import sys; sys.path.insert(0, {src!r}); import starflow.cli; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m.startswith('multiprocessing') or m == 'concurrent.futures.process'))")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -443,3 +472,30 @@ class TestSweep:
         statuses = [row[6] for row in rows[1:]]
         assert any(s == "ok" for s in statuses)
         assert any(s.startswith("failed") for s in statuses)
+
+    def test_sweep_needs_no_output_section(self, tmp_path):
+        path = self._sweep_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        del cfg["output"]
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["sweep", str(path), "--quiet"]) == cli.EXIT_OK
+        assert len(read_csv(tmp_path / "index.csv")) == 1 + 6
+
+    def test_sweep_shape_failing_for_one_seed_is_config_error(self, tmp_path, capsys):
+        # builds for seed 0 but not for seed 4
+        shapes = [{"type": "perturbed_sphere", "params": {"radius": 1.0, "eps": 1.5}}]
+        path = self._sweep_config(tmp_path, shapes=shapes)
+        argv = ["sweep", str(path), "--quiet", "--set", "sweep.seeds=[0, 4]"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "sweep.shapes" in err and "'seed': 4" in err
+        assert not (tmp_path / "index.csv").exists()
+
+    def test_sweep_builds_each_combination_once(self, tmp_path, monkeypatch):
+        built = []
+        make_shape = cli.geom.make_shape
+        monkeypatch.setattr(cli.geom, "make_shape",
+                            lambda spec, *a: built.append(spec) or make_shape(spec, *a))
+        path = self._sweep_config(tmp_path)
+        assert cli.main(["sweep", str(path), "--quiet"]) == cli.EXIT_OK
+        assert len(built) == 6  # 3 shapes x 1 k x 2 seeds

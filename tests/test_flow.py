@@ -296,6 +296,12 @@ class TestRun:
         t = record.column("t")
         assert np.all(np.diff(t) > 0)
 
+    @pytest.mark.parametrize("n, k, pair", [(1, 1, (0, 2)), (2, 1, (1, 1)), (2, 2, (0, 3))])
+    def test_monotone_pair_names_recorded_columns(self, n, k, pair):
+        mono, held = fl.monotone_pair(n, k)
+        assert (mono, held) == pair
+        assert {f"I{mono}", f"V{held}"} <= set(fl.record_columns(n))
+
 
 class TestRescale:
     def test_identity_at_start(self):
