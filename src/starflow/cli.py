@@ -3,9 +3,9 @@
 One JSON config per run keeps every invocation reproducible; `--set
 key=value` applies dotted-path overrides after parsing. `main` loads the
 config for every command and is the one place that turns an exception
-into an exit code: 0 success, 2 config or precondition error, 3
-numerical failure (`run` still exports the last valid state), 4
-verification tolerance violation.
+into an exit code: 0 success, 2 config or precondition error or an
+output path that cannot be written, 3 numerical failure (`run` still
+exports the last valid state), 4 verification tolerance violation.
 """
 
 from __future__ import annotations
@@ -80,6 +80,13 @@ _FLOW_REQUIRED = (
     ("stepping", ("t_max",)),
 )
 _RUN_REQUIRED = _FLOW_REQUIRED + (("output", ("trajectory_path",)),)
+# a sweep reads its shapes from sweep.shapes and its degrees from sweep.k_values
+_SWEEP_REQUIRED = (
+    ("problem", ("n", "mode")),
+    ("grid", ("N",)),
+    ("stepping", ("t_max",)),
+    ("sweep", ("shapes", "k_values", "index_path")),
+)
 
 
 def _type_ok(kind: str, value) -> bool:
@@ -561,7 +568,7 @@ def _sweep_combo(payload):
 
 
 def cmd_sweep(cfg: dict, args) -> int:
-    _require(cfg, _FLOW_REQUIRED + (("sweep", ("shapes", "k_values", "index_path")),))
+    _require(cfg, _SWEEP_REQUIRED)
     sweep = cfg["sweep"]
     seeds = sweep.get("seeds", [None])
     for key in ("shapes", "k_values", "seeds"):
@@ -662,6 +669,9 @@ def main(argv=None) -> int:
     except flowmod.FlowError as exc:
         print(f"numerical failure: {exc.reason} (t={exc.state.t:.6g})", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

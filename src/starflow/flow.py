@@ -183,12 +183,13 @@ def initial_state(graph: RadialGraph) -> FlowState:
     return FlowState(t=0.0, graph=graph, log_scale=0.0, geo=compute_geometry(graph))
 
 
-def _speed(sigma: np.ndarray, k: int) -> np.ndarray:
-    sk = sigma[:, k]
-    if sk.min() <= 0.0:
+def _speed(sig: np.ndarray, k: int) -> np.ndarray:
+    """sigma_{k-1}/sigma_k from the (n + 1, M) rows sigma_0..sigma_n."""
+    sk = sig[k]
+    if np.minimum.reduce(sk) <= 0.0:
         j = int(sk.argmin())
         raise ConeExitError(f"sigma_{k} <= 0 at node {j}: {sk[j]:.6e}")
-    return sigma[:, k - 1] / sk
+    return sig[k - 1] / sk
 
 
 def speed_raw(geo: PointwiseGeometry, k: int) -> np.ndarray:
@@ -196,12 +197,13 @@ def speed_raw(geo: PointwiseGeometry, k: int) -> np.ndarray:
     k-convex data. Raises ConeExitError naming the worst node otherwise."""
     if not 1 <= k <= geo.dim:
         raise ValueError(f"flow degree k={k} out of range 1..{geo.dim}")
-    return _speed(geo.sigma, k)
+    return _speed(geo.sigma.T, k)
 
 
-def _rate(sigma: np.ndarray, dmu: np.ndarray, u: np.ndarray | None, f: np.ndarray | None,
+def _rate(sig: np.ndarray, dmu: np.ndarray, u: np.ndarray | None, f: np.ndarray | None,
           k: int, top: bool) -> float:
-    """Log-scale rate from per-node arrays; the caller has checked sigma_k > 0.
+    """Log-scale rate from the (n + 1, M) rows sig of sigma_0..sigma_n and
+    per-node arrays; the caller has checked sigma_k > 0.
 
     top: int(F dmu) / int(u dmu) for the speed f and support function u,
     the rate holding V_{n+1}. Otherwise r(t) = int(sigma_{k+1}
@@ -209,11 +211,10 @@ def _rate(sigma: np.ndarray, dmu: np.ndarray, u: np.ndarray | None, f: np.ndarra
     (k <= n-1), and u and f are not read.
     """
     if top:
-        return float((f * dmu).sum()) / float((u * dmu).sum())
-    n = sigma.shape[1] - 1
-    sk = sigma[:, k]
-    num = float((sigma[:, k + 1] * sigma[:, k - 1] / sk * dmu).sum())
-    return num / (cnk(n, k + 1) * float((sk * dmu).sum()))
+        return float(np.add.reduce(f * dmu)) / float(np.add.reduce(u * dmu))
+    sk = sig[k]
+    num = float(np.add.reduce(sig[k + 1] * sig[k - 1] / sk * dmu))
+    return num / (cnk(sig.shape[0] - 1, k + 1) * float(np.add.reduce(sk * dmu)))
 
 
 def normalization_rt(geo: PointwiseGeometry, k: int) -> float:
@@ -225,8 +226,9 @@ def normalization_rt(geo: PointwiseGeometry, k: int) -> float:
     """
     if not 1 <= k <= geo.dim - 1:
         raise ValueError(f"normalization constant needs 1 <= k <= n-1, got k={k}")
-    _speed(geo.sigma, k)  # raises ConeExitError off the cone
-    return _rate(geo.sigma, geo.dmu, None, None, k, top=False)
+    sig = geo.sigma.T
+    _speed(sig, k)  # raises ConeExitError off the cone
+    return _rate(sig, geo.dmu, None, None, k, top=False)
 
 
 def volume_scale_rate(geo: PointwiseGeometry, k: int) -> float:
@@ -235,7 +237,7 @@ def volume_scale_rate(geo: PointwiseGeometry, k: int) -> float:
     Equals int(F dmu) / int(u dmu); used as the rescaling rate for the
     k = n flow where r(t) is unavailable.
     """
-    return _rate(geo.sigma, geo.dmu, geo.u, speed_raw(geo, k), k, top=True)
+    return _rate(geo.sigma.T, geo.dmu, geo.u, speed_raw(geo, k), k, top=True)
 
 
 def _scale_rate(geo: PointwiseGeometry, k: int) -> float:
@@ -253,18 +255,18 @@ def _rhs(r: np.ndarray, w: np.ndarray, f: np.ndarray, rate: float, mode: str) ->
 
 def _rhs_and_rate(geo: PointwiseGeometry, mode: str, k: int):
     f = speed_raw(geo, k)
-    rate = _rate(geo.sigma, geo.dmu, geo.u, f, k, top=k == geo.dim)
+    rate = _rate(geo.sigma.T, geo.dmu, geo.u, f, k, top=k == geo.dim)
     return _rhs(geo.r, geo.w, f, rate, mode), rate
 
 
 def _stage(kit: geomod._GridKit, r: np.ndarray, mode: str, k: int):
     """`_rhs_and_rate` of the radial samples r on kit's grid, from the
     checked curvature arrays alone: no PointwiseGeometry is built."""
-    _, _, w, rr, _, sigma, dmu = geomod._curvatures(kit, r)
-    f = _speed(sigma, k)
+    _, _, w, rr, _, sig, dmu = geomod._curvatures(kit, r)
+    f = _speed(sig, k)
     top = k == kit.dim
     # only the k = n rate reads the support function u = r^2 / w
-    rate = _rate(sigma, dmu, rr / w if top else None, f, k, top)
+    rate = _rate(sig, dmu, rr / w if top else None, f, k, top)
     return _rhs(r, w, f, rate, mode), rate
 
 
@@ -327,11 +329,12 @@ def stability_cap(geo: PointwiseGeometry, k: int, cfl: float) -> float:
 
 
 def _strictly_kconvex(geo: PointwiseGeometry, k: int) -> tuple[bool, str]:
-    mins = geo.sigma[:, 1 : k + 1].min(axis=0)
-    if (mins > 0.0).all():
-        return True, ""
-    m = int(np.argmin(mins > 0.0)) + 1
-    return False, f"sigma_{m} min {mins[m - 1]:.6e}"
+    sig = geo.sigma.T
+    for m in range(1, k + 1):
+        low = np.minimum.reduce(sig[m])
+        if not low > 0.0:
+            return False, f"sigma_{m} min {low:.6e}"
+    return True, ""
 
 
 def _conserved_value(geo: PointwiseGeometry, log_scale: float, config: FlowConfig) -> float | None:

@@ -11,6 +11,12 @@ both poles for dim 2); quermassintegrals from trapezoid (dim 1) or
 composite Simpson (dim 2) quadrature. The parallel principal curvature at the poles is assigned
 its smooth limit, the meridian value; the sin(phi) area weight vanishes
 there, so the choice does not touch any integral.
+
+The curvature data are stored row by row: kappa as an (n, M) array and
+sigma_0..sigma_n as an (n + 1, M) array, one contiguous row per
+principal direction or degree, which is the layout the flow's stages and
+`symfunc`'s tables read. `PointwiseGeometry` exposes them as (M, n) and
+(M, n + 1) transposed views, one column per direction or degree.
 """
 
 from __future__ import annotations
@@ -52,9 +58,10 @@ __all__ = [
 
 MIN_NODES = 16
 
-# sixth-order centered stencil weights of the offsets 1, 2, 3 (as columns
-# against the gather tables): first derivative on ahead - behind, second
-# derivative on ahead + behind, whose centre weight is -490
+# sixth-order centered stencil weights of the offsets 1, 2, 3 (as columns,
+# repeated into full rows against each grid's gather tables): first
+# derivative on ahead - behind, second derivative on ahead + behind, whose
+# centre weight is -490
 _D1_WEIGHTS = np.array([[45.0], [9.0], [1.0]])
 _D2_WEIGHTS = np.array([[270.0], [27.0], [2.0]])
 
@@ -81,9 +88,9 @@ class RadialGraph:
         arr = np.array(self.r, dtype=float)
         if arr.ndim != 1:
             raise ShapeError("radial samples must form a one-dimensional array")
-        if not np.isfinite(arr).all():
+        if not np.logical_and.reduce(np.isfinite(arr)):
             raise ShapeError("radial samples contain non-finite values")
-        if arr.min() <= 0.0:
+        if np.minimum.reduce(arr) <= 0.0:
             j = int(arr.argmin())
             raise ShapeError(f"radial function not positive at node {j}: r={arr[j]}")
         n_int = arr.size if self.dim == 1 else arr.size - 1
@@ -119,7 +126,8 @@ class PointwiseGeometry:
     kappa holds the principal curvatures, one column per direction
     (dim 2: meridian then parallel). sigma holds sigma_0..sigma_n of
     kappa. dmu are full quadrature weights: their sum is the surface
-    measure.
+    measure. From compute_geometry, kappa and sigma are transposed views
+    of row-per-degree arrays, so each column is contiguous.
     """
 
     dim: int
@@ -291,13 +299,23 @@ def _stencil_derivatives(kit: _GridKit, r: np.ndarray):
     The rows of `a` and `s` are the offset-1, -2 and -3 terms in the order
     the stencil adds them, so the sums round exactly as the textbook
     formula (45 a1 - 9 a2 + a3) / 60h, (270 s1 - 27 s2 + 2 s3 - 490 f) / 180h^2.
+    The updates after the two gathers are in place, against full-shape
+    weight rows, so no operand is broadcast.
     """
     ahead, behind = r[kit.ahead], r[kit.behind]
-    a = (ahead - behind) * _D1_WEIGHTS
-    s = (ahead + behind) * _D2_WEIGHTS
+    a = ahead - behind
+    a *= kit.d1_weights
+    s = ahead  # the gather is not read again: the sums overwrite it
+    s += behind
+    s *= kit.d2_weights
     h = kit.h
-    d1 = (a[0] - a[1] + a[2]) / (60.0 * h)
-    d2 = (s[0] - s[1] + s[2] - 490.0 * r) / (180.0 * h * h)
+    d1 = a[0] - a[1]
+    d1 += a[2]
+    d1 /= 60.0 * h
+    d2 = s[0] - s[1]
+    d2 += s[2]
+    d2 -= 490.0 * r
+    d2 /= 180.0 * h * h
     return d1, d2
 
 
@@ -316,12 +334,17 @@ class _GridKit:
     size: int
     h: float
     param: np.ndarray
-    sin: np.ndarray | None
+    # dim 2: sin(phi) with 1.0 at both poles, where the parallel curvature
+    # is overwritten with the meridian one, and cos(phi); None for dim 1
+    pole_safe_sin: np.ndarray | None
     cos: np.ndarray | None
     area_weight: np.ndarray  # h for dim 1, simpson * 2 pi sin(phi) for dim 2
     # (3, size) indices of the nodes 1..3 places ahead of / behind each node
     ahead: np.ndarray
     behind: np.ndarray
+    # (3, size) stencil weights of those offsets, one full row per offset
+    d1_weights: np.ndarray
+    d2_weights: np.ndarray
 
 
 _KIT_CACHE: dict = {}
@@ -334,21 +357,25 @@ def _grid_kit(dim: int, size: int) -> _GridKit:
         nodes = np.arange(size)
         ahead = nodes + np.arange(1, 4)[:, None]
         behind = nodes - np.arange(1, 4)[:, None]
+        weights = (np.repeat(_D1_WEIGHTS, size, axis=1), np.repeat(_D2_WEIGHTS, size, axis=1))
         if dim == 1:
             param = 2.0 * pi * nodes / size
             h = 2.0 * pi / size
             kit = _GridKit(dim, size, h, param, None, None, np.full(size, h),
-                           ahead % size, behind % size)
+                           ahead % size, behind % size, *weights)
         else:
             # even reflection about both poles: node -j is node j, node
             # top + j is node top - j
             top = size - 1
             param = pi * nodes / top
             h = pi / top
-            sin, cos = np.sin(param), np.cos(param)
-            kit = _GridKit(dim, size, h, param, sin, cos,
+            sin = np.sin(param)
+            safe = sin.copy()
+            safe[[0, -1]] = 1.0
+            kit = _GridKit(dim, size, h, param, safe, np.cos(param),
                            _simpson_weights(top, h) * (2.0 * pi) * sin,
-                           np.where(ahead > top, 2 * top - ahead, ahead), np.abs(behind))
+                           np.where(ahead > top, 2 * top - ahead, ahead), np.abs(behind),
+                           *weights)
         if len(_KIT_CACHE) > 64:
             _KIT_CACHE.clear()
         _KIT_CACHE[key] = kit
@@ -359,10 +386,12 @@ def _curvatures(kit: _GridKit, r: np.ndarray):
     """Checked curvature data of the radial samples r on kit's grid.
 
     Returns (r1, r2, w, rr, kappa, sigma, dmu) with rr = r * r, the arrays
-    of PointwiseGeometry that a flow stage needs. Raises ShapeError on
-    r <= 0 and ValueError on non-finite curvature data.
+    of PointwiseGeometry that a flow stage needs, except that kappa is
+    (n, M) and sigma (n + 1, M): one contiguous row per direction and
+    degree. Raises ShapeError on r <= 0 and ValueError on non-finite
+    curvature data.
     """
-    rmin = float(r.min())
+    rmin = float(np.minimum.reduce(r))
     if not rmin > 0.0:
         raise ShapeError(f"radial function not positive (min r = {rmin})")
     r1, r2 = _stencil_derivatives(kit, r)
@@ -370,28 +399,26 @@ def _curvatures(kit: _GridKit, r: np.ndarray):
     r1r1 = r1 * r1
     w2 = rr + r1r1
     w = np.sqrt(w2)
-    k_rad = (rr + 2.0 * r1r1 - r * r2) / (w2 * w)
+    sig = np.empty((kit.dim + 1, r.size))
+    sig[0] = 1.0
     if kit.dim == 1:
-        kappa = k_rad[:, None]
-        sig = np.empty((r.size, 2))
-        sig[:, 0] = 1.0
-        sig[:, 1] = k_rad
+        np.divide(rr + 2.0 * r1r1 - r * r2, w2 * w, out=sig[1])
+        kappa = sig[1:]
         dmu = kit.area_weight * w
     else:
-        kappa = np.empty((r.size, 2))
-        kappa[:, 0] = k_rad
-        kappa[1:-1, 1] = (r[1:-1] * kit.sin[1:-1] - r1[1:-1] * kit.cos[1:-1]) / (
-            w[1:-1] * r[1:-1] * kit.sin[1:-1]
-        )
-        kappa[0, 1] = k_rad[0]
-        kappa[-1, 1] = k_rad[-1]
-        sig = np.empty((r.size, 3))
-        sig[:, 0] = 1.0
-        sig[:, 1] = kappa[:, 0] + kappa[:, 1]
-        sig[:, 2] = kappa[:, 0] * kappa[:, 1]
-        dmu = kit.area_weight * (r * w)
-    if not np.isfinite(sig).all():
-        bad = int(np.argwhere(~np.isfinite(sig))[0][0])
+        kappa = np.empty((2, r.size))
+        k_rad, k_par = kappa
+        np.divide(rr + 2.0 * r1r1 - r * r2, w2 * w, out=k_rad)
+        rw = r * w
+        sin = kit.pole_safe_sin
+        np.divide(r * sin - r1 * kit.cos, rw * sin, out=k_par)
+        k_par[0] = k_rad[0]
+        k_par[-1] = k_rad[-1]
+        np.add(k_rad, k_par, out=sig[1])
+        np.multiply(k_rad, k_par, out=sig[2])
+        dmu = kit.area_weight * rw
+    if not np.logical_and.reduce(np.isfinite(sig), axis=None):
+        bad = int(np.argwhere(~np.isfinite(sig.T))[0][0])
         raise ValueError(f"non-finite curvature data at node {bad}")
     return r1, r2, w, rr, kappa, sig, dmu
 
@@ -400,7 +427,7 @@ def _pointwise(kit: _GridKit, r: np.ndarray) -> PointwiseGeometry:
     r1, r2, w, rr, kappa, sig, dmu = _curvatures(kit, r)
     return PointwiseGeometry(
         dim=kit.dim, param=kit.param, h=kit.h, r=r, r1=r1, r2=r2, w=w, u=rr / w,
-        kappa=kappa, sigma=sig, dmu=dmu,
+        kappa=kappa.T, sigma=sig.T, dmu=dmu,
     )
 
 
@@ -437,7 +464,7 @@ def quermass_sigma(geo: PointwiseGeometry, m: int) -> float:
     n = geo.dim
     if not 1 <= m <= n:
         raise ValueError(f"sigma-form index m={m} out of range 1..{n}")
-    return cnk(n, m) * float((geo.sigma[:, m - 1] * geo.dmu).sum())
+    return cnk(n, m) * float(np.add.reduce(geo.sigma[:, m - 1] * geo.dmu))
 
 
 def quermass_minkowski(geo: PointwiseGeometry, m: int) -> float:
@@ -448,7 +475,7 @@ def quermass_minkowski(geo: PointwiseGeometry, m: int) -> float:
     n = geo.dim
     if not 0 <= m <= n:
         raise ValueError(f"Minkowski-form index m={m} out of range 0..{n}")
-    return float((geo.u * geo.sigma[:, m] * geo.dmu).sum())
+    return float(np.add.reduce(geo.u * geo.sigma[:, m] * geo.dmu))
 
 
 def quermass_vector(geo: PointwiseGeometry) -> np.ndarray:

@@ -14,6 +14,7 @@ of `elem_sym_table` and `elem_sym_gradient_table`. The scalar helpers and
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, frexp, isfinite
 
 import numpy as np
@@ -115,8 +116,12 @@ def elem_sym_gradient_table(lams: np.ndarray, m: int) -> np.ndarray:
     return out.T
 
 
+@lru_cache(maxsize=256)
 def cnk(n, k) -> float:
-    """Ratio sigma_k(I)/sigma_{k-1}(I) = (n - k + 1)/k for the all-ones vector."""
+    """Ratio sigma_k(I)/sigma_{k-1}(I) = (n - k + 1)/k for the all-ones vector.
+
+    Cached: the flow reads it on every stage. A bad degree raises on every
+    call, since a raised call is not cached."""
     n, k = _degree(n), _degree(k)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")

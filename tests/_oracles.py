@@ -3,8 +3,9 @@
 These deliberately avoid the library's evaluation paths: symmetric
 functions by subset enumeration and by the row-major table update,
 curvature by second-order finite differences on embedded points,
-integrals by very fine trapezoid sums, and the sixth-order radial
-stencils on an array padded with ghost nodes.
+integrals by very fine trapezoid sums, the sixth-order radial
+stencils on an array padded with ghost nodes, and the radial-graph
+curvature data on row-major per-node tables.
 """
 
 from itertools import combinations
@@ -66,6 +67,52 @@ def stencil_derivatives_padded(r, dim, h):
     d1 = (45.0 * a1 - 9.0 * a2 + a3) / (60.0 * h)
     d2 = (270.0 * s1 - 27.0 * s2 + 2.0 * s3 - 490.0 * f) / (180.0 * h * h)
     return d1, d2
+
+
+def curvatures_rowmajor(r, dim):
+    """(kappa, sigma, w, u, dmu) of radial samples on the grid of
+    geometry.RadialGraph, with kappa an (M, n) and sigma an (M, n + 1)
+    table written one strided column at a time, the parallel curvature
+    computed on the interior nodes only and set to the meridian value at
+    the poles. Derivatives from stencil_derivatives_padded; the
+    arithmetic is the formula of geometry.compute_geometry, term by term."""
+    r = np.asarray(r, float)
+    size = r.size
+    if dim == 1:
+        h = 2.0 * np.pi / size
+    else:
+        h = np.pi / (size - 1)
+    r1, r2 = stencil_derivatives_padded(r, dim, h)
+    rr = r * r
+    r1r1 = r1 * r1
+    w2 = rr + r1r1
+    w = np.sqrt(w2)
+    k_rad = (rr + 2.0 * r1r1 - r * r2) / (w2 * w)
+    if dim == 1:
+        kappa = k_rad[:, None]
+        sig = np.empty((size, 2))
+        sig[:, 0] = 1.0
+        sig[:, 1] = k_rad
+        dmu = np.full(size, h) * w
+    else:
+        phi = np.pi * np.arange(size) / (size - 1)
+        sin, cos = np.sin(phi), np.cos(phi)
+        kappa = np.empty((size, 2))
+        kappa[:, 0] = k_rad
+        kappa[1:-1, 1] = (r[1:-1] * sin[1:-1] - r1[1:-1] * cos[1:-1]) / (
+            w[1:-1] * r[1:-1] * sin[1:-1]
+        )
+        kappa[0, 1] = k_rad[0]
+        kappa[-1, 1] = k_rad[-1]
+        sig = np.empty((size, 3))
+        sig[:, 0] = 1.0
+        sig[:, 1] = kappa[:, 0] + kappa[:, 1]
+        sig[:, 2] = kappa[:, 0] * kappa[:, 1]
+        simpson = np.ones(size)
+        simpson[1:-1:2] = 4.0
+        simpson[2:-1:2] = 2.0
+        dmu = simpson * (h / 3.0) * (2.0 * np.pi) * sin * (r * w)
+    return kappa, sig, w, rr / w, dmu
 
 
 def curve_curvature_fd2(points):

@@ -198,6 +198,29 @@ class TestRun:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, key", [
+        ("run", "output.trajectory_path"),
+        ("verify symfunc", "verify.report_path"),
+        ("sweep", "sweep.index_path"),
+        ("sweep", "sweep.trajectory_dir"),
+    ])
+    def test_unwritable_output_exits_two_naming_path(self, tmp_path, capsys, command, key):
+        # an output path under a regular file cannot be created
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, **{
+            "problem.mode": "rescaled_raw",
+            "verify.samples": 2000,
+            "sweep.shapes": [{"type": "sphere", "params": {"radius": 1.0}}],
+            "sweep.k_values": [1],
+            "sweep.index_path": str(tmp_path / "index.csv"),
+            "sweep.trajectory_dir": str(tmp_path / "trajs"),
+        })
+        blocked = cfg_path / ("out" if key.endswith("_dir") else "out.csv")
+        argv = command.split() + [str(cfg_path), "--quiet", "--set", f"{key}={blocked}"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot write output" in err and str(cfg_path) in err
+
     @pytest.mark.parametrize("deleted", ["problem.mode", "stepping"])
     def test_verify_monotone_missing_mode_named(self, tmp_path, capsys, deleted):
         cfg_path = tmp_path / "cfg.json"
@@ -422,7 +445,6 @@ class TestSweep:
         ]
         cfg = {
             "problem": {"n": 1, "k": 1, "mode": "rescaled_raw"},
-            "shape": shapes[0],
             "grid": {"N": 64},
             "stepping": {"t_max": 0.05, "dt_init": 1e-3, "cfl_coefficient": 0.2},
             "output": {"trajectory_path": str(tmp_path / "unused.csv")},
@@ -477,6 +499,16 @@ class TestSweep:
         path = self._sweep_config(tmp_path)
         cfg = json.loads(path.read_text())
         del cfg["output"]
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["sweep", str(path), "--quiet"]) == cli.EXIT_OK
+        assert len(read_csv(tmp_path / "index.csv")) == 1 + 6
+
+    def test_sweep_needs_no_shape_section_or_problem_k(self, tmp_path):
+        # shapes come from sweep.shapes and degrees from sweep.k_values
+        path = self._sweep_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        del cfg["problem"]["k"]
+        assert "shape" not in cfg
         path.write_text(json.dumps(cfg))
         assert cli.main(["sweep", str(path), "--quiet"]) == cli.EXIT_OK
         assert len(read_csv(tmp_path / "index.csv")) == 1 + 6

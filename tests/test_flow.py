@@ -383,7 +383,12 @@ class TestLeanStage:
          ellipsoid_of_revolution(1.2, 1.0, 64)),
         (FlowConfig(n=2, k=2, mode="rescaled_raw", t_max=0.01, sample_every=3),
          ellipsoid_of_revolution(1.2, 1.0, 64)),
-    ], ids=["raw", "normalized", "rescaled_raw"])
+        # the benchmark's run workloads on their own grids, truncated in t_max
+        (FlowConfig(n=1, k=1, mode="rescaled_raw", t_max=0.005, dt_init=1e-3,
+                    sample_every=20), ellipse(2.0, 1.0, 128)),
+        (FlowConfig(n=2, k=1, mode="rescaled_raw", t_max=0.0005, dt_init=1e-3,
+                    sample_every=20), ellipsoid_of_revolution(1.5, 1.0, 512)),
+    ], ids=["raw", "normalized", "rescaled_raw", "ellipse-128", "spheroid-512"])
     def test_run_csv_identical_to_full_geometry_stages(self, monkeypatch, tmp_path, config, shape):
         lean = run(config, shape)
         monkeypatch.setattr(fl, "_stage", _full_stage)

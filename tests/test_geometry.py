@@ -25,6 +25,7 @@ from starflow.geometry import (
 )
 from starflow.verify import _curve_geometry, _meridian_geometry, curve_from_radial
 from _oracles import (
+    curvatures_rowmajor,
     curve_curvature_fd2,
     ellipse_mean_radius,
     ellipse_perimeter,
@@ -158,7 +159,9 @@ class TestPointwiseGeometry:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("num", [16, 18, 128, 512])
     def test_stencils_match_ghost_node_oracle_bitwise(self, dim, num):
-        # 16 and 18 are the smallest grids allowed (geometry.MIN_NODES = 16)
+        # 16 and 18 are the smallest grids allowed (geometry.MIN_NODES = 16);
+        # the curvature rows also match the row-major tables bitwise, poles
+        # included, with (M, n) and (M, n + 1) views of contiguous rows
         rng = np.random.default_rng(1000 * dim + num)
         size = num if dim == 1 else num + 1
         for r in (rng.uniform(0.5, 2.0, size), 1.0 + 0.1 * rng.standard_normal(size)):
@@ -167,6 +170,12 @@ class TestPointwiseGeometry:
             d1, d2 = stencil_derivatives_padded(g.r, dim, g.h)
             assert geo.r1.tobytes() == d1.tobytes()
             assert geo.r2.tobytes() == d2.tobytes()
+            assert geo.kappa.shape == (size, dim) and geo.sigma.shape == (size, dim + 1)
+            assert geo.kappa.T.flags.c_contiguous and geo.sigma.T.flags.c_contiguous
+            want = curvatures_rowmajor(r, dim)
+            for got, expected in zip((geo.kappa, geo.sigma, geo.w, geo.u, geo.dmu), want):
+                assert got.shape == expected.shape
+                assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
 
     def test_pole_derivative_vanishes(self):
         # even reflection makes the profile derivative exactly zero at poles

@@ -7,8 +7,12 @@ every name it reads is still an attribute of its starflow module.
 
 The replay metrics time single layer functions on states captured at a
 fixed accepted step of three flows. A flow that ends before that step fails
-the traced benchmark run, so the second guard builds those captures."""
+the traced benchmark run, so the second guard builds those captures. The
+replay reads 0 for a function that no longer resolves, so the third guard
+checks every starflow attribute its source calls or reads."""
 
+import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -71,3 +75,39 @@ def test_replay_captures_reach_their_step(monkeypatch):
     captures = replay.captures()
     assert sorted(captures) == ["n1_N128", "n2_N256", "n2_N512"]
     assert [state.accepted for _, state in captures.values()] == [replay.CAPTURE_STEP] * 3
+
+
+def replay_attributes() -> set:
+    """Dotted names perfbench/replay.py reads from starflow: `module.attr`
+    for the layer modules it imports and `FlowConfig.attr` for attributes
+    read through a flow config (`fc`)."""
+    with open(os.path.join(ROOT, "perfbench", "replay.py")) as fh:
+        tree = ast.parse(fh.read())
+    modules = {"cli", "flow", "geometry", "symfunc", "verify"}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                names.add(f"{node.value.id}.{node.attr}")
+            elif node.value.id == "fc":
+                names.add(f"FlowConfig.{node.attr}")
+    return names
+
+
+def test_every_replayed_attribute_resolves():
+    names = replay_attributes()
+    assert {"flow.step", "flow.stability_cap", "FlowConfig.cfl_coefficient",
+            "geometry.compute_geometry", "geometry.refine", "verify.curve_from_radial",
+            "verify.radial_from_curve", "symfunc.elem_sym_table"} <= names
+    flow = importlib.import_module("starflow.flow")
+    fields = {field.name for field in dataclasses.fields(flow.FlowConfig)}
+    missing = []
+    for name in sorted(names):
+        owner, attr = name.split(".")
+        if owner == "FlowConfig":
+            found = attr in fields
+        else:
+            found = hasattr(importlib.import_module(f"starflow.{owner}"), attr)
+        if not found:
+            missing.append(name)
+    assert missing == []

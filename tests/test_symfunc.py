@@ -119,18 +119,19 @@ class TestCnk:
         assert sfc.cnk(2, 2) == 0.5
 
     def test_binomial_ratio_oracle(self):
-        for n in range(1, 9):
-            for k in range(1, n + 1):
-                assert sfc.cnk(n, k) == pytest.approx(
-                    math.comb(n, k) / math.comb(n, k - 1), rel=1e-15
-                )
-                assert sfc.cnk(n, k) == pytest.approx((n - k + 1) / k, rel=1e-15)
+        # cnk is cached: the calls after the first return the cached value
+        for _ in range(2):
+            for n in range(1, 9):
+                for k in range(1, n + 1):
+                    assert sfc.cnk(n, k) == math.comb(n, k) / math.comb(n, k - 1)
+                    assert sfc.cnk(n, k) == pytest.approx((n - k + 1) / k, rel=1e-15)
+        assert sfc.cnk(2.0, 1) == sfc.cnk(2, 1)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            sfc.cnk(2, 3)
-        with pytest.raises(ValueError):
-            sfc.cnk(3, 0)
+        # a raised call is not cached: a repeated bad degree raises again
+        for n, k in ((2, 3), (3, 0), (2.5, 1), (2, 1.5)) * 2:
+            with pytest.raises(ValueError):
+                sfc.cnk(n, k)
 
 
 class TestGammaCone:
