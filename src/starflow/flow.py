@@ -26,6 +26,12 @@ estimate of Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88,
 time warm-started from the previous iterate. A run of conservation
 rejections whose drift rate does not fall as dt is halved stops with
 the first drift rate and its dt: no step size can fix it.
+
+The conventions are read, not restated: `monotone_pair` decides which
+V_j a flow holds (and which I_m it raises), `geometry.quermass` computes
+every V_j the guard and the record read, `geometry._iso` is the I_m
+formula of the record, and `symfunc._cone_status` is the strict
+k-convexity test of step acceptance.
 """
 
 from __future__ import annotations
@@ -41,13 +47,13 @@ from .geometry import (
     PointwiseGeometry,
     RadialGraph,
     ShapeError,
+    _iso,
     compute_geometry,
-    iso_ratio,
-    quermass_minkowski,
-    quermass_sigma,
+    quermass,
+    quermass_sigma,  # noqa: F401 -- perfbench/selftest.py checks its tracer patches flow's name
     roundness,
 )
-from .symfunc import cnk
+from .symfunc import _cone_status, cnk
 
 __all__ = [
     "MODES",
@@ -329,24 +335,22 @@ def stability_cap(geo: PointwiseGeometry, k: int, cfl: float) -> float:
 
 
 def _strictly_kconvex(geo: PointwiseGeometry, k: int) -> tuple[bool, str]:
-    sig = geo.sigma.T
-    for m in range(1, k + 1):
-        low = np.minimum.reduce(sig[m])
-        if not low > 0.0:
-            return False, f"sigma_{m} min {low:.6e}"
-    return True, ""
+    """(True, "") inside the open cone Gamma_k, else False and the first failing degree."""
+    mins = np.minimum.reduce(geo.sigma.T[1 : k + 1], axis=1)
+    if _cone_status(mins, geo.kappa) == "strict":
+        return True, ""
+    m = int(np.argmin(mins > 0.0))
+    return False, f"sigma_{m + 1} min {mins[m]:.6e}"
 
 
 def _conserved_value(geo: PointwiseGeometry, log_scale: float, config: FlowConfig) -> float | None:
-    """Quantity the conserving modes must hold fixed, in the rescaled gauge."""
+    """Quantity the conserving modes must hold fixed, in the rescaled gauge:
+    V_j of `monotone_pair`, times e^{-j log_scale} in mode rescaled_raw."""
     if config.mode == "raw":
         return None
-    n, k = config.n, config.k
-    if config.mode == "normalized":
-        return quermass_sigma(geo, k + 1)
-    if k <= n - 1:
-        return exp(-(n - k) * log_scale) * quermass_sigma(geo, k + 1)
-    return exp(-(n + 1) * log_scale) * quermass_minkowski(geo, 0)
+    held = monotone_pair(config.n, config.k)[1]
+    value = quermass(geo, config.n + 1 - held)
+    return value if config.mode == "normalized" else exp(-held * log_scale) * value
 
 
 @dataclass(frozen=True)
@@ -469,12 +473,12 @@ def _record_row(state: FlowState, config: FlowConfig) -> tuple:
     n, k = config.n, config.k
     geo = state.geo
     scale = exp(-state.log_scale) if config.mode == "rescaled_raw" else 1.0
-    vees = [quermass_minkowski(geo, 0) * scale ** (n + 1)]
-    vees += [quermass_sigma(geo, m) * scale ** (n + 1 - m) for m in range(1, n + 1)]
-    isos = [iso_ratio(geo, m) for m in range(n)]
+    # each V_j once; the iso ratios are scale invariant and read the unscaled values
+    vees = [quermass(geo, m) for m in range(n + 1)]
     rate = _scale_rate(geo, k)
     row = [state.t, state.last_dt, state.log_scale]
-    row += vees + isos
+    row += [v * scale ** (n + 1 - m) for m, v in enumerate(vees)]
+    row += [_iso(vees[m], vees[m + 1], n, m) for m in range(n)]
     row += [rate, roundness(state.graph), float(np.min(geo.sigma[:, k])) / scale**k]
     return tuple(row)
 

@@ -12,6 +12,12 @@ composite Simpson (dim 2) quadrature. The parallel principal curvature at the po
 its smooth limit, the meridian value; the sin(phi) area weight vanishes
 there, so the choice does not touch any integral.
 
+Two conventions have their one owner here: `quermass(geo, m)` is the only
+place that picks between the Minkowski form (m = 0) and the curvature
+integral (m >= 1) for V_{n+1-m}, and `_iso` is the only formula of the
+ratio I_m = V_{n+1-m}^{1/(n+1-m)} / V_{n-m}^{1/(n-m)}. The Garding-cone
+status of `kconvex_report` is `symfunc`'s.
+
 The curvature data are stored row by row: kappa as an (n, M) array and
 sigma_0..sigma_n as an (n + 1, M) array, one contiguous row per
 principal direction or degree, which is the layout the flow's stages and
@@ -29,7 +35,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .symfunc import cnk
+from .symfunc import _cone_status, cnk
 
 __all__ = [
     "ShapeError",
@@ -44,6 +50,7 @@ __all__ = [
     "compute_geometry",
     "quermass_sigma",
     "quermass_minkowski",
+    "quermass",
     "quermass_vector",
     "iso_ratio",
     "iso_ratio_ball",
@@ -225,6 +232,9 @@ def perturbed_sphere(
     else:
         x = pi * np.arange(num + 1) / num
     if mode is not None:
+        # a fractional mode is not periodic on the grid: it leaves a kink
+        if not float(mode).is_integer():
+            raise ShapeError(f"perturbation mode must be a whole number, got {mode!r}")
         if mode < 1:
             raise ShapeError("perturbation mode must be >= 1")
         bump = np.cos(mode * x)
@@ -478,15 +488,17 @@ def quermass_minkowski(geo: PointwiseGeometry, m: int) -> float:
     return float(np.add.reduce(geo.u * geo.sigma[:, m] * geo.dmu))
 
 
+def quermass(geo: PointwiseGeometry, m: int) -> float:
+    """V_{n+1-m} for 0 <= m <= n: the Minkowski form at m = 0, where the curvature
+    integral has no index, and the curvature integral otherwise."""
+    if not 0 <= m <= geo.dim:
+        raise ValueError(f"quermass index m={m} out of range 0..{geo.dim}")
+    return quermass_minkowski(geo, 0) if m == 0 else quermass_sigma(geo, m)
+
+
 def quermass_vector(geo: PointwiseGeometry) -> np.ndarray:
-    """V_{n+1}, V_n, ..., V_1: index m=0 via the Minkowski form, the rest
-    via the curvature integrals."""
-    n = geo.dim
-    out = np.empty(n + 1)
-    out[0] = quermass_minkowski(geo, 0)
-    for m in range(1, n + 1):
-        out[m] = quermass_sigma(geo, m)
-    return out
+    """V_{n+1}, V_n, ..., V_1: `quermass` at m = 0..n."""
+    return np.array([quermass(geo, m) for m in range(geo.dim + 1)])
 
 
 def sphere_area(n: int) -> float:
@@ -501,8 +513,13 @@ def unit_ball_quermass(n: int, m: int) -> float:
     return comb(n, m) * sphere_area(n)
 
 
+def _iso(v_hi: float, v_lo: float, n: int, m: int) -> float:
+    """I_m from v_hi = V_{n+1-m} and v_lo = V_{n-m}: the one formula of the iso ratio."""
+    return v_hi ** (1.0 / (n + 1 - m)) / v_lo ** (1.0 / (n - m))
+
+
 def iso_ratio(geo: PointwiseGeometry, k: int) -> float:
-    """Scale-invariant ratio V_{n+1-k}^{1/(n+1-k)} / V_{n-k}^{1/(n-k)}.
+    """Scale-invariant ratio I_k = V_{n+1-k}^{1/(n+1-k)} / V_{n-k}^{1/(n-k)}.
 
     k = 0 pairs the Minkowski-form volume integral with the surface
     measure. k = n is rejected: the lower exponent 1/(n-k) degenerates.
@@ -510,18 +527,14 @@ def iso_ratio(geo: PointwiseGeometry, k: int) -> float:
     n = geo.dim
     if not 0 <= k <= n - 1:
         raise ValueError(f"iso ratio index k={k} out of range 0..{n - 1}")
-    v_hi = quermass_minkowski(geo, 0) if k == 0 else quermass_sigma(geo, k)
-    v_lo = quermass_sigma(geo, k + 1)
-    return v_hi ** (1.0 / (n + 1 - k)) / v_lo ** (1.0 / (n - k))
+    return _iso(quermass(geo, k), quermass(geo, k + 1), n, k)
 
 
 def iso_ratio_ball(n: int, k: int) -> float:
     """iso_ratio of the round ball, in closed form."""
     if not 0 <= k <= n - 1:
         raise ValueError(f"iso ratio index k={k} out of range 0..{n - 1}")
-    v_hi = unit_ball_quermass(n, k)
-    v_lo = unit_ball_quermass(n, k + 1)
-    return v_hi ** (1.0 / (n + 1 - k)) / v_lo ** (1.0 / (n - k))
+    return _iso(unit_ball_quermass(n, k), unit_ball_quermass(n, k + 1), n, k)
 
 
 def kconvex_report(geo: PointwiseGeometry, k: int, tol_cone: float = 1e-10) -> ConvexityReport:
@@ -529,21 +542,13 @@ def kconvex_report(geo: PointwiseGeometry, k: int, tol_cone: float = 1e-10) -> C
 
     strict: all minima positive. nonstrict: within -tol_cone (scaled by
     the degree-m power of the curvature magnitude) of zero. violated
-    otherwise.
+    otherwise. The test is `symfunc`'s, shared with `in_gamma_k`.
     """
     n = geo.dim
     if not 1 <= k <= n:
         raise ValueError(f"convexity level k={k} out of range 1..{n}")
     mins = geo.sigma[:, 1 : k + 1].min(axis=0)
-    scale = max(1.0, float(np.max(np.abs(geo.kappa))))
-    floor = -tol_cone * scale ** np.arange(1, k + 1)
-    if np.all(mins > 0.0):
-        status = "strict"
-    elif np.all(mins >= floor):
-        status = "nonstrict"
-    else:
-        status = "violated"
-    return ConvexityReport(k=k, min_sigma=mins, status=status)
+    return ConvexityReport(k=k, min_sigma=mins, status=_cone_status(mins, geo.kappa, tol_cone))
 
 
 def roundness(g: RadialGraph) -> float:
@@ -599,21 +604,14 @@ def embed(g: RadialGraph) -> np.ndarray:
 def export_snapshot(geo: PointwiseGeometry, k: int, path) -> None:
     """Write one surface snapshot as CSV.
 
-    Columns: grid_coordinate, r, kappa_1[, kappa_2], u, sigma_k.
+    Columns: grid_coordinate, r, kappa_1..kappa_n, u, sigma_k.
     """
     n = geo.dim
     if not 1 <= k <= n:
         raise ValueError(f"snapshot sigma level k={k} out of range 1..{n}")
-    header = ["grid_coordinate", "r", "kappa_1"]
-    if n == 2:
-        header.append("kappa_2")
-    header += ["u", "sigma_k"]
+    header = ["grid_coordinate", "r"] + [f"kappa_{i}" for i in range(1, n + 1)] + ["u", "sigma_k"]
+    table = np.column_stack([geo.param, geo.r, geo.kappa, geo.u, geo.sigma[:, k]])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(geo.r.size):
-            row = [geo.param[i], geo.r[i], geo.kappa[i, 0]]
-            if n == 2:
-                row.append(geo.kappa[i, 1])
-            row += [geo.u[i], geo.sigma[i, k]]
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows([repr(float(v)) for v in row] for row in table)

@@ -5,7 +5,9 @@ incrementally, one entry at a time. The recurrence costs O(n*m), avoids
 the cancellation of naive subset expansion, and is exact for integer
 input up to rounding. Tables are column-major: the recurrence runs on one
 contiguous array per degree, and each table is a view with contiguous
-columns. Garding-cone tests live here as well, and each identity the
+columns. The Garding-cone test lives here as well: `_cone_status` is the
+one strict / nonstrict / violated rule, read by `in_gamma_k`,
+`geometry.kconvex_report` and the flow's step acceptance. Each identity the
 paper's argument uses (the polarization row-sum, the Newton gap, the
 MacLaurin power gap) is written here once, as a table form on the arrays
 of `elem_sym_table` and `elem_sym_gradient_table`. The scalar helpers and
@@ -128,23 +130,28 @@ def cnk(n, k) -> float:
     return comb(n, k) / comb(n, k - 1)
 
 
+def _cone_status(mins: np.ndarray, kappa: np.ndarray, tol_cone: float = 1e-10) -> str:
+    """Garding-cone status ("strict", "nonstrict" or "violated") of curvatures kappa
+    whose sigma_1..sigma_k have the minima mins. The closure floor of sigma_m is
+    -tol_cone * max(1, max|kappa|)**m; kappa is read only when a minimum is not positive."""
+    if np.minimum.reduce(mins) > 0.0:  # a NaN minimum compares false
+        return "strict"
+    scale = max(1.0, float(np.max(np.abs(kappa))))
+    floor = -tol_cone * scale ** np.arange(1, mins.size + 1)
+    return "nonstrict" if np.all(mins >= floor) else "violated"
+
+
 def in_gamma_k(lam, k, strict: bool = True, tol_cone: float = 1e-10) -> bool:
     """Garding cone membership: sigma_m positive for all m <= k.
 
-    With strict=False the closure is approximated by sigma_m >=
-    -tol_cone * scale**m, where scale = max(1, max|lam|) accounts for
-    the degree-m homogeneity of sigma_m.
+    With strict=False, membership of the closure as `_cone_status` floors it.
     """
     lam = _vector(lam)
     k = _degree(k)
     if not 1 <= k <= lam.size:
         raise ValueError(f"cone level k={k} out of range 1..{lam.size}")
-    sig = elem_sym_all(lam)
-    if strict:
-        return bool(np.all(sig[1 : k + 1] > 0.0))
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    floor = -tol_cone * scale ** np.arange(1, k + 1)
-    return bool(np.all(sig[1 : k + 1] >= floor))
+    status = _cone_status(elem_sym_all(lam)[1 : k + 1], lam, tol_cone)
+    return status == "strict" if strict else status != "violated"
 
 
 def polarized_sigma_square_table(lams: np.ndarray, grad: np.ndarray) -> np.ndarray:

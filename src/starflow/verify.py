@@ -30,8 +30,7 @@ from .geometry import (
     embed,
     iso_ratio_ball,
     kconvex_report,
-    quermass_minkowski,
-    quermass_sigma,
+    quermass_vector,
     sphere_area,
     unit_ball_quermass,
 )
@@ -585,11 +584,10 @@ def check_af_chain(geo: PointwiseGeometry, k: int, slack: float = 1e-6):
             "inequality chain precondition fails"
         )
     reports = []
+    vees = quermass_vector(geo)
     for m in range(0, min(k, n - 1) + 1):
-        v_hi = quermass_minkowski(geo, 0) if m == 0 else quermass_sigma(geo, m)
-        v_lo = quermass_sigma(geo, m + 1)
-        lhs = (v_hi / unit_ball_quermass(n, m)) ** (1.0 / (n + 1 - m))
-        rhs = (v_lo / unit_ball_quermass(n, m + 1)) ** (1.0 / (n - m))
+        lhs = (vees[m] / unit_ball_quermass(n, m)) ** (1.0 / (n + 1 - m))
+        rhs = (vees[m + 1] / unit_ball_quermass(n, m + 1)) ** (1.0 / (n - m))
         gap = lhs - rhs
         reports.append(
             _report(
@@ -622,6 +620,9 @@ def check_monotone_series(
     t = record.column("t")
     cons_name = f"V{held}"
     vcons = record.column(cons_name)
+    if t.size < 2:
+        raise ValueError(f"monotonicity check needs at least two samples, got {t.size} "
+                         f"(stop reason {record.stop_reason!r})")
     grid = f"samples={t.size}"
     drops = np.diff(iso)
     j = int(np.argmin(drops))

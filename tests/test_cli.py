@@ -173,6 +173,9 @@ class TestRun:
         ("sweep", 'sweep.shapes=[{"type": "sphere", "params": {"radius": "one"}}]',
          "sweep.shapes"),
         ("run", 'shape.params={"radius": "one"}', "shape.params"),
+        # the base shape is a sphere, which reads only its radius: name the shape type too
+        ("run", 'shape={"type": "perturbed_sphere", "params": {"radius": 1.0, "eps": 0.1, '
+                '"mode": 2.5}}', "shape.params"),
         ("sweep", 'sweep.seeds=["x"]', "sweep.seeds"),
         ("sweep", "sweep.seeds=[]", "sweep.seeds"),
         ("sweep", "sweep.k_values=[]", "sweep.k_values"),
@@ -250,7 +253,8 @@ class TestRun:
         assert cli.main(["run", str(cfg_path)]) == cli.EXIT_CONFIG
         assert "precondition" in capsys.readouterr().err
 
-    def test_numerical_failure_exports_partial(self, tmp_path, capsys):
+    @pytest.mark.parametrize("snapshot_every", [0, 1])
+    def test_numerical_failure_exports_partial(self, tmp_path, capsys, snapshot_every):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path, **{
             "problem.n": 2,
@@ -258,11 +262,29 @@ class TestRun:
             "shape.type": "ellipsoid_of_revolution",
             "shape.params": {"a": 1.2, "c": 1.0},
             "tolerances.tol_conserve": 0.0,
+            "output.snapshot_every": snapshot_every,
         })
         assert cli.main(["run", str(cfg_path)]) == cli.EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
         rows = read_csv(tmp_path / "traj.csv")
         assert len(rows) >= 2  # header plus at least the initial sample
+        last = tmp_path / "snapshot_last.csv"
+        if snapshot_every:
+            snap = read_csv(last)
+            assert snap[0] == ["grid_coordinate", "r", "kappa_1", "kappa_2", "u", "sigma_k"]
+            assert len(snap) == 1 + 65
+        else:
+            assert not last.exists()
+
+    def test_verify_monotone_on_one_row_names_the_cause(self, tmp_path, capsys):
+        # a sphere is round at t = 0, so the run stops there with a single record row
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, **{"problem.mode": "rescaled_raw", "tolerances.tol_round": 1e-3})
+        assert cli.main(["verify", "monotone", str(cfg_path), "--quiet"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert ("precondition failed: monotonicity check needs at least two samples, got 1 "
+                "(stop reason 'round')") in err
+        assert "argmin" not in err and "Traceback" not in err
 
     def test_verify_monotone_numerical_failure_exits_three(self, tmp_path, capsys):
         # stops with a conservation drift stall on its first step
@@ -430,6 +452,23 @@ class TestVerify:
             "verify": {"report_path": str(tmp_path / "r.csv")},
         }))
         assert cli.main(["verify", "af", str(cfg_path), "--quiet"]) == cli.EXIT_OK
+
+    def test_monotone_default_battery(self, tmp_path, capsys, monkeypatch):
+        # the two acceptance runs, truncated: a short run sits away from the round
+        # ball, so the terminal checks get a tolerance that such a run meets
+        full = cli._monotone_run
+        monkeypatch.setattr(cli, "_monotone_run", lambda n, k, g, t_max: full(n, k, g, 0.05))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"verify": {
+            "report_path": str(tmp_path / "report.csv"),
+            "tolerance_overrides": {"monotone/terminal_I0": 0.1, "monotone/terminal_I1": 0.1},
+        }}))
+        assert cli.main(["verify", "monotone", str(cfg_path), "--quiet"]) == cli.EXIT_OK
+        names = [row[0] for row in read_csv(tmp_path / "report.csv")[1:]]
+        assert names == [
+            "monotone/I0_nondecreasing", "monotone/V2_conserved", "monotone/terminal_I0",
+            "monotone/I1_nondecreasing", "monotone/V1_conserved", "monotone/terminal_I1",
+        ]
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -27,8 +27,10 @@ from starflow.geometry import (
     ellipsoid_of_revolution,
     iso_ratio,
     perturbed_sphere,
+    quermass,
     sphere,
 )
+from starflow.symfunc import elem_sym_table
 
 
 class TestConfigValidation:
@@ -301,6 +303,42 @@ class TestRun:
         mono, held = fl.monotone_pair(n, k)
         assert (mono, held) == pair
         assert {f"I{mono}", f"V{held}"} <= set(fl.record_columns(n))
+
+
+class TestQuermassOwners:
+    @pytest.mark.parametrize("n, k, mode", [(1, 1, "rescaled_raw"), (2, 1, "normalized"),
+                                            (2, 1, "rescaled_raw"), (2, 2, "rescaled_raw")])
+    def test_record_row_reads_each_quermass_once(self, n, k, mode, monkeypatch):
+        config = FlowConfig(n=n, k=k, mode=mode, t_max=0.01)
+        shape = ellipse(2.0, 1.0, 64) if n == 1 else ellipsoid_of_revolution(1.2, 1.0, 64)
+        state = run(config, shape).final_state
+        assert state.log_scale != 0.0
+        calls = []
+        monkeypatch.setattr(fl, "quermass", lambda geo, m: calls.append(m) or quermass(geo, m))
+        row = dict(zip(fl.record_columns(n), fl._record_row(state, config)))
+        assert sorted(calls) == list(range(n + 1))
+        scale = exp(-state.log_scale) if mode == "rescaled_raw" else 1.0
+        for m in range(n):
+            assert row[f"I{m}"] == iso_ratio(state.geo, m)
+        for m in range(n + 1):
+            assert row[f"V{n + 1 - m}"] == quermass(state.geo, m) * scale ** (n + 1 - m)
+        # the guard holds the V_j that monotone_pair names, in the same gauge
+        held = fl.monotone_pair(n, k)[1]
+        conserved = fl._conserved_value(state.geo, state.log_scale, config)
+        assert conserved == pytest.approx(row[f"V{held}"], rel=1e-14)
+
+    @pytest.mark.parametrize("lam, k, why", [
+        ((1.0, 1.0), 2, ""),
+        ((1.0, -0.5), 1, ""),
+        ((1.0, -0.5), 2, "sigma_2 min -5.000000e-01"),
+        ((-1.0, 0.5), 2, "sigma_1 min -5.000000e-01"),
+        ((1.0, 0.0), 2, "sigma_2 min 0.000000e+00"),  # the closure is not strict
+    ])
+    def test_strict_test_names_first_failing_degree(self, lam, k, why):
+        geo = compute_geometry(sphere(1.0, 2, 16))
+        kappa = np.tile(lam, (geo.r.size, 1))
+        geo = replace(geo, kappa=kappa, sigma=elem_sym_table(kappa))
+        assert fl._strictly_kconvex(geo, k) == (not why, why)
 
 
 class TestRescale:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 from math import pi, sqrt
 
 import numpy as np
@@ -17,12 +18,14 @@ from starflow.geometry import (
     kconvex_report,
     make_shape,
     perturbed_sphere,
+    quermass,
     quermass_minkowski,
     quermass_sigma,
     refine,
     roundness,
     sphere,
 )
+from starflow.symfunc import elem_sym_table, in_gamma_k
 from starflow.verify import _curve_geometry, _meridian_geometry, curve_from_radial
 from _oracles import (
     curvatures_rowmajor,
@@ -74,6 +77,17 @@ class TestShapes:
             RadialGraph(1, np.ones(10))  # too coarse
         with pytest.raises(ShapeError):
             RadialGraph(3, np.ones(32))
+
+    def test_perturbed_mode_must_be_whole(self):
+        # a fractional mode leaves a kink where the angle wraps (dim 1) or at phi = pi
+        for dim in (1, 2):
+            with pytest.raises(ShapeError, match="whole number"):
+                perturbed_sphere(1.0, 0.1, mode=2.5, dim=dim, num=64)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ShapeError, match="whole number"):
+                perturbed_sphere(1.0, 0.1, mode=bad, num=64)
+        assert np.array_equal(perturbed_sphere(1.0, 0.1, mode=2.0, num=64).r,
+                              perturbed_sphere(1.0, 0.1, mode=2, num=64).r)
 
     def test_make_shape_dispatch(self):
         g = make_shape({"type": "ellipse", "params": {"a": 2, "b": 1}}, 1, 64)
@@ -225,6 +239,17 @@ class TestQuermass:
         assert vec == pytest.approx([4 * pi, 8 * pi, 4 * pi], rel=1e-9)
         assert np.all(vec > 0) and np.all(np.isfinite(vec))
 
+    def test_quermass_picks_one_form_per_index(self):
+        for g in (ellipse(2.0, 1.0, 64), ellipsoid_of_revolution(1.5, 1.0, 64)):
+            geo = compute_geometry(g)
+            n = g.dim
+            assert quermass(geo, 0) == quermass_minkowski(geo, 0)
+            for m in range(1, n + 1):
+                assert quermass(geo, m) == quermass_sigma(geo, m)
+            for m in (-1, n + 1):
+                with pytest.raises(ValueError, match="out of range 0.."):
+                    quermass(geo, m)
+
     @pytest.mark.parametrize(
         "graph",
         [
@@ -317,6 +342,26 @@ class TestConvexityRoundness:
         assert rep.status == "strict"
         assert rep.min_sigma[0] == pytest.approx(0.25, rel=1e-8)  # b/a^2
 
+    @pytest.mark.parametrize("lam, k, status", [
+        ((1.0, 1.0), 2, "strict"),
+        ((2.0, -1.0), 1, "strict"),
+        ((1.0, 0.0), 2, "nonstrict"),  # sigma_2 = 0: the closure, not the open cone
+        ((1.0, -1e-12), 2, "nonstrict"),
+        ((100.0, -1e-9), 2, "nonstrict"),  # sigma_2 = -1e-7, inside the floor -1e-10 * 100^2
+        ((1.0, -1e-9), 2, "violated"),  # sigma_2 = -1e-9 is below the floor -1e-10 at scale 1
+        ((1.0, -0.1), 2, "violated"),
+        ((0.0, 0.0), 1, "nonstrict"),
+        ((-1.0, 0.5), 1, "violated"),
+    ])
+    def test_cone_status_shared_by_report_and_in_gamma_k(self, lam, k, status):
+        # a dim-2 geometry whose every node carries the curvature vector lam
+        geo = compute_geometry(sphere(1.0, 2, 16))
+        kappa = np.tile(lam, (geo.r.size, 1))
+        geo = dataclasses.replace(geo, kappa=kappa, sigma=elem_sym_table(kappa))
+        assert kconvex_report(geo, k).status == status
+        assert in_gamma_k(lam, k, strict=True) == (status == "strict")
+        assert in_gamma_k(lam, k, strict=False) == (status != "violated")
+
     def test_dumbbell_violated(self):
         geo = compute_geometry(perturbed_sphere(1.0, 0.45, mode=2, dim=1, num=256))
         assert kconvex_report(geo, 1).status == "violated"
@@ -373,6 +418,20 @@ class TestSnapshotExport:
         got = np.array([[float(v) for v in row] for row in rows[1:]])
         assert np.array_equal(got[:, 1], geo.r)
         assert np.array_equal(got[:, 5], geo.sigma[:, 1])
+
+    def test_columns_follow_kappa_for_any_dim(self, tmp_path):
+        # a hand-built dim-3 geometry: one kappa column per direction
+        geo = compute_geometry(sphere(1.0, 2, 16))
+        kappa = np.column_stack([geo.kappa, 2.0 * geo.kappa[:, 0]])
+        geo = dataclasses.replace(geo, dim=3, kappa=kappa, sigma=elem_sym_table(kappa))
+        path = tmp_path / "snap.csv"
+        export_snapshot(geo, 3, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["grid_coordinate", "r", "kappa_1", "kappa_2", "kappa_3", "u", "sigma_k"]
+        got = np.array([[float(v) for v in row] for row in rows[1:]])
+        assert np.array_equal(got[:, 2:5], kappa)
+        assert np.array_equal(got[:, 6], geo.sigma[:, 3])
 
     def test_dim1_columns(self, tmp_path):
         geo = compute_geometry(sphere(1.0, 1, 32))
