@@ -2,10 +2,11 @@
 
 One JSON config per run keeps every invocation reproducible; `--set
 key=value` applies dotted-path overrides after parsing. `main` loads the
-config for every command and is the one place that turns an exception
-into an exit code: 0 success, 2 config or precondition error or an
-output path that cannot be written, 3 numerical failure (`run` still
-exports the last valid state), 4 verification tolerance violation.
+config and checks its values once for every command, and is the one
+place that turns an exception into an exit code: 0 success, 2 config or
+precondition error or an output path that cannot be written, 3
+numerical failure (`run` still exports the last valid state), 4
+verification tolerance violation.
 """
 
 from __future__ import annotations
@@ -43,10 +44,11 @@ class ConfigError(Exception):
 # config handling
 
 _INT, _NUM, _STR, _DICT, _LIST = "int", "num", "str", "dict", "list"
+_INT_OR_NULL = "int or null"
 
 _SCHEMA = {
     "problem": {"n": _INT, "k": _INT, "mode": _STR},
-    "shape": {"type": _STR, "params": _DICT, "seed": _INT},
+    "shape": {"type": _STR, "params": _DICT, "seed": _INT_OR_NULL},
     "grid": {"N": _INT},
     "stepping": {
         "t_max": _NUM, "dt_init": _NUM, "dt_max": _NUM,
@@ -94,6 +96,8 @@ def _type_ok(kind: str, value) -> bool:
         return False
     if kind == _INT:
         return isinstance(value, int)
+    if kind == _INT_OR_NULL:
+        return value is None or isinstance(value, int)
     if kind == _NUM:
         return isinstance(value, (int, float))
     if kind == _STR:
@@ -252,11 +256,7 @@ def cmd_run(cfg: dict, args) -> int:
 def _tol(ov: dict, name: str, default: float) -> float:
     for key in (name, name.split("/")[0]):
         if key in ov:
-            try:
-                return float(ov[key])
-            except (TypeError, ValueError):
-                raise ConfigError(f"verify.tolerance_overrides.{key}",
-                                  f"expected num, got {ov[key]!r}") from None
+            return float(ov[key])
     return default
 
 
@@ -271,16 +271,28 @@ def _override_tolerances(reports, ov: dict) -> list:
 
 
 def _verify_keys(cfg: dict) -> tuple:
-    """(verify.seed, verify.samples, verify.grid_N) with defaults; a value out of range is a
-    ConfigError at its key. suite_geometry also builds grids at grid_N/4 and grid_N/2."""
+    """(verify.seed, verify.samples, verify.grid_N) with defaults."""
     vcfg = cfg.get("verify", {})
-    values = (vcfg.get("seed", 20260808), vcfg.get("samples", 100_000), vcfg.get("grid_N", 512))
-    seed, samples, num = values
+    return vcfg.get("seed", 20260808), vcfg.get("samples", 100_000), vcfg.get("grid_N", 512)
+
+
+def _check_values(cfg: dict) -> None:
+    """Range checks of the keys that no FlowConfig checks, made once before
+    any command runs, so that a value is accepted or not whatever command
+    reads it; a value out of range is a ConfigError at its key.
+    suite_geometry also builds grids at verify.grid_N/4 and grid_N/2."""
+    vcfg = cfg.get("verify", {})
+    seed, samples, num = _verify_keys(cfg)
     for key, bad, need in (("seed", seed < 0, ">= 0"), ("samples", samples < 1, ">= 1"),
                            ("grid_N", num < 64 or num % 8, "a multiple of 8 and >= 64")):
         if bad:
             raise ConfigError(f"verify.{key}", f"must be {need}, got {vcfg[key]!r}")
-    return values
+    for name, tol in vcfg.get("tolerance_overrides", {}).items():
+        if not _type_ok(_NUM, tol):
+            raise ConfigError(f"verify.tolerance_overrides.{name}", f"expected num, got {tol!r}")
+    snap_every = cfg.get("output", {}).get("snapshot_every", 0)
+    if snap_every < 0:
+        raise ConfigError("output.snapshot_every", f"must be >= 0, got {snap_every!r}")
 
 
 def _symfunc_worst(rng, n: int, per: int) -> tuple:
@@ -548,8 +560,7 @@ def _sweep_combo(payload):
         os.makedirs(os.path.dirname(traj_path), exist_ok=True)
         record.to_csv(traj_path)
         mono = flowmod.monotone_pair(fc.n, fc.k)[0]
-        checks = (vfy.check_monotone_series(record)
-                  if fc.mode in ("normalized", "rescaled_raw") else [])
+        checks = vfy.check_monotone_series(record) if fc.mode in flowmod.CONSERVING_MODES else []
         row.update({
             "status": "ok",
             "final_t": repr(float(record.rows[-1][0])),
@@ -659,6 +670,7 @@ def main(argv=None) -> int:
     commands = {"run": cmd_run, "verify": cmd_verify, "sweep": cmd_sweep}
     try:
         cfg = apply_overrides(load_config(args.config) if args.config else {}, args.set)
+        _check_values(cfg)
         return commands[args.command](cfg, args)
     except ConfigError as exc:
         print(exc, file=sys.stderr)

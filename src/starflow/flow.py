@@ -4,13 +4,14 @@ The raw flow moves the surface at normal speed sigma_{k-1}/sigma_k of the
 principal curvatures; in the radial gauge this is d r/dt = F * w / r at
 every grid node. The normalized variant subtracts r(t) * u * nu, chosen so
 that the quermassintegral V_{n-k} stays constant, which in the radial gauge
-is an extra -r(t) * r term. Stepping is classical RK4. Stages 2-4 of an
-attempt compute only the curvature data the speed and the scale rate
-need; the full PointwiseGeometry is built once per attempt, for the
-candidate state, and that state's conserved quantity is kept on it for
-the next step. The accumulated log-scale integral of r(t) is advanced
-with the same stage weights so that e^{-log_scale} times the raw
-trajectory reproduces the normalized one to integration order.
+is an extra -r(t) * r term. Stepping is classical RK4; every stage is
+one call of the stage map `_stage_map`, fed by `_stage` from bare
+curvature rows or by `_geo_stage` from a PointwiseGeometry. The full
+PointwiseGeometry is built once per attempt, for the candidate state,
+and that state's conserved quantity is kept on it for the next step.
+The accumulated log-scale integral of r(t) is advanced with the same
+stage weights so that e^{-log_scale} times the raw trajectory
+reproduces the normalized one to integration order.
 
 Step-size control is accept/reject: a step is accepted when the radius
 stays positive, strict k-convexity holds, and (in conserving modes) the
@@ -28,9 +29,9 @@ rejections whose drift rate does not fall as dt is halved stops with
 the first drift rate and its dt: no step size can fix it.
 
 The conventions are read, not restated: `monotone_pair` decides which
-V_j a flow holds (and which I_m it raises), `geometry.quermass` computes
-every V_j the guard and the record read, `geometry._iso` is the I_m
-formula of the record, and `symfunc._cone_status` is the strict
+V_j a flow holds, and so its scale rate, `CONSERVING_MODES` which modes
+hold it, `geometry.quermass` computes every V_j, `geometry._iso` is the
+I_m formula of the record, and `symfunc._cone_status` is the strict
 k-convexity test of step acceptance.
 """
 
@@ -57,6 +58,7 @@ from .symfunc import _cone_status, cnk
 
 __all__ = [
     "MODES",
+    "CONSERVING_MODES",
     "FlowConfig",
     "FlowConfigError",
     "FlowState",
@@ -74,7 +76,8 @@ __all__ = [
     "rescale_state",
 ]
 
-MODES = ("raw", "normalized", "rescaled_raw")
+CONSERVING_MODES = ("normalized", "rescaled_raw")  # hold monotone_pair's V_j; raw holds none
+MODES = ("raw",) + CONSERVING_MODES
 
 DT_UNDERFLOW_FRACTION = 1e-12
 DOUBLE_AFTER = 10
@@ -139,7 +142,7 @@ class FlowConfig:
             raise FlowConfigError("k", f"flow degree k={self.k} out of range 1..{self.n}")
         if self.mode not in MODES:
             raise FlowConfigError("mode", f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "normalized" and self.k > self.n - 1:
+        if self.mode == "normalized" and monotone_pair(self.n, self.k)[1] != self.n - self.k:
             raise FlowConfigError(
                 "k",
                 f"normalized mode needs k <= n-1 (r(t) degenerates at k=n); "
@@ -189,8 +192,16 @@ def initial_state(graph: RadialGraph) -> FlowState:
     return FlowState(t=0.0, graph=graph, log_scale=0.0, geo=compute_geometry(graph))
 
 
+def monotone_pair(n: int, k: int) -> tuple:
+    """(m, j): the flow of degree k raises the iso ratio I_m and holds V_j,
+    that is (k, n - k) for k <= n - 1 and (0, n + 1) at k = n."""
+    return (k, n - k) if k <= n - 1 else (0, n + 1)
+
+
 def _speed(sig: np.ndarray, k: int) -> np.ndarray:
     """sigma_{k-1}/sigma_k from the (n + 1, M) rows sigma_0..sigma_n."""
+    if not 1 <= k < sig.shape[0]:
+        raise ValueError(f"flow degree k={k} out of range 1..{sig.shape[0] - 1}")
     sk = sig[k]
     if np.minimum.reduce(sk) <= 0.0:
         j = int(sk.argmin())
@@ -201,26 +212,25 @@ def _speed(sig: np.ndarray, k: int) -> np.ndarray:
 def speed_raw(geo: PointwiseGeometry, k: int) -> np.ndarray:
     """Normal speed sigma_{k-1}/sigma_k per node; positive on strictly
     k-convex data. Raises ConeExitError naming the worst node otherwise."""
-    if not 1 <= k <= geo.dim:
-        raise ValueError(f"flow degree k={k} out of range 1..{geo.dim}")
     return _speed(geo.sigma.T, k)
 
 
-def _rate(sig: np.ndarray, dmu: np.ndarray, u: np.ndarray | None, f: np.ndarray | None,
-          k: int, top: bool) -> float:
-    """Log-scale rate from the (n + 1, M) rows sig of sigma_0..sigma_n and
-    per-node arrays; the caller has checked sigma_k > 0.
+def _rate(r: np.ndarray, w: np.ndarray, f: np.ndarray, sig: np.ndarray, dmu: np.ndarray,
+          k: int, held: int) -> float:
+    """Log-scale rate that holds V_held under the degree-k flow, from the
+    per-node arrays, the speed f and the (n + 1, M) rows sig of
+    sigma_0..sigma_n; the caller has checked sigma_k > 0.
 
-    top: int(F dmu) / int(u dmu) for the speed f and support function u,
-    the rate holding V_{n+1}. Otherwise r(t) = int(sigma_{k+1}
-    sigma_{k-1} / sigma_k) / (C_{n,k+1} int sigma_k), holding V_{n-k}
-    (k <= n-1), and u and f are not read.
+    held = n + 1: int(F dmu) / int(u dmu) with u = r^2 / w the support
+    function. held = n - k (k <= n - 1): r(t) = int(sigma_{k+1}
+    sigma_{k-1} / sigma_k) / (C_{n,k+1} int sigma_k); f is not read.
     """
-    if top:
-        return float(np.add.reduce(f * dmu)) / float(np.add.reduce(u * dmu))
+    n = sig.shape[0] - 1
+    if held == n + 1:
+        return float(np.add.reduce(f * dmu)) / float(np.add.reduce(r * r / w * dmu))
     sk = sig[k]
     num = float(np.add.reduce(sig[k + 1] * sig[k - 1] / sk * dmu))
-    return num / (cnk(sig.shape[0] - 1, k + 1) * float(np.add.reduce(sk * dmu)))
+    return num / (cnk(n, k + 1) * float(np.add.reduce(sk * dmu)))
 
 
 def normalization_rt(geo: PointwiseGeometry, k: int) -> float:
@@ -230,11 +240,10 @@ def normalization_rt(geo: PointwiseGeometry, k: int) -> float:
     scale invariant. Only defined for k <= n-1: at k = n both numerator
     and the constant vanish identically.
     """
-    if not 1 <= k <= geo.dim - 1:
+    if not 0 < k < geo.dim:
         raise ValueError(f"normalization constant needs 1 <= k <= n-1, got k={k}")
     sig = geo.sigma.T
-    _speed(sig, k)  # raises ConeExitError off the cone
-    return _rate(sig, geo.dmu, None, None, k, top=False)
+    return _rate(geo.r, geo.w, _speed(sig, k), sig, geo.dmu, k, geo.dim - k)
 
 
 def volume_scale_rate(geo: PointwiseGeometry, k: int) -> float:
@@ -243,37 +252,30 @@ def volume_scale_rate(geo: PointwiseGeometry, k: int) -> float:
     Equals int(F dmu) / int(u dmu); used as the rescaling rate for the
     k = n flow where r(t) is unavailable.
     """
-    return _rate(geo.sigma.T, geo.dmu, geo.u, speed_raw(geo, k), k, top=True)
+    return _rate(geo.r, geo.w, speed_raw(geo, k), geo.sigma.T, geo.dmu, k, geo.dim + 1)
 
 
-def _scale_rate(geo: PointwiseGeometry, k: int) -> float:
-    if k <= geo.dim - 1:
-        return normalization_rt(geo, k)
-    return volume_scale_rate(geo, k)
-
-
-def _rhs(r: np.ndarray, w: np.ndarray, f: np.ndarray, rate: float, mode: str) -> np.ndarray:
+def _stage_map(r: np.ndarray, w: np.ndarray, sig: np.ndarray, dmu: np.ndarray,
+               mode: str, k: int):
+    """(d r/dt, log-scale rate) at the radial samples r from their checked
+    curvature data (w, the (n + 1, M) rows sig of sigma_0..sigma_n, dmu);
+    the rate holds the V_j of `monotone_pair`."""
+    f = _speed(sig, k)
+    rate = _rate(r, w, f, sig, dmu, k, monotone_pair(sig.shape[0] - 1, k)[1])
     drdt = f * w / r
     if mode == "normalized":
         drdt = drdt - rate * r
-    return drdt
-
-
-def _rhs_and_rate(geo: PointwiseGeometry, mode: str, k: int):
-    f = speed_raw(geo, k)
-    rate = _rate(geo.sigma.T, geo.dmu, geo.u, f, k, top=k == geo.dim)
-    return _rhs(geo.r, geo.w, f, rate, mode), rate
+    return drdt, rate
 
 
 def _stage(kit: geomod._GridKit, r: np.ndarray, mode: str, k: int):
-    """`_rhs_and_rate` of the radial samples r on kit's grid, from the
-    checked curvature arrays alone: no PointwiseGeometry is built."""
-    _, _, w, rr, _, sig, dmu = geomod._curvatures(kit, r)
-    f = _speed(sig, k)
-    top = k == kit.dim
-    # only the k = n rate reads the support function u = r^2 / w
-    rate = _rate(sig, dmu, rr / w if top else None, f, k, top)
-    return _rhs(r, w, f, rate, mode), rate
+    """The stage map at r on kit's grid from bare curvature rows: no PointwiseGeometry."""
+    _, _, w, _, _, sig, dmu = geomod._curvatures(kit, r)
+    return _stage_map(r, w, sig, dmu, mode, k)
+
+
+def _geo_stage(geo: PointwiseGeometry, mode: str, k: int):
+    return _stage_map(geo.r, geo.w, geo.sigma.T, geo.dmu, mode, k)
 
 
 def radial_rhs(geo: PointwiseGeometry, mode: str, k: int) -> np.ndarray:
@@ -284,7 +286,7 @@ def radial_rhs(geo: PointwiseGeometry, mode: str, k: int) -> np.ndarray:
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return _rhs_and_rate(geo, mode, k)[0]
+    return _geo_stage(geo, mode, k)[0]
 
 
 def _spectral_radius(geo: PointwiseGeometry, k: int, v: np.ndarray | None = None):
@@ -303,7 +305,7 @@ def _spectral_radius(geo: PointwiseGeometry, k: int, v: np.ndarray | None = None
     kit = geomod._grid_kit(geo.dim, r.size)
     if v is None:
         v = np.where(np.arange(r.size) % 2 == 0, 1.0, -1.0)
-    f0 = _rhs(r, geo.w, speed_raw(geo, k), 0.0, "raw")
+    f0 = _geo_stage(geo, "raw", k)[0]
     size = sqrt(np.finfo(float).eps) * sqrt(float(r @ r))
     ratio = est = 0.0
     for it in range(RHO_MAX_ITER):
@@ -346,7 +348,7 @@ def _strictly_kconvex(geo: PointwiseGeometry, k: int) -> tuple[bool, str]:
 def _conserved_value(geo: PointwiseGeometry, log_scale: float, config: FlowConfig) -> float | None:
     """Quantity the conserving modes must hold fixed, in the rescaled gauge:
     V_j of `monotone_pair`, times e^{-j log_scale} in mode rescaled_raw."""
-    if config.mode == "raw":
+    if config.mode not in CONSERVING_MODES:
         return None
     held = monotone_pair(config.n, config.k)[1]
     value = quermass(geo, config.n + 1 - held)
@@ -372,7 +374,7 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
     kit = geomod._grid_kit(dim, r0.size)
     mode, k = config.mode, config.k
     try:
-        k1, q1 = _rhs_and_rate(state.geo, mode, k)
+        k1, q1 = _geo_stage(state.geo, mode, k)
         k2, q2 = _stage(kit, r0 + 0.5 * dt * k1, mode, k)
         k3, q3 = _stage(kit, r0 + 0.5 * dt * k2, mode, k)
         k4, q4 = _stage(kit, r0 + dt * k3, mode, k)
@@ -463,19 +465,14 @@ def record_columns(n: int) -> tuple:
     return tuple(cols)
 
 
-def monotone_pair(n: int, k: int) -> tuple:
-    """(m, j): the flow of degree k raises the iso ratio I_m and holds V_j,
-    that is (k, n - k) for k <= n - 1 and (0, n + 1) at k = n."""
-    return (k, n - k) if k <= n - 1 else (0, n + 1)
-
-
 def _record_row(state: FlowState, config: FlowConfig) -> tuple:
     n, k = config.n, config.k
     geo = state.geo
     scale = exp(-state.log_scale) if config.mode == "rescaled_raw" else 1.0
     # each V_j once; the iso ratios are scale invariant and read the unscaled values
     vees = [quermass(geo, m) for m in range(n + 1)]
-    rate = _scale_rate(geo, k)
+    sig = geo.sigma.T
+    rate = _rate(geo.r, geo.w, _speed(sig, k), sig, geo.dmu, k, monotone_pair(n, k)[1])
     row = [state.t, state.last_dt, state.log_scale]
     row += [v * scale ** (n + 1 - m) for m, v in enumerate(vees)]
     row += [_iso(vees[m], vees[m + 1], n, m) for m in range(n)]
@@ -492,7 +489,8 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
     `observer(state)` is called at each sample. record_samples=False keeps
     only the first and final record rows (observers still fire), for
     callers that collect their own series. Raises ValueError when the
-    initial surface is not strictly k-convex, and FlowError, with the
+    initial surface is not strictly k-convex, or so near the edge of the
+    cone that the first stiffness probe leaves it, and FlowError, with the
     partial record attached, on dt underflow, on a conservation drift
     rate that halving dt does not reduce, or when the stability cap is
     undefined.
@@ -544,6 +542,14 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
                 rho, vec = _spectral_radius(state.geo, config.k, vec)
                 cap = _cap(rho, config.cfl_coefficient)
             except (ShapeError, ConeExitError, ValueError) as exc:
+                # vec is None only when the first estimate itself failed, at t = 0: a
+                # probe r + v that leaves the cone there shows a start on the edge of Gamma_k
+                if vec is None and isinstance(exc, ConeExitError):
+                    low = float(np.min(state.geo.sigma[:, config.k]))
+                    raise ValueError(
+                        f"initial surface is not strictly {config.k}-convex: sigma_{config.k} "
+                        f"min {low:.6e} is within a stiffness probe of the cone's edge "
+                        f"(probe: {exc})") from exc
                 raise FlowError(f"stiffness estimate failed: {exc}", finish("cap_undefined"),
                                 state) from exc
         dt_eff = min(dt_work, config.dt_max, cap, t_end - state.t)

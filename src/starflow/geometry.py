@@ -254,17 +254,18 @@ def perturbed_sphere(
     return RadialGraph(dim, r)
 
 
+# shape type -> (the parameter names it reads, its builder)
 _SHAPES = {
-    "sphere": lambda p, dim, num, seed: sphere(p["radius"], dim, num),
-    "ellipse": lambda p, dim, num, seed: ellipse(
+    "sphere": (("radius",), lambda p, dim, num, seed: sphere(p["radius"], dim, num)),
+    "ellipse": (("a", "b", "cx", "cy"), lambda p, dim, num, seed: ellipse(
         p["a"], p["b"], num, center=(p.get("cx", 0.0), p.get("cy", 0.0))
-    ),
-    "ellipsoid_of_revolution": lambda p, dim, num, seed: ellipsoid_of_revolution(
+    )),
+    "ellipsoid_of_revolution": (("a", "c"), lambda p, dim, num, seed: ellipsoid_of_revolution(
         p["a"], p["c"], num
-    ),
-    "perturbed_sphere": lambda p, dim, num, seed: perturbed_sphere(
+    )),
+    "perturbed_sphere": (("radius", "eps", "mode"), lambda p, dim, num, seed: perturbed_sphere(
         p["radius"], p["eps"], p.get("mode"), dim, num, seed
-    ),
+    )),
 }
 
 
@@ -273,8 +274,8 @@ def make_shape(spec, dim: int, num: int) -> RadialGraph:
 
     `spec` is a mapping with keys `type`, `params` and optionally `seed`
     (an integer; missing or null means 0, so a config always names one
-    shape); `params` maps parameter names to numbers, and a null value
-    counts as left out.
+    shape); `params` maps the parameter names the type reads to numbers,
+    and a null value counts as left out. Any other name is a ShapeError.
     """
     kind = spec.get("type")
     if not isinstance(kind, str) or kind not in _SHAPES:
@@ -287,14 +288,18 @@ def make_shape(spec, dim: int, num: int) -> RadialGraph:
     if not isinstance(params, Mapping):
         raise ShapeError(f"shape params must be a mapping, got {params!r}")
     params = {key: value for key, value in params.items() if value is not None}
+    names, build = _SHAPES[kind]
     for key, value in params.items():
+        if key not in names:
+            raise ShapeError(f"shape {kind!r} has no parameter {key!r}; "
+                             f"it reads {', '.join(names)}")
         if isinstance(value, bool) or not isinstance(value, Real):
             raise ShapeError(f"shape parameter {key!r} must be a number, got {value!r}")
     seed = spec.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, Integral)):
         raise ShapeError(f"shape seed must be an integer, got {seed!r}")
     try:
-        return _SHAPES[kind](params, dim, num, 0 if seed is None else seed)
+        return build(params, dim, num, 0 if seed is None else seed)
     except KeyError as exc:
         raise ShapeError(f"shape {kind!r} is missing parameter {exc.args[0]!r}") from None
 

@@ -612,7 +612,7 @@ def check_monotone_series(
     unit time, and that the final ratio lands within `ball_tol` of the
     round-ball value.
     """
-    if record.mode not in ("normalized", "rescaled_raw"):
+    if record.mode not in flowmod.CONSERVING_MODES:
         raise ValueError("monotonicity check needs a normalized or rescaled_raw record")
     n, k = record.n, record.k
     mono_idx, held = flowmod.monotone_pair(n, k)

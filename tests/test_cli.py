@@ -136,17 +136,17 @@ class TestRun:
                 assert repr(float(cell)) == cell  # shortest round-trip format
 
     def test_seedless_random_shape_is_reproducible(self, tmp_path):
-        # random harmonics with no shape.seed draw from seed 0, not from OS entropy
+        # random harmonics with no shape.seed, or a null one, draw from seed 0, not from OS entropy
         cfg_path = tmp_path / "cfg.json"
-        write_config(cfg_path, **{
-            "shape.type": "perturbed_sphere", "shape.params": {"radius": 1.0, "eps": 0.05},
-            "stepping.t_max": 0.01,
-        })
         runs = []
-        for _ in range(2):
+        for seed in ({}, {}, {"shape.seed": None}):
+            write_config(cfg_path, **{
+                "shape.type": "perturbed_sphere", "shape.params": {"radius": 1.0, "eps": 0.05},
+                "stepping.t_max": 0.01, **seed,
+            })
             assert cli.main(["run", str(cfg_path), "--quiet"]) == cli.EXIT_OK
             runs.append((tmp_path / "traj.csv").read_bytes())
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("command, assignment, key", [
         ("run", "problem.n=3", "problem.n"),
@@ -173,6 +173,9 @@ class TestRun:
         ("sweep", 'sweep.shapes=[{"type": "sphere", "params": {"radius": "one"}}]',
          "sweep.shapes"),
         ("run", 'shape.params={"radius": "one"}', "shape.params"),
+        ("run", 'shape.params={"radius": 1.0, "mdoe": 3}', "shape.params"),
+        ("sweep", 'sweep.shapes=[{"type": "perturbed_sphere", '
+                  '"params": {"radius": 1.0, "eps": 0.1, "mdoe": 3}}]', "sweep.shapes"),
         # the base shape is a sphere, which reads only its radius: name the shape type too
         ("run", 'shape={"type": "perturbed_sphere", "params": {"radius": 1.0, "eps": 0.1, '
                 '"mode": 2.5}}', "shape.params"),
@@ -187,6 +190,14 @@ class TestRun:
         ("verify geometry", "verify.grid_N=0", "verify.grid_N"),
         ("verify geometry", "verify.grid_N=32", "verify.grid_N"),  # N/4 = 8 intervals
         ("verify geometry", "verify.grid_N=68", "verify.grid_N"),  # N/4 = 17 is odd
+        # checked for every command, not only by the suites that read them
+        ("verify variation", "verify.seed=-4", "verify.seed"),
+        ("verify prop1", "verify.grid_N=7", "verify.grid_N"),
+        ("verify lemma", "verify.seed=-4", "verify.seed"),
+        ("run", "verify.grid_N=7", "verify.grid_N"),
+        ("verify symfunc", 'verify.tolerance_overrides={"af": "x"}',
+         "verify.tolerance_overrides.af"),
+        ("run", "output.snapshot_every=-3", "output.snapshot_every"),
     ])
     def test_config_error_exits_two_naming_key(self, tmp_path, capsys, command, assignment, key):
         cfg_path = tmp_path / "cfg.json"
@@ -252,6 +263,19 @@ class TestRun:
         })
         assert cli.main(["run", str(cfg_path)]) == cli.EXIT_CONFIG
         assert "precondition" in capsys.readouterr().err
+
+    def test_initial_on_the_cone_edge_is_precondition(self, tmp_path, capsys):
+        # min sigma_1 is 1.28e-6, and the first stiffness probe at t = 0 leaves the cone
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, **{
+            "problem.mode": "rescaled_raw",
+            "shape.type": "perturbed_sphere",
+            "shape.params": {"radius": 1.0, "eps": 0.1, "mode": 3},
+        })
+        assert cli.main(["run", str(cfg_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "precondition failed: initial surface is not strictly 1-convex: sigma_1 min" in err
+        assert "probe" in err
 
     @pytest.mark.parametrize("snapshot_every", [0, 1])
     def test_numerical_failure_exports_partial(self, tmp_path, capsys, snapshot_every):

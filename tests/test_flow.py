@@ -92,6 +92,14 @@ class TestNormalizationRate:
         # the k = n rescaling rate exists separately and holds V_{n+1}
         assert volume_scale_rate(geo, 2) == pytest.approx(2.0, rel=1e-12)
 
+    def test_volume_rate_below_top_degree(self):
+        # below k = n the flow holds V_{n-k}, but volume_scale_rate still holds V_{n+1}
+        geo = compute_geometry(ellipsoid_of_revolution(1.2, 1.0, 128))
+        f = geo.sigma[:, 0] / geo.sigma[:, 1]
+        expected = float(np.sum(f * geo.dmu)) / float(np.sum(geo.u * geo.dmu))
+        assert volume_scale_rate(geo, 1) == pytest.approx(expected, rel=1e-14)
+        assert abs(volume_scale_rate(geo, 1) - normalization_rt(geo, 1)) > 1e-3
+
 
 class TestRadialRhs:
     def test_sphere_raw(self):
@@ -262,6 +270,14 @@ class TestRun:
         with pytest.raises(ValueError, match="convex"):
             run(config, perturbed_sphere(1.0, 0.3, mode=3, dim=1, num=64))
 
+    def test_precondition_rejects_start_on_the_cone_edge(self):
+        # the exact curvature (1 - eps)(1 - 10 eps) vanishes at eps = 0.1: the grid's
+        # min sigma_1 is barely positive, and the first stiffness probe leaves the cone
+        config = FlowConfig(n=1, k=1, mode="rescaled_raw", t_max=0.1)
+        with pytest.raises(ValueError, match=r"^initial surface is not strictly 1-convex: sigma_1 "
+                                             r"min 1\.277724e-06 .*\(probe: sigma_1 <= 0 at node"):
+            run(config, perturbed_sphere(1.0, 0.1, mode=3, dim=1, num=64))
+
     def test_dt_underflow_reports_partial_record(self):
         # with no drift budget at all, the run ends at the third rejection:
         # the drift rate does not fall as dt is halved
@@ -393,7 +409,7 @@ def _kit_and_profile(n, eps):
 
 
 def _full_stage(kit, r, mode, k):
-    return fl._rhs_and_rate(geomod._pointwise(kit, r), mode, k)
+    return fl._geo_stage(geomod._pointwise(kit, r), mode, k)
 
 
 class TestLeanStage:

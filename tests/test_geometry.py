@@ -104,6 +104,14 @@ class TestShapes:
         with pytest.raises(ShapeError, match="seed"):
             make_shape({"type": "perturbed_sphere", "params": {"radius": 1.0, "eps": 0.1},
                         "seed": "x"}, 1, 64)
+        # a name the type does not read is an error, so a misspelled mode cannot
+        # fall back to random harmonics; a null value counts as left out, whatever its name
+        spec = {"type": "perturbed_sphere", "params": {"radius": 1.0, "eps": 0.1, "mdoe": 3}}
+        with pytest.raises(ShapeError, match="^shape 'perturbed_sphere' has no parameter "
+                                             "'mdoe'; it reads radius, eps, mode$"):
+            make_shape(spec, 1, 64)
+        assert np.array_equal(make_shape({"type": "sphere", "params": {"radius": 1.0, "eps": None}},
+                                         1, 64).r, sphere(1.0, 1, 64).r)
         # a null parameter is left out: mode falls back to random harmonics
         spec = {"type": "perturbed_sphere", "params": {"radius": 1.0, "eps": 0.1, "mode": None},
                 "seed": 3}
