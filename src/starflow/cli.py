@@ -43,8 +43,9 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # config handling
 
-_INT, _NUM, _STR, _DICT, _LIST = "int", "num", "str", "dict", "list"
+_INT, _NUM, _STR, _DICT = "int", "num", "str", "dict"
 _INT_OR_NULL = "int or null"
+_LIST_OF = "list of "  # prefix of a list kind; the rest is the kind of every entry
 
 _SCHEMA = {
     "problem": {"n": _INT, "k": _INT, "mode": _STR},
@@ -61,7 +62,7 @@ _SCHEMA = {
         "tolerance_overrides": _DICT,
     },
     "sweep": {
-        "shapes": _LIST, "k_values": _LIST, "seeds": _LIST,
+        "shapes": _LIST_OF + _DICT, "k_values": _LIST_OF + _INT, "seeds": _LIST_OF + _INT_OR_NULL,
         "index_path": _STR, "trajectory_dir": _STR,
     },
 }
@@ -69,11 +70,17 @@ _SCHEMA = {
 # FlowConfig field -> the config key it is read from; FlowConfig's own
 # defaults apply to every key the config leaves out
 _FLOW_KEYS = {
-    "n": "problem.n", "k": "problem.k", "mode": "problem.mode", "grid_n": "grid.N",
+    "n": "problem.n", "k": "problem.k", "mode": "problem.mode",
     "t_max": "stepping.t_max", "dt_init": "stepping.dt_init", "dt_max": "stepping.dt_max",
     "cfl_coefficient": "stepping.cfl_coefficient", "sample_every": "stepping.sample_every",
     "tol_conserve": "tolerances.tol_conserve", "tol_round": "tolerances.tol_round",
 }
+
+# ShapeError.field -> config key; a sweep entry's type or params fault is the entry's
+_SHAPE_KEYS = {"type": "shape.type", "params": "shape.params", "seed": "shape.seed",
+               "num": "grid.N"}
+_SWEEP_SHAPE_KEYS = {"type": "sweep.shapes", "params": "sweep.shapes", "seed": "sweep.seeds",
+                     "num": "grid.N"}
 
 _FLOW_REQUIRED = (
     ("problem", ("n", "k", "mode")),
@@ -82,6 +89,7 @@ _FLOW_REQUIRED = (
     ("stepping", ("t_max",)),
 )
 _RUN_REQUIRED = _FLOW_REQUIRED + (("output", ("trajectory_path",)),)
+_AF_REQUIRED = (("problem", ("n", "k")), ("shape", ("type", "params")), ("grid", ("N",)))
 # a sweep reads its shapes from sweep.shapes and its degrees from sweep.k_values
 _SWEEP_REQUIRED = (
     ("problem", ("n", "mode")),
@@ -104,8 +112,8 @@ def _type_ok(kind: str, value) -> bool:
         return isinstance(value, str)
     if kind == _DICT:
         return isinstance(value, dict)
-    if kind == _LIST:
-        return isinstance(value, list)
+    if kind.startswith(_LIST_OF):
+        return isinstance(value, list) and all(_type_ok(kind[len(_LIST_OF):], v) for v in value)
     return False
 
 
@@ -167,7 +175,7 @@ def apply_overrides(cfg: dict, assignments) -> dict:
     return cfg
 
 
-def _require(cfg: dict, spec=_RUN_REQUIRED) -> None:
+def _require(cfg: dict, spec) -> None:
     for section, keys in spec:
         if section not in cfg:
             raise ConfigError(section, "missing required section")
@@ -191,11 +199,19 @@ def flow_config_from(cfg: dict) -> flowmod.FlowConfig:
         raise ConfigError(_FLOW_KEYS[exc.field], str(exc)) from None
 
 
-def _make_shape(cfg: dict, n: int, num: int) -> geom.RadialGraph:
+def _make_shape(spec: dict, n: int, num: int, keys: dict = _SHAPE_KEYS) -> geom.RadialGraph:
+    """geometry.make_shape; a ShapeError is a ConfigError at the key `keys` maps its field to."""
     try:
-        return geom.make_shape(cfg["shape"], n, num)
+        return geom.make_shape(spec, n, num)
     except geom.ShapeError as exc:
-        raise ConfigError("shape.params", str(exc)) from None
+        raise ConfigError(keys[exc.field], f"{spec!r}: {exc}") from None
+
+
+def _flow_and_shape(cfg: dict, required=_FLOW_REQUIRED) -> tuple:
+    """(FlowConfig, initial RadialGraph) of a config that has every `required` key."""
+    _require(cfg, required)
+    fc = flow_config_from(cfg)
+    return fc, _make_shape(cfg["shape"], fc.n, cfg["grid"]["N"])
 
 
 def _say(quiet: bool, *args) -> None:
@@ -208,9 +224,7 @@ def _say(quiet: bool, *args) -> None:
 
 
 def cmd_run(cfg: dict, args) -> int:
-    _require(cfg)
-    fc = flow_config_from(cfg)
-    initial = _make_shape(cfg, fc.n, fc.grid_n)
+    fc, initial = _flow_and_shape(cfg, _RUN_REQUIRED)
     out = cfg["output"]
     traj_path = out["trajectory_path"]
     snap_every = out.get("snapshot_every", 0)
@@ -280,11 +294,12 @@ def _check_values(cfg: dict) -> None:
     """Range checks of the keys that no FlowConfig checks, made once before
     any command runs, so that a value is accepted or not whatever command
     reads it; a value out of range is a ConfigError at its key.
-    suite_geometry also builds grids at verify.grid_N/4 and grid_N/2."""
+    suite_geometry builds grids down to grid_N/4, which must keep geometry's interval rule."""
     vcfg = cfg.get("verify", {})
     seed, samples, num = _verify_keys(cfg)
+    least = 4 * geom.MIN_NODES
     for key, bad, need in (("seed", seed < 0, ">= 0"), ("samples", samples < 1, ">= 1"),
-                           ("grid_N", num < 64 or num % 8, "a multiple of 8 and >= 64")):
+                           ("grid_N", num < least or num % 8, f"a multiple of 8 and >= {least}")):
         if bad:
             raise ConfigError(f"verify.{key}", f"must be {need}, got {vcfg[key]!r}")
     for name, tol in vcfg.get("tolerance_overrides", {}).items():
@@ -468,9 +483,7 @@ def _random_kconvex_sample(rng, n: int, k: int, num: int):
 def suite_af(cfg: dict) -> list:
     seed, samples, _ = _verify_keys(cfg)
     if "shape" in cfg:
-        _require(cfg, (("problem", ("n", "k")), ("shape", ("type", "params")), ("grid", ("N",))))
-        fc = flow_config_from(cfg)
-        g = _make_shape(cfg, fc.n, fc.grid_n)
+        fc, g = _flow_and_shape(cfg, _AF_REQUIRED)
         return vfy.check_af_chain(geom.compute_geometry(g), fc.k)
     reports = []
     for n, num in ((1, 512), (2, 512)):
@@ -504,9 +517,7 @@ def _monotone_run(n, k, shape_graph, t_max):
 
 def suite_monotone(cfg: dict) -> list:
     if "shape" in cfg:
-        _require(cfg, _FLOW_REQUIRED)
-        fc = flow_config_from(cfg)
-        g = _make_shape(cfg, fc.n, fc.grid_n)
+        fc, g = _flow_and_shape(cfg)
         return vfy.check_monotone_series(flowmod.run(fc, g))
     reports = []
     rec = _monotone_run(1, 1, geom.ellipse(2.0, 1.0, 128), 2.0)
@@ -585,13 +596,8 @@ def cmd_sweep(cfg: dict, args) -> int:
     for key in ("shapes", "k_values", "seeds"):
         if sweep.get(key) == []:
             raise ConfigError(f"sweep.{key}", "must not be empty")
-    for seed in seeds:
-        if seed is not None and not _type_ok(_INT, seed):
-            raise ConfigError("sweep.seeds", f"expected int or null, got {seed!r}")
     configs = []
     for k in sweep["k_values"]:
-        if not _type_ok(_INT, k):
-            raise ConfigError("sweep.k_values", f"expected int, got {k!r}")
         try:
             configs.append(flow_config_from({**cfg, "problem": {**cfg["problem"], "k": k}}))
         except ConfigError as exc:
@@ -602,16 +608,11 @@ def cmd_sweep(cfg: dict, args) -> int:
     traj_dir = sweep.get("trajectory_dir", os.path.dirname(sweep["index_path"]) or ".")
     payloads = []
     for spec in sweep["shapes"]:
-        if not isinstance(spec, dict):
-            raise ConfigError("sweep.shapes", f"expected object, got {spec!r}")
         params = spec.get("params", {})
         for fc in configs:
             for seed in seeds:
                 shape = spec if seed is None else {**spec, "seed": seed}
-                try:
-                    graph = geom.make_shape(shape, fc.n, fc.grid_n)
-                except geom.ShapeError as exc:
-                    raise ConfigError("sweep.shapes", f"{shape!r}: {exc}") from None
+                graph = _make_shape(shape, fc.n, cfg["grid"]["N"], _SWEEP_SHAPE_KEYS)
                 idx = f"{len(payloads):03d}"
                 row = {"id": idx, "shape_type": spec["type"],
                        "params": ";".join(f"{key}={params[key]!r}" for key in sorted(params)),

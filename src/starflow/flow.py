@@ -32,7 +32,9 @@ The conventions are read, not restated: `monotone_pair` decides which
 V_j a flow holds, and so its scale rate, `CONSERVING_MODES` which modes
 hold it, `geometry.quermass` computes every V_j, `geometry._iso` is the
 I_m formula of the record, and `symfunc._cone_status` is the strict
-k-convexity test of step acceptance.
+k-convexity test of step acceptance. The grid is the initial graph's:
+FlowConfig holds no grid size, and `geometry` owns the rule for one.
+FlowConfig requires a finite t_max and dt_init and tol_round >= 0.
 """
 
 from __future__ import annotations
@@ -132,7 +134,6 @@ class FlowConfig:
     tol_round: float = 0.0  # 0 disables the roundness stop
     # fraction of RK4's real-axis stability interval the step may use
     cfl_coefficient: float = 0.5
-    grid_n: int | None = None
 
     def __post_init__(self):
         # the `not x > 0` form also rejects NaN, which compares false
@@ -148,18 +149,14 @@ class FlowConfig:
                 f"normalized mode needs k <= n-1 (r(t) degenerates at k=n); "
                 f"got k={self.k}, n={self.n}; use rescaled_raw instead",
             )
-        if self.grid_n is not None and (self.grid_n < geomod.MIN_NODES or self.grid_n % 2):
-            raise FlowConfigError(
-                "grid_n", f"grid_n must be even and >= {geomod.MIN_NODES}, got {self.grid_n}"
-            )
-        if not self.t_max > 0.0:
-            raise FlowConfigError("t_max", f"t_max must be positive, got {self.t_max}")
+        if not (self.t_max > 0.0 and isfinite(self.t_max)):
+            raise FlowConfigError("t_max", f"t_max must be positive and finite, got {self.t_max}")
         if not self.dt_max > 0.0:
             raise FlowConfigError("dt_max", f"dt_max must be positive, got {self.dt_max}")
-        if not 0.0 < self.dt_init <= self.dt_max:
-            raise FlowConfigError(
-                "dt_init", f"need 0 < dt_init <= dt_max, got {self.dt_init} and {self.dt_max}"
-            )
+        # an infinite dt_init would make the dt underflow floor infinite
+        if not (0.0 < self.dt_init <= self.dt_max and isfinite(self.dt_init)):
+            raise FlowConfigError("dt_init", f"need a finite dt_init with 0 < dt_init <= dt_max, "
+                                             f"got {self.dt_init} and {self.dt_max}")
         if self.sample_every < 1:
             raise FlowConfigError(
                 "sample_every", f"sample_every must be >= 1, got {self.sample_every}"
@@ -168,6 +165,8 @@ class FlowConfig:
             raise FlowConfigError(
                 "tol_conserve", f"tol_conserve must be >= 0, got {self.tol_conserve}"
             )
+        if not self.tol_round >= 0.0:
+            raise FlowConfigError("tol_round", f"tol_round must be >= 0, got {self.tol_round}")
         if not self.cfl_coefficient > 0.0:
             raise FlowConfigError(
                 "cfl_coefficient", f"cfl_coefficient must be positive, got {self.cfl_coefficient}"
@@ -497,10 +496,6 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
     """
     if initial.dim != config.n:
         raise ValueError(f"config n={config.n} does not match graph dim={initial.dim}")
-    if config.grid_n is not None and initial.num_intervals != config.grid_n:
-        raise ValueError(
-            f"config grid_n={config.grid_n} does not match graph N={initial.num_intervals}"
-        )
     state = initial_state(initial)
     ok, why = _strictly_kconvex(state.geo, config.k)
     if not ok:

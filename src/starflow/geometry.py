@@ -12,6 +12,11 @@ composite Simpson (dim 2) quadrature. The parallel principal curvature at the po
 its smooth limit, the meridian value; the sin(phi) area weight vanishes
 there, so the choice does not touch any integral.
 
+A grid's number of intervals N belongs to its RadialGraph. `_check_intervals`
+is the one rule for it (even and >= MIN_NODES); RadialGraph and every
+shape builder run it before they touch an array. A ShapeError's `field`
+names the input of `make_shape` at fault, so a caller can report it.
+
 Two conventions have their one owner here: `quermass(geo, m)` is the only
 place that picks between the Minkowski form (m = 0) and the curvature
 integral (m >= 1) for V_{n+1-m}, and `_iso` is the only formula of the
@@ -74,7 +79,17 @@ _D2_WEIGHTS = np.array([[270.0], [27.0], [2.0]])
 
 
 class ShapeError(ValueError):
-    """Invalid shape parameters or a degenerate radial function."""
+    """Invalid shape input; `field` is the make_shape input at fault: type, params, seed or num."""
+
+    def __init__(self, message: str, field: str = "params"):
+        super().__init__(message)
+        self.field = field
+
+
+def _check_intervals(num: int) -> None:
+    """The interval rule of every grid: an even number num >= MIN_NODES."""
+    if num < MIN_NODES or num % 2:
+        raise ShapeError(f"need an even number of intervals >= {MIN_NODES}, got {num}", "num")
 
 
 @dataclass(frozen=True)
@@ -83,7 +98,8 @@ class RadialGraph:
 
     dim 1: r has N samples of r(theta), theta_j = 2*pi*j/N, periodic.
     dim 2: r has N+1 samples of r(phi), phi_j = pi*j/N, axisymmetric,
-    with an even profile at both poles. N must be even and >= 16.
+    with an even profile at both poles. N follows `_check_intervals`:
+    even and >= MIN_NODES.
     """
 
     dim: int
@@ -95,14 +111,12 @@ class RadialGraph:
         arr = np.array(self.r, dtype=float)
         if arr.ndim != 1:
             raise ShapeError("radial samples must form a one-dimensional array")
+        _check_intervals(arr.size if self.dim == 1 else arr.size - 1)
         if not np.logical_and.reduce(np.isfinite(arr)):
             raise ShapeError("radial samples contain non-finite values")
         if np.minimum.reduce(arr) <= 0.0:
             j = int(arr.argmin())
             raise ShapeError(f"radial function not positive at node {j}: r={arr[j]}")
-        n_int = arr.size if self.dim == 1 else arr.size - 1
-        if n_int < MIN_NODES or n_int % 2 != 0:
-            raise ShapeError(f"need an even number of intervals >= {MIN_NODES}, got {n_int}")
         arr.setflags(write=False)
         object.__setattr__(self, "r", arr)
 
@@ -172,6 +186,7 @@ class ConvexityReport:
 
 
 def sphere(radius: float, dim: int = 1, num: int = 256) -> RadialGraph:
+    _check_intervals(num)
     if radius <= 0.0:
         raise ShapeError("sphere radius must be positive")
     size = num if dim == 1 else num + 1
@@ -185,6 +200,7 @@ def ellipse(a: float, b: float, num: int = 256, center=(0.0, 0.0)) -> RadialGrap
     the quadratic for the ray-boundary intersection, which reduces to
     r = a*b/sqrt(b^2 cos^2 + a^2 sin^2) for a centered ellipse.
     """
+    _check_intervals(num)
     if a <= 0.0 or b <= 0.0:
         raise ShapeError("ellipse semi-axes must be positive")
     cx, cy = float(center[0]), float(center[1])
@@ -201,6 +217,7 @@ def ellipse(a: float, b: float, num: int = 256, center=(0.0, 0.0)) -> RadialGrap
 
 def ellipsoid_of_revolution(a: float, c: float, num: int = 256) -> RadialGraph:
     """Spheroid with equatorial semi-axis a and polar semi-axis c."""
+    _check_intervals(num)
     if a <= 0.0 or c <= 0.0:
         raise ShapeError("spheroid semi-axes must be positive")
     phi = pi * np.arange(num + 1) / num
@@ -223,6 +240,7 @@ def perturbed_sphere(
     eps in absolute value. dim 2 uses cos(l*phi) modes only, which are
     Chebyshev polynomials in cos(phi) and hence smooth at the poles.
     """
+    _check_intervals(num)
     if radius <= 0.0:
         raise ShapeError("sphere radius must be positive")
     if eps < 0.0:
@@ -254,18 +272,18 @@ def perturbed_sphere(
     return RadialGraph(dim, r)
 
 
-# shape type -> (the parameter names it reads, its builder)
+# shape type -> (the dims it is built in, the parameter names it reads, its builder)
 _SHAPES = {
-    "sphere": (("radius",), lambda p, dim, num, seed: sphere(p["radius"], dim, num)),
-    "ellipse": (("a", "b", "cx", "cy"), lambda p, dim, num, seed: ellipse(
+    "sphere": ((1, 2), ("radius",), lambda p, dim, num, seed: sphere(p["radius"], dim, num)),
+    "ellipse": ((1,), ("a", "b", "cx", "cy"), lambda p, dim, num, seed: ellipse(
         p["a"], p["b"], num, center=(p.get("cx", 0.0), p.get("cy", 0.0))
     )),
-    "ellipsoid_of_revolution": (("a", "c"), lambda p, dim, num, seed: ellipsoid_of_revolution(
+    "ellipsoid_of_revolution": ((2,), ("a", "c"), lambda p, dim, num, seed: ellipsoid_of_revolution(
         p["a"], p["c"], num
     )),
-    "perturbed_sphere": (("radius", "eps", "mode"), lambda p, dim, num, seed: perturbed_sphere(
-        p["radius"], p["eps"], p.get("mode"), dim, num, seed
-    )),
+    "perturbed_sphere": ((1, 2), ("radius", "eps", "mode"),
+                         lambda p, dim, num, seed: perturbed_sphere(
+                             p["radius"], p["eps"], p.get("mode"), dim, num, seed)),
 }
 
 
@@ -273,22 +291,23 @@ def make_shape(spec, dim: int, num: int) -> RadialGraph:
     """Build a RadialGraph from a config-style description.
 
     `spec` is a mapping with keys `type`, `params` and optionally `seed`
-    (an integer; missing or null means 0, so a config always names one
-    shape); `params` maps the parameter names the type reads to numbers,
-    and a null value counts as left out. Any other name is a ShapeError.
+    (an integer >= 0; missing or null means 0, so a config always names
+    one shape); `params` maps the parameter names the type reads to
+    numbers, and a null value counts as left out. Any other name is a
+    ShapeError. The error's `field` is `type` for an unknown type or one
+    of another dim, `seed`, `num` for a grid that breaks the interval
+    rule, and `params` for anything else.
     """
     kind = spec.get("type")
     if not isinstance(kind, str) or kind not in _SHAPES:
-        raise ShapeError(f"unknown shape type {kind!r}; expected one of {sorted(_SHAPES)}")
-    if kind == "ellipse" and dim != 1:
-        raise ShapeError("ellipse is a dim-1 shape")
-    if kind == "ellipsoid_of_revolution" and dim != 2:
-        raise ShapeError("ellipsoid_of_revolution is a dim-2 shape")
+        raise ShapeError(f"unknown shape type {kind!r}; expected one of {sorted(_SHAPES)}", "type")
+    dims, names, build = _SHAPES[kind]
+    if dim not in dims:
+        raise ShapeError(f"{kind} is a dim-{' or dim-'.join(map(str, dims))} shape", "type")
     params = spec.get("params", {})
     if not isinstance(params, Mapping):
         raise ShapeError(f"shape params must be a mapping, got {params!r}")
     params = {key: value for key, value in params.items() if value is not None}
-    names, build = _SHAPES[kind]
     for key, value in params.items():
         if key not in names:
             raise ShapeError(f"shape {kind!r} has no parameter {key!r}; "
@@ -296,8 +315,8 @@ def make_shape(spec, dim: int, num: int) -> RadialGraph:
         if isinstance(value, bool) or not isinstance(value, Real):
             raise ShapeError(f"shape parameter {key!r} must be a number, got {value!r}")
     seed = spec.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, Integral)):
-        raise ShapeError(f"shape seed must be an integer, got {seed!r}")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0):
+        raise ShapeError(f"shape seed must be an integer >= 0, got {seed!r}", "seed")
     try:
         return build(params, dim, num, 0 if seed is None else seed)
     except KeyError as exc:

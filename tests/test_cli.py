@@ -74,6 +74,7 @@ class TestConfigHandling:
 
     # keys read by something other than flow_config_from, and the reader
     _OTHER_READERS = {
+        "grid.N": "_flow_and_shape",
         "stepping.t_max": "suite_lemma",
         "stepping.dt_init": "suite_lemma",
     }
@@ -94,7 +95,7 @@ class TestConfigHandling:
             "grid": {"N": 64},
             "stepping": {"t_max": 1},
         })
-        assert fc == flowmod.FlowConfig(n=1, k=1, mode="raw", t_max=1.0, grid_n=64)
+        assert fc == flowmod.FlowConfig(n=1, k=1, mode="raw", t_max=1.0)
         assert isinstance(fc.t_max, float)
 
 
@@ -198,6 +199,25 @@ class TestRun:
         ("verify symfunc", 'verify.tolerance_overrides={"af": "x"}',
          "verify.tolerance_overrides.af"),
         ("run", "output.snapshot_every=-3", "output.snapshot_every"),
+        # each shape fault is named at the input that caused it
+        ("run", 'shape.type="torus"', "shape.type"),
+        ("run", 'shape={"type": "ellipsoid_of_revolution", "params": {"a": 1.5, "c": 1.0}}',
+         "shape.type"),  # a dim-2 shape under n=1
+        ("verify af", 'shape.type="torus"', "shape.type"),
+        ("run", "grid.N=0", "grid.N"),
+        ("run", "grid.N=-4", "grid.N"),
+        ("verify monotone", "grid.N=0", "grid.N"),
+        ("sweep", "grid.N=-4", "grid.N"),
+        ("run", 'shape={"type": "perturbed_sphere", "params": {"radius": 1.0, "eps": 0.05}, '
+                '"seed": -3}', "shape.seed"),
+        ("run", "shape.seed=-3", "shape.seed"),
+        ("sweep", "sweep.seeds=[-1]", "sweep.seeds"),
+        ("sweep", 'sweep.shapes=[{"type": "torus", "params": {}}]', "sweep.shapes"),
+        ("sweep", "sweep.k_values=[1.5]", "sweep.k_values"),
+        ("run", "stepping.t_max=Infinity", "stepping.t_max"),
+        ("run", "stepping.t_max=1e400", "stepping.t_max"),
+        ("run", "tolerances.tol_round=-1", "tolerances.tol_round"),
+        ("run", "tolerances.tol_round=NaN", "tolerances.tol_round"),
     ])
     def test_config_error_exits_two_naming_key(self, tmp_path, capsys, command, assignment, key):
         cfg_path = tmp_path / "cfg.json"

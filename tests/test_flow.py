@@ -51,6 +51,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FlowConfig(n=1, k=1, mode="backwards")
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"t_max": float("inf")}, "t_max"),
+        # with dt_max infinite too, only finiteness rejects dt_init
+        ({"dt_init": float("inf"), "dt_max": float("inf")}, "dt_init"),
+        ({"tol_round": -1.0}, "tol_round"),
+        ({"tol_round": float("nan")}, "tol_round"),
+    ])
+    def test_rejects_values_that_disable_a_stop(self, kwargs, field):
+        with pytest.raises(fl.FlowConfigError) as info:
+            FlowConfig(n=1, k=1, **kwargs)
+        assert info.value.field == field
+        FlowConfig(n=1, k=1, dt_max=float("inf"))  # an unbounded dt_max is fine
+
 
 class TestSpeed:
     def test_sphere_values(self):
@@ -298,11 +311,6 @@ class TestRun:
         for name in ("V2", "V1"):
             col = record.column(name)
             assert np.all(np.isfinite(col)) and np.all(col > 0.0)
-
-    def test_grid_mismatch_rejected(self):
-        config = FlowConfig(n=1, k=1, mode="raw", t_max=0.1, grid_n=128)
-        with pytest.raises(ValueError, match="grid"):
-            run(config, sphere(1.0, 1, 64))
 
     def test_record_columns(self):
         config = FlowConfig(n=2, k=1, mode="normalized", t_max=0.02, sample_every=5)

@@ -123,6 +123,45 @@ class TestShapes:
             assert np.array_equal(make_shape(spec, 2, 64).r,
                                   perturbed_sphere(1.0, 0.1, None, 2, 64, 0).r)
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda: make_shape({"type": "torus", "params": {}}, 1, 64), "type"),
+        (lambda: make_shape({"type": "ellipse", "params": {"a": 2, "b": 1}}, 2, 64), "type"),
+        (lambda: make_shape({"type": "ellipsoid_of_revolution", "params": {"a": 2, "c": 1}},
+                            1, 64), "type"),
+        (lambda: make_shape({"type": "sphere", "params": {"radius": 1.0}}, 3, 64), "type"),
+        (lambda: make_shape({"type": "sphere", "params": {"radius": -1.0}}, 1, 64), "params"),
+        (lambda: make_shape({"type": "sphere", "params": [1.0]}, 1, 64), "params"),
+        (lambda: make_shape({"type": "sphere", "params": {"radius": 1.0, "eps": 0.1}}, 1, 64),
+         "params"),
+        (lambda: make_shape({"type": "ellipse", "params": {"a": 2}}, 1, 64), "params"),
+        (lambda: make_shape({"type": "perturbed_sphere", "params": {"radius": 1.0, "eps": 1.5},
+                             "seed": 4}, 1, 64), "params"),
+        (lambda: make_shape({"type": "sphere", "params": {"radius": 1.0}, "seed": -1}, 1, 64),
+         "seed"),
+        (lambda: make_shape({"type": "perturbed_sphere", "params": {"radius": 1.0, "eps": 0.1},
+                             "seed": -1}, 1, 64), "seed"),
+        (lambda: make_shape({"type": "sphere", "params": {"radius": 1.0}, "seed": 1.5}, 1, 64),
+         "seed"),
+        (lambda: make_shape({"type": "sphere", "params": {"radius": 1.0}}, 1, 63), "num"),
+        (lambda: make_shape({"type": "ellipse", "params": {"a": 2, "b": 1}}, 1, 0), "num"),
+        (lambda: make_shape({"type": "ellipsoid_of_revolution", "params": {"a": 2, "c": 1}},
+                            2, -4), "num"),
+        # empty and negative grids: the interval rule runs before any array is built
+        (lambda: RadialGraph(1, []), "num"),
+        (lambda: RadialGraph(2, []), "num"),
+        (lambda: sphere(1.0, 1, 0), "num"),
+        (lambda: sphere(1.0, 1, -4), "num"),
+        (lambda: sphere(1.0, 2, 0), "num"),
+        (lambda: ellipse(2, 1, 0), "num"),
+        (lambda: ellipsoid_of_revolution(2, 1, 0), "num"),
+        (lambda: perturbed_sphere(1.0, 0.1, 2, 2, -2), "num"),
+        (lambda: perturbed_sphere(1.0, 0.1, None, 1, 14), "num"),
+    ])
+    def test_shape_error_names_the_input_at_fault(self, build, field):
+        with pytest.raises(ShapeError) as info:
+            build()
+        assert info.value.field == field
+
 
 class TestPointwiseGeometry:
     def test_sphere_values_dim1(self):
