@@ -310,34 +310,53 @@ def _check_values(cfg: dict) -> None:
         raise ConfigError("output.snapshot_every", f"must be >= 0, got {snap_every!r}")
 
 
+# rows per block of the symfunc samples; the suite's memory is bounded by it, not by verify.samples
+_SYMFUNC_BLOCK = 4096
+
+
+def _block_sizes(per: int):
+    """Row counts of the blocks `per` samples are drawn in, in order."""
+    return (min(_SYMFUNC_BLOCK, per - start) for start in range(0, per, _SYMFUNC_BLOCK))
+
+
 def _symfunc_worst(rng, n: int, per: int) -> tuple:
     """(worst Euler residual, worst polarization residual, least Newton gap,
-    least MacLaurin power gap) over `per` random vectors of dimension n. The
-    samples are column-major, so every row sum is n - 1 contiguous column adds."""
-    lam = np.asfortranarray(rng.uniform(-2.0, 2.0, size=(per, n)))
-    abs_lam = np.abs(lam)
-    sig = sfc.elem_sym_table(lam)
+    least MacLaurin power gap) over `per` random vectors of dimension n.
+
+    The vectors are drawn and checked in blocks of `_SYMFUNC_BLOCK` rows: the
+    uniform ones first, then the normal ones, so that the generator yields the
+    values of one (per, n) draw of each, and each worst value is the max or
+    min over the blocks. The samples are column-major, so every row sum is
+    n - 1 contiguous column adds."""
     euler = polar = 0.0
-    for m in range(1, n + 1):
-        grad = sfc.elem_sym_gradient_table(lam, m)
-        lam_grad = lam * grad
-        rhs = m * sig[:, m]
-        scale = np.sum(np.abs(lam_grad), axis=1) + np.abs(rhs) + 1e-30
-        euler = max(euler, float(np.max(np.abs(np.sum(lam_grad, axis=1) - rhs) / scale)))
-        pol = sfc.polarized_sigma_square_table(lam, grad)
-        tail = (m + 1) * sig[:, m + 1] if m + 1 <= n else 0.0
-        ref = sig[:, 1] * sig[:, m] - tail
-        # sum_i |grad_i lam_i^2|: a product of absolute values rounds to the absolute product
-        pscale = sfc.polarized_sigma_square_table(abs_lam, np.abs(grad)) + np.abs(ref) + 1e-30
-        polar = max(polar, float(np.max(np.abs(pol - ref) / pscale)))
-    pos = np.abs(rng.normal(size=(per, n))) + 0.05
-    pos /= np.max(pos, axis=1, keepdims=True)  # scale-normalize the gap
-    psig = sfc.elem_sym_table(pos)
     newton = maclaurin = np.inf
-    for k in range(1, n):
-        ok = np.abs(sig[:, k]) > 1e-8
-        newton = min(newton, float(np.min(sfc.newton_gap_table(sig[ok], k))))
-        maclaurin = min(maclaurin, float(np.min(sfc.maclaurin_power_gap_table(psig, k))))
+    for size in _block_sizes(per):
+        lam = np.asfortranarray(rng.uniform(-2.0, 2.0, size=(size, n)))
+        abs_lam = np.abs(lam)
+        sig = sfc.elem_sym_table(lam)
+        grads = sfc._gradient_tables(lam)
+        for m in range(1, n + 1):
+            grad = grads[m - 1].T
+            lam_grad = lam * grad
+            rhs = m * sig[:, m]
+            scale = np.sum(np.abs(lam_grad), axis=1) + np.abs(rhs) + 1e-30
+            euler = max(euler, float(np.max(np.abs(np.sum(lam_grad, axis=1) - rhs) / scale)))
+            pol = sfc.polarized_sigma_square_table(lam, grad)
+            tail = (m + 1) * sig[:, m + 1] if m + 1 <= n else 0.0
+            ref = sig[:, 1] * sig[:, m] - tail
+            # sum_i |grad_i lam_i^2|: a product of absolute values rounds to the absolute product
+            pscale = sfc.polarized_sigma_square_table(abs_lam, np.abs(grad)) + np.abs(ref) + 1e-30
+            polar = max(polar, float(np.max(np.abs(pol - ref) / pscale)))
+        for k in range(1, n):
+            ok = np.abs(sig[:, k]) > 1e-8
+            if ok.any():  # a block may hold no row with a defined Newton ratio
+                newton = min(newton, float(np.min(sfc.newton_gap_table(sig[ok], k))))
+    for size in _block_sizes(per):
+        pos = np.abs(rng.normal(size=(size, n))) + 0.05
+        pos /= np.max(pos, axis=1, keepdims=True)  # scale-normalize the gap
+        psig = sfc.elem_sym_table(pos)
+        for k in range(1, n):
+            maclaurin = min(maclaurin, float(np.min(sfc.maclaurin_power_gap_table(psig, k))))
     return euler, polar, newton, maclaurin
 
 
@@ -351,7 +370,6 @@ def suite_symfunc(cfg: dict) -> list:
         sig = sfc.elem_sym_all(np.ones(n))
         for k in range(n + 1):
             binom_err = max(binom_err, abs(sig[k] - comb(n, k)) / comb(n, k))
-    # one dimension at a time, so that its arrays are freed before the next draw
     euler, polar, newton, maclaurin = zip(*(_symfunc_worst(rng, n, per) for n in dims))
     grid = f"samples={per * len(dims)}"
     gaps = {
@@ -563,30 +581,32 @@ def cmd_verify(cfg: dict, args) -> int:
 # sweep
 
 
-def _sweep_combo(payload):
-    """Run one built combination, write its trajectory and fill in its index row."""
-    fc, graph, row, traj_path = payload
+def _sweep_run(payload):
+    """Run one distinct flow, write its trajectory to every path of the
+    combinations that share it, and return its index fields and pass flag."""
+    fc, graph, traj_paths = payload
     try:
         record = flowmod.run(fc, graph)
-        os.makedirs(os.path.dirname(traj_path), exist_ok=True)
-        record.to_csv(traj_path)
+        for traj_path in traj_paths:
+            os.makedirs(os.path.dirname(traj_path), exist_ok=True)
+            record.to_csv(traj_path)
         mono = flowmod.monotone_pair(fc.n, fc.k)[0]
         checks = vfy.check_monotone_series(record) if fc.mode in flowmod.CONSERVING_MODES else []
-        row.update({
+        fields = {
             "status": "ok",
             "final_t": repr(float(record.rows[-1][0])),
             "final_iso": repr(float(record.column(f"I{mono}")[-1])),
             "monotone_pass": str(all(r.passed for r in checks[:1]) if checks else ""),
             "conserve_pass": str(all(r.passed for r in checks[1:2]) if checks else ""),
-        })
+        }
         # the terminal-ball check only binds on long runs; the sweep flag
         # tracks monotonicity and conservation
         ok = all(r.passed for r in checks[:2]) if checks else True
     except (ValueError, flowmod.FlowError) as exc:
-        row.update({"status": f"failed: {exc}", "final_t": "", "final_iso": "",
-                    "monotone_pass": "False", "conserve_pass": "False"})
+        fields = {"status": f"failed: {exc}", "final_t": "", "final_iso": "",
+                  "monotone_pass": "False", "conserve_pass": "False"}
         ok = False
-    return row, ok
+    return fields, ok
 
 
 def cmd_sweep(cfg: dict, args) -> int:
@@ -604,28 +624,37 @@ def cmd_sweep(cfg: dict, args) -> int:
             if exc.key != "problem.k":
                 raise
             raise ConfigError("sweep.k_values", str(exc)) from None
-    # every combination is built here, before any run starts: the build is the validation
+    # every combination is built here, before any run starts: the build is the validation.
+    # A shape that reads no seed builds the same graph for every seed, so each distinct
+    # (flow config, radial samples) pair runs once and writes the trajectory of every
+    # combination that shares it.
     traj_dir = sweep.get("trajectory_dir", os.path.dirname(sweep["index_path"]) or ".")
-    payloads = []
+    rows, keys, runs = [], [], {}
     for spec in sweep["shapes"]:
         params = spec.get("params", {})
         for fc in configs:
             for seed in seeds:
                 shape = spec if seed is None else {**spec, "seed": seed}
                 graph = _make_shape(shape, fc.n, cfg["grid"]["N"], _SWEEP_SHAPE_KEYS)
-                idx = f"{len(payloads):03d}"
-                row = {"id": idx, "shape_type": spec["type"],
-                       "params": ";".join(f"{key}={params[key]!r}" for key in sorted(params)),
-                       "seed": "" if seed is None else str(seed), "n": str(fc.n), "k": str(fc.k)}
-                payloads.append((fc, graph, row, os.path.join(traj_dir, f"traj_{idx}.csv")))
+                idx = f"{len(rows):03d}"
+                rows.append({"id": idx, "shape_type": spec["type"],
+                             "params": ";".join(f"{key}={params[key]!r}" for key in sorted(params)),
+                             "seed": "" if seed is None else str(seed), "n": str(fc.n),
+                             "k": str(fc.k)})
+                flow_key = (fc, graph.r.tobytes())
+                keys.append(flow_key)
+                traj_path = os.path.join(traj_dir, f"traj_{idx}.csv")
+                runs.setdefault(flow_key, (fc, graph, []))[2].append(traj_path)
     if args.jobs > 1:
         # imported here so that only a pooled sweep loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_combo, payloads))
+            outcomes = dict(zip(runs, pool.map(_sweep_run, runs.values())))
     else:
-        results = [_sweep_combo(p) for p in payloads]
+        outcomes = {key: _sweep_run(payload) for key, payload in runs.items()}
+    results = [({**row, **outcomes[flow_key][0]}, outcomes[flow_key][1])
+               for row, flow_key in zip(rows, keys)]
     index_path = sweep["index_path"]
     if os.path.dirname(index_path):
         os.makedirs(os.path.dirname(index_path), exist_ok=True)

@@ -92,6 +92,12 @@ def _check_intervals(num: int) -> None:
         raise ShapeError(f"need an even number of intervals >= {MIN_NODES}, got {num}", "num")
 
 
+def _check_seed(seed) -> None:
+    """The seed rule of every shape: None or an integer >= 0."""
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0):
+        raise ShapeError(f"shape seed must be an integer >= 0, got {seed!r}", "seed")
+
+
 @dataclass(frozen=True)
 class RadialGraph:
     """Radial function of a starshaped hypersurface on a uniform grid.
@@ -236,11 +242,13 @@ def perturbed_sphere(
     """Sphere with a relative radial perturbation of amplitude eps.
 
     A single cosine mode when `mode` is given, otherwise random harmonics
-    drawn from `seed` and normalized so the perturbation never exceeds
-    eps in absolute value. dim 2 uses cos(l*phi) modes only, which are
-    Chebyshev polynomials in cos(phi) and hence smooth at the poles.
+    drawn from `seed` (None or an integer >= 0) and normalized so the
+    perturbation never exceeds eps in absolute value. dim 2 uses cos(l*phi)
+    modes only, which are Chebyshev polynomials in cos(phi) and hence
+    smooth at the poles.
     """
     _check_intervals(num)
+    _check_seed(seed)
     if radius <= 0.0:
         raise ShapeError("sphere radius must be positive")
     if eps < 0.0:
@@ -315,8 +323,7 @@ def make_shape(spec, dim: int, num: int) -> RadialGraph:
         if isinstance(value, bool) or not isinstance(value, Real):
             raise ShapeError(f"shape parameter {key!r} must be a number, got {value!r}")
     seed = spec.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0):
-        raise ShapeError(f"shape seed must be an integer >= 0, got {seed!r}", "seed")
+    _check_seed(seed)
     try:
         return build(params, dim, num, 0 if seed is None else seed)
     except KeyError as exc:

@@ -11,7 +11,10 @@ one strict / nonstrict / violated rule, read by `in_gamma_k`,
 paper's argument uses (the polarization row-sum, the Newton gap, the
 MacLaurin power gap) is written here once, as a table form on the arrays
 of `elem_sym_table` and `elem_sym_gradient_table`. The scalar helpers and
-`starflow verify symfunc` both read those table forms.
+`starflow verify symfunc` both read those table forms. The gradients of all
+degrees come from one leave-one-out pass, `_gradient_tables`: n recurrences
+of n - 1 entries serve every degree, where a pass per degree runs n^2 of
+them.
 """
 
 from __future__ import annotations
@@ -100,22 +103,35 @@ def elem_sym_gradient(lam, m) -> np.ndarray:
     return elem_sym_gradient_table(_vector(lam)[None, :], m)[0]
 
 
+def _gradient_tables(lams: np.ndarray) -> np.ndarray:
+    """Gradients of sigma_1 .. sigma_n of each row of an (M, n) array, as an
+    (n, n, M) array whose [m - 1].T is the (M, n) gradient table of sigma_m.
+
+    One leave-one-out pass serves every degree: [:, i] is sigma_0 .. sigma_{n-1}
+    of the rows with entry i removed, and since in `_sym_rows` the lower
+    degrees never read the higher ones, each degree is bitwise the value of a
+    pass that stops at it.
+    """
+    rows, n = lams.shape
+    out = np.empty((n, n, rows))
+    for i in range(n):
+        out[:, i] = _sym_rows(np.delete(lams.T, i, axis=0), n - 1)
+    return out
+
+
 def elem_sym_gradient_table(lams: np.ndarray, m: int) -> np.ndarray:
     """Gradient of sigma_m in the principal frame, per row: (M, n) -> (M, n).
 
     Entry i is sigma_{m-1} of the row with entry i removed, which is the
     diagonal of the matrix derivative of sigma_m evaluated on a
-    diagonal argument.
+    diagonal argument. A view of `_gradient_tables`, with contiguous columns.
     """
     lams = _batch(lams)
-    rows, n = lams.shape
+    n = lams.shape[1]
     m = _degree(m)
     if not 1 <= m <= n:
         raise ValueError(f"gradient degree m={m} out of range 1..{n}")
-    out = np.empty((n, rows))
-    for i in range(n):
-        out[i] = _sym_rows(np.delete(lams.T, i, axis=0), m - 1)[m - 1]
-    return out.T
+    return _gradient_tables(lams)[m - 1].T
 
 
 @lru_cache(maxsize=256)

@@ -34,7 +34,7 @@ from .geometry import (
     sphere_area,
     unit_ball_quermass,
 )
-from .symfunc import elem_sym_gradient_table, elem_sym_table, polarized_sigma_square_table
+from .symfunc import _gradient_tables, elem_sym_table, polarized_sigma_square_table
 
 __all__ = [
     "IdentityReport",
@@ -424,8 +424,9 @@ def check_prop1_axisym(g: RadialGraph, k: int, dt: float, tol: float = 1e-3):
     sqrt_det = mid.wa * rho
     k_par = mid.kappa[:, 1]
     sig1 = sig[:, 1]
-    pol1, pol2 = (polarized_sigma_square_table(mid.kappa, elem_sym_gradient_table(mid.kappa, deg))
-                  for deg in (1, 2))
+    # one leave-one-out pass gives the gradients of sigma_1 and sigma_2
+    pol1, pol2 = (polarized_sigma_square_table(mid.kappa, grad.T)
+                  for grad in _gradient_tables(mid.kappa))
     with np.errstate(divide="ignore", invalid="ignore"):
         div_t0 = _dmid(rho * f1 / mid.wa, delta) / sqrt_det
         div_t1 = _dmid(rho * k_par * f1 / mid.wa, delta) / sqrt_det

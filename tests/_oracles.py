@@ -47,6 +47,13 @@ def elem_sym_gradient_rowmajor(lams, m):
     return out
 
 
+def gradient_tables_rowmajor(lams):
+    """Gradients of every degree in the layout of symfunc's all-degree path,
+    an (n, n, M) array whose [m - 1].T is elem_sym_gradient_rowmajor(lams, m)."""
+    lams = np.asarray(lams, float)
+    return np.stack([elem_sym_gradient_rowmajor(lams, m).T for m in range(1, lams.shape[1] + 1)])
+
+
 def stencil_derivatives_padded(r, dim, h):
     """Sixth-order centered first and second derivatives of radial samples,
     evaluated on a copy padded with three ghost nodes at each end:

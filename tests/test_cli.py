@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from starflow import cli
 from starflow import flow as flowmod
 from starflow import symfunc
-from _oracles import elem_sym_gradient_rowmajor, elem_sym_table_rowmajor
+from _oracles import elem_sym_gradient_rowmajor, elem_sym_table_rowmajor, gradient_tables_rowmajor
 
 
 def write_config(path, **overrides):
@@ -397,7 +398,52 @@ class TestVerify:
         reports = [repr(rep) for rep in cli.suite_symfunc(cfg)]
         monkeypatch.setattr(symfunc, "elem_sym_table", elem_sym_table_rowmajor)
         monkeypatch.setattr(symfunc, "elem_sym_gradient_table", elem_sym_gradient_rowmajor)
+        monkeypatch.setattr(symfunc, "_gradient_tables", gradient_tables_rowmajor)
         assert [repr(rep) for rep in cli.suite_symfunc(cfg)] == reports
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_symfunc_blocks_change_no_report(self, monkeypatch, seed):
+        # per = 400 rows of each dimension: 7-row blocks end on a partial block
+        cfg = {"verify": {"samples": 2000, "seed": seed}}
+        assert 2000 // 5 <= cli._SYMFUNC_BLOCK
+        one_block = [repr(rep) for rep in cli.suite_symfunc(cfg)]
+        monkeypatch.setattr(cli, "_SYMFUNC_BLOCK", 7)
+        assert [repr(rep) for rep in cli.suite_symfunc(cfg)] == one_block
+
+    def test_symfunc_block_without_newton_rows(self, monkeypatch):
+        class ZeroRows:
+            """A generator whose uniform rows 7..13 are zero, wherever the blocks start:
+            in 7-row blocks, the second block has sigma_k = 0 in every row."""
+
+            def __init__(self):
+                self.rng = np.random.default_rng(3)
+                self.row = 0
+
+            def uniform(self, low, high, size):
+                out = self.rng.uniform(low, high, size=size)
+                rows = np.arange(self.row, self.row + size[0])
+                self.row += size[0]
+                out[(rows >= 7) & (rows < 14)] = 0.0
+                return out
+
+            def normal(self, size):
+                return self.rng.normal(size=size)
+
+        one_block = cli._symfunc_worst(ZeroRows(), 3, 40)
+        monkeypatch.setattr(cli, "_SYMFUNC_BLOCK", 7)
+        assert repr(cli._symfunc_worst(ZeroRows(), 3, 40)) == repr(one_block)
+
+    def test_symfunc_memory_does_not_grow_with_samples(self):
+        # the samples are drawn and checked in fixed blocks; one (samples, n)
+        # draw per dimension would peak near 36 MB here
+        tracemalloc.start()
+        try:
+            reports = cli.suite_symfunc({"verify": {"samples": 400_000, "seed": 1}})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(rep.passed for rep in reports)
+        assert peak < 8e6
 
     def test_tolerance_violation_exits_four(self, tmp_path, capsys):
         report = tmp_path / "report.csv"
@@ -614,3 +660,36 @@ class TestSweep:
         path = self._sweep_config(tmp_path)
         assert cli.main(["sweep", str(path), "--quiet"]) == cli.EXIT_OK
         assert len(built) == 6  # 3 shapes x 1 k x 2 seeds
+
+    def test_sweep_runs_each_distinct_flow_once(self, tmp_path, monkeypatch):
+        # a shape that reads no seed builds one graph for both seeds, so it runs once;
+        # the seeded perturbed_sphere runs per seed. Every combination keeps its row and file
+        shapes = [
+            {"type": "sphere", "params": {"radius": 1.0}},
+            {"type": "ellipse", "params": {"a": 2.0, "b": 1.0}},
+            {"type": "perturbed_sphere", "params": {"radius": 1.0, "eps": 0.08, "mode": 3}},
+            {"type": "perturbed_sphere", "params": {"radius": 1.0, "eps": 0.08}},
+        ]
+        path = self._sweep_config(tmp_path, shapes=shapes)
+        cfg = json.loads(path.read_text())
+        runs = []
+        run = flowmod.run
+        monkeypatch.setattr(cli.flowmod, "run", lambda fc, graph: runs.append(fc) or run(fc, graph))
+        assert cli.main(["sweep", str(path), "--quiet"]) == cli.EXIT_OK
+        assert len(runs) == 5  # 3 seedless shapes + 1 seeded shape x 2 seeds
+        monkeypatch.undo()
+        rows = read_csv(tmp_path / "index.csv")[1:]
+        assert [row[0] for row in rows] == [f"{i:03d}" for i in range(8)]
+        fc = cli.flow_config_from(cfg)
+        for row, (spec, seed) in zip(rows, [(spec, seed) for spec in shapes for seed in (11, 12)]):
+            expect = tmp_path / "expect.csv"
+            flowmod.run(fc, cli.geom.make_shape({**spec, "seed": seed}, 1, 64)).to_csv(str(expect))
+            traj = tmp_path / "trajs" / f"traj_{row[0]}.csv"
+            assert traj.read_bytes() == expect.read_bytes()
+        serial = {name: (tmp_path / "trajs" / name).read_bytes()
+                  for name in os.listdir(tmp_path / "trajs")}
+        index = (tmp_path / "index.csv").read_bytes()
+        assert cli.main(["sweep", str(path), "--jobs", "2", "--quiet"]) == cli.EXIT_OK
+        assert (tmp_path / "index.csv").read_bytes() == index
+        assert {name: (tmp_path / "trajs" / name).read_bytes()
+                for name in os.listdir(tmp_path / "trajs")} == serial

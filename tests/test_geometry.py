@@ -156,6 +156,9 @@ class TestShapes:
         (lambda: ellipsoid_of_revolution(2, 1, 0), "num"),
         (lambda: perturbed_sphere(1.0, 0.1, 2, 2, -2), "num"),
         (lambda: perturbed_sphere(1.0, 0.1, None, 1, 14), "num"),
+        # the builder keeps make_shape's seed rule, not numpy's
+        (lambda: perturbed_sphere(1.0, 0.1, None, 1, 64, -1), "seed"),
+        (lambda: perturbed_sphere(1.0, 0.1, None, 1, 64, 2.5), "seed"),
     ])
     def test_shape_error_names_the_input_at_fault(self, build, field):
         with pytest.raises(ShapeError) as info:

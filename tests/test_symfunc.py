@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starflow import symfunc as sfc
-from _oracles import elem_sym_gradient_rowmajor, elem_sym_table_rowmajor, sigma_subsets
+from _oracles import (elem_sym_gradient_rowmajor, elem_sym_table_rowmajor, gradient_tables_rowmajor,
+                      sigma_subsets)
 
 finite_entries = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 vectors = st.lists(finite_entries, min_size=1, max_size=7)
@@ -79,6 +80,21 @@ class TestColumnMajorKernel:
             for m in range(1, n + 1):
                 got = sfc.elem_sym_gradient_table(lam, m)
                 assert got.tobytes() == elem_sym_gradient_rowmajor(lam, m).tobytes()
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_one_pass_serves_every_degree(self, n, layout):
+        # each degree slice of the one leave-one-out pass, m = 1 included, is
+        # bitwise the single-degree table and the row-major oracle
+        for rows in (1, 2, 257):
+            lam = layouts(rows, n)[layout]
+            grads = sfc._gradient_tables(lam)
+            assert grads.shape == (n, n, rows)
+            assert grads.tobytes() == gradient_tables_rowmajor(lam).tobytes()
+            for m in range(1, n + 1):
+                want = elem_sym_gradient_rowmajor(lam, m).tobytes()
+                assert grads[m - 1].T.tobytes() == want
+                assert sfc.elem_sym_gradient_table(lam, m).tobytes() == want
 
 
 class TestGradient:
