@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from itertools import islice
 from math import comb
 
 import numpy as np
@@ -484,18 +485,52 @@ def suite_variation(cfg: dict) -> list:
     ]
 
 
-def _random_kconvex_sample(rng, n: int, k: int, num: int):
-    for _ in range(64):
-        eps = rng.uniform(0.02, 0.3)
-        mode = int(rng.integers(2, 5))
-        try:
-            g = geom.perturbed_sphere(1.0, eps, mode=mode, dim=n, num=num)
-        except geom.ShapeError:
-            continue
-        geo = geom.compute_geometry(g)
-        if geom.kconvex_report(geo, k).strict:
-            return geo
-    raise RuntimeError("could not draw a strictly k-convex sample")
+# candidates per stacked geometry call of the af sampler; its memory is bounded by it
+_AF_CHUNK = 16
+
+
+def _af_candidate(rng) -> tuple:
+    """(eps, mode) of one random af candidate: two scalar draws."""
+    return rng.uniform(0.02, 0.3), int(rng.integers(2, 5))
+
+
+def _random_kconvex_samples(rng, n: int, k: int, num: int):
+    """Endless PointwiseGeometry of strictly k-convex single-mode perturbed
+    spheres on num intervals, one per candidate that passes.
+
+    Candidates are drawn and evaluated `_AF_CHUNK` at a time, in one
+    `_curvatures` call on a stacked kit; a row that is not positive is a miss.
+    The stream is then rewound to the chunk's start and each candidate's draws
+    are replayed before it is decided, so that at each yield, and at the
+    RuntimeError after 64 misses in a row, the generator stands where drawing,
+    building and testing one candidate at a time would leave it. Each yield
+    is a copy, so no chunk buffer outlives its chunk.
+    """
+    size = num if n == 1 else num + 1
+    kit = geom._grid_kit(n, size, _AF_CHUNK)
+    misses = 0
+    while True:
+        start = rng.bit_generator.state
+        eps, mode = np.array([_af_candidate(rng) for _ in range(_AF_CHUNK)]).T
+        # kit.param is perturbed_sphere's grid, so each row is its radial samples
+        rows = geom._single_mode_radius(1.0, eps[:, None], mode[:, None], kit.param)
+        starshaped = np.minimum.reduce(rows, axis=1) > 0.0
+        rows[~starshaped] = 1.0  # a stand-in the curvature call accepts; never yielded
+        curv = geom._curvatures(kit, rows.ravel())
+        kappa, sig = curv[4], curv[5]
+        mins = np.minimum.reduce(sig[1 : k + 1].reshape(k, _AF_CHUNK, size), axis=2)
+        rng.bit_generator.state = start
+        for j in range(_AF_CHUNK):
+            _af_candidate(rng)
+            cols = slice(j * size, (j + 1) * size)
+            if starshaped[j] and sfc._cone_status(mins[:, j], kappa[:, cols]) == "strict":
+                misses = 0
+                yield geom._pointwise(kit, rows[j].copy(),
+                                      tuple(data[..., cols].copy() for data in curv))
+            else:
+                misses += 1
+                if misses == 64:
+                    raise RuntimeError("could not draw a strictly k-convex sample")
 
 
 def suite_af(cfg: dict) -> list:
@@ -517,8 +552,7 @@ def suite_af(cfg: dict) -> list:
     for n, k in ((1, 1), (2, 1), (2, 2)):
         worst = -np.inf
         at = (0.0, 0.0)
-        for _ in range(count):
-            geo = _random_kconvex_sample(rng, n, k, 256)
+        for geo in islice(_random_kconvex_samples(rng, n, k, 256), count):
             for rep in vfy.check_af_chain(geo, k):
                 if rep.abs_residual > worst:
                     worst, at = rep.abs_residual, (rep.lhs, rep.rhs)

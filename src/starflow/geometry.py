@@ -28,6 +28,13 @@ sigma_0..sigma_n as an (n + 1, M) array, one contiguous row per
 principal direction or degree, which is the layout the flow's stages and
 `symfunc`'s tables read. `PointwiseGeometry` exposes them as (M, n) and
 (M, n + 1) transposed views, one column per direction or degree.
+
+A grid kit may be stacked: `_grid_kit(dim, size, copies)` lays `copies`
+grids end to end, so one `_curvatures` call evaluates that many radial
+graphs of one grid, each copy bitwise as on its own. The dim-2 pole rule
+is written on the kit's strided slices `[::size]` and `[size - 1::size]`,
+which are nodes 0 and N of every copy; with one copy they are the two
+poles.
 """
 
 from __future__ import annotations
@@ -231,6 +238,12 @@ def ellipsoid_of_revolution(a: float, c: float, num: int = 256) -> RadialGraph:
     return RadialGraph(2, r)
 
 
+def _single_mode_radius(radius, eps, mode, x) -> np.ndarray:
+    """radius * (1 + eps * cos(mode * x)); broadcasts, so (c, 1) columns of eps
+    and mode give c rows, each bitwise the row of its scalar pair."""
+    return radius * (1.0 + eps * np.cos(mode * x))
+
+
 def perturbed_sphere(
     radius: float,
     eps: float,
@@ -242,10 +255,10 @@ def perturbed_sphere(
     """Sphere with a relative radial perturbation of amplitude eps.
 
     A single cosine mode when `mode` is given, otherwise random harmonics
-    drawn from `seed` (None or an integer >= 0) and normalized so the
-    perturbation never exceeds eps in absolute value. dim 2 uses cos(l*phi)
-    modes only, which are Chebyshev polynomials in cos(phi) and hence
-    smooth at the poles.
+    drawn from `seed` (an integer >= 0; None means 0, so every call is
+    reproducible) and normalized so the perturbation never exceeds eps in
+    absolute value. dim 2 uses cos(l*phi) modes only, which are Chebyshev
+    polynomials in cos(phi) and hence smooth at the poles.
     """
     _check_intervals(num)
     _check_seed(seed)
@@ -263,9 +276,9 @@ def perturbed_sphere(
             raise ShapeError(f"perturbation mode must be a whole number, got {mode!r}")
         if mode < 1:
             raise ShapeError("perturbation mode must be >= 1")
-        bump = np.cos(mode * x)
+        r = _single_mode_radius(radius, eps, mode, x)
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0 if seed is None else seed)
         modes = np.arange(2, 6) if dim == 1 else np.arange(2, 5)
         ca = rng.normal(size=modes.size)
         cb = rng.normal(size=modes.size) if dim == 1 else np.zeros(modes.size)
@@ -274,7 +287,7 @@ def perturbed_sphere(
             (ca[i] * np.cos(l * x) + cb[i] * np.sin(l * x)) / norm
             for i, l in enumerate(modes)
         )
-    r = radius * (1.0 + eps * bump)
+        r = radius * (1.0 + eps * bump)
     if np.min(r) <= 0.0:
         raise ShapeError("perturbation destroys starshapedness (min r <= 0)")
     return RadialGraph(dim, r)
@@ -299,12 +312,12 @@ def make_shape(spec, dim: int, num: int) -> RadialGraph:
     """Build a RadialGraph from a config-style description.
 
     `spec` is a mapping with keys `type`, `params` and optionally `seed`
-    (an integer >= 0; missing or null means 0, so a config always names
-    one shape); `params` maps the parameter names the type reads to
-    numbers, and a null value counts as left out. Any other name is a
-    ShapeError. The error's `field` is `type` for an unknown type or one
-    of another dim, `seed`, `num` for a grid that breaks the interval
-    rule, and `params` for anything else.
+    (an integer >= 0; missing or null is the builder's default, seed 0, so
+    a config always names one shape); `params` maps the parameter names
+    the type reads to numbers, and a null value counts as left out. Any
+    other name is a ShapeError. The error's `field` is `type` for an
+    unknown type or one of another dim, `seed`, `num` for a grid that
+    breaks the interval rule, and `params` for anything else.
     """
     kind = spec.get("type")
     if not isinstance(kind, str) or kind not in _SHAPES:
@@ -325,7 +338,7 @@ def make_shape(spec, dim: int, num: int) -> RadialGraph:
     seed = spec.get("seed")
     _check_seed(seed)
     try:
-        return build(params, dim, num, 0 if seed is None else seed)
+        return build(params, dim, num, seed)
     except KeyError as exc:
         raise ShapeError(f"shape {kind!r} is missing parameter {exc.args[0]!r}") from None
 
@@ -369,7 +382,12 @@ def _simpson_weights(n_int: int, h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _GridKit:
-    """Static per-grid data shared by every geometry evaluation."""
+    """Static per-grid data shared by every geometry evaluation.
+
+    A stacked kit lays `copies` grids of `size` nodes end to end: copy c
+    holds the nodes c * size .. (c + 1) * size - 1 of every node array, and
+    its gather tables read only its own nodes. `param` is one copy's grid.
+    """
 
     dim: int
     size: int
@@ -379,11 +397,14 @@ class _GridKit:
     # is overwritten with the meridian one, and cos(phi); None for dim 1
     pole_safe_sin: np.ndarray | None
     cos: np.ndarray | None
+    # dim 2: the strided slices [::size] and [size - 1::size], nodes 0 and N
+    # of every copy; None for dim 1
+    poles: tuple | None
     area_weight: np.ndarray  # h for dim 1, simpson * 2 pi sin(phi) for dim 2
-    # (3, size) indices of the nodes 1..3 places ahead of / behind each node
+    # (3, copies * size) indices of the nodes 1..3 places ahead of / behind each node
     ahead: np.ndarray
     behind: np.ndarray
-    # (3, size) stencil weights of those offsets, one full row per offset
+    # (3, copies * size) stencil weights of those offsets, one full row per offset
     d1_weights: np.ndarray
     d2_weights: np.ndarray
 
@@ -391,19 +412,21 @@ class _GridKit:
 _KIT_CACHE: dict = {}
 
 
-def _grid_kit(dim: int, size: int) -> _GridKit:
-    key = (dim, size)
+def _grid_kit(dim: int, size: int, copies: int = 1) -> _GridKit:
+    """The kit of `copies` stacked grids of `size` nodes each."""
+    key = (dim, size, copies)
     kit = _KIT_CACHE.get(key)
     if kit is None:
         nodes = np.arange(size)
         ahead = nodes + np.arange(1, 4)[:, None]
         behind = nodes - np.arange(1, 4)[:, None]
-        weights = (np.repeat(_D1_WEIGHTS, size, axis=1), np.repeat(_D2_WEIGHTS, size, axis=1))
         if dim == 1:
             param = 2.0 * pi * nodes / size
             h = 2.0 * pi / size
-            kit = _GridKit(dim, size, h, param, None, None, np.full(size, h),
-                           ahead % size, behind % size, *weights)
+            sin = cos = poles = None
+            area = np.full(size, h)
+            ahead %= size
+            behind %= size
         else:
             # even reflection about both poles: node -j is node j, node
             # top + j is node top - j
@@ -411,12 +434,19 @@ def _grid_kit(dim: int, size: int) -> _GridKit:
             param = pi * nodes / top
             h = pi / top
             sin = np.sin(param)
+            area = _simpson_weights(top, h) * (2.0 * pi) * sin
             safe = sin.copy()
             safe[[0, -1]] = 1.0
-            kit = _GridKit(dim, size, h, param, safe, np.cos(param),
-                           _simpson_weights(top, h) * (2.0 * pi) * sin,
-                           np.where(ahead > top, 2 * top - ahead, ahead), np.abs(behind),
-                           *weights)
+            sin, cos = np.tile(safe, copies), np.tile(np.cos(param), copies)
+            poles = (slice(None, None, size), slice(top, None, size))
+            ahead = np.where(ahead > top, 2 * top - ahead, ahead)
+            behind = np.abs(behind)
+        offsets = size * np.arange(copies)[:, None]
+        ahead, behind = ((table[:, None, :] + offsets).reshape(3, copies * size)
+                         for table in (ahead, behind))
+        kit = _GridKit(dim, size, h, param, sin, cos, poles, np.tile(area, copies),
+                       ahead, behind, np.repeat(_D1_WEIGHTS, copies * size, axis=1),
+                       np.repeat(_D2_WEIGHTS, copies * size, axis=1))
         if len(_KIT_CACHE) > 64:
             _KIT_CACHE.clear()
         _KIT_CACHE[key] = kit
@@ -453,8 +483,9 @@ def _curvatures(kit: _GridKit, r: np.ndarray):
         rw = r * w
         sin = kit.pole_safe_sin
         np.divide(r * sin - r1 * kit.cos, rw * sin, out=k_par)
-        k_par[0] = k_rad[0]
-        k_par[-1] = k_rad[-1]
+        north, south = kit.poles
+        k_par[north] = k_rad[north]
+        k_par[south] = k_rad[south]
         np.add(k_rad, k_par, out=sig[1])
         np.multiply(k_rad, k_par, out=sig[2])
         dmu = kit.area_weight * rw
@@ -464,8 +495,9 @@ def _curvatures(kit: _GridKit, r: np.ndarray):
     return r1, r2, w, rr, kappa, sig, dmu
 
 
-def _pointwise(kit: _GridKit, r: np.ndarray) -> PointwiseGeometry:
-    r1, r2, w, rr, kappa, sig, dmu = _curvatures(kit, r)
+def _pointwise(kit: _GridKit, r: np.ndarray, curvatures: tuple | None = None) -> PointwiseGeometry:
+    """PointwiseGeometry of r on kit's grid, from r's `_curvatures` data when given."""
+    r1, r2, w, rr, kappa, sig, dmu = _curvatures(kit, r) if curvatures is None else curvatures
     return PointwiseGeometry(
         dim=kit.dim, param=kit.param, h=kit.h, r=r, r1=r1, r2=r2, w=w, u=rr / w,
         kappa=kappa.T, sigma=sig.T, dmu=dmu,

@@ -152,9 +152,9 @@ def _cone_status(mins: np.ndarray, kappa: np.ndarray, tol_cone: float = 1e-10) -
     -tol_cone * max(1, max|kappa|)**m; kappa is read only when a minimum is not positive."""
     if np.minimum.reduce(mins) > 0.0:  # a NaN minimum compares false
         return "strict"
-    scale = max(1.0, float(np.max(np.abs(kappa))))
+    scale = max(1.0, float(np.maximum.reduce(np.abs(kappa), axis=None)))
     floor = -tol_cone * scale ** np.arange(1, mins.size + 1)
-    return "nonstrict" if np.all(mins >= floor) else "violated"
+    return "nonstrict" if np.logical_and.reduce(mins >= floor) else "violated"
 
 
 def in_gamma_k(lam, k, strict: bool = True, tol_cone: float = 1e-10) -> bool:

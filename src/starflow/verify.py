@@ -5,7 +5,10 @@ Lagrangian representations, where the motion is purely normal: a
 material plane curve for dim 1, the material meridian of an
 axisymmetric surface for dim 2. Spatial derivatives on the closed curve
 are spectral in the material parameter (exact on circles, so the circle
-residuals isolate the O(dt^2) time error); the meridian uses
+residuals isolate the O(dt^2) time error); one helper,
+`_spectral_derivatives`, gives the first and second derivative of every
+column of an array from one rfft, so a curve's geometry takes one
+forward transform for both coordinates. The meridian uses
 second-order stencils with odd/even pole reflection. Above these two
 discretizations both dimensions share one speed sigma_{k-1}/sigma_k,
 one substepped RK4 evolver and one worst-node report. Time derivatives
@@ -190,29 +193,22 @@ class _CurveGeo:
     dmu: np.ndarray  # arc length per node, sqrtg * delta
 
 
-def _dspec(f: np.ndarray) -> np.ndarray:
-    """Spectral derivative on the 2pi-periodic material grid."""
-    m = f.size
-    spec = np.fft.rfft(f)
-    ell = np.arange(spec.size)
+def _spectral_derivatives(f: np.ndarray) -> tuple:
+    """First and second spectral derivatives on the 2pi-periodic material grid,
+    along axis 0 of an (m,) or (m, c) array, from one rfft of every column."""
+    m = f.shape[0]
+    spec = np.fft.rfft(f, axis=0)
+    ell = np.arange(spec.shape[0]).reshape((-1,) + (1,) * (f.ndim - 1))
     d1 = spec * (1j * ell)
     if m % 2 == 0:
         d1[-1] = 0.0  # symmetric choice for the Nyquist mode
-    return np.fft.irfft(d1, m)
-
-
-def _d2spec(f: np.ndarray) -> np.ndarray:
-    m = f.size
-    spec = np.fft.rfft(f)
-    ell = np.arange(spec.size)
-    return np.fft.irfft(spec * -(ell * ell), m)
+    return np.fft.irfft(d1, m, axis=0), np.fft.irfft(spec * -(ell * ell), m, axis=0)
 
 
 def _curve_geometry(pts: np.ndarray) -> _CurveGeo:
     m = pts.shape[0]
     delta = 2.0 * pi / m
-    d1 = np.stack([_dspec(pts[:, 0]), _dspec(pts[:, 1])], axis=1)
-    d2 = np.stack([_d2spec(pts[:, 0]), _d2spec(pts[:, 1])], axis=1)
+    d1, d2 = _spectral_derivatives(pts)
     g11 = d1[:, 0] ** 2 + d1[:, 1] ** 2
     sqrtg = np.sqrt(g11)
     nu = np.stack([d1[:, 1], -d1[:, 0]], axis=1) / sqrtg[:, None]
@@ -383,11 +379,11 @@ def check_prop1_pointwise(curve: LagrangianCurve, k: int, dt: float, tol: float 
     geos = [_curve_geometry(p) for p in (p0, p1, p2)]
     mid = geos[1]
     f, _ = _material_speed(mid, k)
-    f1 = _dspec(f)
-    f2 = _d2spec(f)
-    gamma = _dspec(mid.g11) / (2.0 * mid.g11)
+    f1, f2 = _spectral_derivatives(f)
+    dg11, dflux = _spectral_derivatives(np.stack([mid.g11, f1 / mid.sqrtg], axis=1))[0].T
+    gamma = dg11 / (2.0 * mid.g11)
     hess = f2 - gamma * f1
-    lap = _dspec(f1 / mid.sqrtg) / mid.sqrtg
+    lap = dflux / mid.sqrtg
     pairs = {  # sigma_1 = kappa for curves
         "g11": ([g.g11 for g in geos], 2.0 * f * mid.h11),
         "area_element": ([g.sqrtg for g in geos], f * mid.kappa * mid.sqrtg),
@@ -468,16 +464,15 @@ def check_lemma_integral(
     if config.mode != "raw":
         raise ValueError("lemma rate check requires raw flow mode")
     times, lhs_series, rhs_series = [], [], []
+    degrees = np.arange(1, n + 1)
 
     def observer(state):
         geo = state.geo
+        sig = geo.sigma.T  # contiguous rows sigma_0..sigma_n
         times.append(state.t)
-        lhs_series.append([float(np.sum(geo.sigma[:, l] * geo.dmu)) for l in range(n + 1)])
-        sk = geo.sigma[:, k]
-        rhs_series.append(
-            [(l + 1) * float(np.sum(geo.sigma[:, l + 1] * geo.sigma[:, k - 1] / sk * geo.dmu))
-             for l in range(n)] + [0.0]
-        )
+        lhs_series.append(np.add.reduce(sig * geo.dmu, axis=1))
+        rates = sig[1:] * sig[k - 1] / sig[k] * geo.dmu
+        rhs_series.append(np.append(degrees * np.add.reduce(rates, axis=1), 0.0))
 
     flowmod.run(replace(config, sample_every=1), initial, observer=observer,
                 record_samples=False)

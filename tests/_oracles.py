@@ -4,14 +4,18 @@ These deliberately avoid the library's evaluation paths: symmetric
 functions by subset enumeration and by the row-major table update,
 curvature by second-order finite differences on embedded points,
 integrals by very fine trapezoid sums, the sixth-order radial
-stencils on an array padded with ghost nodes, and the radial-graph
-curvature data on row-major per-node tables.
+stencils on an array padded with ghost nodes, the radial-graph
+curvature data on row-major per-node tables, one unstacked grid kit,
+the af sampler one candidate at a time and the spectral derivatives one
+transform per derivative.
 """
 
 from itertools import combinations
-from math import prod
+from math import pi, prod
 
 import numpy as np
+
+from starflow import geometry
 
 
 def sigma_subsets(lam, m):
@@ -170,3 +174,65 @@ def ellipse_mean_radius(a, b, n=1 << 16):
     t = 2.0 * np.pi * np.arange(n) / n
     r = a * b / np.sqrt(b * b * np.cos(t) ** 2 + a * a * np.sin(t) ** 2)
     return float(np.mean(r))
+
+
+def grid_kit_arrays(dim, size):
+    """The node arrays of one unstacked grid kit, built node table by node
+    table: (param, pole_safe_sin, cos, area_weight, ahead, behind, d1_weights,
+    d2_weights), with None for the dim-1 sin and cos."""
+    nodes = np.arange(size)
+    ahead = nodes + np.arange(1, 4)[:, None]
+    behind = nodes - np.arange(1, 4)[:, None]
+    weights = (np.repeat([[45.0], [9.0], [1.0]], size, axis=1),
+               np.repeat([[270.0], [27.0], [2.0]], size, axis=1))
+    if dim == 1:
+        h = 2.0 * pi / size
+        return (2.0 * pi * nodes / size, None, None, np.full(size, h),
+                ahead % size, behind % size, *weights)
+    top = size - 1
+    param = pi * nodes / top
+    h = pi / top
+    sin = np.sin(param)
+    safe = sin.copy()
+    safe[[0, -1]] = 1.0
+    simpson = np.ones(size)
+    simpson[1:-1:2] = 4.0
+    simpson[2:-1:2] = 2.0
+    return (param, safe, np.cos(param), simpson * (h / 3.0) * (2.0 * pi) * sin,
+            np.where(ahead > top, 2 * top - ahead, ahead), np.abs(behind), *weights)
+
+
+def random_kconvex_sample(rng, n, k, num):
+    """One strictly k-convex single-mode perturbed sphere: candidates drawn,
+    built and tested one at a time, at most 64 of them."""
+    for _ in range(64):
+        eps = rng.uniform(0.02, 0.3)
+        mode = int(rng.integers(2, 5))
+        try:
+            g = geometry.perturbed_sphere(1.0, eps, mode=mode, dim=n, num=num)
+        except geometry.ShapeError:
+            continue
+        geo = geometry.compute_geometry(g)
+        if geometry.kconvex_report(geo, k).strict:
+            return geo
+    raise RuntimeError("could not draw a strictly k-convex sample")
+
+
+def dspec(f):
+    """Spectral first derivative of a 1-D sample on the 2pi-periodic grid,
+    the Nyquist mode of an even length set to zero."""
+    m = f.size
+    spec = np.fft.rfft(f)
+    ell = np.arange(spec.size)
+    d1 = spec * (1j * ell)
+    if m % 2 == 0:
+        d1[-1] = 0.0
+    return np.fft.irfft(d1, m)
+
+
+def d2spec(f):
+    """Spectral second derivative of a 1-D sample on the 2pi-periodic grid."""
+    m = f.size
+    spec = np.fft.rfft(f)
+    ell = np.arange(spec.size)
+    return np.fft.irfft(spec * -(ell * ell), m)

@@ -13,7 +13,8 @@ import pytest
 from starflow import cli
 from starflow import flow as flowmod
 from starflow import symfunc
-from _oracles import elem_sym_gradient_rowmajor, elem_sym_table_rowmajor, gradient_tables_rowmajor
+from _oracles import (elem_sym_gradient_rowmajor, elem_sym_table_rowmajor, gradient_tables_rowmajor,
+                      random_kconvex_sample)
 
 
 def write_config(path, **overrides):
@@ -34,6 +35,42 @@ def write_config(path, **overrides):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+class MappedEps:
+    """A seeded Generator whose uniform draws pass through `eps_map`."""
+
+    def __init__(self, seed, eps_map):
+        self.gen = np.random.default_rng(seed)
+        self.bit_generator = self.gen.bit_generator
+        self.eps_map = eps_map
+        self.drawn = []
+
+    def uniform(self, low, high):
+        self.drawn.append(self.eps_map(self.gen.uniform(low, high)))
+        return self.drawn[-1]
+
+    def integers(self, low, high):
+        return self.gen.integers(low, high)
+
+
+def _draw_samples(draw, count):
+    """The geometries `draw()` returns, up to count, and whether it raised."""
+    geos = []
+    try:
+        for _ in range(count):
+            geos.append(draw())
+    except RuntimeError:
+        return geos, True
+    return geos, False
+
+
+def _same_geometry(a, b):
+    assert (a.dim, a.h) == (b.dim, b.h)
+    for name in ("param", "r", "r1", "r2", "w", "u", "kappa", "sigma", "dmu"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.shape == want.shape, name
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), name
 
 
 class TestConfigHandling:
@@ -542,6 +579,44 @@ class TestVerify:
             "verify": {"report_path": str(tmp_path / "r.csv")},
         }))
         assert cli.main(["verify", "af", str(cfg_path), "--quiet"]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("chunk", [1, 3, 16])
+    @pytest.mark.parametrize("case", ["plain", "nonpositive_rows", "all_miss"])
+    def test_af_sampler_matches_sequential_oracle(self, monkeypatch, chunk, case):
+        # the stacked sampler yields bitwise the geometries of drawing, building
+        # and testing one candidate at a time, and leaves the stream where that
+        # leaves it; eps up to 1.2 makes rows with r <= 0, and eps above 0.5
+        # misses every candidate, so both raise after the 64th miss
+        monkeypatch.setattr(cli, "_AF_CHUNK", chunk)
+        eps_map = {"plain": lambda e: e, "nonpositive_rows": lambda e: 4.0 * e,
+                   "all_miss": lambda e: e + 0.5}[case]
+        for n, k in ((1, 1), (2, 1), (2, 2)):
+            seq, stacked = MappedEps(5 * n + k, eps_map), MappedEps(5 * n + k, eps_map)
+            want = _draw_samples(lambda: random_kconvex_sample(seq, n, k, 32), 12)
+            samples = cli._random_kconvex_samples(stacked, n, k, 32)
+            got = _draw_samples(lambda: next(samples), 12)
+            assert len(got[0]) == len(want[0]) and got[1] == want[1]
+            for a, b in zip(got[0], want[0]):
+                _same_geometry(a, b)
+            assert stacked.bit_generator.state == seq.bit_generator.state
+            assert stacked.gen.uniform() == seq.gen.uniform()
+            if case == "nonpositive_rows":
+                assert max(seq.drawn) >= 1.0 and len(want[0]) == 12
+            if case == "all_miss":
+                assert want == ([], True) and len(seq.drawn) == 64
+
+    def test_af_memory_stays_within_a_chunk(self):
+        # each sample is a copy of its rows in one chunk; the suite peaked at
+        # 0.10 MB with one geometry per candidate and peaks near 0.9 MB stacked
+        cli.suite_af({"verify": {"samples": 10_000}})  # builds the stacked kits
+        tracemalloc.start()
+        try:
+            reports = cli.suite_af({})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(rep.passed for rep in reports)
+        assert peak < 2e6
 
     def test_monotone_default_battery(self, tmp_path, capsys, monkeypatch):
         # the two acceptance runs, truncated: a short run sits away from the round

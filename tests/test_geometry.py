@@ -32,6 +32,7 @@ from _oracles import (
     curve_curvature_fd2,
     ellipse_mean_radius,
     ellipse_perimeter,
+    grid_kit_arrays,
     meridian_curvatures_fd2,
     stencil_derivatives_padded,
 )
@@ -122,6 +123,14 @@ class TestShapes:
             spec = {"type": "perturbed_sphere", "params": {"radius": 1.0, "eps": 0.1}, **seed}
             assert np.array_equal(make_shape(spec, 2, 64).r,
                                   perturbed_sphere(1.0, 0.1, None, 2, 64, 0).r)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_seedless_perturbed_sphere_is_reproducible(self, dim):
+        a = perturbed_sphere(1.0, 0.1, dim=dim, num=64)
+        b = perturbed_sphere(1.0, 0.1, dim=dim, num=64)
+        spec = {"type": "perturbed_sphere", "params": {"radius": 1.0, "eps": 0.1}}
+        assert a.r.tobytes() == b.r.tobytes() == make_shape(spec, dim, 64).r.tobytes()
+        assert a.r.tobytes() == perturbed_sphere(1.0, 0.1, dim=dim, num=64, seed=0).r.tobytes()
 
     @pytest.mark.parametrize("build, field", [
         (lambda: make_shape({"type": "torus", "params": {}}, 1, 64), "type"),
@@ -240,6 +249,45 @@ class TestPointwiseGeometry:
             for got, expected in zip((geo.kappa, geo.sigma, geo.w, geo.u, geo.dmu), want):
                 assert got.shape == expected.shape
                 assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("num", [16, 128])
+    def test_single_copy_kit_is_the_unstacked_kit(self, dim, num):
+        size = num if dim == 1 else num + 1
+        kit = geom._grid_kit(dim, size)
+        got = (kit.param, kit.pole_safe_sin, kit.cos, kit.area_weight, kit.ahead, kit.behind,
+               kit.d1_weights, kit.d2_weights)
+        for mine, want in zip(got, grid_kit_arrays(dim, size)):
+            if want is None:
+                assert mine is None
+            else:
+                assert mine.dtype == want.dtype and mine.shape == want.shape
+                assert mine.tobytes() == want.tobytes()
+        if dim == 2:  # the pole slices select exactly nodes 0 and N
+            assert [list(np.arange(size)[pole]) for pole in kit.poles] == [[0], [num]]
+        else:
+            assert kit.poles is None
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("copies", [1, 3, 16])
+    def test_stacked_rows_match_compute_geometry_bitwise(self, dim, copies):
+        num = 64
+        size = num if dim == 1 else num + 1
+        rng = np.random.default_rng(10 * dim + copies)
+        rows = np.array([perturbed_sphere(1.0, rng.uniform(0.02, 0.2), dim=dim, num=num,
+                                          seed=int(rng.integers(1000))).r
+                         for _ in range(copies)])
+        kit = geom._grid_kit(dim, size, copies)
+        r1, r2, w, rr, kappa, sig, dmu = geom._curvatures(kit, rows.ravel())
+        for c, r in enumerate(rows):
+            cols = slice(c * size, (c + 1) * size)
+            geo = compute_geometry(RadialGraph(dim, r))
+            for got, want in ((r1, geo.r1), (r2, geo.r2), (w, geo.w), (rr / w, geo.u),
+                              (dmu, geo.dmu), (kappa, geo.kappa.T), (sig, geo.sigma.T)):
+                assert got[..., cols].tobytes() == np.ascontiguousarray(want).tobytes()
+            if dim == 2:  # both poles of every copy take the meridian curvature
+                for pole in (c * size, (c + 1) * size - 1):
+                    assert kappa[1, pole] == kappa[0, pole]
 
     def test_pole_derivative_vanishes(self):
         # even reflection makes the profile derivative exactly zero at poles

@@ -28,7 +28,8 @@ from starflow.verify import (
     radial_from_curve,
     write_report_csv,
 )
-from _oracles import ellipse_perimeter
+from starflow.verify import _spectral_derivatives
+from _oracles import d2spec, dspec, ellipse_perimeter
 
 
 class TestLagrangianCurve:
@@ -57,6 +58,19 @@ class TestLagrangianCurve:
         pts = np.stack([np.cos(t) + 1.5, np.sin(t)], axis=1)  # origin outside
         with pytest.raises(ValueError, match="starshaped"):
             radial_from_curve(LagrangianCurve(pts), 64)
+
+
+@pytest.mark.parametrize("m", [17, 64, 129, 256])
+def test_spectral_derivatives_match_one_transform_per_derivative(m):
+    # one rfft of every column gives bitwise the first and second derivatives
+    # of a transform per column and per derivative, for odd and even m
+    cols = np.random.default_rng(m).standard_normal((m, 2))
+    for f in (cols[:, 0].copy(), cols):
+        d1, d2 = _spectral_derivatives(f)
+        assert d1.shape == d2.shape == f.shape
+        for got, oracle in ((d1, dspec), (d2, d2spec)):
+            want = np.stack([oracle(col) for col in f.reshape(m, -1).T], axis=1)
+            assert np.ascontiguousarray(got.reshape(m, -1)).tobytes() == want.tobytes()
 
 
 class TestProp1Pointwise:
