@@ -12,7 +12,6 @@ verification tolerance violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -31,8 +30,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_TOLERANCE = 4
-
-SUITES = ("symfunc", "geometry", "prop1", "lemma", "variation", "af", "monotone", "all")
 
 
 class ConfigError(Exception):
@@ -68,14 +65,11 @@ _SCHEMA = {
     },
 }
 
-# FlowConfig field -> the config key it is read from; FlowConfig's own
-# defaults apply to every key the config leaves out
-_FLOW_KEYS = {
-    "n": "problem.n", "k": "problem.k", "mode": "problem.mode",
-    "t_max": "stepping.t_max", "dt_init": "stepping.dt_init", "dt_max": "stepping.dt_max",
-    "cfl_coefficient": "stepping.cfl_coefficient", "sample_every": "stepping.sample_every",
-    "tol_conserve": "tolerances.tol_conserve", "tol_round": "tolerances.tol_round",
-}
+# FlowConfig field -> the config key it is read from: every key of these three
+# sections names a FlowConfig field; FlowConfig's own defaults apply to every
+# key the config leaves out
+_FLOW_KEYS = {leaf: f"{section}.{leaf}"
+              for section in ("problem", "stepping", "tolerances") for leaf in _SCHEMA[section]}
 
 # ShapeError.field -> config key; a sweep entry's type or params fault is the entry's
 _SHAPE_KEYS = {"type": "shape.type", "params": "shape.params", "seed": "shape.seed",
@@ -253,12 +247,10 @@ def cmd_run(cfg: dict, args) -> int:
         raise
     record.to_csv(traj_path)
     mono = flowmod.monotone_pair(fc.n, fc.k)[0]
-    final = record.rows[-1]
-    cols = record.columns
     _say(args.quiet,
-         f"run complete: t={final[cols.index('t')]:.6g} "
-         f"I{mono}={final[cols.index(f'I{mono}')]:.9f} "
-         f"roundness={final[cols.index('roundness_rescaled')]:.3e} "
+         f"run complete: t={record.column('t')[-1]:.6g} "
+         f"I{mono}={record.column(f'I{mono}')[-1]:.9f} "
+         f"roundness={record.column('roundness_rescaled')[-1]:.3e} "
          f"steps={record.final_state.accepted} rejected={record.final_state.rejections} "
          f"stop={record.stop_reason}")
     return EXIT_OK
@@ -570,6 +562,9 @@ def _monotone_run(n, k, shape_graph, t_max):
 def suite_monotone(cfg: dict) -> list:
     if "shape" in cfg:
         fc, g = _flow_and_shape(cfg)
+        if fc.mode not in flowmod.CONSERVING_MODES:
+            raise ConfigError("problem.mode", f"the monotonicity check needs one of "
+                                              f"{flowmod.CONSERVING_MODES}, got {fc.mode!r}")
         return vfy.check_monotone_series(flowmod.run(fc, g))
     reports = []
     rec = _monotone_run(1, 1, geom.ellipse(2.0, 1.0, 128), 2.0)
@@ -588,6 +583,7 @@ _SUITE_FUNCS = {
     "af": suite_af,
     "monotone": suite_monotone,
 }
+SUITES = tuple(_SUITE_FUNCS) + ("all",)
 
 
 def cmd_verify(cfg: dict, args) -> int:
@@ -628,8 +624,8 @@ def _sweep_run(payload):
         checks = vfy.check_monotone_series(record) if fc.mode in flowmod.CONSERVING_MODES else []
         fields = {
             "status": "ok",
-            "final_t": repr(float(record.rows[-1][0])),
-            "final_iso": repr(float(record.column(f"I{mono}")[-1])),
+            "final_t": record.rows[-1][0],
+            "final_iso": record.column(f"I{mono}")[-1],
             "monotone_pass": str(all(r.passed for r in checks[:1]) if checks else ""),
             "conserve_pass": str(all(r.passed for r in checks[1:2]) if checks else ""),
         }
@@ -694,10 +690,7 @@ def cmd_sweep(cfg: dict, args) -> int:
         os.makedirs(os.path.dirname(index_path), exist_ok=True)
     fields = ["id", "shape_type", "params", "seed", "n", "k", "status",
               "final_t", "final_iso", "monotone_pass", "conserve_pass"]
-    with open(index_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(row for row, _ok in results)
+    geom._write_csv(index_path, fields, ([row[name] for name in fields] for row, _ok in results))
     passed = sum(ok for _, ok in results)
     _say(args.quiet, f"sweep: {len(results)} combinations, {passed} passed; index in {index_path}")
     return EXIT_OK if passed == len(results) else EXIT_TOLERANCE

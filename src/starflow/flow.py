@@ -30,18 +30,21 @@ the first drift rate and its dt: no step size can fix it.
 
 The conventions are read, not restated: `monotone_pair` decides which
 V_j a flow holds, and so its scale rate, `CONSERVING_MODES` which modes
-hold it, `geometry.quermass` computes every V_j, `geometry._iso` is the
-I_m formula of the record, and `symfunc._cone_status` is the strict
-k-convexity test of step acceptance. The grid is the initial graph's:
+hold it, `_stage_map` is the one place that assembles that held rate (the
+record's r_t and `normalization_rt` read it), `geometry.quermass`
+computes every V_j, `geometry._iso` is the I_m formula of the record,
+and `symfunc._cone_status` is the strict k-convexity test of step
+acceptance. The grid is the initial graph's:
 FlowConfig holds no grid size, and `geometry` owns the rule for one.
-FlowConfig requires a finite t_max and dt_init and tol_round >= 0.
+FlowConfig requires integer n, k and sample_every (a bool is not one), a
+finite t_max and dt_init and tol_round >= 0.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from math import exp, isfinite, sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -49,8 +52,8 @@ from . import geometry as geomod
 from .geometry import (
     PointwiseGeometry,
     RadialGraph,
-    ShapeError,
     _iso,
+    _write_csv,
     compute_geometry,
     quermass,
     quermass_sigma,  # noqa: F401 -- perfbench/selftest.py checks its tracer patches flow's name
@@ -136,6 +139,10 @@ class FlowConfig:
     cfl_coefficient: float = 0.5
 
     def __post_init__(self):
+        for name in ("n", "k", "sample_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise FlowConfigError(name, f"{name} must be an integer, got {value!r}")
         # the `not x > 0` form also rejects NaN, which compares false
         if self.n not in (1, 2):
             raise FlowConfigError("n", f"n must be 1 or 2, got {self.n}")
@@ -241,8 +248,7 @@ def normalization_rt(geo: PointwiseGeometry, k: int) -> float:
     """
     if not 0 < k < geo.dim:
         raise ValueError(f"normalization constant needs 1 <= k <= n-1, got k={k}")
-    sig = geo.sigma.T
-    return _rate(geo.r, geo.w, _speed(sig, k), sig, geo.dmu, k, geo.dim - k)
+    return _geo_stage(geo, "raw", k)[1]
 
 
 def volume_scale_rate(geo: PointwiseGeometry, k: int) -> float:
@@ -380,7 +386,7 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
         r_new = r0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         graph_new = RadialGraph(dim, r_new)
         geo_new = geomod._pointwise(kit, graph_new.r)
-    except (ShapeError, ConeExitError, ValueError) as exc:
+    except (ConeExitError, ValueError) as exc:
         return None, _Rejection(str(exc))
     ok, why = _strictly_kconvex(geo_new, k)
     if not ok:
@@ -449,11 +455,7 @@ class TrajectoryRecord:
         return np.array([row[idx] for row in self.rows])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([repr(float(v)) for v in row])
+        _write_csv(path, self.columns, self.rows)
 
 
 def record_columns(n: int) -> tuple:
@@ -470,8 +472,7 @@ def _record_row(state: FlowState, config: FlowConfig) -> tuple:
     scale = exp(-state.log_scale) if config.mode == "rescaled_raw" else 1.0
     # each V_j once; the iso ratios are scale invariant and read the unscaled values
     vees = [quermass(geo, m) for m in range(n + 1)]
-    sig = geo.sigma.T
-    rate = _rate(geo.r, geo.w, _speed(sig, k), sig, geo.dmu, k, monotone_pair(n, k)[1])
+    rate = _geo_stage(geo, config.mode, k)[1]
     row = [state.t, state.last_dt, state.log_scale]
     row += [v * scale ** (n + 1 - m) for m, v in enumerate(vees)]
     row += [_iso(vees[m], vees[m + 1], n, m) for m in range(n)]
@@ -536,7 +537,7 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
             try:
                 rho, vec = _spectral_radius(state.geo, config.k, vec)
                 cap = _cap(rho, config.cfl_coefficient)
-            except (ShapeError, ConeExitError, ValueError) as exc:
+            except (ConeExitError, ValueError) as exc:
                 # vec is None only when the first estimate itself failed, at t = 0: a
                 # probe r + v that leaves the cone there shows a start on the edge of Gamma_k
                 if vec is None and isinstance(exc, ConeExitError):

@@ -17,11 +17,13 @@ is the one rule for it (even and >= MIN_NODES); RadialGraph and every
 shape builder run it before they touch an array. A ShapeError's `field`
 names the input of `make_shape` at fault, so a caller can report it.
 
-Two conventions have their one owner here: `quermass(geo, m)` is the only
+Four conventions have their one owner here: `quermass(geo, m)` is the only
 place that picks between the Minkowski form (m = 0) and the curvature
-integral (m >= 1) for V_{n+1-m}, and `_iso` is the only formula of the
-ratio I_m = V_{n+1-m}^{1/(n+1-m)} / V_{n-m}^{1/(n-m)}. The Garding-cone
-status of `kconvex_report` is `symfunc`'s.
+integral (m >= 1) for V_{n+1-m}, `_iso` is the only formula of the
+ratio I_m = V_{n+1-m}^{1/(n+1-m)} / V_{n-m}^{1/(n-m)}, `_grid_kit` the
+only layout of a grid's nodes and spacing (RadialGraph, the shape builders
+and `verify.radial_from_curve` read it), and `_write_csv` the only CSV
+number format. The Garding-cone status of `kconvex_report` is `symfunc`'s.
 
 The curvature data are stored row by row: kappa as an (n, M) array and
 sigma_0..sigma_n as an (n + 1, M) array, one contiguous row per
@@ -94,8 +96,8 @@ class ShapeError(ValueError):
 
 
 def _check_intervals(num: int) -> None:
-    """The interval rule of every grid: an even number num >= MIN_NODES."""
-    if num < MIN_NODES or num % 2:
+    """The interval rule of every grid: an even integer num >= MIN_NODES."""
+    if not isinstance(num, (int, np.integer)) or num < MIN_NODES or num % 2:
         raise ShapeError(f"need an even number of intervals >= {MIN_NODES}, got {num}", "num")
 
 
@@ -112,7 +114,8 @@ class RadialGraph:
     dim 1: r has N samples of r(theta), theta_j = 2*pi*j/N, periodic.
     dim 2: r has N+1 samples of r(phi), phi_j = pi*j/N, axisymmetric,
     with an even profile at both poles. N follows `_check_intervals`:
-    even and >= MIN_NODES.
+    even and >= MIN_NODES. `param` and `h` are the grid kit's; `param` is
+    its read-only node array, shared by every graph on the grid.
     """
 
     dim: int
@@ -139,13 +142,11 @@ class RadialGraph:
 
     @property
     def h(self) -> float:
-        return (2.0 * pi if self.dim == 1 else pi) / self.num_intervals
+        return _grid_kit(self.dim, self.r.size).h
 
     @property
     def param(self) -> np.ndarray:
-        if self.dim == 1:
-            return 2.0 * pi * np.arange(self.r.size) / self.r.size
-        return pi * np.arange(self.r.size) / (self.r.size - 1)
+        return _grid_kit(self.dim, self.r.size).param
 
     def scaled(self, s: float) -> "RadialGraph":
         if s <= 0.0:
@@ -219,7 +220,7 @@ def ellipse(a: float, b: float, num: int = 256, center=(0.0, 0.0)) -> RadialGrap
     cx, cy = float(center[0]), float(center[1])
     if cx * cx / (a * a) + cy * cy / (b * b) >= 1.0:
         raise ShapeError("star center lies outside the ellipse")
-    th = 2.0 * pi * np.arange(num) / num
+    th = _grid_kit(1, num).param
     ct, st = np.cos(th), np.sin(th)
     qa = ct * ct / (a * a) + st * st / (b * b)
     qb = 2.0 * (cx * ct / (a * a) + cy * st / (b * b))
@@ -233,7 +234,7 @@ def ellipsoid_of_revolution(a: float, c: float, num: int = 256) -> RadialGraph:
     _check_intervals(num)
     if a <= 0.0 or c <= 0.0:
         raise ShapeError("spheroid semi-axes must be positive")
-    phi = pi * np.arange(num + 1) / num
+    phi = _grid_kit(2, num + 1).param
     r = a * c / np.sqrt(c * c * np.sin(phi) ** 2 + a * a * np.cos(phi) ** 2)
     return RadialGraph(2, r)
 
@@ -266,10 +267,7 @@ def perturbed_sphere(
         raise ShapeError("sphere radius must be positive")
     if eps < 0.0:
         raise ShapeError("perturbation amplitude must be nonnegative")
-    if dim == 1:
-        x = 2.0 * pi * np.arange(num) / num
-    else:
-        x = pi * np.arange(num + 1) / num
+    x = _grid_kit(dim, num if dim == 1 else num + 1).param
     if mode is not None:
         # a fractional mode is not periodic on the grid: it leaves a kink
         if not float(mode).is_integer():
@@ -387,6 +385,7 @@ class _GridKit:
     A stacked kit lays `copies` grids of `size` nodes end to end: copy c
     holds the nodes c * size .. (c + 1) * size - 1 of every node array, and
     its gather tables read only its own nodes. `param` is one copy's grid.
+    Every array is read-only: the kit is cached and shared.
     """
 
     dim: int
@@ -447,6 +446,9 @@ def _grid_kit(dim: int, size: int, copies: int = 1) -> _GridKit:
         kit = _GridKit(dim, size, h, param, sin, cos, poles, np.tile(area, copies),
                        ahead, behind, np.repeat(_D1_WEIGHTS, copies * size, axis=1),
                        np.repeat(_D2_WEIGHTS, copies * size, axis=1))
+        for value in vars(kit).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
         if len(_KIT_CACHE) > 64:
             _KIT_CACHE.clear()
         _KIT_CACHE[key] = kit
@@ -673,8 +675,14 @@ def export_snapshot(geo: PointwiseGeometry, k: int, path) -> None:
     if not 1 <= k <= n:
         raise ValueError(f"snapshot sigma level k={k} out of range 1..{n}")
     header = ["grid_coordinate", "r"] + [f"kappa_{i}" for i in range(1, n + 1)] + ["u", "sigma_k"]
-    table = np.column_stack([geo.param, geo.r, geo.kappa, geo.u, geo.sigma[:, k]])
+    _write_csv(path, header, np.column_stack([geo.param, geo.r, geo.kappa, geo.u, geo.sigma[:, k]]))
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a CSV table: a text cell as it is, every other cell as repr(float(cell)),
+    which round-trips the value exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([repr(float(v)) for v in row] for row in table)
+        writer.writerows([c if isinstance(c, str) else repr(float(c)) for c in row]
+                         for row in rows)

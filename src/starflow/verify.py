@@ -19,7 +19,6 @@ trajectory monotonicity are checked on the radial pipeline directly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from math import ceil, pi
 
@@ -29,7 +28,10 @@ from . import flow as flowmod
 from .geometry import (
     PointwiseGeometry,
     RadialGraph,
+    _check_intervals,
+    _grid_kit,
     _simpson_weights,
+    _write_csv,
     embed,
     iso_ratio_ball,
     kconvex_report,
@@ -89,15 +91,9 @@ def _worst(name, lhs, rhs, resid, scale, grid, tol) -> IdentityReport:
 
 def write_report_csv(reports, path) -> None:
     """Machine-readable verification report."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check", "lhs", "rhs", "abs_residual", "rel_residual", "tolerance", "pass"])
-        for rep in reports:
-            writer.writerow(
-                [rep.name]
-                + [repr(float(v)) for v in (rep.lhs, rep.rhs, rep.abs_residual, rep.rel_residual, rep.tolerance)]
-                + [str(rep.passed)]
-            )
+    _write_csv(path, ["check", "lhs", "rhs", "abs_residual", "rel_residual", "tolerance", "pass"],
+               ([rep.name, rep.lhs, rep.rhs, rep.abs_residual, rep.rel_residual, rep.tolerance,
+                 str(rep.passed)] for rep in reports))
 
 
 # ---------------------------------------------------------------------------
@@ -171,20 +167,19 @@ def _periodic_spline_eval(x, y, m2, h, period, t):
 def radial_from_curve(curve: LagrangianCurve, num: int) -> RadialGraph:
     """Resample a starshaped curve onto the uniform angular grid by
     periodic cubic spline interpolation of radius over polar angle."""
+    _check_intervals(num)
     pts = curve.points
     alpha = np.unwrap(np.arctan2(pts[:, 1], pts[:, 0]))
     if np.any(np.diff(alpha) <= 0.0):
         raise ValueError("curve is not strictly starshaped about the origin")
     rho = np.hypot(pts[:, 0], pts[:, 1])
     m2, h = _periodic_spline_coeffs(alpha, rho, 2.0 * pi)
-    theta = 2.0 * pi * np.arange(num) / num
-    r = _periodic_spline_eval(alpha, rho, m2, h, 2.0 * pi, theta)
+    r = _periodic_spline_eval(alpha, rho, m2, h, 2.0 * pi, _grid_kit(1, num).param)
     return RadialGraph(1, r)
 
 
 @dataclass(frozen=True)
 class _CurveGeo:
-    delta: float
     g11: np.ndarray
     sqrtg: np.ndarray
     nu: np.ndarray
@@ -213,7 +208,7 @@ def _curve_geometry(pts: np.ndarray) -> _CurveGeo:
     sqrtg = np.sqrt(g11)
     nu = np.stack([d1[:, 1], -d1[:, 0]], axis=1) / sqrtg[:, None]
     h11 = -(d2[:, 0] * nu[:, 0] + d2[:, 1] * nu[:, 1])
-    return _CurveGeo(delta, g11, sqrtg, nu, h11, h11 / g11, sqrtg * delta)
+    return _CurveGeo(g11, sqrtg, nu, h11, h11 / g11, sqrtg * delta)
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,7 @@ class TestRun:
         ("run", "stepping.t_max=1e400", "stepping.t_max"),
         ("run", "tolerances.tol_round=-1", "tolerances.tol_round"),
         ("run", "tolerances.tol_round=NaN", "tolerances.tol_round"),
+        ("verify monotone", "problem.mode=raw", "problem.mode"),
     ])
     def test_config_error_exits_two_naming_key(self, tmp_path, capsys, command, assignment, key):
         cfg_path = tmp_path / "cfg.json"
@@ -305,6 +306,15 @@ class TestRun:
         cfg_path.write_text(json.dumps(cfg))
         assert cli.main(["verify", "monotone", str(cfg_path), "--quiet"]) == cli.EXIT_CONFIG
         assert deleted in capsys.readouterr().err
+
+    def test_verify_monotone_rejects_raw_mode_before_running(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(flowmod, "run", lambda *args, **kwargs: calls.append(args))
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, **{"problem.mode": "raw", "stepping.t_max": 0.5})
+        assert cli.main(["verify", "monotone", str(cfg_path), "--quiet"]) == cli.EXIT_CONFIG
+        assert "config error at problem.mode" in capsys.readouterr().err
+        assert calls == []
 
     def test_bad_degree_cites_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

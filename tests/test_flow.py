@@ -64,6 +64,21 @@ class TestConfigValidation:
         assert info.value.field == field
         FlowConfig(n=1, k=1, dt_max=float("inf"))  # an unbounded dt_max is fine
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"n": 1.0, "k": 1}, "n"),
+        ({"n": True, "k": True}, "n"),
+        ({"n": 1, "k": 1.0}, "k"),
+        ({"n": 2, "k": True}, "k"),
+        ({"n": 1, "k": 1, "sample_every": 2.5}, "sample_every"),
+        ({"n": 1, "k": 1, "sample_every": True}, "sample_every"),
+        ({"n": "1", "k": 1}, "n"),
+    ])
+    def test_rejects_non_integer_counts(self, kwargs, field):
+        with pytest.raises(fl.FlowConfigError) as info:
+            FlowConfig(**kwargs)
+        assert info.value.field == field
+        FlowConfig(n=np.int64(2), k=np.int64(1), sample_every=np.int32(3))  # numpy integers are fine
+
 
 class TestSpeed:
     def test_sphere_values(self):

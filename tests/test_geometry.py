@@ -168,6 +168,11 @@ class TestShapes:
         # the builder keeps make_shape's seed rule, not numpy's
         (lambda: perturbed_sphere(1.0, 0.1, None, 1, 64, -1), "seed"),
         (lambda: perturbed_sphere(1.0, 0.1, None, 1, 64, 2.5), "seed"),
+        # a whole float is not an interval count: the grid kit needs an integer
+        (lambda: sphere(1.0, 1, 64.0), "num"),
+        (lambda: ellipse(2, 1, 64.0), "num"),
+        (lambda: ellipsoid_of_revolution(2, 1, 64.0), "num"),
+        (lambda: perturbed_sphere(1.0, 0.1, 2, 2, 64.0), "num"),
     ])
     def test_shape_error_names_the_input_at_fault(self, build, field):
         with pytest.raises(ShapeError) as info:
@@ -538,3 +543,78 @@ class TestSnapshotExport:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["grid_coordinate", "r", "kappa_1", "u", "sigma_k"]
+
+
+class TestGridLayout:
+    """The grid kit is the one layout of a radial grid; every reader gets today's
+    closed forms bitwise, and the shared arrays cannot be written."""
+
+    @staticmethod
+    def closed_form(dim, num):
+        if dim == 1:
+            return 2.0 * pi * np.arange(num) / num, 2.0 * pi / num
+        return pi * np.arange(num + 1) / num, pi / num
+
+    @pytest.mark.parametrize("num", [16, 64, 256])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_graph_and_builders_read_the_closed_forms(self, dim, num):
+        x, h = self.closed_form(dim, num)
+        g = sphere(1.0, dim, num)
+        assert g.param.tobytes() == x.tobytes()
+        assert g.h == h
+        assert compute_geometry(g).param.tobytes() == x.tobytes()
+        single = 1.0 * (1.0 + 0.1 * np.cos(3 * x))
+        assert perturbed_sphere(1.0, 0.1, mode=3, dim=dim, num=num).r.tobytes() == single.tobytes()
+        if dim == 1:
+            ct, st = np.cos(x), np.sin(x)
+            qa = ct * ct / (2.0 * 2.0) + st * st / (1.0 * 1.0)
+            qb = 2.0 * (0.0 * ct / (2.0 * 2.0) + 0.0 * st / (1.0 * 1.0))
+            qc = 0.0 * 0.0 / (2.0 * 2.0) + 0.0 * 0.0 / (1.0 * 1.0) - 1.0
+            want = (-qb + np.sqrt(qb * qb - 4.0 * qa * qc)) / (2.0 * qa)
+            assert ellipse(2.0, 1.0, num).r.tobytes() == want.tobytes()
+        else:
+            want = 1.5 * 1.0 / np.sqrt(1.0 * 1.0 * np.sin(x) ** 2 + 1.5 * 1.5 * np.cos(x) ** 2)
+            assert ellipsoid_of_revolution(1.5, 1.0, num).r.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("num", [16, 64, 256])
+    def test_radial_from_curve_evaluates_on_the_closed_form(self, monkeypatch, num):
+        import starflow.verify as vfy
+
+        seen = []
+        spline_eval = vfy._periodic_spline_eval
+
+        def spy(x, y, m2, h, period, t):
+            seen.append(np.array(t))
+            return spline_eval(x, y, m2, h, period, t)
+
+        monkeypatch.setattr(vfy, "_periodic_spline_eval", spy)
+        back = vfy.radial_from_curve(curve_from_radial(ellipse(2.0, 1.0, 64)), num)
+        x, h = self.closed_form(1, num)
+        assert len(seen) == 1 and seen[0].tobytes() == x.tobytes()
+        assert back.param.tobytes() == x.tobytes() and back.h == h
+
+    @pytest.mark.parametrize("copies", [1, 16])
+    @pytest.mark.parametrize("dim, size", [(1, 64), (2, 65)])
+    def test_kit_arrays_are_read_only(self, dim, size, copies):
+        kit = geom._grid_kit(dim, size, copies)
+        arrays = [value for value in vars(kit).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == (6 if dim == 1 else 8)
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+
+    def test_shared_param_cannot_leak_between_geometries(self):
+        with pytest.raises(ValueError):
+            compute_geometry(sphere(1.0, 1, 64)).param[1] = 99.0
+        assert compute_geometry(ellipse(2.0, 1.0, 64)).param[1] == 2.0 * pi * 1 / 64
+
+
+class TestWriteCsv:
+    def test_text_as_is_numbers_as_float_repr(self, tmp_path):
+        path = tmp_path / "t.csv"
+        geom._write_csv(path, ("name", "py", "np64", "int"),
+                        [["a, b", 0.1, np.float64(1.0) / 3.0, 3], ["", 1e-300, np.float64(-2.5), -7]])
+        assert path.read_bytes() == (b"name,py,np64,int\r\n"
+                                     b'"a, b",0.1,0.3333333333333333,3.0\r\n'
+                                     b",1e-300,-2.5,-7.0\r\n")

@@ -7,6 +7,7 @@ import pytest
 from starflow import flow
 from starflow.flow import FlowConfig, run
 from starflow.geometry import (
+    ShapeError,
     compute_geometry,
     ellipse,
     ellipsoid_of_revolution,
@@ -58,6 +59,13 @@ class TestLagrangianCurve:
         pts = np.stack([np.cos(t) + 1.5, np.sin(t)], axis=1)  # origin outside
         with pytest.raises(ValueError, match="starshaped"):
             radial_from_curve(LagrangianCurve(pts), 64)
+
+    @pytest.mark.parametrize("num", [0, 8, 63, 64.0])
+    def test_bad_interval_count_is_a_shape_error_at_num(self, num):
+        # the interval rule runs before the grid is laid out: 0 intervals divide by zero
+        with pytest.raises(ShapeError) as info:
+            radial_from_curve(curve_from_radial(sphere(1.0, 1, 64)), num)
+        assert info.value.field == "num"
 
 
 @pytest.mark.parametrize("m", [17, 64, 129, 256])
