@@ -462,10 +462,9 @@ def suite_lemma(cfg: dict) -> list:
     stepping = {"t_max": 0.1}
     stepping.update((key, value) for key, value in cfg.get("stepping", {}).items()
                     if key in ("t_max", "dt_init"))
-    fc1, fc2 = (flow_config_from({"problem": {"n": n, "k": 1, "mode": "raw"}, "stepping": stepping})
-                for n in (1, 2))
-    return (vfy.check_lemma_integral(fc1, geom.ellipse(2.0, 1.0, 256))
-            + vfy.check_lemma_integral(fc2, geom.ellipsoid_of_revolution(1.5, 1.0, 256)))
+    shapes = (geom.ellipse(2.0, 1.0, 256), geom.ellipsoid_of_revolution(1.5, 1.0, 256))
+    return [rep for g in shapes for rep in vfy.check_lemma_integral(flow_config_from(
+        {"problem": {"n": g.dim, "k": 1, "mode": "raw"}, "stepping": stepping}), g)]
 
 
 def suite_variation(cfg: dict) -> list:
@@ -498,8 +497,8 @@ def _random_kconvex_samples(rng, n: int, k: int, num: int):
     building and testing one candidate at a time would leave it. Each yield
     is a copy, so no chunk buffer outlives its chunk.
     """
-    size = num if n == 1 else num + 1
-    kit = geom._grid_kit(n, size, _AF_CHUNK)
+    kit = geom._grid_kit(n, num, _AF_CHUNK)
+    size = kit.size
     misses = 0
     while True:
         start = rng.bit_generator.state
@@ -640,6 +639,8 @@ def _sweep_run(payload):
 
 
 def cmd_sweep(cfg: dict, args) -> int:
+    if args.jobs < 1:
+        raise ConfigError("--jobs", f"must be >= 1, got {args.jobs}")
     _require(cfg, _SWEEP_REQUIRED)
     sweep = cfg["sweep"]
     seeds = sweep.get("seeds", [None])

@@ -144,8 +144,8 @@ class FlowConfig:
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise FlowConfigError(name, f"{name} must be an integer, got {value!r}")
         # the `not x > 0` form also rejects NaN, which compares false
-        if self.n not in (1, 2):
-            raise FlowConfigError("n", f"n must be 1 or 2, got {self.n}")
+        if self.n not in geomod.DIMS:
+            raise FlowConfigError("n", f"n must be one of {geomod.DIMS}, got {self.n}")
         if not 1 <= self.k <= self.n:
             raise FlowConfigError("k", f"flow degree k={self.k} out of range 1..{self.n}")
         if self.mode not in MODES:
@@ -307,7 +307,7 @@ def _spectral_radius(geo: PointwiseGeometry, k: int, v: np.ndarray | None = None
     r(t) and is left out.
     """
     r = geo.r
-    kit = geomod._grid_kit(geo.dim, r.size)
+    kit = geomod._grid_kit(geo.dim, geo.num_intervals)
     if v is None:
         v = np.where(np.arange(r.size) % 2 == 0, 1.0, -1.0)
     f0 = _geo_stage(geo, "raw", k)[0]
@@ -375,8 +375,7 @@ class _Rejection:
 def _attempt(state: FlowState, dt: float, config: FlowConfig):
     """One RK4 trial step; returns (new_state, None) or (None, _Rejection)."""
     r0 = state.graph.r
-    dim = state.graph.dim
-    kit = geomod._grid_kit(dim, r0.size)
+    kit = geomod._grid_kit(state.geo.dim, state.geo.num_intervals)
     mode, k = config.mode, config.k
     try:
         k1, q1 = _geo_stage(state.geo, mode, k)
@@ -384,7 +383,7 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
         k3, q3 = _stage(kit, r0 + 0.5 * dt * k2, mode, k)
         k4, q4 = _stage(kit, r0 + dt * k3, mode, k)
         r_new = r0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        graph_new = RadialGraph(dim, r_new)
+        graph_new = RadialGraph(kit.dim, r_new)
         geo_new = geomod._pointwise(kit, graph_new.r)
     except (ConeExitError, ValueError) as exc:
         return None, _Rejection(str(exc))

@@ -12,18 +12,19 @@ composite Simpson (dim 2) quadrature. The parallel principal curvature at the po
 its smooth limit, the meridian value; the sin(phi) area weight vanishes
 there, so the choice does not touch any integral.
 
-A grid's number of intervals N belongs to its RadialGraph. `_check_intervals`
-is the one rule for it (even and >= MIN_NODES); RadialGraph and every
-shape builder run it before they touch an array. A ShapeError's `field`
-names the input of `make_shape` at fault, so a caller can report it.
+A grid is keyed by its dimension and its number of intervals N. Its kit,
+`_grid_kit(dim, N)`, is its one gate and its one layout of nodes and spacing:
+only the kit runs `_check_intervals`, checks dim against `DIMS` (the one
+dimension set) and maps N to a node count. RadialGraph, the shape builders and
+`verify.radial_from_curve` take their grid from it first, and
+`RadialGraph.num_intervals` is the one map back from nodes to N. A
+ShapeError's `field` names the input of `make_shape` at fault.
 
-Four conventions have their one owner here: `quermass(geo, m)` is the only
-place that picks between the Minkowski form (m = 0) and the curvature
-integral (m >= 1) for V_{n+1-m}, `_iso` is the only formula of the
-ratio I_m = V_{n+1-m}^{1/(n+1-m)} / V_{n-m}^{1/(n-m)}, `_grid_kit` the
-only layout of a grid's nodes and spacing (RadialGraph, the shape builders
-and `verify.radial_from_curve` read it), and `_write_csv` the only CSV
-number format. The Garding-cone status of `kconvex_report` is `symfunc`'s.
+Three more conventions have their one owner here: `quermass(geo, m)` is the
+only place that picks between the Minkowski form (m = 0) and the curvature
+integral (m >= 1) for V_{n+1-m}, `_iso` is the only formula of the ratio
+I_m = V_{n+1-m}^{1/(n+1-m)} / V_{n-m}^{1/(n-m)}, and `_write_csv` the only
+CSV number format. The Garding-cone status of `kconvex_report` is `symfunc`'s.
 
 The curvature data are stored row by row: kappa as an (n, M) array and
 sigma_0..sigma_n as an (n + 1, M) array, one contiguous row per
@@ -31,12 +32,12 @@ principal direction or degree, which is the layout the flow's stages and
 `symfunc`'s tables read. `PointwiseGeometry` exposes them as (M, n) and
 (M, n + 1) transposed views, one column per direction or degree.
 
-A grid kit may be stacked: `_grid_kit(dim, size, copies)` lays `copies`
-grids end to end, so one `_curvatures` call evaluates that many radial
-graphs of one grid, each copy bitwise as on its own. The dim-2 pole rule
-is written on the kit's strided slices `[::size]` and `[size - 1::size]`,
-which are nodes 0 and N of every copy; with one copy they are the two
-poles.
+A grid kit may be stacked: `_grid_kit(dim, num, copies)` lays `copies`
+grids of `size` nodes end to end, so one `_curvatures` call evaluates
+that many radial graphs of one grid, each copy bitwise as on its own. The
+dim-2 pole rule is written on the kit's strided slices `[::size]` and
+`[N::size]`, which are nodes 0 and N of every copy; with one copy they
+are the two poles.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .symfunc import _cone_status, cnk
+from .symfunc import _cone_status, _whole, cnk
 
 __all__ = [
     "ShapeError",
@@ -78,6 +79,7 @@ __all__ = [
 ]
 
 MIN_NODES = 16
+DIMS = (1, 2)  # the dimensions n of every grid, shape and flow
 
 # sixth-order centered stencil weights of the offsets 1, 2, 3 (as columns,
 # repeated into full rows against each grid's gather tables): first
@@ -113,28 +115,26 @@ class RadialGraph:
 
     dim 1: r has N samples of r(theta), theta_j = 2*pi*j/N, periodic.
     dim 2: r has N+1 samples of r(phi), phi_j = pi*j/N, axisymmetric,
-    with an even profile at both poles. N follows `_check_intervals`:
-    even and >= MIN_NODES. `param` and `h` are the grid kit's; `param` is
-    its read-only node array, shared by every graph on the grid.
+    with an even profile at both poles. The grid kit of (dim, N) gates the
+    graph; `param` and `h` are the kit's, and `param` is its read-only node
+    array, shared by every graph on the grid.
     """
 
     dim: int
     r: np.ndarray
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ShapeError(f"dim must be 1 or 2, got {self.dim}")
         arr = np.array(self.r, dtype=float)
         if arr.ndim != 1:
             raise ShapeError("radial samples must form a one-dimensional array")
-        _check_intervals(arr.size if self.dim == 1 else arr.size - 1)
+        object.__setattr__(self, "r", arr)
+        _grid_kit(self.dim, self.num_intervals)
         if not np.logical_and.reduce(np.isfinite(arr)):
             raise ShapeError("radial samples contain non-finite values")
         if np.minimum.reduce(arr) <= 0.0:
             j = int(arr.argmin())
             raise ShapeError(f"radial function not positive at node {j}: r={arr[j]}")
         arr.setflags(write=False)
-        object.__setattr__(self, "r", arr)
 
     @property
     def num_intervals(self) -> int:
@@ -142,11 +142,11 @@ class RadialGraph:
 
     @property
     def h(self) -> float:
-        return _grid_kit(self.dim, self.r.size).h
+        return _grid_kit(self.dim, self.num_intervals).h
 
     @property
     def param(self) -> np.ndarray:
-        return _grid_kit(self.dim, self.r.size).param
+        return _grid_kit(self.dim, self.num_intervals).param
 
     def scaled(self, s: float) -> "RadialGraph":
         if s <= 0.0:
@@ -166,6 +166,7 @@ class PointwiseGeometry:
     """
 
     dim: int
+    num_intervals: int  # N, from the grid kit
     param: np.ndarray
     h: float
     r: np.ndarray
@@ -200,10 +201,9 @@ class ConvexityReport:
 
 
 def sphere(radius: float, dim: int = 1, num: int = 256) -> RadialGraph:
-    _check_intervals(num)
+    size = _grid_kit(dim, num).size
     if radius <= 0.0:
         raise ShapeError("sphere radius must be positive")
-    size = num if dim == 1 else num + 1
     return RadialGraph(dim, np.full(size, float(radius)))
 
 
@@ -214,13 +214,12 @@ def ellipse(a: float, b: float, num: int = 256, center=(0.0, 0.0)) -> RadialGrap
     the quadratic for the ray-boundary intersection, which reduces to
     r = a*b/sqrt(b^2 cos^2 + a^2 sin^2) for a centered ellipse.
     """
-    _check_intervals(num)
+    th = _grid_kit(1, num).param
     if a <= 0.0 or b <= 0.0:
         raise ShapeError("ellipse semi-axes must be positive")
     cx, cy = float(center[0]), float(center[1])
     if cx * cx / (a * a) + cy * cy / (b * b) >= 1.0:
         raise ShapeError("star center lies outside the ellipse")
-    th = _grid_kit(1, num).param
     ct, st = np.cos(th), np.sin(th)
     qa = ct * ct / (a * a) + st * st / (b * b)
     qb = 2.0 * (cx * ct / (a * a) + cy * st / (b * b))
@@ -231,10 +230,9 @@ def ellipse(a: float, b: float, num: int = 256, center=(0.0, 0.0)) -> RadialGrap
 
 def ellipsoid_of_revolution(a: float, c: float, num: int = 256) -> RadialGraph:
     """Spheroid with equatorial semi-axis a and polar semi-axis c."""
-    _check_intervals(num)
+    phi = _grid_kit(2, num).param
     if a <= 0.0 or c <= 0.0:
         raise ShapeError("spheroid semi-axes must be positive")
-    phi = _grid_kit(2, num + 1).param
     r = a * c / np.sqrt(c * c * np.sin(phi) ** 2 + a * a * np.cos(phi) ** 2)
     return RadialGraph(2, r)
 
@@ -261,13 +259,12 @@ def perturbed_sphere(
     absolute value. dim 2 uses cos(l*phi) modes only, which are Chebyshev
     polynomials in cos(phi) and hence smooth at the poles.
     """
-    _check_intervals(num)
+    x = _grid_kit(dim, num).param
     _check_seed(seed)
     if radius <= 0.0:
         raise ShapeError("sphere radius must be positive")
     if eps < 0.0:
         raise ShapeError("perturbation amplitude must be nonnegative")
-    x = _grid_kit(dim, num if dim == 1 else num + 1).param
     if mode is not None:
         # a fractional mode is not periodic on the grid: it leaves a kink
         if not float(mode).is_integer():
@@ -293,14 +290,14 @@ def perturbed_sphere(
 
 # shape type -> (the dims it is built in, the parameter names it reads, its builder)
 _SHAPES = {
-    "sphere": ((1, 2), ("radius",), lambda p, dim, num, seed: sphere(p["radius"], dim, num)),
+    "sphere": (DIMS, ("radius",), lambda p, dim, num, seed: sphere(p["radius"], dim, num)),
     "ellipse": ((1,), ("a", "b", "cx", "cy"), lambda p, dim, num, seed: ellipse(
         p["a"], p["b"], num, center=(p.get("cx", 0.0), p.get("cy", 0.0))
     )),
     "ellipsoid_of_revolution": ((2,), ("a", "c"), lambda p, dim, num, seed: ellipsoid_of_revolution(
         p["a"], p["c"], num
     )),
-    "perturbed_sphere": ((1, 2), ("radius", "eps", "mode"),
+    "perturbed_sphere": (DIMS, ("radius", "eps", "mode"),
                          lambda p, dim, num, seed: perturbed_sphere(
                              p["radius"], p["eps"], p.get("mode"), dim, num, seed)),
 }
@@ -389,14 +386,15 @@ class _GridKit:
     """
 
     dim: int
-    size: int
+    num: int  # intervals N of one copy
+    size: int  # nodes of one copy: N for dim 1, N + 1 for dim 2
     h: float
     param: np.ndarray
     # dim 2: sin(phi) with 1.0 at both poles, where the parallel curvature
     # is overwritten with the meridian one, and cos(phi); None for dim 1
     pole_safe_sin: np.ndarray | None
     cos: np.ndarray | None
-    # dim 2: the strided slices [::size] and [size - 1::size], nodes 0 and N
+    # dim 2: the strided slices [::size] and [num::size], nodes 0 and N
     # of every copy; None for dim 1
     poles: tuple | None
     area_weight: np.ndarray  # h for dim 1, simpson * 2 pi sin(phi) for dim 2
@@ -411,39 +409,44 @@ class _GridKit:
 _KIT_CACHE: dict = {}
 
 
-def _grid_kit(dim: int, size: int, copies: int = 1) -> _GridKit:
-    """The kit of `copies` stacked grids of `size` nodes each."""
-    key = (dim, size, copies)
+def _grid_kit(dim: int, num: int, copies: int = 1) -> _GridKit:
+    """The kit of `copies` stacked grids of `num` intervals in dimension `dim`.
+    dim and num are checked before the cache is read: no junk kit is cached, and
+    a whole float never finds the kit of its integer, whose key hashes alike."""
+    if dim not in DIMS:
+        raise ShapeError(f"dim must be one of {DIMS}, got {dim}")
+    _check_intervals(num)
+    key = (dim, num, copies)
     kit = _KIT_CACHE.get(key)
     if kit is None:
+        size = num if dim == 1 else num + 1
         nodes = np.arange(size)
         ahead = nodes + np.arange(1, 4)[:, None]
         behind = nodes - np.arange(1, 4)[:, None]
         if dim == 1:
-            param = 2.0 * pi * nodes / size
-            h = 2.0 * pi / size
+            param = 2.0 * pi * nodes / num
+            h = 2.0 * pi / num
             sin = cos = poles = None
             area = np.full(size, h)
-            ahead %= size
-            behind %= size
+            ahead %= num
+            behind %= num
         else:
             # even reflection about both poles: node -j is node j, node
-            # top + j is node top - j
-            top = size - 1
-            param = pi * nodes / top
-            h = pi / top
+            # N + j is node N - j
+            param = pi * nodes / num
+            h = pi / num
             sin = np.sin(param)
-            area = _simpson_weights(top, h) * (2.0 * pi) * sin
+            area = _simpson_weights(num, h) * (2.0 * pi) * sin
             safe = sin.copy()
             safe[[0, -1]] = 1.0
             sin, cos = np.tile(safe, copies), np.tile(np.cos(param), copies)
-            poles = (slice(None, None, size), slice(top, None, size))
-            ahead = np.where(ahead > top, 2 * top - ahead, ahead)
+            poles = (slice(None, None, size), slice(num, None, size))
+            ahead = np.where(ahead > num, 2 * num - ahead, ahead)
             behind = np.abs(behind)
         offsets = size * np.arange(copies)[:, None]
         ahead, behind = ((table[:, None, :] + offsets).reshape(3, copies * size)
                          for table in (ahead, behind))
-        kit = _GridKit(dim, size, h, param, sin, cos, poles, np.tile(area, copies),
+        kit = _GridKit(dim, num, size, h, param, sin, cos, poles, np.tile(area, copies),
                        ahead, behind, np.repeat(_D1_WEIGHTS, copies * size, axis=1),
                        np.repeat(_D2_WEIGHTS, copies * size, axis=1))
         for value in vars(kit).values():
@@ -501,8 +504,8 @@ def _pointwise(kit: _GridKit, r: np.ndarray, curvatures: tuple | None = None) ->
     """PointwiseGeometry of r on kit's grid, from r's `_curvatures` data when given."""
     r1, r2, w, rr, kappa, sig, dmu = _curvatures(kit, r) if curvatures is None else curvatures
     return PointwiseGeometry(
-        dim=kit.dim, param=kit.param, h=kit.h, r=r, r1=r1, r2=r2, w=w, u=rr / w,
-        kappa=kappa.T, sigma=sig.T, dmu=dmu,
+        dim=kit.dim, num_intervals=kit.num, param=kit.param, h=kit.h, r=r, r1=r1, r2=r2,
+        w=w, u=rr / w, kappa=kappa.T, sigma=sig.T, dmu=dmu,
     )
 
 
@@ -521,7 +524,7 @@ def compute_geometry(g: RadialGraph) -> PointwiseGeometry:
     Raises ShapeError on r <= 0 and ValueError if non-finite values
     propagate into any output field.
     """
-    return _pointwise(_grid_kit(g.dim, g.r.size), g.r)
+    return _pointwise(_grid_kit(g.dim, g.num_intervals), g.r)
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +625,7 @@ def roundness(g: RadialGraph) -> float:
     if g.dim == 1:
         mean = float(np.mean(r))
     else:
-        mean = float((0.5 * r[0] + np.sum(r[1:-1]) + 0.5 * r[-1]) / (r.size - 1))
+        mean = float((0.5 * r[0] + np.sum(r[1:-1]) + 0.5 * r[-1]) / g.num_intervals)
     return float((np.max(r) - np.min(r)) / mean)
 
 
@@ -643,15 +646,15 @@ def refine(g: RadialGraph, factor: int) -> RadialGraph:
     """Resample onto a grid `factor` times finer by trigonometric
     interpolation (dim 2 through the even periodic extension of the
     profile)."""
-    if factor != int(factor) or factor < 2:
+    factor = _whole(factor, "refinement factor")
+    if factor < 2:
         raise ValueError(f"refinement factor must be an integer >= 2, got {factor}")
-    factor = int(factor)
+    size = _grid_kit(g.dim, g.num_intervals * factor).size
     if g.dim == 1:
-        r_new = _fft_resample_periodic(g.r, g.r.size * factor)
+        r_new = _fft_resample_periodic(g.r, size)
     else:
         ext = np.concatenate([g.r, g.r[-2:0:-1]])  # even mirror, period 2N
-        fine = _fft_resample_periodic(ext, ext.size * factor)
-        r_new = fine[: g.num_intervals * factor + 1]
+        r_new = _fft_resample_periodic(ext, ext.size * factor)[:size]
     if np.min(r_new) <= 0.0:
         raise ShapeError("refinement produced a nonpositive radius")
     return RadialGraph(g.dim, r_new)

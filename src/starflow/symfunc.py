@@ -57,10 +57,14 @@ def _batch(lams) -> np.ndarray:
     return lams
 
 
-def _degree(m) -> int:
-    if m != int(m):
-        raise ValueError(f"degree must be an integer, got {m!r}")
-    return int(m)
+def _whole(value, name: str) -> int:
+    """int(value) of a whole number; else a ValueError naming `name` (int() overflows on inf)."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (OverflowError, ValueError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _sym_rows(rows: np.ndarray, top: int) -> np.ndarray:
@@ -89,7 +93,7 @@ def elem_sym_all(lam) -> np.ndarray:
 
 def elem_sym(lam, m) -> float:
     """sigma_m(lam); sigma_0 = 1 and sigma_m = 0 for m > n."""
-    m = _degree(m)
+    m = _whole(m, "degree m")
     if m < 0:
         raise ValueError("degree m must be nonnegative")
     lam = _vector(lam)
@@ -128,7 +132,7 @@ def elem_sym_gradient_table(lams: np.ndarray, m: int) -> np.ndarray:
     """
     lams = _batch(lams)
     n = lams.shape[1]
-    m = _degree(m)
+    m = _whole(m, "degree m")
     if not 1 <= m <= n:
         raise ValueError(f"gradient degree m={m} out of range 1..{n}")
     return _gradient_tables(lams)[m - 1].T
@@ -140,7 +144,7 @@ def cnk(n, k) -> float:
 
     Cached: the flow reads it on every stage. A bad degree raises on every
     call, since a raised call is not cached."""
-    n, k = _degree(n), _degree(k)
+    n, k = _whole(n, "n"), _whole(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     return comb(n, k) / comb(n, k - 1)
@@ -163,7 +167,7 @@ def in_gamma_k(lam, k, strict: bool = True, tol_cone: float = 1e-10) -> bool:
     With strict=False, membership of the closure as `_cone_status` floors it.
     """
     lam = _vector(lam)
-    k = _degree(k)
+    k = _whole(k, "degree k")
     if not 1 <= k <= lam.size:
         raise ValueError(f"cone level k={k} out of range 1..{lam.size}")
     status = _cone_status(elem_sym_all(lam)[1 : k + 1], lam, tol_cone)
@@ -195,7 +199,7 @@ def newton_maclaurin_check(lam, k) -> float:
     """newton_gap_table of one vector; ZeroDivisionError when sigma_k^2 vanishes.
     A gap that overflows is recomputed on the vector scaled by a power of two."""
     lam = _vector(lam)
-    k = _degree(k)
+    k = _whole(k, "degree k")
     if not 1 <= k <= lam.size - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={lam.size}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -224,7 +228,7 @@ def maclaurin_power_gap_table(sig: np.ndarray, k: int) -> np.ndarray:
 def maclaurin_power_bound(lam, k) -> float:
     """maclaurin_power_gap_table of one vector, which must lie strictly in Gamma_k."""
     lam = _vector(lam)
-    k = _degree(k)
+    k = _whole(k, "degree k")
     if not 1 <= k <= lam.size:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={lam.size}")
     sig = elem_sym_table(lam[None, :])

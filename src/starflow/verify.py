@@ -20,7 +20,7 @@ trajectory monotonicity are checked on the radial pipeline directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import ceil, pi
+from math import ceil, isfinite, pi
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from . import flow as flowmod
 from .geometry import (
     PointwiseGeometry,
     RadialGraph,
-    _check_intervals,
     _grid_kit,
     _simpson_weights,
     _write_csv,
@@ -167,14 +166,14 @@ def _periodic_spline_eval(x, y, m2, h, period, t):
 def radial_from_curve(curve: LagrangianCurve, num: int) -> RadialGraph:
     """Resample a starshaped curve onto the uniform angular grid by
     periodic cubic spline interpolation of radius over polar angle."""
-    _check_intervals(num)
+    theta = _grid_kit(1, num).param
     pts = curve.points
     alpha = np.unwrap(np.arctan2(pts[:, 1], pts[:, 0]))
     if np.any(np.diff(alpha) <= 0.0):
         raise ValueError("curve is not strictly starshaped about the origin")
     rho = np.hypot(pts[:, 0], pts[:, 1])
     m2, h = _periodic_spline_coeffs(alpha, rho, 2.0 * pi)
-    r = _periodic_spline_eval(alpha, rho, m2, h, 2.0 * pi, _grid_kit(1, num).param)
+    r = _periodic_spline_eval(alpha, rho, m2, h, 2.0 * pi, theta)
     return RadialGraph(1, r)
 
 
@@ -509,6 +508,8 @@ def check_first_variation(target, rho, l: int, s: float | None = None, tol: floa
     is a centered difference at +-s, s defaulting to 1e-4 of the mean
     radius.
     """
+    if s is not None and not (s > 0.0 and isfinite(s)):
+        raise ValueError(f"probe size s must be positive and finite, got {s}")
     if isinstance(target, LagrangianCurve):
         pts, dim, param = target.points, 1, None
     elif isinstance(target, RadialGraph):
@@ -583,7 +584,7 @@ def check_af_chain(geo: PointwiseGeometry, k: int, slack: float = 1e-6):
         reports.append(
             _report(
                 f"af_chain/m{m}", lhs, rhs, gap, gap / rhs,
-                f"N={geo.r.size - (geo.dim - 1)}", slack,
+                f"N={geo.num_intervals}", slack,
             )
         )
     return reports

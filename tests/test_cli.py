@@ -257,6 +257,9 @@ class TestRun:
         ("run", "tolerances.tol_round=-1", "tolerances.tol_round"),
         ("run", "tolerances.tol_round=NaN", "tolerances.tol_round"),
         ("verify monotone", "problem.mode=raw", "problem.mode"),
+        # a job count below one ran serially and exited 0
+        ("sweep --jobs 0", "sweep.k_values=[1]", "--jobs"),
+        ("sweep --jobs -2", "sweep.k_values=[1]", "--jobs"),
     ])
     def test_config_error_exits_two_naming_key(self, tmp_path, capsys, command, assignment, key):
         cfg_path = tmp_path / "cfg.json"

@@ -189,7 +189,7 @@ class TestStep:
 
 def _dense_spectral_radius(graph, k):
     # central-difference Jacobian of the raw stage map, one column per node
-    kit = geomod._grid_kit(graph.dim, graph.r.size)
+    kit = geomod._grid_kit(graph.dim, graph.num_intervals)
     r = graph.r
     jac = np.empty((r.size, r.size))
     for j in range(r.size):
@@ -344,6 +344,34 @@ class TestRun:
         assert {f"I{mono}", f"V{held}"} <= set(fl.record_columns(n))
 
 
+# global order in dt of the stepper (RK4)
+TIME_ORDER = 4
+# the observed order may stray this far from TIME_ORDER; measured on the input
+# below: 3.97 for r and 3.96 for log_scale (successive max differences
+# 5.78e-13 and 3.69e-14 in r, 1.10e-13 and 7.05e-15 in log_scale)
+ORDER_WINDOW = 0.5
+
+
+class TestSolverConvergence:
+    def test_fixed_dt_self_convergence(self):
+        # dt_init = dt_max holds dt fixed while dt stays below the stability cap;
+        # a dt above it is clamped without notice (dt = 1e-3 takes 222 steps, not
+        # 200), so the step count shows that each run took the dt it was given
+        t_max = 0.2
+        finals = []
+        for dt in (5e-4, 2.5e-4, 1.25e-4):
+            config = FlowConfig(n=1, k=1, mode="raw", t_max=t_max, dt_init=dt, dt_max=dt)
+            state = run(config, ellipse(2.0, 1.0, 32)).final_state
+            assert state.accepted == round(t_max / dt) and state.rejections == 0
+            assert state.t == pytest.approx(t_max, abs=1e-12)
+            finals.append((state.graph.r, state.log_scale))
+        for part in range(2):  # r, then log_scale
+            coarse, fine = (np.max(np.abs(np.asarray(a[part]) - np.asarray(b[part])))
+                            for a, b in zip(finals, finals[1:]))
+            assert 0.0 < fine < coarse < 1e-11
+            assert abs(np.log2(coarse / fine) - TIME_ORDER) < ORDER_WINDOW
+
+
 class TestQuermassOwners:
     @pytest.mark.parametrize("n, k, mode", [(1, 1, "rescaled_raw"), (2, 1, "normalized"),
                                             (2, 1, "rescaled_raw"), (2, 2, "rescaled_raw")])
@@ -428,7 +456,7 @@ def _accepted_combos():
 
 def _kit_and_profile(n, eps):
     g = perturbed_sphere(1.0, eps, mode=3, dim=n, num=64)
-    return geomod._grid_kit(n, g.r.size), g.r
+    return geomod._grid_kit(n, g.num_intervals), g.r
 
 
 def _full_stage(kit, r, mode, k):

@@ -259,7 +259,7 @@ class TestPointwiseGeometry:
     @pytest.mark.parametrize("num", [16, 128])
     def test_single_copy_kit_is_the_unstacked_kit(self, dim, num):
         size = num if dim == 1 else num + 1
-        kit = geom._grid_kit(dim, size)
+        kit = geom._grid_kit(dim, num)
         got = (kit.param, kit.pole_safe_sin, kit.cos, kit.area_weight, kit.ahead, kit.behind,
                kit.d1_weights, kit.d2_weights)
         for mine, want in zip(got, grid_kit_arrays(dim, size)):
@@ -282,7 +282,7 @@ class TestPointwiseGeometry:
         rows = np.array([perturbed_sphere(1.0, rng.uniform(0.02, 0.2), dim=dim, num=num,
                                           seed=int(rng.integers(1000))).r
                          for _ in range(copies)])
-        kit = geom._grid_kit(dim, size, copies)
+        kit = geom._grid_kit(dim, num, copies)
         r1, r2, w, rr, kappa, sig, dmu = geom._curvatures(kit, rows.ravel())
         for c, r in enumerate(rows):
             cols = slice(c * size, (c + 1) * size)
@@ -506,6 +506,10 @@ class TestRefine:
     def test_rejects_bad_factor(self):
         with pytest.raises(ValueError):
             refine(sphere(1.0, 1, 32), 1)
+        # int() overflows on inf and names no argument on NaN
+        for bad in (float("inf"), float("-inf"), float("nan"), 2.5):
+            with pytest.raises(ValueError, match="refinement factor"):
+                refine(sphere(1.0, 1, 32), bad)
 
 
 class TestSnapshotExport:
@@ -596,7 +600,7 @@ class TestGridLayout:
     @pytest.mark.parametrize("copies", [1, 16])
     @pytest.mark.parametrize("dim, size", [(1, 64), (2, 65)])
     def test_kit_arrays_are_read_only(self, dim, size, copies):
-        kit = geom._grid_kit(dim, size, copies)
+        kit = geom._grid_kit(dim, RadialGraph(dim, np.ones(size)).num_intervals, copies)
         arrays = [value for value in vars(kit).values() if isinstance(value, np.ndarray)]
         assert len(arrays) == (6 if dim == 1 else 8)
         for arr in arrays:
@@ -608,6 +612,46 @@ class TestGridLayout:
         with pytest.raises(ValueError):
             compute_geometry(sphere(1.0, 1, 64)).param[1] = 99.0
         assert compute_geometry(ellipse(2.0, 1.0, 64)).param[1] == 2.0 * pi * 1 / 64
+
+
+class TestGridGate:
+    """The kit of (dim, N) is the one gate of a radial grid: nothing outside DIMS
+    or the interval rule reaches the kit cache."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: sphere(1.0, 3, 64),
+        lambda: perturbed_sphere(1.0, 0.1, 2, 3, 64),
+        lambda: perturbed_sphere(1.0, 0.1, None, 0, 64, seed=1),
+        lambda: RadialGraph(3, np.ones(65)),
+        lambda: geom._grid_kit(3, 64),
+    ], ids=["sphere", "perturbed_sphere", "perturbed_sphere_dim0", "graph", "kit"])
+    def test_bad_dim_caches_no_kit(self, build):
+        before = dict(geom._KIT_CACHE)
+        with pytest.raises(ShapeError, match="dim"):
+            build()
+        assert geom._KIT_CACHE == before
+
+    @pytest.mark.parametrize("num", [64.0, np.float64(64.0), 63, 8, True])
+    def test_bad_num_is_rejected_even_when_its_integer_kit_is_cached(self, num):
+        geom._grid_kit(1, 64)
+        before = dict(geom._KIT_CACHE)
+        with pytest.raises(ShapeError) as err:
+            geom._grid_kit(1, num)
+        assert err.value.field == "num"
+        assert geom._KIT_CACHE == before
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_kit_maps_intervals_to_nodes(self, dim):
+        kit = geom._grid_kit(dim, 32, 3)
+        assert (kit.num, kit.size) == (32, 32 if dim == 1 else 33)
+        assert kit.ahead.shape == (3, 3 * kit.size)
+        g = sphere(1.0, dim, 32)
+        assert g.r.size == kit.size and g.num_intervals == 32
+        assert compute_geometry(g).num_intervals == 32
+
+    def test_one_dimension_set(self):
+        assert geom.DIMS == (1, 2)
+        assert geom._SHAPES["sphere"][0] is geom._SHAPES["perturbed_sphere"][0] is geom.DIMS
 
 
 class TestWriteCsv:

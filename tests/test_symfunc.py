@@ -122,6 +122,16 @@ class TestGradient:
             sfc.elem_sym_gradient([1, 2], 0)
         with pytest.raises(ValueError):
             sfc.elem_sym_gradient([1, 2], 3)
+        # a non-finite degree is a ValueError naming it, through every degree argument
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="degree m"):
+                sfc.elem_sym([1.0, 2.0], bad)
+            with pytest.raises(ValueError, match="degree m"):
+                sfc.elem_sym_gradient([1.0, 2.0], bad)
+            with pytest.raises(ValueError, match="degree k"):
+                sfc.in_gamma_k([1.0, 2.0], bad)
+            with pytest.raises(ValueError, match="k must"):
+                sfc.cnk(2, bad)
         # the table form takes only an (M, n) array, like elem_sym_table
         for bad in (np.ones(3), np.ones((2, 3, 4))):
             with pytest.raises(ValueError, match=r"\(M, n\)"):

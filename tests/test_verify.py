@@ -220,6 +220,12 @@ class TestFirstVariation:
                 sphere(1.0, 1, 64), lambda t: np.cos(t), 0, s=1.2
             )
 
+    @pytest.mark.parametrize("s", [0.0, -1e-4, float("nan"), float("inf")])
+    def test_rejects_probe_size_that_is_not_positive_and_finite(self, s):
+        # s = 0 divided by zero and s = NaN returned a NaN report
+        with pytest.raises(ValueError, match=r"probe size s"):
+            check_first_variation(sphere(1.0, 1, 64), lambda t: np.ones_like(t), 0, s=s)
+
 
 class TestAfChain:
     def test_sphere_equality(self):
