@@ -4,22 +4,22 @@ The raw flow moves the surface at normal speed sigma_{k-1}/sigma_k of the
 principal curvatures; in the radial gauge this is d r/dt = F * w / r at
 every grid node. The normalized variant subtracts r(t) * u * nu, chosen so
 that the quermassintegral V_{n-k} stays constant, which in the radial gauge
-is an extra -r(t) * r term. Stepping is classical RK4; every stage is
-one call of the stage map `_stage_map`, fed by `_stage` from bare
-curvature rows or by `_geo_stage` from a PointwiseGeometry. The full
-PointwiseGeometry is built once per attempt, for the candidate state,
-and that state's conserved quantity is kept on it for the next step.
-The accumulated log-scale integral of r(t) is advanced with the same
-stage weights so that e^{-log_scale} times the raw trajectory
-reproduces the normalized one to integration order.
+is an extra -r(t) * r term. Stepping is Shu & Osher's three-stage SSP-RK3
+(J. Comput. Phys. 77, 1988); every stage is one call of the stage map
+`_stage_map`, fed by `_stage` from bare curvature rows or by `_geo_stage`
+from a PointwiseGeometry. The full PointwiseGeometry is built once per
+attempt, for the candidate state, and that state's conserved quantity is
+kept on it for the next step. The accumulated log-scale integral of r(t)
+is advanced with the same stage weights so that e^{-log_scale} times the
+raw trajectory reproduces the normalized one to integration order.
 
 Step-size control is accept/reject: a step is accepted when the radius
 stays positive, strict k-convexity holds, and (in conserving modes) the
 per-step drift of the conserved quermassintegral stays under
 tol_conserve * dt. The working dt doubles after ten straight acceptances
-and is clamped by the stability cap cfl * 2.785 / rho: 2.785 is the
-length of RK4's stability interval on the negative real axis, where the
-spectrum of this parabolic flow lies, and rho bounds the spectral radius
+and is clamped by the stability cap cfl * 2.5127 / rho: 2.5127 is the
+length of the scheme's stability interval on the negative real axis, where
+the spectrum of this parabolic flow lies, and rho bounds the spectral radius
 of the Jacobian of the stage map. rho is 1.2 times a nonlinear power
 iteration estimate on difference quotients of the stage map (the RKC
 estimate of Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88,
@@ -37,7 +37,8 @@ and `symfunc._cone_status` is the strict k-convexity test of step
 acceptance. The grid is the initial graph's:
 FlowConfig holds no grid size, and `geometry` owns the rule for one.
 FlowConfig requires integer n, k and sample_every (a bool is not one), a
-finite t_max and dt_init and tol_round >= 0.
+finite t_max, dt_init, dt_max, tol_conserve, tol_round and cfl_coefficient,
+with dt_max and cfl_coefficient positive and the tolerances >= 0.
 """
 
 from __future__ import annotations
@@ -87,8 +88,9 @@ MODES = ("raw",) + CONSERVING_MODES
 DT_UNDERFLOW_FRACTION = 1e-12
 DOUBLE_AFTER = 10
 MAX_STEPS = 5_000_000
-# RK4 is stable for dt * lambda in [-2.785, 0] on the real axis
-RK4_REAL_STABILITY = 2.785
+ORDER = 3  # global order in dt of the stepper
+# its amplification 1 + z + z^2/2 + z^3/6 is in [-1, 1] for real z in [-REAL_STABILITY, 0]
+REAL_STABILITY = 2.5127453  # the real root of x^3 - 3x^2 + 6x - 12
 # the power iteration approaches rho from below or alternates about it;
 # the cap divides by RHO_SAFETY times the estimate
 RHO_SAFETY = 1.2
@@ -135,7 +137,7 @@ class FlowConfig:
     # per-step guard; the trajectory-level conservation checks are tighter
     tol_conserve: float = 1e-5
     tol_round: float = 0.0  # 0 disables the roundness stop
-    # fraction of RK4's real-axis stability interval the step may use
+    # fraction of the stepper's real-axis stability interval the step may use
     cfl_coefficient: float = 0.5
 
     def __post_init__(self):
@@ -164,6 +166,11 @@ class FlowConfig:
         if not (0.0 < self.dt_init <= self.dt_max and isfinite(self.dt_init)):
             raise FlowConfigError("dt_init", f"need a finite dt_init with 0 < dt_init <= dt_max, "
                                              f"got {self.dt_init} and {self.dt_max}")
+        # an infinite cfl_coefficient removes the stability cap, an infinite
+        # tol_conserve the conservation guard; an infinite tol_round stops at t = 0
+        for name in ("dt_max", "tol_conserve", "tol_round", "cfl_coefficient"):
+            if not isfinite(getattr(self, name)):
+                raise FlowConfigError(name, f"{name} must be finite, got {getattr(self, name)}")
         if self.sample_every < 1:
             raise FlowConfigError(
                 "sample_every", f"sample_every must be >= 1, got {self.sample_every}"
@@ -331,11 +338,11 @@ def _cap(rho: float, cfl: float) -> float:
     bound = RHO_SAFETY * rho
     if not (isfinite(bound) and bound > 0.0):
         raise ConeExitError(f"stability cap undefined: spectral radius estimate {rho}")
-    return cfl * RK4_REAL_STABILITY / bound
+    return cfl * REAL_STABILITY / bound
 
 
 def stability_cap(geo: PointwiseGeometry, k: int, cfl: float) -> float:
-    """RK4 step cap cfl * 2.785 / (1.2 rho) on the flow at geo, with rho a
+    """Step cap cfl * REAL_STABILITY / (1.2 rho) on the flow at geo, with rho a
     cold-start power-iteration estimate of the stage map's spectral
     radius; a stability guard, not an error bound."""
     return _cap(_spectral_radius(geo, k)[0], cfl)
@@ -373,16 +380,15 @@ class _Rejection:
 
 
 def _attempt(state: FlowState, dt: float, config: FlowConfig):
-    """One RK4 trial step; returns (new_state, None) or (None, _Rejection)."""
+    """One SSP-RK3 trial step; returns (new_state, None) or (None, _Rejection)."""
     r0 = state.graph.r
     kit = geomod._grid_kit(state.geo.dim, state.geo.num_intervals)
     mode, k = config.mode, config.k
     try:
         k1, q1 = _geo_stage(state.geo, mode, k)
-        k2, q2 = _stage(kit, r0 + 0.5 * dt * k1, mode, k)
-        k3, q3 = _stage(kit, r0 + 0.5 * dt * k2, mode, k)
-        k4, q4 = _stage(kit, r0 + dt * k3, mode, k)
-        r_new = r0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2, q2 = _stage(kit, r0 + dt * k1, mode, k)
+        k3, q3 = _stage(kit, r0 + (0.25 * dt) * (k1 + k2), mode, k)
+        r_new = r0 + (dt / 6.0) * (k1 + k2 + 4.0 * k3)
         graph_new = RadialGraph(kit.dim, r_new)
         geo_new = geomod._pointwise(kit, graph_new.r)
     except (ConeExitError, ValueError) as exc:
@@ -390,7 +396,7 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
     ok, why = _strictly_kconvex(geo_new, k)
     if not ok:
         return None, _Rejection(f"k-convexity lost: {why}")
-    log_new = state.log_scale + (dt / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+    log_new = state.log_scale + (dt / 6.0) * (q1 + q2 + 4.0 * q3)
     v_old = state.conserved
     if v_old is None:
         v_old = _conserved_value(state.geo, state.log_scale, config)

@@ -38,7 +38,7 @@ from .geometry import (
     sphere_area,
     unit_ball_quermass,
 )
-from .symfunc import _gradient_tables, elem_sym_table, polarized_sigma_square_table
+from .symfunc import _gradient_tables, _whole, elem_sym_table, polarized_sigma_square_table
 
 __all__ = [
     "IdentityReport",
@@ -568,7 +568,7 @@ def check_af_chain(geo: PointwiseGeometry, k: int, slack: float = 1e-6):
     the range. Raises ValueError when the surface fails k-convexity:
     that is a precondition, not a counterexample.
     """
-    n = geo.dim
+    n, k = geo.dim, _whole(k, "convexity level k")
     conv = kconvex_report(geo, k)
     if conv.status == "violated":
         raise ValueError(

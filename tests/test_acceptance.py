@@ -41,8 +41,8 @@ def announce(num, text):
 
 def test_01_sphere_exact_solution():
     # An exact sphere stays node-for-node uniform (identical floating-point
-    # work per node); the step is capped at 0.3 of RK4's real-axis stability
-    # interval over the estimated spectral radius.
+    # work per node); the step is capped at 0.3 of the stepper's real-axis
+    # stability interval over the estimated spectral radius.
     config = FlowConfig(n=1, k=1, mode="raw", t_max=1.0, dt_init=1e-3,
                         cfl_coefficient=0.3, sample_every=100)
     start = time.perf_counter()

@@ -256,6 +256,10 @@ class TestRun:
         ("run", "stepping.t_max=1e400", "stepping.t_max"),
         ("run", "tolerances.tol_round=-1", "tolerances.tol_round"),
         ("run", "tolerances.tol_round=NaN", "tolerances.tol_round"),
+        ("run", "tolerances.tol_round=Infinity", "tolerances.tol_round"),
+        ("run", "tolerances.tol_conserve=Infinity", "tolerances.tol_conserve"),
+        ("run", "stepping.dt_max=1e400", "stepping.dt_max"),
+        ("run", "stepping.cfl_coefficient=Infinity", "stepping.cfl_coefficient"),
         ("verify monotone", "problem.mode=raw", "problem.mode"),
         # a job count below one ran serially and exited 0
         ("sweep --jobs 0", "sweep.k_values=[1]", "--jobs"),

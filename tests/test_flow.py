@@ -57,12 +57,18 @@ class TestConfigValidation:
         ({"dt_init": float("inf"), "dt_max": float("inf")}, "dt_init"),
         ({"tol_round": -1.0}, "tol_round"),
         ({"tol_round": float("nan")}, "tol_round"),
+        # an infinite tol_round stopped a run at t = 0, an infinite tol_conserve
+        # turned the conservation guard off, an infinite cfl_coefficient the cap
+        ({"dt_max": float("inf")}, "dt_max"),
+        ({"tol_conserve": float("inf")}, "tol_conserve"),
+        ({"tol_round": float("inf")}, "tol_round"),
+        ({"cfl_coefficient": float("inf")}, "cfl_coefficient"),
     ])
     def test_rejects_values_that_disable_a_stop(self, kwargs, field):
         with pytest.raises(fl.FlowConfigError) as info:
             FlowConfig(n=1, k=1, **kwargs)
         assert info.value.field == field
-        FlowConfig(n=1, k=1, dt_max=float("inf"))  # an unbounded dt_max is fine
+        FlowConfig(n=1, k=1, dt_max=1e300)  # a large finite dt_max is fine
 
     @pytest.mark.parametrize("kwargs, field", [
         ({"n": 1.0, "k": 1}, "n"),
@@ -162,9 +168,11 @@ class TestStep:
     def test_sphere_single_step_exact(self):
         config = FlowConfig(n=1, k=1, mode="raw", t_max=1.0)
         state = initial_state(sphere(1.0, 1, 64))
-        new = step(state, 1e-3, config)
+        dt = 1e-3
+        new = step(state, dt, config)
         assert new is not None
-        assert np.max(np.abs(new.graph.r - exp(1e-3))) < 1e-14
+        # on the unit circle dr/dt = r, so one step is the stepper's polynomial
+        assert np.max(np.abs(new.graph.r - (1.0 + dt + dt**2 / 2 + dt**3 / 6))) <= 1e-15
 
     def test_normalized_sphere_unchanged(self):
         config = FlowConfig(n=2, k=1, mode="normalized", t_max=1.0)
@@ -219,7 +227,7 @@ class TestStabilityCap:
         ratio = rho / _dense_spectral_radius(graph, k)
         assert 0.95 <= ratio <= 1.35, ratio
         cap = fl.stability_cap(geo, k, 0.5)
-        assert cap == pytest.approx(0.5 * fl.RK4_REAL_STABILITY / (fl.RHO_SAFETY * rho), rel=1e-12)
+        assert cap == pytest.approx(0.5 * fl.REAL_STABILITY / (fl.RHO_SAFETY * rho), rel=1e-12)
 
     def test_warm_start_keeps_the_estimate(self):
         geo = compute_geometry(ellipsoid_of_revolution(1.5, 1.0, 128))
@@ -344,22 +352,22 @@ class TestRun:
         assert {f"I{mono}", f"V{held}"} <= set(fl.record_columns(n))
 
 
-# global order in dt of the stepper (RK4)
-TIME_ORDER = 4
+# global order in dt of the stepper
+TIME_ORDER = fl.ORDER
 # the observed order may stray this far from TIME_ORDER; measured on the input
-# below: 3.97 for r and 3.96 for log_scale (successive max differences
-# 5.78e-13 and 3.69e-14 in r, 1.10e-13 and 7.05e-15 in log_scale)
+# below: 3.003 for r and 3.004 for log_scale (successive max differences
+# 1.51e-10 and 1.88e-11 in r, 3.21e-11 and 4.00e-12 in log_scale)
 ORDER_WINDOW = 0.5
 
 
 class TestSolverConvergence:
     def test_fixed_dt_self_convergence(self):
         # dt_init = dt_max holds dt fixed while dt stays below the stability cap;
-        # a dt above it is clamped without notice (dt = 1e-3 takes 222 steps, not
-        # 200), so the step count shows that each run took the dt it was given
+        # a dt above it is clamped without notice (dt = 5e-4 takes 401 steps, not
+        # 400), so the step count shows that each run took the dt it was given
         t_max = 0.2
         finals = []
-        for dt in (5e-4, 2.5e-4, 1.25e-4):
+        for dt in (4e-4, 2e-4, 1e-4):
             config = FlowConfig(n=1, k=1, mode="raw", t_max=t_max, dt_init=dt, dt_max=dt)
             state = run(config, ellipse(2.0, 1.0, 32)).final_state
             assert state.accepted == round(t_max / dt) and state.rejections == 0
@@ -368,9 +376,32 @@ class TestSolverConvergence:
         for part in range(2):  # r, then log_scale
             coarse, fine = (np.max(np.abs(np.asarray(a[part]) - np.asarray(b[part])))
                             for a, b in zip(finals, finals[1:]))
-            assert 0.0 < fine < coarse < 1e-11
+            # the coarse difference measured 1.51e-10 in r
+            assert 0.0 < fine < coarse < 1e-9
             assert abs(np.log2(coarse / fine) - TIME_ORDER) < ORDER_WINDOW
 
+
+class TestStepperCost:
+    def test_real_stability_is_the_amplification_bound(self):
+        # one step on dr/dt = lambda r multiplies r by P(dt * lambda)
+        def amplification(z):
+            return 1.0 + z + z**2 / 2 + z**3 / 6
+
+        x = np.linspace(0.0, fl.REAL_STABILITY, 100_001)
+        assert np.max(np.abs(amplification(-x))) <= 1.0
+        assert abs(amplification(-fl.REAL_STABILITY * (1.0 + 1e-7))) > 1.0
+
+    @pytest.mark.parametrize("n, k, mode", [(1, 1, "raw"), (2, 1, "normalized"),
+                                            (2, 2, "rescaled_raw")])
+    def test_one_step_makes_three_stage_maps(self, n, k, mode, monkeypatch):
+        config = FlowConfig(n=n, k=k, mode=mode, t_max=1.0)
+        shape = ellipse(2.0, 1.0, 64) if n == 1 else ellipsoid_of_revolution(1.2, 1.0, 64)
+        state = initial_state(shape)
+        calls = []
+        stage_map = fl._stage_map
+        monkeypatch.setattr(fl, "_stage_map", lambda *args: calls.append(1) or stage_map(*args))
+        assert step(state, 1e-4, config) is not None
+        assert len(calls) == 3
 
 class TestQuermassOwners:
     @pytest.mark.parametrize("n, k, mode", [(1, 1, "rescaled_raw"), (2, 1, "normalized"),

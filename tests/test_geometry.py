@@ -24,9 +24,10 @@ from starflow.geometry import (
     refine,
     roundness,
     sphere,
+    unit_ball_quermass,
 )
 from starflow.symfunc import elem_sym_table, in_gamma_k
-from starflow.verify import _curve_geometry, _meridian_geometry, curve_from_radial
+from starflow.verify import _curve_geometry, _meridian_geometry, check_af_chain, curve_from_radial
 from _oracles import (
     curvatures_rowmajor,
     curve_curvature_fd2,
@@ -652,6 +653,30 @@ class TestGridGate:
     def test_one_dimension_set(self):
         assert geom.DIMS == (1, 2)
         assert geom._SHAPES["sphere"][0] is geom._SHAPES["perturbed_sphere"][0] is geom.DIMS
+
+
+class TestFractionalLevel:
+    """A level or index that is not a whole number is a ValueError naming the
+    argument; it passed the range checks and failed later with a slice, comb
+    or index error, or was reported as out of range."""
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda geo, path: kconvex_report(geo, 1.5), "convexity level k"),
+        (lambda geo, path: check_af_chain(geo, 1.5), "convexity level k"),
+        (lambda geo, path: unit_ball_quermass(2, 1.5), "index m"),
+        (lambda geo, path: export_snapshot(geo, 1.5, path), "snapshot sigma level k"),
+        (lambda geo, path: quermass(geo, 0.5), "quermass index m"),
+        (lambda geo, path: quermass_sigma(geo, 1.5), "sigma-form index m"),
+        (lambda geo, path: quermass_minkowski(geo, 0.5), "Minkowski-form index m"),
+        (lambda geo, path: iso_ratio(geo, 0.5), "iso ratio index k"),
+        (lambda geo, path: iso_ratio_ball(2, 0.5), "iso ratio index k"),
+    ], ids=["kconvex_report", "check_af_chain", "unit_ball_quermass", "export_snapshot",
+            "quermass", "quermass_sigma", "quermass_minkowski", "iso_ratio", "iso_ratio_ball"])
+    def test_names_the_argument(self, call, name, tmp_path):
+        geo = compute_geometry(sphere(1.0, 2, 32))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call(geo, tmp_path / "snap.csv")
+        assert not (tmp_path / "snap.csv").exists()
 
 
 class TestWriteCsv:
