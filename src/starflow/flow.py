@@ -20,7 +20,9 @@ tol_conserve * dt. The working dt doubles after ten straight acceptances
 and is clamped by the stability cap cfl * 2.5127 / rho: 2.5127 is the
 length of the scheme's stability interval on the negative real axis, where
 the spectrum of this parabolic flow lies, and rho bounds the spectral radius
-of the Jacobian of the stage map. rho is 1.2 times a nonlinear power
+of the Jacobian of the stage map. The default cfl is 1.5961 / 2.5127: up to
+dt * |lambda| = 1.5961 the amplification stays in [0, 1), so every linear
+mode is damped without a sign flip. rho is 1.2 times a nonlinear power
 iteration estimate on difference quotients of the stage map (the RKC
 estimate of Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88,
 1998), refreshed every 25 accepted steps and after every rejection, each
@@ -60,7 +62,7 @@ from .geometry import (
     quermass_sigma,  # noqa: F401 -- perfbench/selftest.py checks its tracer patches flow's name
     roundness,
 )
-from .symfunc import _cone_status, cnk
+from .symfunc import _cone_status, _whole, cnk
 
 __all__ = [
     "MODES",
@@ -91,6 +93,8 @@ MAX_STEPS = 5_000_000
 ORDER = 3  # global order in dt of the stepper
 # its amplification 1 + z + z^2/2 + z^3/6 is in [-1, 1] for real z in [-REAL_STABILITY, 0]
 REAL_STABILITY = 2.5127453  # the real root of x^3 - 3x^2 + 6x - 12
+# and in [0, 1) for real z in [-MONOTONE_LIMIT, 0): damped without a sign flip
+MONOTONE_LIMIT = 1.5960716  # the real root of x^3 - 3x^2 + 6x - 6
 # the power iteration approaches rho from below or alternates about it;
 # the cap divides by RHO_SAFETY times the estimate
 RHO_SAFETY = 1.2
@@ -137,8 +141,10 @@ class FlowConfig:
     # per-step guard; the trajectory-level conservation checks are tighter
     tol_conserve: float = 1e-5
     tol_round: float = 0.0  # 0 disables the roundness stop
-    # fraction of the stepper's real-axis stability interval the step may use
-    cfl_coefficient: float = 0.5
+    # fraction of the stepper's real-axis stability interval the step may use;
+    # the default steps at dt * RHO_SAFETY * estimate = MONOTONE_LIMIT, so while
+    # RHO_SAFETY times the estimate bounds rho no linear mode flips sign
+    cfl_coefficient: float = MONOTONE_LIMIT / REAL_STABILITY
 
     def __post_init__(self):
         for name in ("n", "k", "sample_every"):
@@ -225,7 +231,7 @@ def _speed(sig: np.ndarray, k: int) -> np.ndarray:
 def speed_raw(geo: PointwiseGeometry, k: int) -> np.ndarray:
     """Normal speed sigma_{k-1}/sigma_k per node; positive on strictly
     k-convex data. Raises ConeExitError naming the worst node otherwise."""
-    return _speed(geo.sigma.T, k)
+    return _speed(geo.sigma.T, _whole(k, "flow degree k"))
 
 
 def _rate(r: np.ndarray, w: np.ndarray, f: np.ndarray, sig: np.ndarray, dmu: np.ndarray,
@@ -253,6 +259,7 @@ def normalization_rt(geo: PointwiseGeometry, k: int) -> float:
     scale invariant. Only defined for k <= n-1: at k = n both numerator
     and the constant vanish identically.
     """
+    k = _whole(k, "flow degree k")
     if not 0 < k < geo.dim:
         raise ValueError(f"normalization constant needs 1 <= k <= n-1, got k={k}")
     return _geo_stage(geo, "raw", k)[1]
@@ -264,6 +271,7 @@ def volume_scale_rate(geo: PointwiseGeometry, k: int) -> float:
     Equals int(F dmu) / int(u dmu); used as the rescaling rate for the
     k = n flow where r(t) is unavailable.
     """
+    k = _whole(k, "flow degree k")
     return _rate(geo.r, geo.w, speed_raw(geo, k), geo.sigma.T, geo.dmu, k, geo.dim + 1)
 
 
@@ -298,7 +306,7 @@ def radial_rhs(geo: PointwiseGeometry, mode: str, k: int) -> np.ndarray:
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return _geo_stage(geo, mode, k)[0]
+    return _geo_stage(geo, mode, _whole(k, "flow degree k"))[0]
 
 
 def _spectral_radius(geo: PointwiseGeometry, k: int, v: np.ndarray | None = None):
@@ -344,8 +352,11 @@ def _cap(rho: float, cfl: float) -> float:
 def stability_cap(geo: PointwiseGeometry, k: int, cfl: float) -> float:
     """Step cap cfl * REAL_STABILITY / (1.2 rho) on the flow at geo, with rho a
     cold-start power-iteration estimate of the stage map's spectral
-    radius; a stability guard, not an error bound."""
-    return _cap(_spectral_radius(geo, k)[0], cfl)
+    radius; a stability guard, not an error bound. cfl must be positive and
+    finite, as FlowConfig's cfl_coefficient."""
+    if not (cfl > 0.0 and isfinite(cfl)):
+        raise ValueError(f"cfl must be positive and finite, got {cfl}")
+    return _cap(_spectral_radius(geo, _whole(k, "flow degree k"))[0], cfl)
 
 
 def _strictly_kconvex(geo: PointwiseGeometry, k: int) -> tuple[bool, str]:

@@ -99,6 +99,21 @@ class TestSpeed:
         with pytest.raises(ConeExitError, match="node"):
             speed_raw(geo, 1)
 
+    @pytest.mark.parametrize("call", [
+        lambda geo, k: speed_raw(geo, k),
+        lambda geo, k: radial_rhs(geo, "raw", k),
+        lambda geo, k: normalization_rt(geo, k),
+        lambda geo, k: volume_scale_rate(geo, k),
+        lambda geo, k: fl.stability_cap(geo, k, 0.5),
+    ], ids=["speed_raw", "radial_rhs", "normalization_rt", "volume_scale_rate",
+            "stability_cap"])
+    def test_fractional_degree_names_the_argument(self, call):
+        # 1.5 passes every range check; it used to reach numpy's row index
+        # and raise an IndexError that names no argument
+        geo = compute_geometry(sphere(1.0, 2, 64))
+        with pytest.raises(ValueError, match="flow degree k must be an integer, got 1.5"):
+            call(geo, 1.5)
+
 
 class TestNormalizationRate:
     def test_sphere_closed_form(self):
@@ -209,6 +224,10 @@ def _dense_spectral_radius(graph, k):
     return float(np.max(np.abs(np.linalg.eigvals(jac))))
 
 
+def _default_cap(geo, k):
+    return fl.stability_cap(geo, k, FlowConfig(n=geo.dim, k=k).cfl_coefficient)
+
+
 class TestStabilityCap:
     @pytest.mark.parametrize("graph, k", [
         (ellipse(2.0, 1.0, 64), 1),
@@ -224,10 +243,30 @@ class TestStabilityCap:
         geo = compute_geometry(graph)
         assert geomod.kconvex_report(geo, k).strict
         rho, _ = fl._spectral_radius(geo, k)
-        ratio = rho / _dense_spectral_radius(graph, k)
-        assert 0.95 <= ratio <= 1.35, ratio
+        dense = _dense_spectral_radius(graph, k)
+        assert 0.95 <= rho / dense <= 1.35, rho / dense
         cap = fl.stability_cap(geo, k, 0.5)
         assert cap == pytest.approx(0.5 * fl.REAL_STABILITY / (fl.RHO_SAFETY * rho), rel=1e-12)
+        # no linear mode flips sign at the default cap; measured 1.29-1.36
+        assert _default_cap(geo, k) * dense <= fl.MONOTONE_LIMIT
+
+    def test_default_cap_survives_a_cold_start_underestimate(self):
+        # from the node-alternating start the estimate stops at 0.878 of rho
+        # on this sphere (0.988-0.999 at N = 64-256); RHO_SAFETY still covers
+        # it, and the product measured 1.514
+        graph = sphere(1.0, 2, 512)
+        geo = compute_geometry(graph)
+        rho, _ = fl._spectral_radius(geo, 1)
+        dense = _dense_spectral_radius(graph, 1)
+        assert rho / dense < 0.95
+        assert _default_cap(geo, 1) * dense <= fl.MONOTONE_LIMIT
+
+    @pytest.mark.parametrize("cfl", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_a_cfl_that_flow_config_rejects(self, cfl):
+        # these used to return a negative, zero or NaN step
+        geo = compute_geometry(ellipsoid_of_revolution(1.5, 1.0, 64))
+        with pytest.raises(ValueError, match="cfl must be positive and finite"):
+            fl.stability_cap(geo, 1, cfl)
 
     def test_warm_start_keeps_the_estimate(self):
         geo = compute_geometry(ellipsoid_of_revolution(1.5, 1.0, 128))
@@ -354,42 +393,54 @@ class TestRun:
 
 # global order in dt of the stepper
 TIME_ORDER = fl.ORDER
-# the observed order may stray this far from TIME_ORDER; measured on the input
-# below: 3.003 for r and 3.004 for log_scale (successive max differences
-# 1.51e-10 and 1.88e-11 in r, 3.21e-11 and 4.00e-12 in log_scale)
+# the observed order may stray this far from TIME_ORDER; measured on the inputs
+# below, as (r, log_scale): ellipse 3.003 and 3.004 (successive max differences
+# 1.51e-10 and 1.88e-11 in r, 3.21e-11 and 4.00e-12 in log_scale), spheroid
+# 2.99 and 2.84 (6.29e-12 and 7.91e-13 in r, 1.20e-13 and 1.68e-14 in log_scale)
 ORDER_WINDOW = 0.5
 
 
 class TestSolverConvergence:
-    def test_fixed_dt_self_convergence(self):
+    # at N = 64 the spheroid's cap would clamp dt = 4e-4 (506 steps)
+    @pytest.mark.parametrize("shape", [ellipse(2.0, 1.0, 32), ellipsoid_of_revolution(1.5, 1.0, 32)],
+                             ids=["ellipse", "spheroid"])
+    def test_fixed_dt_self_convergence(self, shape):
         # dt_init = dt_max holds dt fixed while dt stays below the stability cap;
-        # a dt above it is clamped without notice (dt = 5e-4 takes 401 steps, not
-        # 400), so the step count shows that each run took the dt it was given
+        # a dt above it is clamped without notice (on the ellipse dt = 7e-4 takes
+        # 289 steps, not 286), so the step count shows that each run took the dt
+        # it was given
         t_max = 0.2
         finals = []
         for dt in (4e-4, 2e-4, 1e-4):
-            config = FlowConfig(n=1, k=1, mode="raw", t_max=t_max, dt_init=dt, dt_max=dt)
-            state = run(config, ellipse(2.0, 1.0, 32)).final_state
+            config = FlowConfig(n=shape.dim, k=1, mode="raw", t_max=t_max, dt_init=dt, dt_max=dt)
+            state = run(config, shape).final_state
             assert state.accepted == round(t_max / dt) and state.rejections == 0
             assert state.t == pytest.approx(t_max, abs=1e-12)
             finals.append((state.graph.r, state.log_scale))
         for part in range(2):  # r, then log_scale
             coarse, fine = (np.max(np.abs(np.asarray(a[part]) - np.asarray(b[part])))
                             for a, b in zip(finals, finals[1:]))
-            # the coarse difference measured 1.51e-10 in r
+            # the coarse difference measured 1.51e-10 in r on the ellipse
             assert 0.0 < fine < coarse < 1e-9
             assert abs(np.log2(coarse / fine) - TIME_ORDER) < ORDER_WINDOW
 
 
 class TestStepperCost:
-    def test_real_stability_is_the_amplification_bound(self):
+    @staticmethod
+    def amplification(z):
         # one step on dr/dt = lambda r multiplies r by P(dt * lambda)
-        def amplification(z):
-            return 1.0 + z + z**2 / 2 + z**3 / 6
+        return 1.0 + z + z**2 / 2 + z**3 / 6
 
+    def test_real_stability_is_the_amplification_bound(self):
         x = np.linspace(0.0, fl.REAL_STABILITY, 100_001)
-        assert np.max(np.abs(amplification(-x))) <= 1.0
-        assert abs(amplification(-fl.REAL_STABILITY * (1.0 + 1e-7))) > 1.0
+        assert np.max(np.abs(self.amplification(-x))) <= 1.0
+        assert abs(self.amplification(-fl.REAL_STABILITY * (1.0 + 1e-7))) > 1.0
+
+    def test_monotone_limit_is_where_the_amplification_reaches_zero(self):
+        x = np.linspace(0.0, fl.MONOTONE_LIMIT, 100_001)
+        assert np.min(self.amplification(-x)) >= 0.0
+        assert self.amplification(-fl.MONOTONE_LIMIT * (1.0 + 1e-7)) < 0.0
+        assert FlowConfig(n=1, k=1).cfl_coefficient == fl.MONOTONE_LIMIT / fl.REAL_STABILITY
 
     @pytest.mark.parametrize("n, k, mode", [(1, 1, "raw"), (2, 1, "normalized"),
                                             (2, 2, "rescaled_raw")])
