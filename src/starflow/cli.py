@@ -286,7 +286,7 @@ def _verify_keys(cfg: dict) -> tuple:
 def _check_values(cfg: dict) -> None:
     """Range checks of the keys that no FlowConfig checks, made once before
     any command runs, so that a value is accepted or not whatever command
-    reads it; a value out of range is a ConfigError at its key.
+    reads it; a value outside its range is a ConfigError at its key.
     suite_geometry builds grids down to grid_N/4, which must keep geometry's interval rule."""
     vcfg = cfg.get("verify", {})
     seed, samples, num = _verify_keys(cfg)

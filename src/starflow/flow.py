@@ -218,9 +218,7 @@ def monotone_pair(n: int, k: int) -> tuple:
 
 
 def _speed(sig: np.ndarray, k: int) -> np.ndarray:
-    """sigma_{k-1}/sigma_k from the (n + 1, M) rows sigma_0..sigma_n."""
-    if not 1 <= k < sig.shape[0]:
-        raise ValueError(f"flow degree k={k} out of range 1..{sig.shape[0] - 1}")
+    """sigma_{k-1}/sigma_k from the (n + 1, M) rows sigma_0..sigma_n, for 1 <= k <= n."""
     sk = sig[k]
     if np.minimum.reduce(sk) <= 0.0:
         j = int(sk.argmin())
@@ -231,7 +229,7 @@ def _speed(sig: np.ndarray, k: int) -> np.ndarray:
 def speed_raw(geo: PointwiseGeometry, k: int) -> np.ndarray:
     """Normal speed sigma_{k-1}/sigma_k per node; positive on strictly
     k-convex data. Raises ConeExitError naming the worst node otherwise."""
-    return _speed(geo.sigma.T, _whole(k, "flow degree k"))
+    return _speed(geo.sigma.T, _whole(k, "flow degree k", 1, geo.dim))
 
 
 def _rate(r: np.ndarray, w: np.ndarray, f: np.ndarray, sig: np.ndarray, dmu: np.ndarray,
@@ -259,10 +257,7 @@ def normalization_rt(geo: PointwiseGeometry, k: int) -> float:
     scale invariant. Only defined for k <= n-1: at k = n both numerator
     and the constant vanish identically.
     """
-    k = _whole(k, "flow degree k")
-    if not 0 < k < geo.dim:
-        raise ValueError(f"normalization constant needs 1 <= k <= n-1, got k={k}")
-    return _geo_stage(geo, "raw", k)[1]
+    return _geo_stage(geo, "raw", _whole(k, "flow degree k", 1, geo.dim - 1))[1]
 
 
 def volume_scale_rate(geo: PointwiseGeometry, k: int) -> float:
@@ -271,7 +266,7 @@ def volume_scale_rate(geo: PointwiseGeometry, k: int) -> float:
     Equals int(F dmu) / int(u dmu); used as the rescaling rate for the
     k = n flow where r(t) is unavailable.
     """
-    k = _whole(k, "flow degree k")
+    k = _whole(k, "flow degree k", 1, geo.dim)
     return _rate(geo.r, geo.w, speed_raw(geo, k), geo.sigma.T, geo.dmu, k, geo.dim + 1)
 
 
@@ -306,7 +301,7 @@ def radial_rhs(geo: PointwiseGeometry, mode: str, k: int) -> np.ndarray:
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return _geo_stage(geo, mode, _whole(k, "flow degree k"))[0]
+    return _geo_stage(geo, mode, _whole(k, "flow degree k", 1, geo.dim))[0]
 
 
 def _spectral_radius(geo: PointwiseGeometry, k: int, v: np.ndarray | None = None):
@@ -356,7 +351,7 @@ def stability_cap(geo: PointwiseGeometry, k: int, cfl: float) -> float:
     finite, as FlowConfig's cfl_coefficient."""
     if not (cfl > 0.0 and isfinite(cfl)):
         raise ValueError(f"cfl must be positive and finite, got {cfl}")
-    return _cap(_spectral_radius(geo, _whole(k, "flow degree k"))[0], cfl)
+    return _cap(_spectral_radius(geo, _whole(k, "flow degree k", 1, geo.dim))[0], cfl)
 
 
 def _strictly_kconvex(geo: PointwiseGeometry, k: int) -> tuple[bool, str]:

@@ -539,9 +539,7 @@ def quermass_sigma(geo: PointwiseGeometry, m: int) -> float:
     the top integral V_{n+1} has no index here and is only reachable
     through the Minkowski form.
     """
-    n, m = geo.dim, _whole(m, "sigma-form index m")
-    if not 1 <= m <= n:
-        raise ValueError(f"sigma-form index m={m} out of range 1..{n}")
+    n, m = geo.dim, _whole(m, "sigma-form index m", 1, geo.dim)
     return cnk(n, m) * float(np.add.reduce(geo.sigma[:, m - 1] * geo.dmu))
 
 
@@ -550,18 +548,14 @@ def quermass_minkowski(geo: PointwiseGeometry, m: int) -> float:
 
     m = 0 gives V_{n+1} = (n+1) * volume of the enclosed domain.
     """
-    n, m = geo.dim, _whole(m, "Minkowski-form index m")
-    if not 0 <= m <= n:
-        raise ValueError(f"Minkowski-form index m={m} out of range 0..{n}")
+    m = _whole(m, "Minkowski-form index m", 0, geo.dim)
     return float(np.add.reduce(geo.u * geo.sigma[:, m] * geo.dmu))
 
 
 def quermass(geo: PointwiseGeometry, m: int) -> float:
     """V_{n+1-m} for 0 <= m <= n: the Minkowski form at m = 0, where the curvature
     integral has no index, and the curvature integral otherwise."""
-    m = _whole(m, "quermass index m")
-    if not 0 <= m <= geo.dim:
-        raise ValueError(f"quermass index m={m} out of range 0..{geo.dim}")
+    m = _whole(m, "quermass index m", 0, geo.dim)
     return quermass_minkowski(geo, 0) if m == 0 else quermass_sigma(geo, m)
 
 
@@ -577,9 +571,8 @@ def sphere_area(n: int) -> float:
 
 def unit_ball_quermass(n: int, m: int) -> float:
     """V_{n+1-m} of the unit ball: binom(n, m) * |S^n|."""
-    n, m = _whole(n, "dimension n"), _whole(m, "index m")
-    if not 0 <= m <= n:
-        raise ValueError(f"index m={m} out of range 0..{n}")
+    n = _whole(n, "dimension n")
+    m = _whole(m, "index m", 0, n)
     return comb(n, m) * sphere_area(n)
 
 
@@ -594,17 +587,13 @@ def iso_ratio(geo: PointwiseGeometry, k: int) -> float:
     k = 0 pairs the Minkowski-form volume integral with the surface
     measure. k = n is rejected: the lower exponent 1/(n-k) degenerates.
     """
-    n, k = geo.dim, _whole(k, "iso ratio index k")
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"iso ratio index k={k} out of range 0..{n - 1}")
+    n, k = geo.dim, _whole(k, "iso ratio index k", 0, geo.dim - 1)
     return _iso(quermass(geo, k), quermass(geo, k + 1), n, k)
 
 
 def iso_ratio_ball(n: int, k: int) -> float:
     """iso_ratio of the round ball, in closed form."""
-    k = _whole(k, "iso ratio index k")
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"iso ratio index k={k} out of range 0..{n - 1}")
+    k = _whole(k, "iso ratio index k", 0, n - 1)
     return _iso(unit_ball_quermass(n, k), unit_ball_quermass(n, k + 1), n, k)
 
 
@@ -615,9 +604,7 @@ def kconvex_report(geo: PointwiseGeometry, k: int, tol_cone: float = 1e-10) -> C
     the degree-m power of the curvature magnitude) of zero. violated
     otherwise. The test is `symfunc`'s, shared with `in_gamma_k`.
     """
-    n, k = geo.dim, _whole(k, "convexity level k")
-    if not 1 <= k <= n:
-        raise ValueError(f"convexity level k={k} out of range 1..{n}")
+    k = _whole(k, "convexity level k", 1, geo.dim)
     mins = geo.sigma[:, 1 : k + 1].min(axis=0)
     return ConvexityReport(k=k, min_sigma=mins, status=_cone_status(mins, geo.kappa, tol_cone))
 
@@ -649,9 +636,7 @@ def refine(g: RadialGraph, factor: int) -> RadialGraph:
     """Resample onto a grid `factor` times finer by trigonometric
     interpolation (dim 2 through the even periodic extension of the
     profile)."""
-    factor = _whole(factor, "refinement factor")
-    if factor < 2:
-        raise ValueError(f"refinement factor must be an integer >= 2, got {factor}")
+    factor = _whole(factor, "refinement factor", 2)
     size = _grid_kit(g.dim, g.num_intervals * factor).size
     if g.dim == 1:
         r_new = _fft_resample_periodic(g.r, size)
@@ -677,9 +662,7 @@ def export_snapshot(geo: PointwiseGeometry, k: int, path) -> None:
 
     Columns: grid_coordinate, r, kappa_1..kappa_n, u, sigma_k.
     """
-    n, k = geo.dim, _whole(k, "snapshot sigma level k")
-    if not 1 <= k <= n:
-        raise ValueError(f"snapshot sigma level k={k} out of range 1..{n}")
+    n, k = geo.dim, _whole(k, "snapshot sigma level k", 1, geo.dim)
     header = ["grid_coordinate", "r"] + [f"kappa_{i}" for i in range(1, n + 1)] + ["u", "sigma_k"]
     _write_csv(path, header, np.column_stack([geo.param, geo.r, geo.kappa, geo.u, geo.sigma[:, k]]))
 

@@ -14,7 +14,8 @@ of `elem_sym_table` and `elem_sym_gradient_table`. The scalar helpers and
 `starflow verify symfunc` both read those table forms. The gradients of all
 degrees come from one leave-one-out pass, `_gradient_tables`: n recurrences
 of n - 1 entries serve every degree, where a pass per degree runs n^2 of
-them.
+them. `_whole` is the one gate of every integer argument of the package (a
+degree, level or index): a whole number, not a bool, inside its range.
 """
 
 from __future__ import annotations
@@ -57,14 +58,20 @@ def _batch(lams) -> np.ndarray:
     return lams
 
 
-def _whole(value, name: str) -> int:
-    """int(value) of a whole number; else a ValueError naming `name` (int() overflows on inf)."""
+def _whole(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """int(value) of a whole number, not a bool, inside lo..hi (a None bound is open);
+    else a ValueError naming `name` (int() fails on inf, NaN and None)."""
     try:
-        if value == int(value):
-            return int(value)
-    except (OverflowError, ValueError):
-        pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+        whole = not isinstance(value, (bool, np.bool_)) and value == int(value)
+    except (OverflowError, TypeError, ValueError):
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        span = "..".join("" if b is None else str(b) for b in (lo, hi))
+        raise ValueError(f"{name}={value} out of range {span}")
+    return value
 
 
 def _sym_rows(rows: np.ndarray, top: int) -> np.ndarray:
@@ -93,9 +100,7 @@ def elem_sym_all(lam) -> np.ndarray:
 
 def elem_sym(lam, m) -> float:
     """sigma_m(lam); sigma_0 = 1 and sigma_m = 0 for m > n."""
-    m = _whole(m, "degree m")
-    if m < 0:
-        raise ValueError("degree m must be nonnegative")
+    m = _whole(m, "degree m", 0)
     lam = _vector(lam)
     if m > lam.size:
         return 0.0
@@ -132,21 +137,18 @@ def elem_sym_gradient_table(lams: np.ndarray, m: int) -> np.ndarray:
     """
     lams = _batch(lams)
     n = lams.shape[1]
-    m = _whole(m, "degree m")
-    if not 1 <= m <= n:
-        raise ValueError(f"gradient degree m={m} out of range 1..{n}")
+    m = _whole(m, "degree m", 1, n)
     return _gradient_tables(lams)[m - 1].T
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def cnk(n, k) -> float:
     """Ratio sigma_k(I)/sigma_{k-1}(I) = (n - k + 1)/k for the all-ones vector.
 
-    Cached: the flow reads it on every stage. A bad degree raises on every
-    call, since a raised call is not cached."""
-    n, k = _whole(n, "n"), _whole(k, "k")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    Cached, typed so that a bool never finds its integer's entry: the flow reads
+    it on every stage. A bad degree raises on every call (a raise is not cached)."""
+    n = _whole(n, "n")
+    k = _whole(k, "k", 1, n)
     return comb(n, k) / comb(n, k - 1)
 
 
@@ -167,9 +169,7 @@ def in_gamma_k(lam, k, strict: bool = True, tol_cone: float = 1e-10) -> bool:
     With strict=False, membership of the closure as `_cone_status` floors it.
     """
     lam = _vector(lam)
-    k = _whole(k, "degree k")
-    if not 1 <= k <= lam.size:
-        raise ValueError(f"cone level k={k} out of range 1..{lam.size}")
+    k = _whole(k, "degree k", 1, lam.size)
     status = _cone_status(elem_sym_all(lam)[1 : k + 1], lam, tol_cone)
     return status == "strict" if strict else status != "violated"
 
@@ -199,9 +199,7 @@ def newton_maclaurin_check(lam, k) -> float:
     """newton_gap_table of one vector; ZeroDivisionError when sigma_k^2 vanishes.
     A gap that overflows is recomputed on the vector scaled by a power of two."""
     lam = _vector(lam)
-    k = _whole(k, "degree k")
-    if not 1 <= k <= lam.size - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={lam.size}")
+    k = _whole(k, "degree k", 1, lam.size - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         sig = elem_sym_table(lam[None, :])
         if sig[0, k] ** 2 == 0.0:  # sigma_k is zero or its square underflows
@@ -228,9 +226,7 @@ def maclaurin_power_gap_table(sig: np.ndarray, k: int) -> np.ndarray:
 def maclaurin_power_bound(lam, k) -> float:
     """maclaurin_power_gap_table of one vector, which must lie strictly in Gamma_k."""
     lam = _vector(lam)
-    k = _whole(k, "degree k")
-    if not 1 <= k <= lam.size:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={lam.size}")
+    k = _whole(k, "degree k", 1, lam.size)
     sig = elem_sym_table(lam[None, :])
     if not np.all(sig[0, 1 : k + 1] > 0.0):
         raise ValueError(f"vector is not strictly {k}-convex")

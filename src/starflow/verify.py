@@ -293,12 +293,8 @@ def _material_geometry(pts: np.ndarray, dim: int):
 
 
 def _material_speed(geo, k: int):
-    """(sigma_{k-1}/sigma_k, sigma table) of a material curve or meridian."""
-    kappa = geo.kappa.reshape(len(geo.nu), -1)  # a curve keeps kappa 1-D
-    dim = kappa.shape[1]
-    if not 1 <= k <= dim:
-        raise ValueError(f"flow degree k={k} out of range 1..{dim}")
-    sig = elem_sym_table(kappa)
+    """(sigma_{k-1}/sigma_k, sigma table) of a material curve or meridian, for 1 <= k <= dim."""
+    sig = elem_sym_table(geo.kappa.reshape(len(geo.nu), -1))  # a curve keeps kappa 1-D
     if np.min(sig[:, k]) <= 0.0:
         j = int(np.argmin(sig[:, k]))
         raise ValueError(f"not strictly {k}-convex: sigma_{k} = {sig[j, k]:.3e} at node {j}")
@@ -322,8 +318,6 @@ def _evolve(pts: np.ndarray, t_total: float, k: int, dim: int) -> np.ndarray:
     """Material normal motion dX/dt = F nu of a closed curve (dim 1) or a
     meridian (dim 2) by substepped RK4, the substep set by the shortest
     chord and a bound on the diffusivity of F = sigma_{k-1}/sigma_k."""
-    if t_total == 0.0:
-        return pts
     geo = _material_geometry(pts, dim)
     _, sig = _material_speed(geo, k)
     ends = np.concatenate([pts, pts[:1]]) if dim == 1 else pts  # the curve closes
@@ -338,6 +332,16 @@ def _evolve(pts: np.ndarray, t_total: float, k: int, dim: int) -> np.ndarray:
         return _material_speed(geo, k)[0][:, None] * geo.nu
 
     return _rk4(rhs, pts, t_total, dt_sub)
+
+
+def _window(p0: np.ndarray, k, dt, dim: int):
+    """(k, [p0, p1, p2]): the material points at t = 0, dt, 2*dt under the
+    degree-k motion, once k has passed the gate and dt is positive and finite."""
+    k = _whole(k, "flow degree k", 1, dim)
+    if not (dt > 0.0 and isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    p1 = _evolve(p0, dt, k, dim)
+    return k, [p0, p1, _evolve(p1, dt, k, dim)]
 
 
 def _identity_reports(prefix, pairs, dt, grid, tol, sl=slice(None)) -> list:
@@ -367,10 +371,8 @@ def check_prop1_pointwise(curve: LagrangianCurve, k: int, dt: float, tol: float 
     to rounding on circles up to the time truncation. Returns one report
     per identity.
     """
-    p0 = curve.points
-    p1 = _evolve(p0, dt, k, 1)
-    p2 = _evolve(p1, dt, k, 1)
-    geos = [_curve_geometry(p) for p in (p0, p1, p2)]
+    k, pts = _window(curve.points, k, dt, 1)
+    geos = [_curve_geometry(p) for p in pts]
     mid = geos[1]
     f, _ = _material_speed(mid, k)
     f1, f2 = _spectral_derivatives(f)
@@ -398,10 +400,8 @@ def check_prop1_axisym(g: RadialGraph, k: int, dt: float, tol: float = 1e-3):
     """
     if g.dim != 2:
         raise ValueError("check_prop1_axisym needs a dim-2 radial graph")
-    p0 = embed(g)
-    p1 = _evolve(p0, dt, k, 2)
-    p2 = _evolve(p1, dt, k, 2)
-    geos = [_meridian_geometry(p) for p in (p0, p1, p2)]
+    k, pts = _window(embed(g), k, dt, 2)
+    geos = [_meridian_geometry(p) for p in pts]
     mid = geos[1]
     delta = mid.delta
     f, sig = _material_speed(mid, k)
@@ -430,7 +430,7 @@ def check_prop1_axisym(g: RadialGraph, k: int, dt: float, tol: float = 1e-3):
         "sigma1": ([g_.kappa.sum(axis=1) for g_ in geos], -div_t0 - f * pol1),
         "sigma2": ([g_.kappa.prod(axis=1) for g_ in geos], -div_t1 - f * pol2),
     }
-    grid = f"M={p0.shape[0]},dt={dt:g}"
+    grid = f"M={pts[0].shape[0]},dt={dt:g}"
     return _identity_reports("prop1_axisym", pairs, dt, grid, tol, slice(2, -2))
 
 
@@ -468,8 +468,11 @@ def check_lemma_integral(
         rates = sig[1:] * sig[k - 1] / sig[k] * geo.dmu
         rhs_series.append(np.append(degrees * np.add.reduce(rates, axis=1), 0.0))
 
-    flowmod.run(replace(config, sample_every=1), initial, observer=observer,
-                record_samples=False)
+    record = flowmod.run(replace(config, sample_every=1), initial, observer=observer,
+                         record_samples=False)
+    if len(times) < 3:
+        raise ValueError(f"lemma rate check needs at least three samples, got {len(times)} "
+                         f"(stop reason {record.stop_reason!r})")
     t = np.array(times)[:, None]
     a = np.array(lhs_series)
     b = np.array(rhs_series)
@@ -516,8 +519,7 @@ def check_first_variation(target, rho, l: int, s: float | None = None, tol: floa
         pts, dim, param = embed(target), target.dim, target.param
     else:
         raise TypeError("target must be a RadialGraph or LagrangianCurve")
-    if not 0 <= l <= dim:
-        raise ValueError(f"sigma index l={l} out of range 0..{dim}")
+    l = _whole(l, "sigma index l", 0, dim)
     m = pts.shape[0]
     if callable(rho):
         if param is None:

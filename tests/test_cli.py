@@ -205,6 +205,8 @@ class TestRun:
         ("verify monotone", "stepping.sample_every=0", "stepping.sample_every"),
         ("verify lemma", "stepping.t_max=0", "stepping.t_max"),
         ("verify lemma", "stepping.dt_init=5", "stepping.dt_init"),  # above dt_max
+        # a run shorter than one step leaves too few samples to difference
+        ("verify lemma", "stepping.t_max=1e-9", "three samples, got 2 (stop reason 't_max')"),
         ("sweep", "grid.N=63", "grid.N"),
         ("sweep", "sweep.k_values=[1, 2]", "sweep.k_values"),
         ("sweep", 'sweep.shapes=["sphere"]', "sweep.shapes"),

@@ -1,4 +1,5 @@
 import io
+import pickle
 import re
 from dataclasses import replace
 from math import e, exp, pi, sqrt
@@ -99,20 +100,27 @@ class TestSpeed:
         with pytest.raises(ConeExitError, match="node"):
             speed_raw(geo, 1)
 
-    @pytest.mark.parametrize("call", [
-        lambda geo, k: speed_raw(geo, k),
-        lambda geo, k: radial_rhs(geo, "raw", k),
-        lambda geo, k: normalization_rt(geo, k),
-        lambda geo, k: volume_scale_rate(geo, k),
-        lambda geo, k: fl.stability_cap(geo, k, 0.5),
+    @pytest.mark.parametrize("call, hi", [
+        (lambda geo, k: speed_raw(geo, k), 2),
+        (lambda geo, k: radial_rhs(geo, "raw", k), 2),
+        (lambda geo, k: normalization_rt(geo, k), 1),  # r(t) degenerates at k = n
+        (lambda geo, k: volume_scale_rate(geo, k), 2),
+        (lambda geo, k: fl.stability_cap(geo, k, 0.5), 2),
     ], ids=["speed_raw", "radial_rhs", "normalization_rt", "volume_scale_rate",
             "stability_cap"])
-    def test_fractional_degree_names_the_argument(self, call):
+    def test_fractional_degree_names_the_argument(self, call, hi):
         # 1.5 passes every range check; it used to reach numpy's row index
         # and raise an IndexError that names no argument
         geo = compute_geometry(sphere(1.0, 2, 64))
         with pytest.raises(ValueError, match="flow degree k must be an integer, got 1.5"):
             call(geo, 1.5)
+        with pytest.raises(ValueError, match="^flow degree k must be an integer, got True$"):
+            call(geo, True)
+        for k in (0, hi + 1):
+            with pytest.raises(ValueError, match=f"^flow degree k={k} out of range 1\\.\\.{hi}$"):
+                call(geo, k)
+        # a whole float is its integer: bitwise the same result
+        assert pickle.dumps(call(geo, 1.0)) == pickle.dumps(call(geo, 1))
 
 
 class TestNormalizationRate:

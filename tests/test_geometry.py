@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import pickle
+import re
 from math import pi, sqrt
 
 import numpy as np
@@ -26,8 +28,15 @@ from starflow.geometry import (
     sphere,
     unit_ball_quermass,
 )
-from starflow.symfunc import elem_sym_table, in_gamma_k
-from starflow.verify import _curve_geometry, _meridian_geometry, check_af_chain, curve_from_radial
+from starflow.symfunc import cnk, elem_sym, elem_sym_table, in_gamma_k
+from starflow.verify import (
+    _curve_geometry,
+    _meridian_geometry,
+    check_af_chain,
+    check_first_variation,
+    check_prop1_pointwise,
+    curve_from_radial,
+)
 from _oracles import (
     curvatures_rowmajor,
     curve_curvature_fd2,
@@ -658,25 +667,50 @@ class TestGridGate:
 class TestFractionalLevel:
     """A level or index that is not a whole number is a ValueError naming the
     argument; it passed the range checks and failed later with a slice, comb
-    or index error, or was reported as out of range."""
+    or index error, or was reported as out of range. Every such argument has
+    one gate: a bool or None is rejected, a whole float is its integer, and a value
+    outside the range is named with the range."""
 
-    @pytest.mark.parametrize("call, name", [
-        (lambda geo, path: kconvex_report(geo, 1.5), "convexity level k"),
-        (lambda geo, path: check_af_chain(geo, 1.5), "convexity level k"),
-        (lambda geo, path: unit_ball_quermass(2, 1.5), "index m"),
-        (lambda geo, path: export_snapshot(geo, 1.5, path), "snapshot sigma level k"),
-        (lambda geo, path: quermass(geo, 0.5), "quermass index m"),
-        (lambda geo, path: quermass_sigma(geo, 1.5), "sigma-form index m"),
-        (lambda geo, path: quermass_minkowski(geo, 0.5), "Minkowski-form index m"),
-        (lambda geo, path: iso_ratio(geo, 0.5), "iso ratio index k"),
-        (lambda geo, path: iso_ratio_ball(2, 0.5), "iso ratio index k"),
+    @pytest.mark.parametrize("call, name, lo, hi", [
+        (lambda geo, path, v: kconvex_report(geo, v), "convexity level k", 1, 2),
+        (lambda geo, path, v: check_af_chain(geo, v), "convexity level k", 1, 2),
+        (lambda geo, path, v: unit_ball_quermass(2, v), "index m", 0, 2),
+        (lambda geo, path, v: (export_snapshot(geo, v, path), path.read_bytes()),
+         "snapshot sigma level k", 1, 2),
+        (lambda geo, path, v: quermass(geo, v), "quermass index m", 0, 2),
+        (lambda geo, path, v: quermass_sigma(geo, v), "sigma-form index m", 1, 2),
+        (lambda geo, path, v: quermass_minkowski(geo, v), "Minkowski-form index m", 0, 2),
+        (lambda geo, path, v: iso_ratio(geo, v), "iso ratio index k", 0, 1),
+        (lambda geo, path, v: iso_ratio_ball(2, v), "iso ratio index k", 0, 1),
+        (lambda geo, path, v: check_first_variation(sphere(1.0, 2, 32), np.ones(33), v),
+         "sigma index l", 0, 2),
+        (lambda geo, path, v: check_prop1_pointwise(curve_from_radial(sphere(1.0, 1, 64)), v,
+                                                    1e-4), "flow degree k", 1, 1),
+        (lambda geo, path, v: cnk(2, v), "k", 1, 2),
+        (lambda geo, path, v: elem_sym([1.0, 2.0], v), "degree m", 0, None),
+        (lambda geo, path, v: refine(sphere(1.0, 1, 32), v).r, "refinement factor", 2, None),
     ], ids=["kconvex_report", "check_af_chain", "unit_ball_quermass", "export_snapshot",
-            "quermass", "quermass_sigma", "quermass_minkowski", "iso_ratio", "iso_ratio_ball"])
-    def test_names_the_argument(self, call, name, tmp_path):
+            "quermass", "quermass_sigma", "quermass_minkowski", "iso_ratio", "iso_ratio_ball",
+            "check_first_variation", "check_prop1_pointwise", "cnk", "elem_sym", "refine"])
+    def test_names_the_argument(self, call, name, lo, hi, tmp_path):
         geo = compute_geometry(sphere(1.0, 2, 32))
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
-            call(geo, tmp_path / "snap.csv")
-        assert not (tmp_path / "snap.csv").exists()
+        path = tmp_path / "snap.csv"
+        # the integer's result first, so that a cached entry is there for a bool to find
+        want = pickle.dumps(call(geo, path, lo))
+        path.unlink(missing_ok=True)
+        span = f"{lo}..{'' if hi is None else hi}"
+        bad = [(lo + 0.5, f" must be an integer, got {lo + 0.5}"),
+               (True, " must be an integer, got True"),
+               (None, " must be an integer, got None"),
+               (lo - 1, f"={lo - 1} out of range {span}")]
+        if hi is not None:
+            bad.append((hi + 1, f"={hi + 1} out of range {span}"))
+        for value, tail in bad:
+            with pytest.raises(ValueError, match=f"^{re.escape(name + tail)}$"):
+                call(geo, path, value)
+        assert not path.exists()
+        # a whole float is its integer: bitwise the same result
+        assert pickle.dumps(call(geo, path, float(lo))) == want
 
 
 class TestWriteCsv:

@@ -136,6 +136,18 @@ class TestProp1Axisym:
             check_prop1_axisym(sphere(1.0, 2, 64), 3, 1e-5)
 
 
+@pytest.mark.parametrize("check, graph", [
+    (lambda g, dt: check_prop1_pointwise(curve_from_radial(g), 1, dt), sphere(1.0, 1, 64)),
+    (lambda g, dt: check_prop1_axisym(g, 1, dt), sphere(1.0, 2, 64)),
+], ids=["pointwise", "axisym"])
+@pytest.mark.parametrize("dt", [-1e-4, 0.0, float("nan"), float("inf")])
+def test_prop1_rejects_window_that_is_not_positive_and_finite(check, graph, dt):
+    # dt < 0 ran the window backwards and passed, dt = 0 gave NaN residuals,
+    # and NaN failed converting the substep count, naming no argument
+    with pytest.raises(ValueError, match=f"^dt must be positive and finite, got {dt}$"):
+        check(graph, dt)
+
+
 def _by_name(reports):
     return {rep.name: rep for rep in reports}
 
@@ -166,6 +178,13 @@ class TestLemmaIntegral:
         config = FlowConfig(n=2, k=1, mode="normalized", t_max=0.05)
         with pytest.raises(ValueError, match="raw"):
             check_lemma_integral(config, sphere(1.0, 2, 64))
+
+    def test_too_few_samples_names_count_and_stop_reason(self):
+        # a run shorter than one step has two samples; the difference stencil
+        # was empty and numpy's argmax of an empty sequence named neither
+        config = FlowConfig(n=1, k=1, mode="raw", t_max=1e-9)
+        with pytest.raises(ValueError, match=r"three samples, got 2 \(stop reason 't_max'\)$"):
+            check_lemma_integral(config, ellipse(2.0, 1.0, 64))
 
     def test_residual_drops_under_refinement(self):
         residuals = []
