@@ -478,11 +478,12 @@ def suite_variation(cfg: dict) -> list:
 
 # candidates per stacked geometry call of the af sampler; its memory is bounded by it
 _AF_CHUNK = 16
+_AF_MODES = range(2, 5)  # the single modes an af candidate draws
 
 
 def _af_candidate(rng) -> tuple:
     """(eps, mode) of one random af candidate: two scalar draws."""
-    return rng.uniform(0.02, 0.3), int(rng.integers(2, 5))
+    return rng.uniform(0.02, 0.3), int(rng.integers(_AF_MODES.start, _AF_MODES.stop))
 
 
 def _random_kconvex_samples(rng, n: int, k: int, num: int):
@@ -499,12 +500,14 @@ def _random_kconvex_samples(rng, n: int, k: int, num: int):
     """
     kit = geom._grid_kit(n, num, _AF_CHUNK)
     size = kit.size
+    # cos(mode * x) of each mode on perturbed_sphere's grid kit.param, one row per mode
+    cosines = np.cos(np.array(_AF_MODES)[:, None] * kit.param)
     misses = 0
     while True:
         start = rng.bit_generator.state
         eps, mode = np.array([_af_candidate(rng) for _ in range(_AF_CHUNK)]).T
-        # kit.param is perturbed_sphere's grid, so each row is its radial samples
-        rows = geom._single_mode_radius(1.0, eps[:, None], mode[:, None], kit.param)
+        rows = geom._single_mode_radius(1.0, eps[:, None],
+                                        cosines[mode.astype(int) - _AF_MODES.start])
         starshaped = np.minimum.reduce(rows, axis=1) > 0.0
         rows[~starshaped] = 1.0  # a stand-in the curvature call accepts; never yielded
         curv = geom._curvatures(kit, rows.ravel())

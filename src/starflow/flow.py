@@ -7,11 +7,15 @@ that the quermassintegral V_{n-k} stays constant, which in the radial gauge
 is an extra -r(t) * r term. Stepping is Shu & Osher's three-stage SSP-RK3
 (J. Comput. Phys. 77, 1988); every stage is one call of the stage map
 `_stage_map`, fed by `_stage` from bare curvature rows or by `_geo_stage`
-from a PointwiseGeometry. The full PointwiseGeometry is built once per
-attempt, for the candidate state, and that state's conserved quantity is
-kept on it for the next step. The accumulated log-scale integral of r(t)
-is advanced with the same stage weights so that e^{-log_scale} times the
-raw trajectory reproduces the normalized one to integration order.
+from a PointwiseGeometry. The candidate of an attempt is checked once, by
+the `_curvatures` call that builds its full PointwiseGeometry (a radius
+that is not positive, NaN included, and curvature data that are not
+finite, as an infinite radius makes them, reject it); its RadialGraph
+wraps the checked samples without a second pass. The accepted state's
+conserved quantity is kept on it for the next step. The accumulated
+log-scale integral of r(t) is advanced with the same stage weights so
+that e^{-log_scale} times the raw trajectory reproduces the normalized
+one to integration order.
 
 Step-size control is accept/reject: a step is accepted when the radius
 stays positive, strict k-convexity holds, and (in conserving modes) the
@@ -35,9 +39,9 @@ V_j a flow holds, and so its scale rate, `CONSERVING_MODES` which modes
 hold it, `_stage_map` is the one place that assembles that held rate (the
 record's r_t and `normalization_rt` read it), `geometry.quermass`
 computes every V_j, `geometry._iso` is the I_m formula of the record,
-and `symfunc._cone_status` is the strict k-convexity test of step
-acceptance. The grid is the initial graph's:
-FlowConfig holds no grid size, and `geometry` owns the rule for one.
+and strict k-convexity in step acceptance is `symfunc._cone_status`'s
+strict case, every sigma_1..sigma_k positive. The grid is the initial
+graph's: FlowConfig holds no grid size, and `geometry` owns the rule for one.
 FlowConfig requires integer n, k and sample_every (a bool is not one), a
 finite t_max, dt_init, dt_max, tol_conserve, tol_round and cfl_coefficient,
 with dt_max and cfl_coefficient positive and the tolerances >= 0.
@@ -62,7 +66,7 @@ from .geometry import (
     quermass_sigma,  # noqa: F401 -- perfbench/selftest.py checks its tracer patches flow's name
     roundness,
 )
-from .symfunc import _cone_status, _whole, cnk
+from .symfunc import _whole, cnk
 
 __all__ = [
     "MODES",
@@ -232,7 +236,7 @@ def speed_raw(geo: PointwiseGeometry, k: int) -> np.ndarray:
     return _speed(geo.sigma.T, _whole(k, "flow degree k", 1, geo.dim))
 
 
-def _rate(r: np.ndarray, w: np.ndarray, f: np.ndarray, sig: np.ndarray, dmu: np.ndarray,
+def _rate(u: np.ndarray | None, f: np.ndarray, sig: np.ndarray, dmu: np.ndarray,
           k: int, held: int) -> float:
     """Log-scale rate that holds V_held under the degree-k flow, from the
     per-node arrays, the speed f and the (n + 1, M) rows sig of
@@ -240,11 +244,11 @@ def _rate(r: np.ndarray, w: np.ndarray, f: np.ndarray, sig: np.ndarray, dmu: np.
 
     held = n + 1: int(F dmu) / int(u dmu) with u = r^2 / w the support
     function. held = n - k (k <= n - 1): r(t) = int(sigma_{k+1}
-    sigma_{k-1} / sigma_k) / (C_{n,k+1} int sigma_k); f is not read.
+    sigma_{k-1} / sigma_k) / (C_{n,k+1} int sigma_k); f and u are not read.
     """
     n = sig.shape[0] - 1
     if held == n + 1:
-        return float(np.add.reduce(f * dmu)) / float(np.add.reduce(r * r / w * dmu))
+        return float(np.add.reduce(f * dmu)) / float(np.add.reduce(u * dmu))
     sk = sig[k]
     num = float(np.add.reduce(sig[k + 1] * sig[k - 1] / sk * dmu))
     return num / (cnk(n, k + 1) * float(np.add.reduce(sk * dmu)))
@@ -267,30 +271,37 @@ def volume_scale_rate(geo: PointwiseGeometry, k: int) -> float:
     k = n flow where r(t) is unavailable.
     """
     k = _whole(k, "flow degree k", 1, geo.dim)
-    return _rate(geo.r, geo.w, speed_raw(geo, k), geo.sigma.T, geo.dmu, k, geo.dim + 1)
+    return _rate(geo.u, speed_raw(geo, k), geo.sigma.T, geo.dmu, k, geo.dim + 1)
 
 
-def _stage_map(r: np.ndarray, w: np.ndarray, sig: np.ndarray, dmu: np.ndarray,
-               mode: str, k: int):
+def _stage_map(r: np.ndarray, w: np.ndarray, u: np.ndarray | None, sig: np.ndarray,
+               dmu: np.ndarray, mode: str, k: int, held: int):
     """(d r/dt, log-scale rate) at the radial samples r from their checked
-    curvature data (w, the (n + 1, M) rows sig of sigma_0..sigma_n, dmu);
-    the rate holds the V_j of `monotone_pair`."""
+    curvature data (w, the support function u = r^2 / w, the (n + 1, M)
+    rows sig of sigma_0..sigma_n, dmu); the rate holds V_held, the V_j of
+    `monotone_pair`, and reads u only when held = n + 1."""
     f = _speed(sig, k)
-    rate = _rate(r, w, f, sig, dmu, k, monotone_pair(sig.shape[0] - 1, k)[1])
-    drdt = f * w / r
+    rate = _rate(u, f, sig, dmu, k, held)
+    drdt = f  # a fresh quotient, not read again
+    drdt *= w
+    drdt /= r
     if mode == "normalized":
-        drdt = drdt - rate * r
+        drdt -= rate * r
     return drdt, rate
 
 
 def _stage(kit: geomod._GridKit, r: np.ndarray, mode: str, k: int):
     """The stage map at r on kit's grid from bare curvature rows: no PointwiseGeometry."""
-    _, _, w, _, _, sig, dmu = geomod._curvatures(kit, r)
-    return _stage_map(r, w, sig, dmu, mode, k)
+    _, _, w, rr, _, sig, dmu = geomod._curvatures(kit, r)
+    held = monotone_pair(kit.dim, k)[1]
+    # u as `geometry._pointwise` forms it, so a stage is bitwise a full-geometry stage
+    u = rr / w if held == kit.dim + 1 else None
+    return _stage_map(r, w, u, sig, dmu, mode, k, held)
 
 
 def _geo_stage(geo: PointwiseGeometry, mode: str, k: int):
-    return _stage_map(geo.r, geo.w, geo.sigma.T, geo.dmu, mode, k)
+    return _stage_map(geo.r, geo.w, geo.u, geo.sigma.T, geo.dmu, mode, k,
+                      monotone_pair(geo.dim, k)[1])
 
 
 def radial_rhs(geo: PointwiseGeometry, mode: str, k: int) -> np.ndarray:
@@ -345,20 +356,31 @@ def _cap(rho: float, cfl: float) -> float:
 
 
 def stability_cap(geo: PointwiseGeometry, k: int, cfl: float) -> float:
-    """Step cap cfl * REAL_STABILITY / (1.2 rho) on the flow at geo, with rho a
-    cold-start power-iteration estimate of the stage map's spectral
-    radius; a stability guard, not an error bound. cfl must be positive and
-    finite, as FlowConfig's cfl_coefficient."""
+    """Step cap cfl * REAL_STABILITY / (1.2 rho) on the flow at geo; a
+    stability guard, not an error bound. rho is a power-iteration estimate
+    of the stage map's spectral radius from a cold start, restarted from
+    its last vector until a restart moves it by at most RHO_RTOL (on a dim-2
+    sphere at N=512 the cold start alone stops at 0.88 of the spectral
+    radius). cfl must be positive and finite, as FlowConfig's cfl_coefficient."""
     if not (cfl > 0.0 and isfinite(cfl)):
         raise ValueError(f"cfl must be positive and finite, got {cfl}")
-    return _cap(_spectral_radius(geo, _whole(k, "flow degree k", 1, geo.dim))[0], cfl)
+    k = _whole(k, "flow degree k", 1, geo.dim)
+    rho, vec = _spectral_radius(geo, k)
+    for _ in range(RHO_MAX_ITER):  # bounds the restarts; each stops on its own rule
+        warm, vec = _spectral_radius(geo, k, vec)
+        if abs(warm - rho) <= RHO_RTOL * warm:
+            break
+        rho = warm
+    return _cap(rho, cfl)
 
 
 def _strictly_kconvex(geo: PointwiseGeometry, k: int) -> tuple[bool, str]:
     """(True, "") inside the open cone Gamma_k, else False and the first failing degree."""
-    mins = np.minimum.reduce(geo.sigma.T[1 : k + 1], axis=1)
-    if _cone_status(mins, geo.kappa) == "strict":
+    rows = geo.sigma.T[1 : k + 1]
+    # a NaN compares false, as in `_cone_status`
+    if np.minimum.reduce(rows, axis=None) > 0.0:
         return True, ""
+    mins = np.minimum.reduce(rows, axis=1)
     m = int(np.argmin(mins > 0.0))
     return False, f"sigma_{m + 1} min {mins[m]:.6e}"
 
@@ -386,19 +408,33 @@ class _Rejection:
 
 
 def _attempt(state: FlowState, dt: float, config: FlowConfig):
-    """One SSP-RK3 trial step; returns (new_state, None) or (None, _Rejection)."""
+    """One SSP-RK3 trial step; returns (new_state, None) or (None, _Rejection).
+
+    Stage inputs and the update are built in place from the same operands,
+    added in the same order, as r0 + dt k1, r0 + (dt/4)(k1 + k2) and
+    r0 + (dt/6)(k1 + k2 + 4 k3).
+    """
     r0 = state.graph.r
     kit = geomod._grid_kit(state.geo.dim, state.geo.num_intervals)
     mode, k = config.mode, config.k
     try:
         k1, q1 = _geo_stage(state.geo, mode, k)
-        k2, q2 = _stage(kit, r0 + dt * k1, mode, k)
-        k3, q3 = _stage(kit, r0 + (0.25 * dt) * (k1 + k2), mode, k)
-        r_new = r0 + (dt / 6.0) * (k1 + k2 + 4.0 * k3)
-        graph_new = RadialGraph(kit.dim, r_new)
-        geo_new = geomod._pointwise(kit, graph_new.r)
+        x = dt * k1
+        x += r0
+        k2, q2 = _stage(kit, x, mode, k)
+        k12 = k1 + k2
+        x = (0.25 * dt) * k12
+        x += r0
+        k3, q3 = _stage(kit, x, mode, k)
+        r_new = k12
+        r_new += 4.0 * k3
+        r_new *= dt / 6.0
+        r_new += r0
+        curv = geomod._curvatures(kit, r_new)
     except (ConeExitError, ValueError) as exc:
         return None, _Rejection(str(exc))
+    graph_new = RadialGraph._of_checked(kit.dim, r_new)
+    geo_new = geomod._pointwise(kit, graph_new.r, curv)
     ok, why = _strictly_kconvex(geo_new, k)
     if not ok:
         return None, _Rejection(f"k-convexity lost: {why}")
@@ -429,7 +465,10 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
 
 
 def step(state: FlowState, dt: float, config: FlowConfig):
-    """Single trial step: the new FlowState on acceptance, None on rejection."""
+    """Single trial step: the new FlowState on acceptance, None on rejection.
+    Raises ValueError unless dt is positive and finite."""
+    if not (dt > 0.0 and isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     return _attempt(state, dt, config)[0]
 
 

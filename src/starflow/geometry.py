@@ -123,6 +123,16 @@ class RadialGraph:
     dim: int
     r: np.ndarray
 
+    @classmethod
+    def _of_checked(cls, dim: int, r: np.ndarray) -> "RadialGraph":
+        """The graph of samples r that `_curvatures` has passed on the grid of
+        (dim, r's N): r is fresh float64, set read-only here and not copied."""
+        r.setflags(write=False)
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "dim", dim)
+        object.__setattr__(graph, "r", r)
+        return graph
+
     def __post_init__(self):
         arr = np.array(self.r, dtype=float)
         if arr.ndim != 1:
@@ -237,10 +247,11 @@ def ellipsoid_of_revolution(a: float, c: float, num: int = 256) -> RadialGraph:
     return RadialGraph(2, r)
 
 
-def _single_mode_radius(radius, eps, mode, x) -> np.ndarray:
-    """radius * (1 + eps * cos(mode * x)); broadcasts, so (c, 1) columns of eps
-    and mode give c rows, each bitwise the row of its scalar pair."""
-    return radius * (1.0 + eps * np.cos(mode * x))
+def _single_mode_radius(radius, eps, cos) -> np.ndarray:
+    """radius * (1 + eps * cos) with cos = cos(mode * x); broadcasts, so a (c, 1)
+    column of eps against c cosine rows gives c rows, each bitwise the row of its
+    scalar eps and mode."""
+    return radius * (1.0 + eps * cos)
 
 
 def perturbed_sphere(
@@ -271,7 +282,7 @@ def perturbed_sphere(
             raise ShapeError(f"perturbation mode must be a whole number, got {mode!r}")
         if mode < 1:
             raise ShapeError("perturbation mode must be >= 1")
-        r = _single_mode_radius(radius, eps, mode, x)
+        r = _single_mode_radius(radius, eps, np.cos(mode * x))
     else:
         rng = np.random.default_rng(0 if seed is None else seed)
         modes = np.arange(2, 6) if dim == 1 else np.arange(2, 5)
@@ -357,14 +368,13 @@ def _stencil_derivatives(kit: _GridKit, r: np.ndarray):
     s = ahead  # the gather is not read again: the sums overwrite it
     s += behind
     s *= kit.d2_weights
-    h = kit.h
     d1 = a[0] - a[1]
     d1 += a[2]
-    d1 /= 60.0 * h
+    d1 /= kit.d1_scale
     d2 = s[0] - s[1]
     d2 += s[2]
     d2 -= 490.0 * r
-    d2 /= 180.0 * h * h
+    d2 /= kit.d2_scale
     return d1, d2
 
 
@@ -404,6 +414,9 @@ class _GridKit:
     # (3, copies * size) stencil weights of those offsets, one full row per offset
     d1_weights: np.ndarray
     d2_weights: np.ndarray
+    # the stencils' denominators 60 h and 180 h^2
+    d1_scale: float
+    d2_scale: float
 
 
 _KIT_CACHE: dict = {}
@@ -448,7 +461,7 @@ def _grid_kit(dim: int, num: int, copies: int = 1) -> _GridKit:
                          for table in (ahead, behind))
         kit = _GridKit(dim, num, size, h, param, sin, cos, poles, np.tile(area, copies),
                        ahead, behind, np.repeat(_D1_WEIGHTS, copies * size, axis=1),
-                       np.repeat(_D2_WEIGHTS, copies * size, axis=1))
+                       np.repeat(_D2_WEIGHTS, copies * size, axis=1), 60.0 * h, 180.0 * h * h)
         for value in vars(kit).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -464,8 +477,8 @@ def _curvatures(kit: _GridKit, r: np.ndarray):
     Returns (r1, r2, w, rr, kappa, sigma, dmu) with rr = r * r, the arrays
     of PointwiseGeometry that a flow stage needs, except that kappa is
     (n, M) and sigma (n + 1, M): one contiguous row per direction and
-    degree. Raises ShapeError on r <= 0 and ValueError on non-finite
-    curvature data.
+    degree. Raises ShapeError on r <= 0 or NaN and ValueError on non-finite
+    curvature data, which an infinite r makes.
     """
     rmin = float(np.minimum.reduce(r))
     if not rmin > 0.0:
@@ -475,16 +488,20 @@ def _curvatures(kit: _GridKit, r: np.ndarray):
     r1r1 = r1 * r1
     w2 = rr + r1r1
     w = np.sqrt(w2)
+    # rr + 2 r1r1 - r r2, bitwise: doubling is exact and the sum commutes
+    num = r1r1 + r1r1
+    num += rr
+    num -= r * r2
     sig = np.empty((kit.dim + 1, r.size))
     sig[0] = 1.0
     if kit.dim == 1:
-        np.divide(rr + 2.0 * r1r1 - r * r2, w2 * w, out=sig[1])
+        np.divide(num, w2 * w, out=sig[1])
         kappa = sig[1:]
         dmu = kit.area_weight * w
     else:
         kappa = np.empty((2, r.size))
         k_rad, k_par = kappa
-        np.divide(rr + 2.0 * r1r1 - r * r2, w2 * w, out=k_rad)
+        np.divide(num, w2 * w, out=k_rad)
         rw = r * w
         sin = kit.pole_safe_sin
         np.divide(r * sin - r1 * kit.cos, rw * sin, out=k_par)
