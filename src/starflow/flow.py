@@ -11,11 +11,18 @@ from a PointwiseGeometry. The candidate of an attempt is checked once, by
 the `_curvatures` call that builds its full PointwiseGeometry (a radius
 that is not positive, NaN included, and curvature data that are not
 finite, as an infinite radius makes them, reject it); its RadialGraph
-wraps the checked samples without a second pass. The accepted state's
-conserved quantity is kept on it for the next step. The accumulated
-log-scale integral of r(t) is advanced with the same stage weights so
-that e^{-log_scale} times the raw trajectory reproduces the normalized
-one to integration order.
+wraps the checked samples without a second pass. The stage map returns
+d r/dt, the log-scale rate and the held quermassintegral V_held, the
+rate's denominator. It is evaluated once per accepted state, on the
+candidate's geometry, and the state carries it under its mode and k, first
+same as last (Dormand & Prince, J. Comput. Appl. Math. 6, 1980): stage 1
+of the next attempt and of its retries, the conservation guard (V_held
+before and after the step), the record's r_t and, outside mode normalized,
+the stiffness probes' base point read it; a state stepped under another
+mode or k gets a fresh one. `FlowState.conserved` is the carried V_held in the rescaled gauge.
+The accumulated log-scale integral of r(t) is advanced with the same stage
+weights so that e^{-log_scale} times the raw trajectory reproduces the
+normalized one to integration order.
 
 Step-size control is accept/reject: a step is accepted when the radius
 stays positive, strict k-convexity holds, and (in conserving modes) the
@@ -36,11 +43,11 @@ the first drift rate and its dt: no step size can fix it.
 
 The conventions are read, not restated: `monotone_pair` decides which
 V_j a flow holds, and so its scale rate, `CONSERVING_MODES` which modes
-hold it, `_stage_map` is the one place that assembles that held rate (the
-record's r_t and `normalization_rt` read it), `geometry.quermass`
-computes every V_j, `geometry._iso` is the I_m formula of the record,
-and strict k-convexity in step acceptance is `symfunc._cone_status`'s
-strict case, every sigma_1..sigma_k positive. The grid is the initial
+hold it, `_stage_map` is the one place that assembles that held rate and
+the guard's V_held (the record's r_t and `normalization_rt` read it),
+`geometry.quermass` computes every V_j of the record, `geometry._iso` is
+the I_m formula of the record, and strict k-convexity in step acceptance
+is `symfunc._cone_status`'s strict case, every sigma_1..sigma_k positive. The grid is the initial
 graph's: FlowConfig holds no grid size, and `geometry` owns the rule for one.
 FlowConfig requires integer n, k and sample_every (a bool is not one), a
 finite t_max, dt_init, dt_max, tol_conserve, tol_round and cfl_coefficient,
@@ -206,9 +213,23 @@ class FlowState:
     last_dt: float = 0.0
     accepted: int = 0
     rejections: int = 0
-    # conserved quantity of this state under the config that produced it
-    # (None: not computed yet, or raw mode); _attempt recomputes it when None
+    # held quantity of this state under the config that stepped it, in the
+    # rescaled gauge (None: not stepped yet, or raw mode); the stepper does not read it
     conserved: float | None = field(default=None, compare=False, repr=False)
+    # the stage map at geo, (mode, k, geo, drdt, rate, v_held), from the attempt
+    # that accepted this state; `_first_stage` reads it only under its own mode, k and geo
+    _carried: tuple | None = field(default=None, compare=False, repr=False)
+
+    @classmethod
+    def _of_accepted(cls, t, graph, log_scale, geo, last_dt, accepted, rejections,
+                     conserved, carried) -> "FlowState":
+        """The state an attempt accepts: its fields are set directly, not
+        through the frozen __init__."""
+        state = object.__new__(cls)
+        state.__dict__.update(t=t, graph=graph, log_scale=log_scale, geo=geo, last_dt=last_dt,
+                              accepted=accepted, rejections=rejections,
+                              conserved=conserved, _carried=carried)
+        return state
 
 
 def initial_state(graph: RadialGraph) -> FlowState:
@@ -237,21 +258,25 @@ def speed_raw(geo: PointwiseGeometry, k: int) -> np.ndarray:
 
 
 def _rate(u: np.ndarray | None, f: np.ndarray, sig: np.ndarray, dmu: np.ndarray,
-          k: int, held: int) -> float:
-    """Log-scale rate that holds V_held under the degree-k flow, from the
-    per-node arrays, the speed f and the (n + 1, M) rows sig of
-    sigma_0..sigma_n; the caller has checked sigma_k > 0.
+          k: int, held: int) -> tuple:
+    """(log-scale rate that holds V_held under the degree-k flow, V_held), from
+    the per-node arrays, the speed f and the (n + 1, M) rows sig of
+    sigma_0..sigma_n; the caller has checked sigma_k > 0. The rate's
+    denominator is V_held, bitwise `geometry.quermass(geo, n + 1 - held)`.
 
     held = n + 1: int(F dmu) / int(u dmu) with u = r^2 / w the support
-    function. held = n - k (k <= n - 1): r(t) = int(sigma_{k+1}
-    sigma_{k-1} / sigma_k) / (C_{n,k+1} int sigma_k); f and u are not read.
+    function, and V_{n+1} = int(u sigma_0 dmu) with sigma_0 = 1. held = n - k
+    (k <= n - 1): r(t) = int(sigma_{k+1} sigma_{k-1} / sigma_k) / V_{n-k}
+    with V_{n-k} = C_{n,k+1} int sigma_k; f and u are not read.
     """
     n = sig.shape[0] - 1
     if held == n + 1:
-        return float(np.add.reduce(f * dmu)) / float(np.add.reduce(u * dmu))
+        v_held = float(np.add.reduce(u * dmu))
+        return float(np.add.reduce(f * dmu)) / v_held, v_held
     sk = sig[k]
     num = float(np.add.reduce(sig[k + 1] * sig[k - 1] / sk * dmu))
-    return num / (cnk(n, k + 1) * float(np.add.reduce(sk * dmu)))
+    v_held = cnk(n, k + 1) * float(np.add.reduce(sk * dmu))
+    return num / v_held, v_held
 
 
 def normalization_rt(geo: PointwiseGeometry, k: int) -> float:
@@ -271,23 +296,23 @@ def volume_scale_rate(geo: PointwiseGeometry, k: int) -> float:
     k = n flow where r(t) is unavailable.
     """
     k = _whole(k, "flow degree k", 1, geo.dim)
-    return _rate(geo.u, speed_raw(geo, k), geo.sigma.T, geo.dmu, k, geo.dim + 1)
+    return _rate(geo.u, speed_raw(geo, k), geo.sigma.T, geo.dmu, k, geo.dim + 1)[0]
 
 
 def _stage_map(r: np.ndarray, w: np.ndarray, u: np.ndarray | None, sig: np.ndarray,
                dmu: np.ndarray, mode: str, k: int, held: int):
-    """(d r/dt, log-scale rate) at the radial samples r from their checked
-    curvature data (w, the support function u = r^2 / w, the (n + 1, M)
-    rows sig of sigma_0..sigma_n, dmu); the rate holds V_held, the V_j of
-    `monotone_pair`, and reads u only when held = n + 1."""
+    """(d r/dt, log-scale rate, V_held) at the radial samples r from their
+    checked curvature data (w, the support function u = r^2 / w, the
+    (n + 1, M) rows sig of sigma_0..sigma_n, dmu); the rate holds V_held,
+    the V_j of `monotone_pair`, and reads u only when held = n + 1."""
     f = _speed(sig, k)
-    rate = _rate(u, f, sig, dmu, k, held)
+    rate, v_held = _rate(u, f, sig, dmu, k, held)
     drdt = f  # a fresh quotient, not read again
     drdt *= w
     drdt /= r
     if mode == "normalized":
         drdt -= rate * r
-    return drdt, rate
+    return drdt, rate, v_held
 
 
 def _stage(kit: geomod._GridKit, r: np.ndarray, mode: str, k: int):
@@ -304,6 +329,15 @@ def _geo_stage(geo: PointwiseGeometry, mode: str, k: int):
                       monotone_pair(geo.dim, k)[1])
 
 
+def _first_stage(state: FlowState, mode: str, k: int):
+    """The stage map at state's geometry under (mode, k): the one the state
+    carries when it was evaluated there under them, else a fresh one."""
+    carried = state._carried
+    if carried is not None and carried[2] is state.geo and carried[0] == mode and carried[1] == k:
+        return carried[3:]
+    return _geo_stage(state.geo, mode, k)
+
+
 def radial_rhs(geo: PointwiseGeometry, mode: str, k: int) -> np.ndarray:
     """Radial-gauge right-hand side d r/dt per node.
 
@@ -315,7 +349,8 @@ def radial_rhs(geo: PointwiseGeometry, mode: str, k: int) -> np.ndarray:
     return _geo_stage(geo, mode, _whole(k, "flow degree k", 1, geo.dim))[0]
 
 
-def _spectral_radius(geo: PointwiseGeometry, k: int, v: np.ndarray | None = None):
+def _spectral_radius(geo: PointwiseGeometry, k: int, v: np.ndarray | None = None,
+                     f0: np.ndarray | None = None):
     """Power-iteration estimate of the spectral radius of the Jacobian J of
     the raw stage map r -> F w / r at geo's radius; returns (rho, v).
 
@@ -324,20 +359,21 @@ def _spectral_radius(geo: PointwiseGeometry, k: int, v: np.ndarray | None = None
     sqrt(|J^2 v| / |v|), which settles where the one-step ratio alternates
     (the pole mode of dim 2). v starts from the node-alternating mode, or
     from the v of the previous call (a warm start); the returned v is the
-    last iterate. The normalization term of mode normalized is of order
-    r(t) and is left out.
+    last iterate. f0, the raw stage map at geo, is evaluated when not given.
+    The normalization term of mode normalized is of order r(t) and is left out.
     """
     r = geo.r
     kit = geomod._grid_kit(geo.dim, geo.num_intervals)
     if v is None:
         v = np.where(np.arange(r.size) % 2 == 0, 1.0, -1.0)
-    f0 = _geo_stage(geo, "raw", k)[0]
+    if f0 is None:
+        f0 = _geo_stage(geo, "raw", k)[0]
     size = sqrt(np.finfo(float).eps) * sqrt(float(r @ r))
     ratio = est = 0.0
     for it in range(RHO_MAX_ITER):
         v = v * (size / sqrt(float(v @ v)))
-        drdt, _ = _stage(kit, r + v, "raw", k)
-        v = drdt - f0
+        v = _stage(kit, r + v, "raw", k)[0]
+        v -= f0
         prev_ratio, prev_est = ratio, est
         ratio = sqrt(float(v @ v)) / size
         est = sqrt(ratio * prev_ratio)
@@ -385,16 +421,6 @@ def _strictly_kconvex(geo: PointwiseGeometry, k: int) -> tuple[bool, str]:
     return False, f"sigma_{m + 1} min {mins[m]:.6e}"
 
 
-def _conserved_value(geo: PointwiseGeometry, log_scale: float, config: FlowConfig) -> float | None:
-    """Quantity the conserving modes must hold fixed, in the rescaled gauge:
-    V_j of `monotone_pair`, times e^{-j log_scale} in mode rescaled_raw."""
-    if config.mode not in CONSERVING_MODES:
-        return None
-    held = monotone_pair(config.n, config.k)[1]
-    value = quermass(geo, config.n + 1 - held)
-    return value if config.mode == "normalized" else exp(-held * log_scale) * value
-
-
 @dataclass(frozen=True)
 class _Rejection:
     """Why a trial step was rejected; drift_rate (relative drift of the
@@ -410,22 +436,25 @@ class _Rejection:
 def _attempt(state: FlowState, dt: float, config: FlowConfig):
     """One SSP-RK3 trial step; returns (new_state, None) or (None, _Rejection).
 
-    Stage inputs and the update are built in place from the same operands,
-    added in the same order, as r0 + dt k1, r0 + (dt/4)(k1 + k2) and
-    r0 + (dt/6)(k1 + k2 + 4 k3).
+    Stage 1 is the stage map the state carries (`_first_stage`). Stage
+    inputs and the update are built in place from the same operands, added
+    in the same order, as r0 + dt k1, r0 + (dt/4)(k1 + k2) and
+    r0 + (dt/6)(k1 + k2 + 4 k3). The stage map at a strictly k-convex
+    candidate is evaluated once, on its geometry: its V_held is the
+    conservation guard's, and the accepted state carries it to the next step.
     """
     r0 = state.graph.r
     kit = geomod._grid_kit(state.geo.dim, state.geo.num_intervals)
     mode, k = config.mode, config.k
     try:
-        k1, q1 = _geo_stage(state.geo, mode, k)
+        k1, q1, v_old = _first_stage(state, mode, k)
         x = dt * k1
         x += r0
-        k2, q2 = _stage(kit, x, mode, k)
+        k2, q2, _ = _stage(kit, x, mode, k)
         k12 = k1 + k2
         x = (0.25 * dt) * k12
         x += r0
-        k3, q3 = _stage(kit, x, mode, k)
+        k3, q3, _ = _stage(kit, x, mode, k)
         r_new = k12
         r_new += 4.0 * k3
         r_new *= dt / 6.0
@@ -438,28 +467,25 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
     ok, why = _strictly_kconvex(geo_new, k)
     if not ok:
         return None, _Rejection(f"k-convexity lost: {why}")
+    drdt, rate, v_new = _geo_stage(geo_new, mode, k)  # sigma_k > 0: it does not raise
     log_new = state.log_scale + (dt / 6.0) * (q1 + q2 + 4.0 * q3)
-    v_old = state.conserved
-    if v_old is None:
-        v_old = _conserved_value(state.geo, state.log_scale, config)
-    v_new = None
-    if v_old is not None:
-        v_new = _conserved_value(geo_new, log_new, config)
-        drift = abs(v_new - v_old) / abs(v_old)
+    conserved = None
+    if mode in CONSERVING_MODES:
+        # the held V_j in the rescaled gauge: times e^{-j log_scale} in rescaled_raw
+        conserved = v_new
+        if mode == "rescaled_raw":
+            held = monotone_pair(kit.dim, k)[1]
+            v_old *= exp(-held * state.log_scale)
+            conserved *= exp(-held * log_new)
+        drift = abs(conserved - v_old) / abs(v_old)
         if drift > config.tol_conserve * dt:
             return None, _Rejection(
                 f"conservation drift {drift:.3e} exceeds {config.tol_conserve:.1e} * dt",
                 drift / dt,
             )
-    new_state = FlowState(
-        t=state.t + dt,
-        graph=graph_new,
-        log_scale=log_new,
-        geo=geo_new,
-        last_dt=dt,
-        accepted=state.accepted + 1,
-        rejections=state.rejections,
-        conserved=v_new,
+    new_state = FlowState._of_accepted(
+        state.t + dt, graph_new, log_new, geo_new, dt, state.accepted + 1, state.rejections,
+        conserved, (mode, k, geo_new, drdt, rate, v_new),
     )
     return new_state, None
 
@@ -522,7 +548,7 @@ def _record_row(state: FlowState, config: FlowConfig) -> tuple:
     scale = exp(-state.log_scale) if config.mode == "rescaled_raw" else 1.0
     # each V_j once; the iso ratios are scale invariant and read the unscaled values
     vees = [quermass(geo, m) for m in range(n + 1)]
-    rate = _geo_stage(geo, config.mode, k)[1]
+    rate = _first_stage(state, config.mode, k)[1]
     row = [state.t, state.last_dt, state.log_scale]
     row += [v * scale ** (n + 1 - m) for m, v in enumerate(vees)]
     row += [_iso(vees[m], vees[m + 1], n, m) for m in range(n)]
@@ -551,6 +577,9 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
     ok, why = _strictly_kconvex(state.geo, config.k)
     if not ok:
         raise ValueError(f"initial surface is not strictly {config.k}-convex: {why}")
+    # every later state carries the stage map its attempt evaluated
+    state = replace(state, _carried=(config.mode, config.k, state.geo)
+                    + _geo_stage(state.geo, config.mode, config.k))
     record = TrajectoryRecord(
         n=config.n, k=config.k, mode=config.mode,
         columns=record_columns(config.n), rows=[_record_row(state, config)],
@@ -584,8 +613,12 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
             return finish("round")
         if since_estimate >= RHO_EVERY:
             since_estimate = 0
+            f0 = None  # the raw stage map at the state, the probes' base point
+            if config.mode != "normalized":
+                # every other mode's d r/dt is the raw one: the carried stage's
+                f0 = _first_stage(state, config.mode, config.k)[0]
             try:
-                rho, vec = _spectral_radius(state.geo, config.k, vec)
+                rho, vec = _spectral_radius(state.geo, config.k, vec, f0)
                 cap = _cap(rho, config.cfl_coefficient)
             except (ConeExitError, ValueError) as exc:
                 # vec is None only when the first estimate itself failed, at t = 0: a

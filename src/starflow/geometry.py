@@ -188,6 +188,16 @@ class PointwiseGeometry:
     sigma: np.ndarray
     dmu: np.ndarray
 
+    @classmethod
+    def _of_checked(cls, dim, num_intervals, param, h, r, r1, r2, w, u, kappa, sigma,
+                    dmu) -> "PointwiseGeometry":
+        """The geometry of checked `_curvatures` data: its fields are set
+        directly, not through the frozen __init__."""
+        geo = object.__new__(cls)
+        geo.__dict__.update(dim=dim, num_intervals=num_intervals, param=param, h=h, r=r, r1=r1,
+                            r2=r2, w=w, u=u, kappa=kappa, sigma=sigma, dmu=dmu)
+        return geo
+
     @property
     def area(self) -> float:
         return float(np.sum(self.dmu))
@@ -520,10 +530,8 @@ def _curvatures(kit: _GridKit, r: np.ndarray):
 def _pointwise(kit: _GridKit, r: np.ndarray, curvatures: tuple | None = None) -> PointwiseGeometry:
     """PointwiseGeometry of r on kit's grid, from r's `_curvatures` data when given."""
     r1, r2, w, rr, kappa, sig, dmu = _curvatures(kit, r) if curvatures is None else curvatures
-    return PointwiseGeometry(
-        dim=kit.dim, num_intervals=kit.num, param=kit.param, h=kit.h, r=r, r1=r1, r2=r2,
-        w=w, u=rr / w, kappa=kappa.T, sigma=sig.T, dmu=dmu,
-    )
+    return PointwiseGeometry._of_checked(kit.dim, kit.num, kit.param, kit.h, r, r1, r2, w,
+                                         rr / w, kappa.T, sig.T, dmu)
 
 
 def compute_geometry(g: RadialGraph) -> PointwiseGeometry:

@@ -6,12 +6,13 @@ curvature by second-order finite differences on embedded points,
 integrals by very fine trapezoid sums, the sixth-order radial
 stencils on an array padded with ghost nodes, the radial-graph
 curvature data on row-major per-node tables, one unstacked grid kit,
-the af sampler one candidate at a time and the spectral derivatives one
-transform per derivative.
+the af sampler one candidate at a time, the spectral derivatives one
+transform per derivative, and the flow's conserved quantity through
+`geometry.quermass`, not through the stage map.
 """
 
 from itertools import combinations
-from math import pi, prod
+from math import exp, pi, prod
 
 import numpy as np
 
@@ -236,3 +237,24 @@ def d2spec(f):
     spec = np.fft.rfft(f)
     ell = np.arange(spec.size)
     return np.fft.irfft(spec * -(ell * ell), m)
+
+
+def held_index(n, k):
+    """j of the V_j that the degree-k flow holds: n - k for k <= n - 1, n + 1 at k = n."""
+    return n - k if k <= n - 1 else n + 1
+
+
+def held_quermass(geo, n, k):
+    """The held V_j of the degree-k flow at geo, from `geometry.quermass`."""
+    return geometry.quermass(geo, n + 1 - held_index(n, k))
+
+
+def conserved_value(geo, log_scale, config):
+    """The quantity a conserving flow mode holds fixed, in the rescaled gauge:
+    the held V_j, times e^{-j log_scale} in mode rescaled_raw; None in mode raw."""
+    if config.mode == "raw":
+        return None
+    value = held_quermass(geo, config.n, config.k)
+    if config.mode == "normalized":
+        return value
+    return exp(-held_index(config.n, config.k) * log_scale) * value

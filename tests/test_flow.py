@@ -33,6 +33,8 @@ from starflow.geometry import (
 )
 from starflow.symfunc import elem_sym_table
 
+from _oracles import conserved_value, held_index, held_quermass
+
 
 class TestConfigValidation:
     def test_rejects_bad_degree(self):
@@ -251,11 +253,11 @@ class TestStep:
         stage = fl._stage
 
         def spoiled(*args):
-            drdt, rate = stage(*args)
+            drdt, rate, v_held = stage(*args)
             calls.append(1)
             if len(calls) == 2:
                 drdt[5] = bad
-            return drdt, rate
+            return drdt, rate, v_held
 
         monkeypatch.setattr(fl, "_stage", spoiled)
         # an infinite sample meets inf - inf in the stencils before the finite
@@ -515,22 +517,52 @@ class TestStepperCost:
         assert self.amplification(-fl.MONOTONE_LIMIT * (1.0 + 1e-7)) < 0.0
         assert FlowConfig(n=1, k=1).cfl_coefficient == fl.MONOTONE_LIMIT / fl.REAL_STABILITY
 
-    @pytest.mark.parametrize("n, k, mode", [(1, 1, "raw"), (2, 1, "normalized"),
-                                            (2, 2, "rescaled_raw")])
-    def test_one_step_makes_three_stage_maps(self, n, k, mode, monkeypatch):
-        config = FlowConfig(n=n, k=k, mode=mode, t_max=1.0)
-        shape = ellipse(2.0, 1.0, 64) if n == 1 else ellipsoid_of_revolution(1.2, 1.0, 64)
-        state = initial_state(shape)
+    @staticmethod
+    def counted_step(state, dt, config, monkeypatch):
+        """(new state, _stage_map calls, _curvatures calls) of one step."""
         calls, curvature_calls = [], []
         stage_map = fl._stage_map
         monkeypatch.setattr(fl, "_stage_map", lambda *args: calls.append(1) or stage_map(*args))
         curvatures = geomod._curvatures
         monkeypatch.setattr(geomod, "_curvatures",
                             lambda *args: curvature_calls.append(1) or curvatures(*args))
-        assert step(state, 1e-4, config) is not None
-        assert len(calls) == 3
-        # stages 2 and 3 and the candidate; stage 1 reads the state's geometry
-        assert len(curvature_calls) == 3
+        new = step(state, dt, config)
+        monkeypatch.undo()
+        return new, len(calls), len(curvature_calls)
+
+    @pytest.mark.parametrize("n, k, mode", [(1, 1, "raw"), (2, 1, "normalized"),
+                                            (2, 2, "rescaled_raw")])
+    def test_one_step_makes_three_stage_maps(self, n, k, mode, monkeypatch):
+        config = FlowConfig(n=n, k=k, mode=mode, t_max=1.0)
+        shape = ellipse(2.0, 1.0, 64) if n == 1 else ellipsoid_of_revolution(1.2, 1.0, 64)
+        state = step(initial_state(shape), 1e-4, config)
+        new, maps, curvature_calls = self.counted_step(state, 1e-4, config, monkeypatch)
+        assert new is not None
+        # stages 2 and 3 and the candidate, whose stage map the next step carries
+        assert maps == 3
+        assert curvature_calls == 3
+
+    @pytest.mark.parametrize("n, k, mode", [(1, 1, "raw"), (2, 1, "normalized"),
+                                            (2, 2, "rescaled_raw")])
+    def test_a_bare_initial_state_makes_four_stage_maps(self, n, k, mode, monkeypatch):
+        config = FlowConfig(n=n, k=k, mode=mode, t_max=1.0)
+        shape = ellipse(2.0, 1.0, 64) if n == 1 else ellipsoid_of_revolution(1.2, 1.0, 64)
+        new, maps, curvature_calls = self.counted_step(initial_state(shape), 1e-4, config,
+                                                       monkeypatch)
+        # it carries no stage: stage 1 is one more map, on the state's geometry
+        assert new is not None and (maps, curvature_calls) == (4, 3)
+
+    @pytest.mark.parametrize("mode", ["normalized", "rescaled_raw"])
+    def test_a_retry_makes_three_stage_maps(self, mode, monkeypatch):
+        config = FlowConfig(n=2, k=1, mode=mode, t_max=1.0)
+        state = step(initial_state(ellipsoid_of_revolution(1.2, 1.0, 64)), 1e-4, config)
+        new, why = fl._attempt(state, 1e-4, replace(config, tol_conserve=0.0))
+        assert new is None and why.drift_rate is not None
+        # a rejection changes the state as `run` does: the carried stage stays
+        retry = replace(state, rejections=state.rejections + 1)
+        new, maps, curvature_calls = self.counted_step(retry, 0.5e-4, config, monkeypatch)
+        assert new is not None and (maps, curvature_calls) == (3, 3)
+
 
 class TestQuermassOwners:
     @pytest.mark.parametrize("n, k, mode", [(1, 1, "rescaled_raw"), (2, 1, "normalized"),
@@ -551,7 +583,7 @@ class TestQuermassOwners:
             assert row[f"V{n + 1 - m}"] == quermass(state.geo, m) * scale ** (n + 1 - m)
         # the guard holds the V_j that monotone_pair names, in the same gauge
         held = fl.monotone_pair(n, k)[1]
-        conserved = fl._conserved_value(state.geo, state.log_scale, config)
+        conserved = conserved_value(state.geo, state.log_scale, config)
         assert conserved == pytest.approx(row[f"V{held}"], rel=1e-14)
 
     @pytest.mark.parametrize("lam, k, why", [
@@ -623,14 +655,30 @@ def _full_stage(kit, r, mode, k):
     return fl._geo_stage(geomod._pointwise(kit, r), mode, k)
 
 
+_CSV_RUNS = [
+    (FlowConfig(n=1, k=1, mode="raw", t_max=0.02, sample_every=3), ellipse(2.0, 1.0, 64)),
+    (FlowConfig(n=2, k=1, mode="normalized", t_max=0.01, sample_every=3),
+     ellipsoid_of_revolution(1.2, 1.0, 64)),
+    (FlowConfig(n=2, k=2, mode="rescaled_raw", t_max=0.01, sample_every=3),
+     ellipsoid_of_revolution(1.2, 1.0, 64)),
+    # the benchmark's run workloads on their own grids, truncated in t_max
+    (FlowConfig(n=1, k=1, mode="rescaled_raw", t_max=0.005, dt_init=1e-3,
+                sample_every=20), ellipse(2.0, 1.0, 128)),
+    (FlowConfig(n=2, k=1, mode="rescaled_raw", t_max=0.0005, dt_init=1e-3,
+                sample_every=20), ellipsoid_of_revolution(1.5, 1.0, 512)),
+]
+_CSV_RUN_IDS = ["raw", "normalized", "rescaled_raw", "ellipse-128", "spheroid-512"]
+
+
 class TestLeanStage:
     @pytest.mark.parametrize("n, k, mode", _accepted_combos())
     def test_matches_full_geometry_bitwise(self, n, k, mode):
         kit, r = _kit_and_profile(n, 0.05)
-        lean_rhs, lean_rate = fl._stage(kit, r, mode, k)
-        full_rhs, full_rate = _full_stage(kit, r, mode, k)
+        lean_rhs, lean_rate, lean_held = fl._stage(kit, r, mode, k)
+        full_rhs, full_rate, full_held = _full_stage(kit, r, mode, k)
         assert lean_rhs.tobytes() == full_rhs.tobytes()
         assert lean_rate == full_rate
+        assert lean_held == full_held
 
     @pytest.mark.parametrize("n, k, mode", _accepted_combos())
     def test_same_error_off_the_cone(self, n, k, mode):
@@ -642,18 +690,7 @@ class TestLeanStage:
         assert lean.type is full.type is ConeExitError
         assert str(lean.value) == str(full.value)
 
-    @pytest.mark.parametrize("config, shape", [
-        (FlowConfig(n=1, k=1, mode="raw", t_max=0.02, sample_every=3), ellipse(2.0, 1.0, 64)),
-        (FlowConfig(n=2, k=1, mode="normalized", t_max=0.01, sample_every=3),
-         ellipsoid_of_revolution(1.2, 1.0, 64)),
-        (FlowConfig(n=2, k=2, mode="rescaled_raw", t_max=0.01, sample_every=3),
-         ellipsoid_of_revolution(1.2, 1.0, 64)),
-        # the benchmark's run workloads on their own grids, truncated in t_max
-        (FlowConfig(n=1, k=1, mode="rescaled_raw", t_max=0.005, dt_init=1e-3,
-                    sample_every=20), ellipse(2.0, 1.0, 128)),
-        (FlowConfig(n=2, k=1, mode="rescaled_raw", t_max=0.0005, dt_init=1e-3,
-                    sample_every=20), ellipsoid_of_revolution(1.5, 1.0, 512)),
-    ], ids=["raw", "normalized", "rescaled_raw", "ellipse-128", "spheroid-512"])
+    @pytest.mark.parametrize("config, shape", _CSV_RUNS, ids=_CSV_RUN_IDS)
     def test_run_csv_identical_to_full_geometry_stages(self, monkeypatch, tmp_path, config, shape):
         lean = run(config, shape)
         monkeypatch.setattr(fl, "_stage", _full_stage)
@@ -678,11 +715,12 @@ class TestConservedCache:
         config = FlowConfig(n=2, k=1, mode=mode, t_max=0.01, sample_every=1)
         state = run(config, ellipsoid_of_revolution(1.2, 1.0, 64)).final_state
         assert state.accepted > 0
-        expected = fl._conserved_value(state.geo, state.log_scale, config)
+        expected = conserved_value(state.geo, state.log_scale, config)
         assert state.conserved == expected
         if mode != "raw":
             assert state.conserved is not None
-        cold = replace(state, conserved=None)
+        # a state that carries nothing: every stage of its attempts is evaluated afresh
+        cold = replace(state, conserved=None, _carried=None)
         dt = state.last_dt
         assert self._outcome(fl._attempt(state, dt, config)) == \
             self._outcome(fl._attempt(cold, dt, config))
@@ -695,3 +733,51 @@ class TestConservedCache:
         cold = replace(cold, rejections=cold.rejections + 1)
         assert self._outcome(fl._attempt(state, 0.5 * dt, config)) == \
             self._outcome(fl._attempt(cold, 0.5 * dt, config))
+
+    @pytest.mark.parametrize("other", [FlowConfig(n=2, k=2, mode="rescaled_raw", t_max=0.01),
+                                       FlowConfig(n=2, k=1, mode="normalized", t_max=0.01)],
+                             ids=["k2", "normalized"])
+    def test_state_stepped_under_another_config(self, other):
+        config = FlowConfig(n=2, k=1, mode="rescaled_raw", t_max=0.01)
+        state = run(config, ellipsoid_of_revolution(1.2, 1.0, 64)).final_state
+        assert state.conserved is not None
+        # the carried stage and conserved value are config's, not other's: the
+        # drift is measured against other's held quantity at the state
+        new = step(state, 1e-6, other)
+        assert new is not None
+        cold = step(replace(state, conserved=None, _carried=None), 1e-6, other)
+        assert self._outcome((new, None)) == self._outcome((cold, None))
+        assert new.conserved == conserved_value(new.geo, new.log_scale, other)
+
+
+class TestCarriedStage:
+    @pytest.mark.parametrize("n, k, mode", _accepted_combos())
+    def test_carried_stage_is_a_fresh_stage(self, n, k, mode):
+        config = FlowConfig(n=n, k=k, mode=mode, t_max=0.005, sample_every=1)
+        shape = ellipse(2.0, 1.0, 64) if n == 1 else ellipsoid_of_revolution(1.2, 1.0, 64)
+        states = []
+        run(config, shape, observer=states.append)
+        assert len(states) > 3
+        for state in states:
+            c_mode, c_k, c_geo, drdt, rate, v_held = state._carried
+            assert (c_mode, c_k) == (mode, k) and c_geo is state.geo
+            fresh_drdt, fresh_rate, fresh_held = fl._geo_stage(state.geo, mode, k)
+            assert drdt.tobytes() == fresh_drdt.tobytes()
+            assert rate == fresh_rate
+            assert v_held == fresh_held == held_quermass(state.geo, n, k)
+            if state.accepted and mode != "raw":
+                # conserved is the carried V_held, in the rescaled gauge
+                assert state.conserved == conserved_value(state.geo, state.log_scale, config)
+                scale = exp(-held_index(n, k) * state.log_scale) if mode == "rescaled_raw" else 1.0
+                assert state.conserved == v_held * scale
+
+    @pytest.mark.parametrize("config, shape", _CSV_RUNS, ids=_CSV_RUN_IDS)
+    def test_run_csv_identical_without_the_carried_stage(self, monkeypatch, tmp_path, config, shape):
+        carried = run(config, shape)
+        monkeypatch.setattr(fl, "_first_stage",
+                            lambda state, mode, k: fl._geo_stage(state.geo, mode, k))
+        fresh = run(config, shape)
+        carried.to_csv(tmp_path / "carried.csv")
+        fresh.to_csv(tmp_path / "fresh.csv")
+        assert len(carried.rows) > 3
+        assert (tmp_path / "carried.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
