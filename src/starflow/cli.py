@@ -329,27 +329,32 @@ def _symfunc_worst(rng, n: int, per: int) -> tuple:
         sig = sfc.elem_sym_table(lam)
         grads = sfc._gradient_tables(lam)
         for m in range(1, n + 1):
-            grad = grads[m - 1].T
-            lam_grad = lam * grad
+            lam_grad = lam * grads[m - 1].T  # the Euler products, read by both identities
+            abs_lam_grad = np.abs(lam_grad)
             rhs = m * sig[:, m]
-            scale = np.sum(np.abs(lam_grad), axis=1) + np.abs(rhs) + 1e-30
-            euler = max(euler, float(np.max(np.abs(np.sum(lam_grad, axis=1) - rhs) / scale)))
-            pol = sfc.polarized_sigma_square_table(lam, grad)
+            scale = np.add.reduce(abs_lam_grad, axis=1) + np.abs(rhs) + 1e-30
+            resid = np.abs(np.add.reduce(lam_grad, axis=1) - rhs) / scale
+            euler = max(euler, float(np.maximum.reduce(resid)))
+            pol = sfc.polarized_sigma_square_table(lam, lam_grad)
             tail = (m + 1) * sig[:, m + 1] if m + 1 <= n else 0.0
             ref = sig[:, 1] * sig[:, m] - tail
-            # sum_i |grad_i lam_i^2|: a product of absolute values rounds to the absolute product
-            pscale = sfc.polarized_sigma_square_table(abs_lam, np.abs(grad)) + np.abs(ref) + 1e-30
-            polar = max(polar, float(np.max(np.abs(pol - ref) / pscale)))
-        for k in range(1, n):
-            ok = np.abs(sig[:, k]) > 1e-8
-            if ok.any():  # a block may hold no row with a defined Newton ratio
-                newton = min(newton, float(np.min(sfc.newton_gap_table(sig[ok], k))))
+            # sum_i |grad_i lam_i^2|, from the absolute Euler products
+            pscale = sfc.polarized_sigma_square_table(abs_lam, abs_lam_grad) + np.abs(ref) + 1e-30
+            polar = max(polar, float(np.maximum.reduce(np.abs(pol - ref) / pscale)))
+        # a row with sigma_k near 0 has no defined Newton ratio: the gap is taken
+        # on the whole table and such rows are masked out of its minimum
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for k in range(1, n):
+                gap = sfc.newton_gap_table(sig, k)
+                ok = np.abs(sig[:, k]) > 1e-8
+                newton = min(newton, float(np.minimum.reduce(gap, where=ok, initial=np.inf)))
     for size in _block_sizes(per):
         pos = np.abs(rng.normal(size=(size, n))) + 0.05
-        pos /= np.max(pos, axis=1, keepdims=True)  # scale-normalize the gap
+        pos /= np.maximum.reduce(pos, axis=1, keepdims=True)  # scale-normalize the gap
         psig = sfc.elem_sym_table(pos)
         for k in range(1, n):
-            maclaurin = min(maclaurin, float(np.min(sfc.maclaurin_power_gap_table(psig, k))))
+            gap = sfc.maclaurin_power_gap_table(psig, k)
+            maclaurin = min(maclaurin, float(np.minimum.reduce(gap)))
     return euler, polar, newton, maclaurin
 
 
@@ -492,11 +497,15 @@ def _random_kconvex_samples(rng, n: int, k: int, num: int):
 
     Candidates are drawn and evaluated `_AF_CHUNK` at a time, in one
     `_curvatures` call on a stacked kit; a row that is not positive is a miss.
-    The stream is then rewound to the chunk's start and each candidate's draws
-    are replayed before it is decided, so that at each yield, and at the
-    RuntimeError after 64 misses in a row, the generator stands where drawing,
-    building and testing one candidate at a time would leave it. Each yield
-    is a copy, so no chunk buffer outlives its chunk.
+    The whole chunk is decided at once: a candidate passes when its row is
+    positive and the least of its sigma_1..sigma_k is positive, which is
+    `symfunc._cone_status`'s strict case (a NaN minimum fails), taken by one
+    reduction over the chunk's minima. The stream is then rewound to the
+    chunk's start and each candidate's draws are replayed before its verdict
+    is acted on, so that at each yield, and at the RuntimeError after 64
+    misses in a row, the generator stands where drawing, building and testing
+    one candidate at a time would leave it. Each yield is a copy, so no chunk
+    buffer outlives its chunk.
     """
     kit = geom._grid_kit(n, num, _AF_CHUNK)
     size = kit.size
@@ -511,13 +520,14 @@ def _random_kconvex_samples(rng, n: int, k: int, num: int):
         starshaped = np.minimum.reduce(rows, axis=1) > 0.0
         rows[~starshaped] = 1.0  # a stand-in the curvature call accepts; never yielded
         curv = geom._curvatures(kit, rows.ravel())
-        kappa, sig = curv[4], curv[5]
-        mins = np.minimum.reduce(sig[1 : k + 1].reshape(k, _AF_CHUNK, size), axis=2)
+        sig = curv[5]
+        mins = np.minimum.reduce(sig[1 : k + 1].reshape(k, _AF_CHUNK, size), axis=(0, 2))
+        strict = starshaped & (mins > 0.0)  # a NaN minimum compares false
         rng.bit_generator.state = start
         for j in range(_AF_CHUNK):
             _af_candidate(rng)
-            cols = slice(j * size, (j + 1) * size)
-            if starshaped[j] and sfc._cone_status(mins[:, j], kappa[:, cols]) == "strict":
+            if strict[j]:
+                cols = slice(j * size, (j + 1) * size)
                 misses = 0
                 yield geom._pointwise(kit, rows[j].copy(),
                                       tuple(data[..., cols].copy() for data in curv))

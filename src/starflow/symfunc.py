@@ -10,11 +10,14 @@ one strict / nonstrict / violated rule, read by `in_gamma_k`,
 `geometry.kconvex_report` and the flow's step acceptance. Each identity the
 paper's argument uses (the polarization row-sum, the Newton gap, the
 MacLaurin power gap) is written here once, as a table form on the arrays
-of `elem_sym_table` and `elem_sym_gradient_table`. The scalar helpers and
-`starflow verify symfunc` both read those table forms. The gradients of all
-degrees come from one leave-one-out pass, `_gradient_tables`: n recurrences
-of n - 1 entries serve every degree, where a pass per degree runs n^2 of
-them. `_whole` is the one gate of every integer argument of the package (a
+of `elem_sym_table` and `elem_sym_gradient_table`; the polarization reads
+the Euler products lam_i * dsigma_m/dlam_i, which `starflow verify symfunc`
+forms for its Euler check anyway. The scalar helpers and that suite both
+read those table forms. The gradients of all degrees come from one
+leave-one-out pass, `_gradient_tables`: n recurrences of n - 1 entries serve
+every degree, where a pass per degree runs n^2 of them, and the n recurrences
+share their prefixes, so they make (n - 1)(n + 2)/2 row updates where
+independent ones make n(n - 1). `_whole` is the one gate of every integer argument of the package (a
 degree, level or index): a whole number, not a bool, inside its range.
 """
 
@@ -119,12 +122,23 @@ def _gradient_tables(lams: np.ndarray) -> np.ndarray:
     One leave-one-out pass serves every degree: [:, i] is sigma_0 .. sigma_{n-1}
     of the rows with entry i removed, and since in `_sym_rows` the lower
     degrees never read the higher ones, each degree is bitwise the value of a
-    pass that stops at it.
+    pass that stops at it. The passes share their prefix: pass i starts from
+    one copy of the state after entries 0 .. i-1 and runs `_sym_rows`' updates
+    on entries i+1 .. n-1 in place, in the order of a pass on the shortened
+    row, so every value is bitwise that pass's.
     """
+    cols = lams.T
     rows, n = lams.shape
     out = np.empty((n, n, rows))
+    prefix = np.zeros((n, rows))  # sigma_0 .. sigma_{n-1} of entries 0 .. i-1
+    prefix[0] = 1.0
     for i in range(n):
-        out[:, i] = _sym_rows(np.delete(lams.T, i, axis=0), n - 1)
+        e = out[:, i]
+        e[...] = prefix
+        for j in range(i + 1, n):  # entry j is at position j - 1 of the shortened row
+            e[1 : j + 1] += cols[j] * e[0:j]
+        if i < n - 1:
+            prefix[1 : i + 2] += cols[i] * prefix[0 : i + 1]
     return out
 
 
@@ -174,16 +188,21 @@ def in_gamma_k(lam, k, strict: bool = True, tol_cone: float = 1e-10) -> bool:
     return status == "strict" if strict else status != "violated"
 
 
-def polarized_sigma_square_table(lams: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Polarization sum_i dsigma_m/dlam_i * lam_i^2 of each row, from grad =
-    elem_sym_gradient_table(lams, m); equals sigma_1*sigma_m - (m+1)*sigma_{m+1}."""
-    return np.sum(grad * lams * lams, axis=1)
+def polarized_sigma_square_table(lams: np.ndarray, euler: np.ndarray) -> np.ndarray:
+    """Polarization sum_i dsigma_m/dlam_i * lam_i^2 of each row, from the Euler
+    products euler = lams * elem_sym_gradient_table(lams, m), whose row sums are
+    m * sigma_m; equals sigma_1*sigma_m - (m+1)*sigma_{m+1}.
+
+    Each term (lam_i dsigma_m/dlam_i) lam_i rounds as dsigma_m/dlam_i lam_i lam_i
+    does. Given |lams| and |euler| it is the sum of the absolute terms, since a
+    product of absolute values rounds to the absolute product."""
+    return np.add.reduce(euler * lams, axis=1)
 
 
 def polarized_sigma_square(lam, m) -> float:
     """polarized_sigma_square_table of one vector."""
     lam = _vector(lam)[None, :]
-    return float(polarized_sigma_square_table(lam, elem_sym_gradient_table(lam, m))[0])
+    return float(polarized_sigma_square_table(lam, lam * elem_sym_gradient_table(lam, m))[0])
 
 
 def newton_gap_table(sig: np.ndarray, k: int) -> np.ndarray:

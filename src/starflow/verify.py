@@ -415,7 +415,7 @@ def check_prop1_axisym(g: RadialGraph, k: int, dt: float, tol: float = 1e-3):
     k_par = mid.kappa[:, 1]
     sig1 = sig[:, 1]
     # one leave-one-out pass gives the gradients of sigma_1 and sigma_2
-    pol1, pol2 = (polarized_sigma_square_table(mid.kappa, grad.T)
+    pol1, pol2 = (polarized_sigma_square_table(mid.kappa, mid.kappa * grad.T)
                   for grad in _gradient_tables(mid.kappa))
     with np.errstate(divide="ignore", invalid="ignore"):
         div_t0 = _dmid(rho * f1 / mid.wa, delta) / sqrt_det
@@ -466,7 +466,7 @@ def check_lemma_integral(
         times.append(state.t)
         lhs_series.append(np.add.reduce(sig * geo.dmu, axis=1))
         rates = sig[1:] * sig[k - 1] / sig[k] * geo.dmu
-        rhs_series.append(np.append(degrees * np.add.reduce(rates, axis=1), 0.0))
+        rhs_series.append(degrees * np.add.reduce(rates, axis=1))
 
     record = flowmod.run(replace(config, sample_every=1), initial, observer=observer,
                          record_samples=False)
@@ -475,7 +475,8 @@ def check_lemma_integral(
                          f"(stop reason {record.stop_reason!r})")
     t = np.array(times)[:, None]
     a = np.array(lhs_series)
-    b = np.array(rhs_series)
+    b = np.zeros((len(rhs_series), n + 1))  # the l = n rate vanishes: its column stays 0
+    b[:, :n] = np.array(rhs_series)
     tm, t0, tp = t[:-2], t[1:-1], t[2:]
     am, a0, ap = a[:-2], a[1:-1], a[2:]
     da = (

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -488,6 +489,40 @@ class TestVerify:
         one_block = cli._symfunc_worst(ZeroRows(), 3, 40)
         monkeypatch.setattr(cli, "_SYMFUNC_BLOCK", 7)
         assert repr(cli._symfunc_worst(ZeroRows(), 3, 40)) == repr(one_block)
+
+    def test_symfunc_newton_gap_masks_rows_with_zero_sigma(self):
+        class ZeroSigmaRows:
+            """A generator whose uniform rows have sigma_k exactly 0: every fourth
+            row is zero, and the row after it is (a, -a, 0), with sigma_1 = 0."""
+
+            def __init__(self):
+                self.rng = np.random.default_rng(5)
+
+            def uniform(self, low, high, size):
+                out = self.rng.uniform(low, high, size=size)
+                out[::4] = 0.0
+                out[1::4, 1] = -out[1::4, 0]
+                out[1::4, 2:] = 0.0
+                return out
+
+            def normal(self, size):
+                return self.rng.normal(size=size)
+
+        # the gap over the whole table divides by sigma_k^2 = 0 on those rows
+        sig = symfunc.elem_sym_table(ZeroSigmaRows().uniform(-2.0, 2.0, size=(40, 3)))
+        for k in (1, 2):
+            with pytest.warns(RuntimeWarning):
+                symfunc.newton_gap_table(sig, k)
+        # the suite computes it under np.errstate and masks those rows out: its
+        # least gap is bitwise the least over a copy of the rows it keeps
+        want = np.inf
+        for k in (1, 2):
+            ok = np.abs(sig[:, k]) > 1e-8
+            want = min(want, float(np.min(symfunc.newton_gap_table(sig[ok], k))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            newton = cli._symfunc_worst(ZeroSigmaRows(), 3, 40)[2]
+        assert repr(newton) == repr(want)
 
     def test_symfunc_memory_does_not_grow_with_samples(self):
         # the samples are drawn and checked in fixed blocks; one (samples, n)

@@ -204,8 +204,27 @@ class TestPolarization:
     def test_scalar_is_row_of_table(self, lam):
         table = np.asarray(lam, dtype=float)[None, :]
         for m in range(1, table.shape[1] + 1):
-            row = sfc.polarized_sigma_square_table(table, sfc.elem_sym_gradient_table(table, m))
+            euler = table * sfc.elem_sym_gradient_table(table, m)
+            row = sfc.polarized_sigma_square_table(table, euler)
             assert bits(sfc.polarized_sigma_square(lam, m)) == bits(row[0])
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_euler_forms_are_gradient_row_sums(self, n, layout):
+        # the value from the Euler products lam_i dsigma_m/dlam_i, and the scale
+        # from their absolute values, are bitwise the row sums of
+        # dsigma_m/dlam_i lam_i lam_i and of its absolute terms
+        for rows in (1, 2, 257):
+            lam = layouts(rows, n)[layout]
+            abs_lam = np.abs(lam)
+            for m in range(1, n + 1):
+                grad = sfc.elem_sym_gradient_table(lam, m)
+                euler = lam * grad
+                value = sfc.polarized_sigma_square_table(lam, euler)
+                assert value.tobytes() == np.sum(grad * lam * lam, axis=1).tobytes()
+                scale = sfc.polarized_sigma_square_table(abs_lam, np.abs(euler))
+                want = np.sum(np.abs(grad) * abs_lam * abs_lam, axis=1)
+                assert scale.tobytes() == want.tobytes()
 
 
 class TestNewtonMacLaurin:
