@@ -49,9 +49,9 @@ the guard's V_held (the record's r_t and `normalization_rt` read it),
 the I_m formula of the record, and strict k-convexity in step acceptance
 is `symfunc._cone_status`'s strict case, every sigma_1..sigma_k positive. The grid is the initial
 graph's: FlowConfig holds no grid size, and `geometry` owns the rule for one.
-FlowConfig requires integer n, k and sample_every (a bool is not one), a
-finite t_max, dt_init, dt_max, tol_conserve, tol_round and cfl_coefficient,
-with dt_max and cfl_coefficient positive and the tolerances >= 0.
+FlowConfig requires integer n, k and sample_every (a bool is not one), and keeps
+`symfunc._real`'s float of t_max, dt_init, dt_max, tol_conserve, tol_round and
+cfl_coefficient: finite, not a bool, the tolerances >= 0, the rest positive, dt_init <= dt_max.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from .geometry import (
     quermass_sigma,  # noqa: F401 -- perfbench/selftest.py checks its tracer patches flow's name
     roundness,
 )
-from .symfunc import _whole, cnk
+from .symfunc import _real, _whole, cnk
 
 __all__ = [
     "MODES",
@@ -162,7 +162,6 @@ class FlowConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise FlowConfigError(name, f"{name} must be an integer, got {value!r}")
-        # the `not x > 0` form also rejects NaN, which compares false
         if self.n not in geomod.DIMS:
             raise FlowConfigError("n", f"n must be one of {geomod.DIMS}, got {self.n}")
         if not 1 <= self.k <= self.n:
@@ -175,32 +174,20 @@ class FlowConfig:
                 f"normalized mode needs k <= n-1 (r(t) degenerates at k=n); "
                 f"got k={self.k}, n={self.n}; use rescaled_raw instead",
             )
-        if not (self.t_max > 0.0 and isfinite(self.t_max)):
-            raise FlowConfigError("t_max", f"t_max must be positive and finite, got {self.t_max}")
-        if not self.dt_max > 0.0:
-            raise FlowConfigError("dt_max", f"dt_max must be positive, got {self.dt_max}")
-        # an infinite dt_init would make the dt underflow floor infinite
-        if not (0.0 < self.dt_init <= self.dt_max and isfinite(self.dt_init)):
-            raise FlowConfigError("dt_init", f"need a finite dt_init with 0 < dt_init <= dt_max, "
-                                             f"got {self.dt_init} and {self.dt_max}")
-        # an infinite cfl_coefficient removes the stability cap, an infinite
-        # tol_conserve the conservation guard; an infinite tol_round stops at t = 0
-        for name in ("dt_max", "tol_conserve", "tol_round", "cfl_coefficient"):
-            if not isfinite(getattr(self, name)):
-                raise FlowConfigError(name, f"{name} must be finite, got {getattr(self, name)}")
+        # an infinite dt_init makes the dt underflow floor infinite, cfl_coefficient removes the
+        # stability cap, tol_conserve turns the conservation guard off, tol_round stops at t = 0
+        for name, strict in (("t_max", True), ("dt_init", True), ("dt_max", True),
+                             ("tol_conserve", False), ("tol_round", False),
+                             ("cfl_coefficient", True)):
+            try:
+                object.__setattr__(self, name, _real(getattr(self, name), name, 0.0, strict))
+            except ValueError as exc:
+                raise FlowConfigError(name, str(exc)) from None
+        if self.dt_init > self.dt_max:
+            raise FlowConfigError("dt_init", f"dt_init={self.dt_init} exceeds dt_max={self.dt_max}")
         if self.sample_every < 1:
             raise FlowConfigError(
                 "sample_every", f"sample_every must be >= 1, got {self.sample_every}"
-            )
-        if not self.tol_conserve >= 0.0:
-            raise FlowConfigError(
-                "tol_conserve", f"tol_conserve must be >= 0, got {self.tol_conserve}"
-            )
-        if not self.tol_round >= 0.0:
-            raise FlowConfigError("tol_round", f"tol_round must be >= 0, got {self.tol_round}")
-        if not self.cfl_coefficient > 0.0:
-            raise FlowConfigError(
-                "cfl_coefficient", f"cfl_coefficient must be positive, got {self.cfl_coefficient}"
             )
 
 
@@ -397,9 +384,8 @@ def stability_cap(geo: PointwiseGeometry, k: int, cfl: float) -> float:
     of the stage map's spectral radius from a cold start, restarted from
     its last vector until a restart moves it by at most RHO_RTOL (on a dim-2
     sphere at N=512 the cold start alone stops at 0.88 of the spectral
-    radius). cfl must be positive and finite, as FlowConfig's cfl_coefficient."""
-    if not (cfl > 0.0 and isfinite(cfl)):
-        raise ValueError(f"cfl must be positive and finite, got {cfl}")
+    radius). cfl passes the gate of FlowConfig's cfl_coefficient, `symfunc._real`."""
+    cfl = _real(cfl, "cfl", 0.0)
     k = _whole(k, "flow degree k", 1, geo.dim)
     rho, vec = _spectral_radius(geo, k)
     for _ in range(RHO_MAX_ITER):  # bounds the restarts; each stops on its own rule
@@ -492,10 +478,8 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
 
 def step(state: FlowState, dt: float, config: FlowConfig):
     """Single trial step: the new FlowState on acceptance, None on rejection.
-    Raises ValueError unless dt is positive and finite."""
-    if not (dt > 0.0 and isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    return _attempt(state, dt, config)[0]
+    Raises ValueError unless dt is a positive finite number and not a bool (`symfunc._real`)."""
+    return _attempt(state, _real(dt, "dt", 0.0), config)[0]
 
 
 def rescale_state(state: FlowState) -> RadialGraph:

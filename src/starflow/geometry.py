@@ -50,7 +50,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .symfunc import _cone_status, _whole, cnk
+from .symfunc import _BOOLS, _cone_status, _real, _whole, cnk
 
 __all__ = [
     "ShapeError",
@@ -109,6 +109,14 @@ def _check_seed(seed) -> None:
         raise ShapeError(f"shape seed must be an integer >= 0, got {seed!r}", "seed")
 
 
+def _param(value, name: str, lo: float | None = None, strict: bool = True) -> float:
+    """`symfunc._real` on a real shape parameter, its ValueError a ShapeError at params."""
+    try:
+        return _real(value, name, lo, strict)
+    except ValueError as exc:
+        raise ShapeError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class RadialGraph:
     """Radial function of a starshaped hypersurface on a uniform grid.
@@ -159,9 +167,7 @@ class RadialGraph:
         return _grid_kit(self.dim, self.num_intervals).param
 
     def scaled(self, s: float) -> "RadialGraph":
-        if s <= 0.0:
-            raise ShapeError("scale factor must be positive")
-        return RadialGraph(self.dim, s * self.r)
+        return RadialGraph(self.dim, _param(s, "scale factor s", 0.0) * self.r)
 
 
 @dataclass(frozen=True)
@@ -222,9 +228,7 @@ class ConvexityReport:
 
 def sphere(radius: float, dim: int = 1, num: int = 256) -> RadialGraph:
     size = _grid_kit(dim, num).size
-    if radius <= 0.0:
-        raise ShapeError("sphere radius must be positive")
-    return RadialGraph(dim, np.full(size, float(radius)))
+    return RadialGraph(dim, np.full(size, _param(radius, "sphere radius", 0.0)))
 
 
 def ellipse(a: float, b: float, num: int = 256, center=(0.0, 0.0)) -> RadialGraph:
@@ -235,9 +239,8 @@ def ellipse(a: float, b: float, num: int = 256, center=(0.0, 0.0)) -> RadialGrap
     r = a*b/sqrt(b^2 cos^2 + a^2 sin^2) for a centered ellipse.
     """
     th = _grid_kit(1, num).param
-    if a <= 0.0 or b <= 0.0:
-        raise ShapeError("ellipse semi-axes must be positive")
-    cx, cy = float(center[0]), float(center[1])
+    a, b = _param(a, "semi-axis a", 0.0), _param(b, "semi-axis b", 0.0)
+    cx, cy = _param(center[0], "star center cx"), _param(center[1], "star center cy")
     if cx * cx / (a * a) + cy * cy / (b * b) >= 1.0:
         raise ShapeError("star center lies outside the ellipse")
     ct, st = np.cos(th), np.sin(th)
@@ -251,8 +254,7 @@ def ellipse(a: float, b: float, num: int = 256, center=(0.0, 0.0)) -> RadialGrap
 def ellipsoid_of_revolution(a: float, c: float, num: int = 256) -> RadialGraph:
     """Spheroid with equatorial semi-axis a and polar semi-axis c."""
     phi = _grid_kit(2, num).param
-    if a <= 0.0 or c <= 0.0:
-        raise ShapeError("spheroid semi-axes must be positive")
+    a, c = _param(a, "semi-axis a", 0.0), _param(c, "semi-axis c", 0.0)
     r = a * c / np.sqrt(c * c * np.sin(phi) ** 2 + a * a * np.cos(phi) ** 2)
     return RadialGraph(2, r)
 
@@ -282,13 +284,11 @@ def perturbed_sphere(
     """
     x = _grid_kit(dim, num).param
     _check_seed(seed)
-    if radius <= 0.0:
-        raise ShapeError("sphere radius must be positive")
-    if eps < 0.0:
-        raise ShapeError("perturbation amplitude must be nonnegative")
+    radius = _param(radius, "sphere radius", 0.0)
+    eps = _param(eps, "perturbation amplitude eps", 0.0, strict=False)
     if mode is not None:
         # a fractional mode is not periodic on the grid: it leaves a kink
-        if not float(mode).is_integer():
+        if isinstance(mode, _BOOLS) or not float(mode).is_integer():
             raise ShapeError(f"perturbation mode must be a whole number, got {mode!r}")
         if mode < 1:
             raise ShapeError("perturbation mode must be >= 1")
@@ -433,10 +433,10 @@ _KIT_CACHE: dict = {}
 
 
 def _grid_kit(dim: int, num: int, copies: int = 1) -> _GridKit:
-    """The kit of `copies` stacked grids of `num` intervals in dimension `dim`.
-    dim and num are checked before the cache is read: no junk kit is cached, and
-    a whole float never finds the kit of its integer, whose key hashes alike."""
-    if dim not in DIMS:
+    """The kit of `copies` stacked grids of `num` intervals in dimension `dim`. dim and
+    num are checked before the cache is read: no junk kit is cached, and a whole float
+    or a bool (`True in DIMS`) never finds the kit of its integer, whose key hashes alike."""
+    if isinstance(dim, _BOOLS) or dim not in DIMS:
         raise ShapeError(f"dim must be one of {DIMS}, got {dim}")
     _check_intervals(num)
     key = (dim, num, copies)

@@ -18,13 +18,16 @@ leave-one-out pass, `_gradient_tables`: n recurrences of n - 1 entries serve
 every degree, where a pass per degree runs n^2 of them, and the n recurrences
 share their prefixes, so they make (n - 1)(n + 2)/2 row updates where
 independent ones make n(n - 1). `_whole` is the one gate of every integer argument of the package (a
-degree, level or index): a whole number, not a bool, inside its range.
+degree, level or index): a whole number, not a bool, inside its range; `_real` is that of every real
+argument with a rule (a flow time, step or tolerance, a radius, semi-axis or amplitude): a finite
+number, not a bool, above its bound.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, frexp, isfinite
+from math import comb, frexp, isfinite, nan
+from numbers import Real
 
 import numpy as np
 
@@ -43,6 +46,8 @@ __all__ = [
     "maclaurin_power_bound",
     "maclaurin_power_gap_table",
 ]
+
+_BOOLS = (bool, np.bool_)  # an int (or equal to one), but never a number argument
 
 
 def _vector(lam) -> np.ndarray:
@@ -65,7 +70,7 @@ def _whole(value, name: str, lo: int | None = None, hi: int | None = None) -> in
     """int(value) of a whole number, not a bool, inside lo..hi (a None bound is open);
     else a ValueError naming `name` (int() fails on inf, NaN and None)."""
     try:
-        whole = not isinstance(value, (bool, np.bool_)) and value == int(value)
+        whole = not isinstance(value, _BOOLS) and value == int(value)
     except (OverflowError, TypeError, ValueError):
         whole = False
     if not whole:
@@ -75,6 +80,20 @@ def _whole(value, name: str, lo: int | None = None, hi: int | None = None) -> in
         span = "..".join("" if b is None else str(b) for b in (lo, hi))
         raise ValueError(f"{name}={value} out of range {span}")
     return value
+
+
+def _real(value, name: str, lo: float | None = None, strict: bool = True) -> float:
+    """float(value) of a finite real number, not a bool, above lo (at least lo
+    when not strict; a None lo is open); else a ValueError naming `name`. Every
+    bound of the package is 0, which the message calls positive or >= 0."""
+    try:
+        x = float(value) if isinstance(value, Real) and not isinstance(value, _BOOLS) else nan
+    except OverflowError:  # an int too large for a float
+        x = nan
+    if isfinite(x) and (lo is None or (x > lo if strict else x >= lo)):
+        return x
+    rule = "a finite number" if lo is None else ("positive" if strict else ">= 0") + " and finite"
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def _sym_rows(rows: np.ndarray, top: int) -> np.ndarray:

@@ -20,7 +20,7 @@ trajectory monotonicity are checked on the radial pipeline directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import ceil, isfinite, pi
+from math import ceil, pi
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .geometry import (
     sphere_area,
     unit_ball_quermass,
 )
-from .symfunc import _gradient_tables, _whole, elem_sym_table, polarized_sigma_square_table
+from .symfunc import _gradient_tables, _real, _whole, elem_sym_table, polarized_sigma_square_table
 
 __all__ = [
     "IdentityReport",
@@ -335,13 +335,11 @@ def _evolve(pts: np.ndarray, t_total: float, k: int, dim: int) -> np.ndarray:
 
 
 def _window(p0: np.ndarray, k, dt, dim: int):
-    """(k, [p0, p1, p2]): the material points at t = 0, dt, 2*dt under the
-    degree-k motion, once k has passed the gate and dt is positive and finite."""
-    k = _whole(k, "flow degree k", 1, dim)
-    if not (dt > 0.0 and isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    """(k, dt, [p0, p1, p2]): k and dt through their gates, and the material
+    points at t = 0, dt, 2*dt under the degree-k motion."""
+    k, dt = _whole(k, "flow degree k", 1, dim), _real(dt, "dt", 0.0)
     p1 = _evolve(p0, dt, k, dim)
-    return k, [p0, p1, _evolve(p1, dt, k, dim)]
+    return k, dt, [p0, p1, _evolve(p1, dt, k, dim)]
 
 
 def _identity_reports(prefix, pairs, dt, grid, tol, sl=slice(None)) -> list:
@@ -371,7 +369,7 @@ def check_prop1_pointwise(curve: LagrangianCurve, k: int, dt: float, tol: float 
     to rounding on circles up to the time truncation. Returns one report
     per identity.
     """
-    k, pts = _window(curve.points, k, dt, 1)
+    k, dt, pts = _window(curve.points, k, dt, 1)
     geos = [_curve_geometry(p) for p in pts]
     mid = geos[1]
     f, _ = _material_speed(mid, k)
@@ -400,7 +398,7 @@ def check_prop1_axisym(g: RadialGraph, k: int, dt: float, tol: float = 1e-3):
     """
     if g.dim != 2:
         raise ValueError("check_prop1_axisym needs a dim-2 radial graph")
-    k, pts = _window(embed(g), k, dt, 2)
+    k, dt, pts = _window(embed(g), k, dt, 2)
     geos = [_meridian_geometry(p) for p in pts]
     mid = geos[1]
     delta = mid.delta
@@ -512,8 +510,7 @@ def check_first_variation(target, rho, l: int, s: float | None = None, tol: floa
     is a centered difference at +-s, s defaulting to 1e-4 of the mean
     radius.
     """
-    if s is not None and not (s > 0.0 and isfinite(s)):
-        raise ValueError(f"probe size s must be positive and finite, got {s}")
+    s = None if s is None else _real(s, "probe size s", 0.0)
     if isinstance(target, LagrangianCurve):
         pts, dim, param = target.points, 1, None
     elif isinstance(target, RadialGraph):

@@ -66,6 +66,11 @@ class TestConfigValidation:
         ({"tol_conserve": float("inf")}, "tol_conserve"),
         ({"tol_round": float("inf")}, "tol_round"),
         ({"cfl_coefficient": float("inf")}, "cfl_coefficient"),
+        ({"dt_max": -1.0}, "dt_max"),
+    ] + [  # a bool, None or a string is no number: True used to act as 1
+        ({name: bad}, name)
+        for name in ("t_max", "dt_init", "dt_max", "tol_conserve", "tol_round", "cfl_coefficient")
+        for bad in (True, None, "1")
     ])
     def test_rejects_values_that_disable_a_stop(self, kwargs, field):
         with pytest.raises(fl.FlowConfigError) as info:
@@ -219,7 +224,7 @@ class TestStep:
         assert record.final_state.rejections > 0
         assert record.final_state.t == pytest.approx(0.05, abs=1e-12)
 
-    @pytest.mark.parametrize("dt", [0.0, -1e-4, float("nan"), float("inf")])
+    @pytest.mark.parametrize("dt", [0.0, -1e-4, float("nan"), float("inf"), True, None, "x"])
     def test_rejects_a_dt_that_is_not_positive_and_finite(self, dt):
         # 0 used to return an accepted state at the same t, -1e-4 a backward
         # step, and NaN and inf a rejection after numpy's invalid-value warnings
@@ -336,7 +341,7 @@ class TestStabilityCap:
         assert estimate >= 0.97 * dense, estimate / dense
         assert cap * dense <= fl.MONOTONE_LIMIT
 
-    @pytest.mark.parametrize("cfl", [-1.0, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("cfl", [-1.0, 0.0, float("nan"), float("inf"), True, None])
     def test_rejects_a_cfl_that_flow_config_rejects(self, cfl):
         # these used to return a negative, zero or NaN step
         geo = compute_geometry(ellipsoid_of_revolution(1.5, 1.0, 64))

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import pickle
 import re
+import warnings
 from math import pi, sqrt
 
 import numpy as np
@@ -89,12 +90,35 @@ class TestShapes:
         with pytest.raises(ShapeError):
             RadialGraph(3, np.ones(32))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True, None])
+    @pytest.mark.parametrize("name, build", [
+        ("sphere radius", lambda v: sphere(v)),
+        ("semi-axis a", lambda v: ellipse(v, 1.0)),
+        ("semi-axis b", lambda v: ellipse(2.0, v)),
+        ("star center cx", lambda v: ellipse(2.0, 1.0, center=(v, 0.0))),
+        ("star center cy", lambda v: ellipse(2.0, 1.0, center=(0.0, v))),
+        ("semi-axis a", lambda v: ellipsoid_of_revolution(v, 1.0)),
+        ("semi-axis c", lambda v: ellipsoid_of_revolution(1.5, v)),
+        ("sphere radius", lambda v: perturbed_sphere(v, 0.1, mode=2)),
+        ("perturbation amplitude eps", lambda v: perturbed_sphere(1.0, v, mode=2)),
+        ("scale factor s", lambda v: sphere(1.0).scaled(v)),
+    ], ids=["sphere", "ellipse_a", "ellipse_b", "ellipse_cx", "ellipse_cy", "spheroid_a",
+            "spheroid_c", "perturbed_radius", "perturbed_eps", "scaled"])
+    def test_real_parameter_errors_name_the_parameter(self, name, build, bad):
+        # a non-finite value used to read "radial samples contain non-finite
+        # values", and ellipse(inf, 1.0) warned of an invalid divide first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match=f"^{name} must be") as err:
+                build(bad)
+        assert err.value.field == "params"
+
     def test_perturbed_mode_must_be_whole(self):
         # a fractional mode leaves a kink where the angle wraps (dim 1) or at phi = pi
         for dim in (1, 2):
             with pytest.raises(ShapeError, match="whole number"):
                 perturbed_sphere(1.0, 0.1, mode=2.5, dim=dim, num=64)
-        for bad in (float("inf"), float("nan")):
+        for bad in (float("inf"), float("nan"), True):  # True used to build mode 1
             with pytest.raises(ShapeError, match="whole number"):
                 perturbed_sphere(1.0, 0.1, mode=bad, num=64)
         assert np.array_equal(perturbed_sphere(1.0, 0.1, mode=2.0, num=64).r,
@@ -634,7 +658,11 @@ class TestGridGate:
         lambda: perturbed_sphere(1.0, 0.1, None, 0, 64, seed=1),
         lambda: RadialGraph(3, np.ones(65)),
         lambda: geom._grid_kit(3, 64),
-    ], ids=["sphere", "perturbed_sphere", "perturbed_sphere_dim0", "graph", "kit"])
+        # True in DIMS holds, and (True, 64, 1) is the key of the dim-1 kit
+        lambda: sphere(1.0, True, 64),
+        lambda: geom._grid_kit(True, 64),
+    ], ids=["sphere", "perturbed_sphere", "perturbed_sphere_dim0", "graph", "kit",
+            "sphere_bool_dim", "kit_bool_dim"])
     def test_bad_dim_caches_no_kit(self, build):
         before = dict(geom._KIT_CACHE)
         with pytest.raises(ShapeError, match="dim"):

@@ -140,7 +140,7 @@ class TestProp1Axisym:
     (lambda g, dt: check_prop1_pointwise(curve_from_radial(g), 1, dt), sphere(1.0, 1, 64)),
     (lambda g, dt: check_prop1_axisym(g, 1, dt), sphere(1.0, 2, 64)),
 ], ids=["pointwise", "axisym"])
-@pytest.mark.parametrize("dt", [-1e-4, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("dt", [-1e-4, 0.0, float("nan"), float("inf"), True])
 def test_prop1_rejects_window_that_is_not_positive_and_finite(check, graph, dt):
     # dt < 0 ran the window backwards and passed, dt = 0 gave NaN residuals,
     # and NaN failed converting the substep count, naming no argument
@@ -239,7 +239,7 @@ class TestFirstVariation:
                 sphere(1.0, 1, 64), lambda t: np.cos(t), 0, s=1.2
             )
 
-    @pytest.mark.parametrize("s", [0.0, -1e-4, float("nan"), float("inf")])
+    @pytest.mark.parametrize("s", [0.0, -1e-4, float("nan"), float("inf"), True, "x"])
     def test_rejects_probe_size_that_is_not_positive_and_finite(self, s):
         # s = 0 divided by zero and s = NaN returned a NaN report
         with pytest.raises(ValueError, match=r"probe size s"):
