@@ -464,12 +464,10 @@ def suite_prop1(cfg: dict) -> list:
 
 
 def suite_lemma(cfg: dict) -> list:
-    stepping = {"t_max": 0.1}
-    stepping.update((key, value) for key, value in cfg.get("stepping", {}).items()
-                    if key in ("t_max", "dt_init"))
+    stepping = {"t_max": 0.1, **cfg.get("stepping", {})}
     shapes = (geom.ellipse(2.0, 1.0, 256), geom.ellipsoid_of_revolution(1.5, 1.0, 256))
     return [rep for g in shapes for rep in vfy.check_lemma_integral(flow_config_from(
-        {"problem": {"n": g.dim, "k": 1, "mode": "raw"}, "stepping": stepping}), g)]
+        {**cfg, "problem": {"n": g.dim, "k": 1, "mode": "raw"}, "stepping": stepping}), g)]
 
 
 def suite_variation(cfg: dict) -> list:

@@ -19,7 +19,7 @@ same as last (Dormand & Prince, J. Comput. Appl. Math. 6, 1980): stage 1
 of the next attempt and of its retries, the conservation guard (V_held
 before and after the step), the record's r_t and, outside mode normalized,
 the stiffness probes' base point read it; a state stepped under another
-mode or k gets a fresh one. `FlowState.conserved` is the carried V_held in the rescaled gauge.
+mode or k gets a fresh one.
 The accumulated log-scale integral of r(t) is advanced with the same stage
 weights so that e^{-log_scale} times the raw trajectory reproduces the
 normalized one to integration order.
@@ -200,22 +200,18 @@ class FlowState:
     last_dt: float = 0.0
     accepted: int = 0
     rejections: int = 0
-    # held quantity of this state under the config that stepped it, in the
-    # rescaled gauge (None: not stepped yet, or raw mode); the stepper does not read it
-    conserved: float | None = field(default=None, compare=False, repr=False)
     # the stage map at geo, (mode, k, geo, drdt, rate, v_held), from the attempt
     # that accepted this state; `_first_stage` reads it only under its own mode, k and geo
     _carried: tuple | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def _of_accepted(cls, t, graph, log_scale, geo, last_dt, accepted, rejections,
-                     conserved, carried) -> "FlowState":
+                     carried) -> "FlowState":
         """The state an attempt accepts: its fields are set directly, not
         through the frozen __init__."""
         state = object.__new__(cls)
         state.__dict__.update(t=t, graph=graph, log_scale=log_scale, geo=geo, last_dt=last_dt,
-                              accepted=accepted, rejections=rejections,
-                              conserved=conserved, _carried=carried)
+                              accepted=accepted, rejections=rejections, _carried=carried)
         return state
 
 
@@ -455,7 +451,6 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
         return None, _Rejection(f"k-convexity lost: {why}")
     drdt, rate, v_new = _geo_stage(geo_new, mode, k)  # sigma_k > 0: it does not raise
     log_new = state.log_scale + (dt / 6.0) * (q1 + q2 + 4.0 * q3)
-    conserved = None
     if mode in CONSERVING_MODES:
         # the held V_j in the rescaled gauge: times e^{-j log_scale} in rescaled_raw
         conserved = v_new
@@ -471,7 +466,7 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
             )
     new_state = FlowState._of_accepted(
         state.t + dt, graph_new, log_new, geo_new, dt, state.accepted + 1, state.rejections,
-        conserved, (mode, k, geo_new, drdt, rate, v_new),
+        (mode, k, geo_new, drdt, rate, v_new),
     )
     return new_state, None
 
@@ -584,7 +579,6 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
     dt_work = config.dt_init
     dt_floor = DT_UNDERFLOW_FRACTION * config.dt_init
     streak = 0
-    since_sample = 0
     t_end = config.t_max
     eps_t = 1e-14 * max(1.0, t_end)
     since_estimate = RHO_EVERY
@@ -638,12 +632,10 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
         drifts = []
         since_estimate += 1
         streak += 1
-        since_sample += 1
         if streak >= DOUBLE_AFTER:
             dt_work = 2.0 * dt_eff
             streak = 0
-        if since_sample >= config.sample_every:
-            since_sample = 0
+        if state.accepted % config.sample_every == 0:
             if record_samples:
                 record.rows.append(_record_row(state, config))
             if observer is not None:

@@ -45,8 +45,8 @@ from __future__ import annotations
 import csv
 from collections.abc import Mapping
 from dataclasses import dataclass
-from math import comb, gamma, pi
-from numbers import Integral, Real
+from math import comb, gamma, inf, pi
+from numbers import Integral
 
 import numpy as np
 
@@ -115,6 +115,15 @@ def _param(value, name: str, lo: float | None = None, strict: bool = True) -> fl
         return _real(value, name, lo, strict)
     except ValueError as exc:
         raise ShapeError(str(exc)) from None
+
+
+def _semi_axis(value, name: str) -> float:
+    """`_param`'s positive float of a semi-axis whose square is also a positive
+    finite float, as the builders' quadratic forms divide by it."""
+    s = _param(value, name, 0.0)
+    if not 0.0 < s * s < inf:
+        raise ShapeError(f"{name} must have a positive finite square, got {value!r}")
+    return s
 
 
 @dataclass(frozen=True)
@@ -239,7 +248,7 @@ def ellipse(a: float, b: float, num: int = 256, center=(0.0, 0.0)) -> RadialGrap
     r = a*b/sqrt(b^2 cos^2 + a^2 sin^2) for a centered ellipse.
     """
     th = _grid_kit(1, num).param
-    a, b = _param(a, "semi-axis a", 0.0), _param(b, "semi-axis b", 0.0)
+    a, b = _semi_axis(a, "semi-axis a"), _semi_axis(b, "semi-axis b")
     cx, cy = _param(center[0], "star center cx"), _param(center[1], "star center cy")
     if cx * cx / (a * a) + cy * cy / (b * b) >= 1.0:
         raise ShapeError("star center lies outside the ellipse")
@@ -254,7 +263,7 @@ def ellipse(a: float, b: float, num: int = 256, center=(0.0, 0.0)) -> RadialGrap
 def ellipsoid_of_revolution(a: float, c: float, num: int = 256) -> RadialGraph:
     """Spheroid with equatorial semi-axis a and polar semi-axis c."""
     phi = _grid_kit(2, num).param
-    a, c = _param(a, "semi-axis a", 0.0), _param(c, "semi-axis c", 0.0)
+    a, c = _semi_axis(a, "semi-axis a"), _semi_axis(c, "semi-axis c")
     r = a * c / np.sqrt(c * c * np.sin(phi) ** 2 + a * a * np.cos(phi) ** 2)
     return RadialGraph(2, r)
 
@@ -288,10 +297,10 @@ def perturbed_sphere(
     eps = _param(eps, "perturbation amplitude eps", 0.0, strict=False)
     if mode is not None:
         # a fractional mode is not periodic on the grid: it leaves a kink
-        if isinstance(mode, _BOOLS) or not float(mode).is_integer():
-            raise ShapeError(f"perturbation mode must be a whole number, got {mode!r}")
-        if mode < 1:
-            raise ShapeError("perturbation mode must be >= 1")
+        try:
+            mode = _whole(mode, "perturbation mode", 1)
+        except ValueError:
+            raise ShapeError(f"perturbation mode must be a whole number >= 1, got {mode!r}") from None
         r = _single_mode_radius(radius, eps, np.cos(mode * x))
     else:
         rng = np.random.default_rng(0 if seed is None else seed)
@@ -330,8 +339,9 @@ def make_shape(spec, dim: int, num: int) -> RadialGraph:
     `spec` is a mapping with keys `type`, `params` and optionally `seed`
     (an integer >= 0; missing or null is the builder's default, seed 0, so
     a config always names one shape); `params` maps the parameter names
-    the type reads to numbers, and a null value counts as left out. Any
-    other name is a ShapeError. The error's `field` is `type` for an
+    the type reads to values, and a null value counts as left out. Any
+    other name is a ShapeError; each builder checks its own parameters'
+    values. The error's `field` is `type` for an
     unknown type or one of another dim, `seed`, `num` for a grid that
     breaks the interval rule, and `params` for anything else.
     """
@@ -345,12 +355,10 @@ def make_shape(spec, dim: int, num: int) -> RadialGraph:
     if not isinstance(params, Mapping):
         raise ShapeError(f"shape params must be a mapping, got {params!r}")
     params = {key: value for key, value in params.items() if value is not None}
-    for key, value in params.items():
+    for key in params:
         if key not in names:
             raise ShapeError(f"shape {kind!r} has no parameter {key!r}; "
                              f"it reads {', '.join(names)}")
-        if isinstance(value, bool) or not isinstance(value, Real):
-            raise ShapeError(f"shape parameter {key!r} must be a number, got {value!r}")
     seed = spec.get("seed")
     _check_seed(seed)
     try:
@@ -649,12 +657,11 @@ def roundness(g: RadialGraph) -> float:
 
 
 def _fft_resample_periodic(f: np.ndarray, out_size: int) -> np.ndarray:
-    size = f.size
-    spec = np.fft.rfft(f)
-    out = np.zeros(out_size // 2 + 1, dtype=complex)
-    out[: size // 2 + 1] = spec * (out_size / size)
-    out[size // 2] *= 0.5  # old Nyquist bin becomes an ordinary pair
-    return np.fft.irfft(out, out_size)
+    """Trigonometric interpolation of periodic samples f onto out_size > f.size
+    nodes; irfft pads the spectrum with zeros up to its length."""
+    spec = np.fft.rfft(f) * (out_size / f.size)
+    spec[f.size // 2] *= 0.5  # old Nyquist bin becomes an ordinary pair
+    return np.fft.irfft(spec, out_size)
 
 
 def refine(g: RadialGraph, factor: int) -> RadialGraph:

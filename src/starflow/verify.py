@@ -227,14 +227,6 @@ class _MeridianGeo:
     dmu: np.ndarray  # Simpson-weighted measure
 
 
-def _pad_pole(f: np.ndarray, odd: bool) -> np.ndarray:
-    if odd:
-        lo, hi = 2.0 * f[0] - f[1], 2.0 * f[-1] - f[-2]
-    else:
-        lo, hi = f[1], f[-2]
-    return np.concatenate([[lo], f, [hi]])
-
-
 def _meridian_geometry(pts: np.ndarray) -> _MeridianGeo:
     """Geometry of an axisymmetric surface from its material meridian.
 
@@ -244,8 +236,8 @@ def _meridian_geometry(pts: np.ndarray) -> _MeridianGeo:
     """
     m = pts.shape[0]
     delta = pi / (m - 1)
-    rho = _pad_pole(pts[:, 0], odd=True)
-    zz = _pad_pole(pts[:, 1], odd=False)
+    rho = np.pad(pts[:, 0], 1, mode="reflect", reflect_type="odd")
+    zz = np.pad(pts[:, 1], 1, mode="reflect")
     r1 = (rho[2:] - rho[:-2]) / (2.0 * delta)
     z1 = (zz[2:] - zz[:-2]) / (2.0 * delta)
     r2 = (rho[2:] - 2.0 * rho[1:-1] + rho[:-2]) / delta**2
@@ -269,14 +261,6 @@ def _meridian_geometry(pts: np.ndarray) -> _MeridianGeo:
         h_mer=h_mer, h_par=h_par,
         kappa=np.stack([k_mer, k_par], axis=1), dmu=dmu,
     )
-
-
-def _dmid(f: np.ndarray, delta: float) -> np.ndarray:
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * delta)
-    out[0] = out[1]
-    out[-1] = out[-2]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +387,13 @@ def check_prop1_axisym(g: RadialGraph, k: int, dt: float, tol: float = 1e-3):
     mid = geos[1]
     delta = mid.delta
     f, sig = _material_speed(mid, k)
-    f1 = _dmid(f, delta)
-    gamma = _dmid(mid.ga, delta) / (2.0 * mid.ga)
-    hess_mer = _dmid(f1, delta) - gamma * f1
+    # np.gradient's one-sided end values reach only nodes 0, 1, M-2 and M-1,
+    # which the reports leave out
+    f1 = np.gradient(f, delta)
+    gamma = np.gradient(mid.ga, delta) / (2.0 * mid.ga)
+    hess_mer = np.gradient(f1, delta) - gamma * f1
     # Gamma^phi_thth = -gth'/(2 ga), so nabla_th nabla_th F = +gth' F'/(2 ga)
-    hess_par = (_dmid(mid.gth, delta) / (2.0 * mid.ga)) * f1
+    hess_par = (np.gradient(mid.gth, delta) / (2.0 * mid.ga)) * f1
     rho = np.sqrt(mid.gth)
     sqrt_det = mid.wa * rho
     k_par = mid.kappa[:, 1]
@@ -416,8 +402,8 @@ def check_prop1_axisym(g: RadialGraph, k: int, dt: float, tol: float = 1e-3):
     pol1, pol2 = (polarized_sigma_square_table(mid.kappa, mid.kappa * grad.T)
                   for grad in _gradient_tables(mid.kappa))
     with np.errstate(divide="ignore", invalid="ignore"):
-        div_t0 = _dmid(rho * f1 / mid.wa, delta) / sqrt_det
-        div_t1 = _dmid(rho * k_par * f1 / mid.wa, delta) / sqrt_det
+        div_t0 = np.gradient(rho * f1 / mid.wa, delta) / sqrt_det
+        div_t1 = np.gradient(rho * k_par * f1 / mid.wa, delta) / sqrt_det
         h_par_sq = mid.h_par**2 / mid.gth
     pairs = {
         "g_meridian": ([g_.ga for g_ in geos], 2.0 * f * mid.h_mer),
@@ -568,8 +554,8 @@ def check_af_chain(geo: PointwiseGeometry, k: int, slack: float = 1e-6):
     the range. Raises ValueError when the surface fails k-convexity:
     that is a precondition, not a counterexample.
     """
-    n, k = geo.dim, _whole(k, "convexity level k")
     conv = kconvex_report(geo, k)
+    n, k = geo.dim, conv.k
     if conv.status == "violated":
         raise ValueError(
             f"surface is not {k}-convex (min sigma = {conv.min_sigma.min():.3e}); "

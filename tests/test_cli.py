@@ -114,8 +114,6 @@ class TestConfigHandling:
     # keys read by something other than flow_config_from, and the reader
     _OTHER_READERS = {
         "grid.N": "_flow_and_shape",
-        "stepping.t_max": "suite_lemma",
-        "stepping.dt_init": "suite_lemma",
     }
 
     def test_no_dead_flow_keys(self):
@@ -563,6 +561,19 @@ class TestVerify:
                          "--set", 'verify.tolerance_overrides={"geometry": 0.25}'])
         assert code == cli.EXIT_OK
         assert [row[5] for row in read_csv(report)[1:]] == ["0.25"] * 12
+
+    def test_lemma_reads_stepping_like_run(self, tmp_path):
+        # the lemma kept only t_max and dt_init of stepping, so this config, which
+        # run accepts, exited 2 with "dt_init=5.0 exceeds dt_max=1.0"
+        stepping = {"t_max": 0.002, "dt_init": 5.0, "dt_max": 10.0}
+        config = tmp_path / "lemma.json"
+        config.write_text(json.dumps({"stepping": stepping}))
+        report = tmp_path / "report.csv"
+        code = cli.main(["verify", "lemma", str(config), "--quiet",
+                         "--set", f"verify.report_path={report}"])
+        assert code == cli.EXIT_OK
+        rows = read_csv(report)[1:]
+        assert len(rows) == 7 and all(row[6] == "True" for row in rows)
 
     def test_non_numeric_override_is_config_error(self, capsys):
         code = cli.main(["verify", "variation", "--quiet",

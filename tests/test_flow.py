@@ -365,6 +365,21 @@ class TestStabilityCap:
 
 
 class TestRun:
+    def test_samples_every_multiple_of_sample_every_across_rejections(self):
+        # test_gross_dt_rejected_then_recovers's flow, sampled often enough to see
+        # rejections between samples: a rejection leaves the accepted count as it is
+        config = FlowConfig(n=1, k=1, mode="rescaled_raw", t_max=0.05, dt_init=0.02,
+                            dt_max=2.0, cfl_coefficient=1e9, sample_every=7,
+                            tol_conserve=1e-6)
+        seen = []
+        record = run(config, ellipse(2.0, 1.0, 64), observer=seen.append)
+        final = record.final_state
+        assert final.rejections > seen[1].rejections > 0
+        assert seen[0].accepted == 0 and seen[-1] is final
+        assert all(s.accepted % config.sample_every == 0 for s in seen[1:-1])
+        assert [s.accepted for s in seen[1:-1]] == list(range(7, final.accepted, 7))
+        assert [row[0] for row in record.rows] == [s.t for s in seen]
+
     def test_drift_that_dt_cannot_fix_fails_fast(self):
         # a spatial-discretization drift rate of about 5e-6 per unit time
         # against a budget of 1e-9: halving dt leaves the rate where it is
@@ -706,13 +721,24 @@ class TestLeanStage:
         assert (tmp_path / "lean.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
 
+def _carried_conserved(state, config):
+    """The V_held that state carries under config, in the rescaled gauge: the
+    value the next step's conservation guard compares against; None in mode raw."""
+    if config.mode == "raw":
+        return None
+    v_held = state._carried[5]
+    if config.mode == "normalized":
+        return v_held
+    return exp(-held_index(config.n, config.k) * state.log_scale) * v_held
+
+
 class TestConservedCache:
     @staticmethod
-    def _outcome(result):
+    def _outcome(result, config):
         new, reason = result
         if new is None:
             return reason
-        return (new.t, new.log_scale, new.graph.r.tobytes(), new.conserved,
+        return (new.t, new.log_scale, new.graph.r.tobytes(), _carried_conserved(new, config),
                 new.accepted, new.rejections)
 
     @pytest.mark.parametrize("mode", ["normalized", "rescaled_raw", "raw"])
@@ -721,23 +747,24 @@ class TestConservedCache:
         state = run(config, ellipsoid_of_revolution(1.2, 1.0, 64)).final_state
         assert state.accepted > 0
         expected = conserved_value(state.geo, state.log_scale, config)
-        assert state.conserved == expected
+        assert _carried_conserved(state, config) == expected
         if mode != "raw":
-            assert state.conserved is not None
+            assert expected is not None
         # a state that carries nothing: every stage of its attempts is evaluated afresh
-        cold = replace(state, conserved=None, _carried=None)
+        cold = replace(state, _carried=None)
         dt = state.last_dt
-        assert self._outcome(fl._attempt(state, dt, config)) == \
-            self._outcome(fl._attempt(cold, dt, config))
+        assert self._outcome(fl._attempt(state, dt, config), config) == \
+            self._outcome(fl._attempt(cold, dt, config), config)
         # a rejection (no drift allowed), then the retry at half the step
         strict = replace(config, tol_conserve=0.0)
         rejected = fl._attempt(state, dt, strict)
         assert rejected[0] is None or mode == "raw"
-        assert self._outcome(rejected) == self._outcome(fl._attempt(cold, dt, strict))
+        assert self._outcome(rejected, strict) == \
+            self._outcome(fl._attempt(cold, dt, strict), strict)
         state = replace(state, rejections=state.rejections + 1)
         cold = replace(cold, rejections=cold.rejections + 1)
-        assert self._outcome(fl._attempt(state, 0.5 * dt, config)) == \
-            self._outcome(fl._attempt(cold, 0.5 * dt, config))
+        assert self._outcome(fl._attempt(state, 0.5 * dt, config), config) == \
+            self._outcome(fl._attempt(cold, 0.5 * dt, config), config)
 
     @pytest.mark.parametrize("other", [FlowConfig(n=2, k=2, mode="rescaled_raw", t_max=0.01),
                                        FlowConfig(n=2, k=1, mode="normalized", t_max=0.01)],
@@ -745,14 +772,14 @@ class TestConservedCache:
     def test_state_stepped_under_another_config(self, other):
         config = FlowConfig(n=2, k=1, mode="rescaled_raw", t_max=0.01)
         state = run(config, ellipsoid_of_revolution(1.2, 1.0, 64)).final_state
-        assert state.conserved is not None
+        assert _carried_conserved(state, config) is not None
         # the carried stage and conserved value are config's, not other's: the
         # drift is measured against other's held quantity at the state
         new = step(state, 1e-6, other)
         assert new is not None
-        cold = step(replace(state, conserved=None, _carried=None), 1e-6, other)
-        assert self._outcome((new, None)) == self._outcome((cold, None))
-        assert new.conserved == conserved_value(new.geo, new.log_scale, other)
+        cold = step(replace(state, _carried=None), 1e-6, other)
+        assert self._outcome((new, None), other) == self._outcome((cold, None), other)
+        assert _carried_conserved(new, other) == conserved_value(new.geo, new.log_scale, other)
 
 
 class TestCarriedStage:
@@ -770,11 +797,9 @@ class TestCarriedStage:
             assert drdt.tobytes() == fresh_drdt.tobytes()
             assert rate == fresh_rate
             assert v_held == fresh_held == held_quermass(state.geo, n, k)
-            if state.accepted and mode != "raw":
-                # conserved is the carried V_held, in the rescaled gauge
-                assert state.conserved == conserved_value(state.geo, state.log_scale, config)
-                scale = exp(-held_index(n, k) * state.log_scale) if mode == "rescaled_raw" else 1.0
-                assert state.conserved == v_held * scale
+            # the carried V_held in the rescaled gauge is the conserved value
+            assert _carried_conserved(state, config) == \
+                conserved_value(state.geo, state.log_scale, config)
 
     @pytest.mark.parametrize("config, shape", _CSV_RUNS, ids=_CSV_RUN_IDS)
     def test_run_csv_identical_without_the_carried_stage(self, monkeypatch, tmp_path, config, shape):

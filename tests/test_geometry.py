@@ -113,14 +113,33 @@ class TestShapes:
                 build(bad)
         assert err.value.field == "params"
 
+    @pytest.mark.parametrize("bad", [1e200, 1e-200])
+    @pytest.mark.parametrize("name, build", [
+        ("semi-axis a", lambda v: ellipse(v, 1.0, 64)),
+        ("semi-axis b", lambda v: ellipse(2.0, v, 64)),
+        ("semi-axis a", lambda v: ellipsoid_of_revolution(v, 1.0, 64)),
+        ("semi-axis c", lambda v: ellipsoid_of_revolution(1.5, v, 64)),
+    ], ids=["ellipse_a", "ellipse_b", "spheroid_a", "spheroid_c"])
+    def test_semi_axis_square_must_stay_in_float_range(self, name, build, bad):
+        # finite, so the real gate passes it, but its square overflows or underflows:
+        # ellipse(1e200, 1) warned of an invalid divide, ellipse(1e-200, 1) raised a
+        # bare ZeroDivisionError and the spheroid said "radial function not positive"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match=f"^{name} must") as err:
+                build(bad)
+        assert err.value.field == "params"
+
     def test_perturbed_mode_must_be_whole(self):
         # a fractional mode leaves a kink where the angle wraps (dim 1) or at phi = pi
         for dim in (1, 2):
             with pytest.raises(ShapeError, match="whole number"):
                 perturbed_sphere(1.0, 0.1, mode=2.5, dim=dim, num=64)
-        for bad in (float("inf"), float("nan"), True):  # True used to build mode 1
-            with pytest.raises(ShapeError, match="whole number"):
+        # True used to build mode 1; "3" and [2] raised a bare TypeError
+        for bad in (float("inf"), float("nan"), True, "3", [2], 0, -1):
+            with pytest.raises(ShapeError, match="whole number") as err:
                 perturbed_sphere(1.0, 0.1, mode=bad, num=64)
+            assert err.value.field == "params"
         assert np.array_equal(perturbed_sphere(1.0, 0.1, mode=2.0, num=64).r,
                               perturbed_sphere(1.0, 0.1, mode=2, num=64).r)
 
