@@ -42,8 +42,6 @@ from .flow import (
     FlowError,
     FlowState,
     TrajectoryRecord,
-    normalization_rt,
-    radial_rhs,
     rescale_state,
     run,
     speed_raw,

@@ -181,13 +181,12 @@ def _require(cfg: dict, spec) -> None:
 
 def flow_config_from(cfg: dict) -> flowmod.FlowConfig:
     """The FlowConfig a config describes; a value FlowConfig rejects is a
-    ConfigError at its key. JSON integers in number keys become floats."""
+    ConfigError at its key. FlowConfig keeps the float of every number key."""
     kwargs = {}
     for field, key in _FLOW_KEYS.items():
         section, leaf = key.split(".")
         if leaf in cfg.get(section, {}):
-            value = cfg[section][leaf]
-            kwargs[field] = float(value) if _SCHEMA[section][leaf] == _NUM else value
+            kwargs[field] = cfg[section][leaf]
     try:
         return flowmod.FlowConfig(**kwargs)
     except flowmod.FlowConfigError as exc:
@@ -296,8 +295,10 @@ def _check_values(cfg: dict) -> None:
         if bad:
             raise ConfigError(f"verify.{key}", f"must be {need}, got {vcfg[key]!r}")
     for name, tol in vcfg.get("tolerance_overrides", {}).items():
-        if not _type_ok(_NUM, tol):
-            raise ConfigError(f"verify.tolerance_overrides.{name}", f"expected num, got {tol!r}")
+        try:
+            sfc._real(tol, "tolerance", 0.0, strict=False)
+        except ValueError as exc:
+            raise ConfigError(f"verify.tolerance_overrides.{name}", str(exc)) from None
     snap_every = cfg.get("output", {}).get("snapshot_every", 0)
     if snap_every < 0:
         raise ConfigError("output.snapshot_every", f"must be >= 0, got {snap_every!r}")

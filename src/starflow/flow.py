@@ -44,7 +44,7 @@ the first drift rate and its dt: no step size can fix it.
 The conventions are read, not restated: `monotone_pair` decides which
 V_j a flow holds, and so its scale rate, `CONSERVING_MODES` which modes
 hold it, `_stage_map` is the one place that assembles that held rate and
-the guard's V_held (the record's r_t and `normalization_rt` read it),
+the guard's V_held (the record's r_t reads it),
 `geometry.quermass` computes every V_j of the record, `geometry._iso` is
 the I_m formula of the record, and strict k-convexity in step acceptance
 is `symfunc._cone_status`'s strict case, every sigma_1..sigma_k positive. The grid is the initial
@@ -67,6 +67,7 @@ from .geometry import (
     PointwiseGeometry,
     RadialGraph,
     _iso,
+    _trusted,
     _write_csv,
     compute_geometry,
     quermass,
@@ -85,9 +86,7 @@ __all__ = [
     "FlowError",
     "ConeExitError",
     "speed_raw",
-    "normalization_rt",
     "volume_scale_rate",
-    "radial_rhs",
     "stability_cap",
     "initial_state",
     "step",
@@ -204,16 +203,6 @@ class FlowState:
     # that accepted this state; `_first_stage` reads it only under its own mode, k and geo
     _carried: tuple | None = field(default=None, compare=False, repr=False)
 
-    @classmethod
-    def _of_accepted(cls, t, graph, log_scale, geo, last_dt, accepted, rejections,
-                     carried) -> "FlowState":
-        """The state an attempt accepts: its fields are set directly, not
-        through the frozen __init__."""
-        state = object.__new__(cls)
-        state.__dict__.update(t=t, graph=graph, log_scale=log_scale, geo=geo, last_dt=last_dt,
-                              accepted=accepted, rejections=rejections, _carried=carried)
-        return state
-
 
 def initial_state(graph: RadialGraph) -> FlowState:
     return FlowState(t=0.0, graph=graph, log_scale=0.0, geo=compute_geometry(graph))
@@ -262,16 +251,6 @@ def _rate(u: np.ndarray | None, f: np.ndarray, sig: np.ndarray, dmu: np.ndarray,
     return num / v_held, v_held
 
 
-def normalization_rt(geo: PointwiseGeometry, k: int) -> float:
-    """Normalization constant r(t) holding V_{n-k} fixed.
-
-    r(t) = int(sigma_{k+1} sigma_{k-1} / sigma_k) / (C_{n,k+1} int sigma_k);
-    scale invariant. Only defined for k <= n-1: at k = n both numerator
-    and the constant vanish identically.
-    """
-    return _geo_stage(geo, "raw", _whole(k, "flow degree k", 1, geo.dim - 1))[1]
-
-
 def volume_scale_rate(geo: PointwiseGeometry, k: int) -> float:
     """Log-derivative rate holding the top quermassintegral V_{n+1} fixed.
 
@@ -279,7 +258,7 @@ def volume_scale_rate(geo: PointwiseGeometry, k: int) -> float:
     k = n flow where r(t) is unavailable.
     """
     k = _whole(k, "flow degree k", 1, geo.dim)
-    return _rate(geo.u, speed_raw(geo, k), geo.sigma.T, geo.dmu, k, geo.dim + 1)[0]
+    return _rate(geo.u, _speed(geo.sigma.T, k), geo.sigma.T, geo.dmu, k, geo.dim + 1)[0]
 
 
 def _stage_map(r: np.ndarray, w: np.ndarray, u: np.ndarray | None, sig: np.ndarray,
@@ -319,17 +298,6 @@ def _first_stage(state: FlowState, mode: str, k: int):
     if carried is not None and carried[2] is state.geo and carried[0] == mode and carried[1] == k:
         return carried[3:]
     return _geo_stage(state.geo, mode, k)
-
-
-def radial_rhs(geo: PointwiseGeometry, mode: str, k: int) -> np.ndarray:
-    """Radial-gauge right-hand side d r/dt per node.
-
-    raw / rescaled_raw: F * w / r. normalized: F * w / r - r(t) * r,
-    using u * w / r = r to reduce the support-function term.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return _geo_stage(geo, mode, _whole(k, "flow degree k", 1, geo.dim))[0]
 
 
 def _spectral_radius(geo: PointwiseGeometry, k: int, v: np.ndarray | None = None,
@@ -383,9 +351,10 @@ def stability_cap(geo: PointwiseGeometry, k: int, cfl: float) -> float:
     radius). cfl passes the gate of FlowConfig's cfl_coefficient, `symfunc._real`."""
     cfl = _real(cfl, "cfl", 0.0)
     k = _whole(k, "flow degree k", 1, geo.dim)
-    rho, vec = _spectral_radius(geo, k)
+    f0 = _geo_stage(geo, "raw", k)[0]  # every restart probes about the same base point
+    rho, vec = _spectral_radius(geo, k, None, f0)
     for _ in range(RHO_MAX_ITER):  # bounds the restarts; each stops on its own rule
-        warm, vec = _spectral_radius(geo, k, vec)
+        warm, vec = _spectral_radius(geo, k, vec, f0)
         if abs(warm - rho) <= RHO_RTOL * warm:
             break
         rho = warm
@@ -444,8 +413,9 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
         curv = geomod._curvatures(kit, r_new)
     except (ConeExitError, ValueError) as exc:
         return None, _Rejection(str(exc))
-    graph_new = RadialGraph._of_checked(kit.dim, r_new)
-    geo_new = geomod._pointwise(kit, graph_new.r, curv)
+    r_new.setflags(write=False)
+    graph_new = _trusted(RadialGraph, dim=kit.dim, r=r_new)
+    geo_new = geomod._pointwise(kit, r_new, curv)
     ok, why = _strictly_kconvex(geo_new, k)
     if not ok:
         return None, _Rejection(f"k-convexity lost: {why}")
@@ -464,11 +434,9 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
                 f"conservation drift {drift:.3e} exceeds {config.tol_conserve:.1e} * dt",
                 drift / dt,
             )
-    new_state = FlowState._of_accepted(
-        state.t + dt, graph_new, log_new, geo_new, dt, state.accepted + 1, state.rejections,
-        (mode, k, geo_new, drdt, rate, v_new),
-    )
-    return new_state, None
+    return _trusted(FlowState, t=state.t + dt, graph=graph_new, log_scale=log_new, geo=geo_new,
+                    last_dt=dt, accepted=state.accepted + 1, rejections=state.rejections,
+                    _carried=(mode, k, geo_new, drdt, rate, v_new)), None
 
 
 def step(state: FlowState, dt: float, config: FlowConfig):
@@ -591,10 +559,10 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
             return finish("round")
         if since_estimate >= RHO_EVERY:
             since_estimate = 0
-            f0 = None  # the raw stage map at the state, the probes' base point
-            if config.mode != "normalized":
-                # every other mode's d r/dt is the raw one: the carried stage's
-                f0 = _first_stage(state, config.mode, config.k)[0]
+            # the probes' base point, the raw stage map at the state: every mode but
+            # normalized steps by the raw d r/dt, which the state carries
+            f0 = _first_stage(state, "raw" if config.mode == "normalized" else config.mode,
+                              config.k)[0]
             try:
                 rho, vec = _spectral_radius(state.geo, config.k, vec, f0)
                 cap = _cap(rho, config.cfl_coefficient)

@@ -43,6 +43,7 @@ are the two poles.
 from __future__ import annotations
 
 import csv
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from math import comb, gamma, inf, pi
@@ -117,13 +118,28 @@ def _param(value, name: str, lo: float | None = None, strict: bool = True) -> fl
         raise ShapeError(str(exc)) from None
 
 
+# the least square of a semi-axis: 1/a^2 <= max/8, so every term of ellipse's
+# quadratic, whose discriminant is at most 4 qa, stays below max/2, and no square is subnormal
+_SQUARE_FLOOR = 8.0 / sys.float_info.max
+
+
 def _semi_axis(value, name: str) -> float:
-    """`_param`'s positive float of a semi-axis whose square is also a positive
-    finite float, as the builders' quadratic forms divide by it."""
+    """`_param`'s positive float of a semi-axis whose square is a finite float of
+    at least _SQUARE_FLOOR, as the builders' quadratic forms divide by it."""
     s = _param(value, name, 0.0)
-    if not 0.0 < s * s < inf:
-        raise ShapeError(f"{name} must have a positive finite square, got {value!r}")
+    if not _SQUARE_FLOOR <= s * s < inf:
+        raise ShapeError(f"{name} must have a finite square of at least {_SQUARE_FLOOR:.6g}, "
+                         f"got {value!r}")
     return s
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls holding `fields`, set directly
+    and not through __init__: for data its caller has already checked (a
+    RadialGraph's samples passed by `_curvatures`, fresh and read-only)."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -139,16 +155,6 @@ class RadialGraph:
 
     dim: int
     r: np.ndarray
-
-    @classmethod
-    def _of_checked(cls, dim: int, r: np.ndarray) -> "RadialGraph":
-        """The graph of samples r that `_curvatures` has passed on the grid of
-        (dim, r's N): r is fresh float64, set read-only here and not copied."""
-        r.setflags(write=False)
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "dim", dim)
-        object.__setattr__(graph, "r", r)
-        return graph
 
     def __post_init__(self):
         arr = np.array(self.r, dtype=float)
@@ -202,16 +208,6 @@ class PointwiseGeometry:
     kappa: np.ndarray
     sigma: np.ndarray
     dmu: np.ndarray
-
-    @classmethod
-    def _of_checked(cls, dim, num_intervals, param, h, r, r1, r2, w, u, kappa, sigma,
-                    dmu) -> "PointwiseGeometry":
-        """The geometry of checked `_curvatures` data: its fields are set
-        directly, not through the frozen __init__."""
-        geo = object.__new__(cls)
-        geo.__dict__.update(dim=dim, num_intervals=num_intervals, param=param, h=h, r=r, r1=r1,
-                            r2=r2, w=w, u=u, kappa=kappa, sigma=sigma, dmu=dmu)
-        return geo
 
     @property
     def area(self) -> float:
@@ -296,11 +292,14 @@ def perturbed_sphere(
     radius = _param(radius, "sphere radius", 0.0)
     eps = _param(eps, "perturbation amplitude eps", 0.0, strict=False)
     if mode is not None:
-        # a fractional mode is not periodic on the grid: it leaves a kink
+        # a fractional mode is not periodic on the grid: it leaves a kink; one above the
+        # grid's Nyquist mode, N/2 in dim 1 and N in dim 2, is aliased to a lower one
+        nyquist = num // 2 if dim == 1 else num
         try:
-            mode = _whole(mode, "perturbation mode", 1)
+            mode = _whole(mode, "perturbation mode", 1, nyquist)
         except ValueError:
-            raise ShapeError(f"perturbation mode must be a whole number >= 1, got {mode!r}") from None
+            raise ShapeError(f"perturbation mode must be a whole number in 1..{nyquist}, "
+                             f"the grid's Nyquist mode, got {mode!r}") from None
         r = _single_mode_radius(radius, eps, np.cos(mode * x))
     else:
         rng = np.random.default_rng(0 if seed is None else seed)
@@ -538,8 +537,8 @@ def _curvatures(kit: _GridKit, r: np.ndarray):
 def _pointwise(kit: _GridKit, r: np.ndarray, curvatures: tuple | None = None) -> PointwiseGeometry:
     """PointwiseGeometry of r on kit's grid, from r's `_curvatures` data when given."""
     r1, r2, w, rr, kappa, sig, dmu = _curvatures(kit, r) if curvatures is None else curvatures
-    return PointwiseGeometry._of_checked(kit.dim, kit.num, kit.param, kit.h, r, r1, r2, w,
-                                         rr / w, kappa.T, sig.T, dmu)
+    return _trusted(PointwiseGeometry, dim=kit.dim, num_intervals=kit.num, param=kit.param,
+                    h=kit.h, r=r, r1=r1, r2=r2, w=w, u=rr / w, kappa=kappa.T, sigma=sig.T, dmu=dmu)
 
 
 def compute_geometry(g: RadialGraph) -> PointwiseGeometry:

@@ -261,6 +261,18 @@ class TestRun:
         ("run", "tolerances.tol_conserve=Infinity", "tolerances.tol_conserve"),
         ("run", "stepping.dt_max=1e400", "stepping.dt_max"),
         ("run", "stepping.cfl_coefficient=Infinity", "stepping.cfl_coefficient"),
+        # an integer too large for a float: flow_config_from's own float() raised OverflowError
+        pytest.param("run", f"stepping.t_max={10**399}", "stepping.t_max", id="t_max_400_digits"),
+        pytest.param("run", f"tolerances.tol_round={10**399}", "tolerances.tol_round",
+                     id="tol_round_400_digits"),
+        # a tolerance override is a finite number >= 0: a 400-digit integer raised
+        # OverflowError when applied, and NaN or -1 failed every check it named
+        pytest.param("verify symfunc", f'verify.tolerance_overrides={{"af": {10**399}}}',
+                     "verify.tolerance_overrides.af", id="override_400_digits"),
+        pytest.param("verify symfunc", 'verify.tolerance_overrides={"af": NaN}',
+                     "verify.tolerance_overrides.af", id="override_nan"),
+        pytest.param("verify symfunc", 'verify.tolerance_overrides={"af/random_n2k1": -1.0}',
+                     "verify.tolerance_overrides.af/random_n2k1", id="override_negative"),
         ("verify monotone", "problem.mode=raw", "problem.mode"),
         # a job count below one ran serially and exited 0
         ("sweep --jobs 0", "sweep.k_values=[1]", "--jobs"),
@@ -543,16 +555,18 @@ class TestVerify:
         assert code == cli.EXIT_TOLERANCE
         assert "FAILED" in capsys.readouterr().err
 
-    def test_override_fails_order_check(self, tmp_path, capsys):
+    def test_override_fails_the_check_it_names(self, tmp_path, capsys):
+        # a zero tolerance fails a check with a positive residual; an order check's
+        # shortfall is 0 when it passes, and a negative override is a config error
         report = tmp_path / "report.csv"
         code = cli.main(["verify", "geometry", "--quiet",
                          "--set", f"verify.report_path={report}",
-                         "--set", 'verify.tolerance_overrides={"geometry/curvature_consistency_dim1": -1.0}'])
+                         "--set", 'verify.tolerance_overrides={"geometry/minkowski_ellipse": 0}'])
         assert code == cli.EXIT_TOLERANCE
         rows = {row[0]: row for row in read_csv(report)[1:]}
-        assert rows["geometry/curvature_consistency_dim1"][5:] == ["-1.0", "False"]
+        assert rows["geometry/minkowski_ellipse"][5:] == ["0.0", "False"]
         assert all(row[6] == "True" for name, row in rows.items()
-                   if name != "geometry/curvature_consistency_dim1")
+                   if name != "geometry/minkowski_ellipse")
 
     def test_section_override_applies_to_every_check(self, tmp_path):
         report = tmp_path / "report.csv"

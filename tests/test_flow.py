@@ -14,8 +14,6 @@ from starflow.flow import (
     FlowConfig,
     FlowError,
     initial_state,
-    normalization_rt,
-    radial_rhs,
     rescale_state,
     run,
     speed_raw,
@@ -109,12 +107,9 @@ class TestSpeed:
 
     @pytest.mark.parametrize("call, hi", [
         (lambda geo, k: speed_raw(geo, k), 2),
-        (lambda geo, k: radial_rhs(geo, "raw", k), 2),
-        (lambda geo, k: normalization_rt(geo, k), 1),  # r(t) degenerates at k = n
         (lambda geo, k: volume_scale_rate(geo, k), 2),
         (lambda geo, k: fl.stability_cap(geo, k, 0.5), 2),
-    ], ids=["speed_raw", "radial_rhs", "normalization_rt", "volume_scale_rate",
-            "stability_cap"])
+    ], ids=["speed_raw", "volume_scale_rate", "stability_cap"])
     def test_fractional_degree_names_the_argument(self, call, hi):
         # 1.5 passes every range check; it used to reach numpy's row index
         # and raise an IndexError that names no argument
@@ -131,29 +126,32 @@ class TestSpeed:
 
 
 class TestNormalizationRate:
+    """r(t), the log-scale rate holding V_{n-k} for k <= n - 1: the stage map's second output."""
+
     def test_sphere_closed_form(self):
         # k/(n-k+1) on any sphere: 1/2 for n=2, k=1
         for radius in (0.7, 1.0, 5.0):
             geo = compute_geometry(sphere(radius, 2, 128))
-            assert normalization_rt(geo, 1) == pytest.approx(0.5, abs=1e-12)
+            assert fl._geo_stage(geo, "raw", 1)[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_scale_invariance(self):
-        a = normalization_rt(compute_geometry(ellipsoid_of_revolution(1.2, 1.0, 128)), 1)
-        b = normalization_rt(
-            compute_geometry(ellipsoid_of_revolution(1.2, 1.0, 128).scaled(5.0)), 1
-        )
+        g = ellipsoid_of_revolution(1.2, 1.0, 128)
+        a = fl._geo_stage(compute_geometry(g), "raw", 1)[1]
+        b = fl._geo_stage(compute_geometry(g.scaled(5.0)), "raw", 1)[1]
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_refined_grid_oracle(self):
-        coarse = normalization_rt(compute_geometry(ellipsoid_of_revolution(1.2, 1.0, 256)), 1)
-        fine = normalization_rt(compute_geometry(ellipsoid_of_revolution(1.2, 1.0, 4096)), 1)
+        coarse, fine = (fl._geo_stage(compute_geometry(ellipsoid_of_revolution(1.2, 1.0, num)),
+                                      "raw", 1)[1] for num in (256, 4096))
         assert coarse == pytest.approx(fine, abs=1e-8)
 
     def test_rejects_top_degree(self):
+        # r(t) degenerates at k = n: mode normalized rejects it
+        with pytest.raises(fl.FlowConfigError, match="k <= n-1"):
+            FlowConfig(n=2, k=2, mode="normalized")
+        # and the stage map's rate there holds V_{n+1}
         geo = compute_geometry(sphere(1.0, 2, 64))
-        with pytest.raises(ValueError):
-            normalization_rt(geo, 2)
-        # the k = n rescaling rate exists separately and holds V_{n+1}
+        assert fl._geo_stage(geo, "raw", 2)[1] == volume_scale_rate(geo, 2)
         assert volume_scale_rate(geo, 2) == pytest.approx(2.0, rel=1e-12)
 
     def test_volume_rate_below_top_degree(self):
@@ -162,19 +160,21 @@ class TestNormalizationRate:
         f = geo.sigma[:, 0] / geo.sigma[:, 1]
         expected = float(np.sum(f * geo.dmu)) / float(np.sum(geo.u * geo.dmu))
         assert volume_scale_rate(geo, 1) == pytest.approx(expected, rel=1e-14)
-        assert abs(volume_scale_rate(geo, 1) - normalization_rt(geo, 1)) > 1e-3
+        assert abs(volume_scale_rate(geo, 1) - fl._geo_stage(geo, "raw", 1)[1]) > 1e-3
 
 
 class TestRadialRhs:
+    """d r/dt per node: the stage map's first output."""
+
     def test_sphere_raw(self):
         geo = compute_geometry(sphere(2.0, 1, 64))
-        assert np.allclose(radial_rhs(geo, "raw", 1), 2.0, rtol=1e-13)
+        assert np.allclose(fl._geo_stage(geo, "raw", 1)[0], 2.0, rtol=1e-13)
         geo = compute_geometry(sphere(2.0, 2, 64))
-        assert np.allclose(radial_rhs(geo, "raw", 2), 4.0, rtol=1e-12)
+        assert np.allclose(fl._geo_stage(geo, "raw", 2)[0], 4.0, rtol=1e-12)
 
     def test_sphere_normalized_fixed_point(self):
         geo = compute_geometry(sphere(3.0, 2, 128))
-        assert np.max(np.abs(radial_rhs(geo, "normalized", 1))) < 1e-12
+        assert np.max(np.abs(fl._geo_stage(geo, "normalized", 1)[0])) < 1e-12
 
     def test_matches_lagrangian_flow_map(self):
         # independent oracle: evolve the material curve, resample to the
@@ -189,7 +189,7 @@ class TestRadialRhs:
         r0 = radial_from_curve(LagrangianCurve(p0), 256).r
         r2 = radial_from_curve(LagrangianCurve(p2), 256).r
         mid = radial_from_curve(LagrangianCurve(p1), 256)
-        rhs = radial_rhs(compute_geometry(mid), "raw", 1)
+        rhs = fl._geo_stage(compute_geometry(mid), "raw", 1)[0]
         cd = (r2 - r0) / (2 * dt)
         assert np.max(np.abs(cd - rhs)) / np.max(np.abs(rhs)) < 1e-3
 

@@ -3,7 +3,7 @@ import dataclasses
 import pickle
 import re
 import warnings
-from math import pi, sqrt
+from math import nextafter, pi, sqrt
 
 import numpy as np
 import pytest
@@ -113,7 +113,7 @@ class TestShapes:
                 build(bad)
         assert err.value.field == "params"
 
-    @pytest.mark.parametrize("bad", [1e200, 1e-200])
+    @pytest.mark.parametrize("bad", [1e200, 1e-200, 1e-154, 1e-160])
     @pytest.mark.parametrize("name, build", [
         ("semi-axis a", lambda v: ellipse(v, 1.0, 64)),
         ("semi-axis b", lambda v: ellipse(2.0, v, 64)),
@@ -123,12 +123,48 @@ class TestShapes:
     def test_semi_axis_square_must_stay_in_float_range(self, name, build, bad):
         # finite, so the real gate passes it, but its square overflows or underflows:
         # ellipse(1e200, 1) warned of an invalid divide, ellipse(1e-200, 1) raised a
-        # bare ZeroDivisionError and the spheroid said "radial function not positive"
+        # bare ZeroDivisionError and the spheroid said "radial function not positive";
+        # a subnormal square (1e-160) or one whose inverse makes 4 qa overflow (1e-154)
+        # warned of an overflow in ellipse, and ellipsoid_of_revolution(1, 1e-160) built
+        # r from 1e-160 to 1.6e-144
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ShapeError, match=f"^{name} must") as err:
                 build(bad)
         assert err.value.field == "params"
+
+    @pytest.mark.parametrize("name, build", [
+        ("semi-axis a", lambda v: ellipse(v, 1.0, 64)),
+        ("semi-axis b", lambda v: ellipse(2.0, v, 64)),
+        ("semi-axis a", lambda v: ellipsoid_of_revolution(v, 1.0, 64)),
+        ("semi-axis c", lambda v: ellipsoid_of_revolution(1.5, v, 64)),
+        ("semi-axis a", lambda v: ellipse(v, v, 64, center=(0.7 * v, 0.7 * v))),
+    ], ids=["ellipse_a", "ellipse_b", "spheroid_a", "spheroid_c", "ellipse_off_center"])
+    def test_semi_axis_square_floor(self, name, build):
+        # the least semi-axis whose square reaches the floor builds, with no warning
+        least = sqrt(geom._SQUARE_FLOOR)
+        while least * least < geom._SQUARE_FLOOR:
+            least = nextafter(least, 1.0)
+        below = nextafter(least, 0.0)
+        assert below * below < geom._SQUARE_FLOOR
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match=f"^{name} must have a finite square") as err:
+                build(below)
+            assert err.value.field == "params"
+            g = build(least)
+        assert np.all(np.isfinite(g.r)) and np.min(g.r) > 0.0
+
+    def test_perturbed_mode_at_most_nyquist(self):
+        # the grid's Nyquist mode is N/2 in dim 1 and N in dim 2: mode 40 at N = 64 was
+        # silently aliased, and 2**1100 raised a bare OverflowError
+        for dim, nyquist in ((1, 32), (2, 64)):
+            perturbed_sphere(1.0, 0.1, mode=nyquist, dim=dim, num=64)
+            for bad in (nyquist + 1, 2**1100, 1e300):
+                with pytest.raises(ShapeError, match=f"^perturbation mode must be a whole "
+                                                     f"number in 1\\.\\.{nyquist}") as err:
+                    perturbed_sphere(1.0, 0.1, mode=bad, dim=dim, num=64)
+                assert err.value.field == "params"
 
     def test_perturbed_mode_must_be_whole(self):
         # a fractional mode leaves a kink where the angle wraps (dim 1) or at phi = pi
@@ -484,6 +520,33 @@ class TestIsoRatio:
             geo = compute_geometry(sphere(1.0, n, 512))
             for k in ks:
                 assert iso_ratio(geo, k) == pytest.approx(iso_ratio_ball(n, k), rel=1e-10)
+
+
+class TestDeficitLaw:
+    """Near the ball, r = 1 + eps Y_l has the relative deficit 1 - I_0 / I_0(ball)
+    = (l-1)(l+n)/(2n) <Y_l^2> eps^2 + O(eps^3), with <.> the mean over the sphere
+    (Fuglede, Trans. AMS 314, 1989)."""
+
+    EPS = (1e-2, 5e-3, 2.5e-3)
+
+    @pytest.mark.parametrize("n, l, limit", [(1, 2, 3 / 4), (1, 3, 2.0), (2, 2, 1 / 5)],
+                             ids=["n1_l2", "n1_l3", "n2_l2"])
+    def test_eps_squared_coefficient(self, n, l, limit):
+        num = 256
+        ball = sphere(1.0, n, num)
+        # I_0 of the ball on the same grid: the N=256 dim-2 sphere's own deficit,
+        # 2.1e-11, would be 3.4e-6 of the quotient at eps = 2.5e-3
+        i_ball = iso_ratio(compute_geometry(ball), 0)
+        x = ball.param
+        y = np.cos(l * x) if n == 1 else (3.0 * np.cos(x) ** 2 - 1.0) / 2.0  # P_2(cos phi)
+        quot = [(1.0 - iso_ratio(compute_geometry(RadialGraph(n, 1.0 + eps * y)), 0) / i_ball)
+                / eps**2 for eps in self.EPS]
+        # the quotient tends to the limit as eps halves ...
+        gaps = [abs(q - limit) for q in quot]
+        assert gaps[0] > gaps[1] > gaps[2]
+        # ... and its fit c + b eps + a eps^2 through the three eps recovers it
+        fitted = np.polyfit(self.EPS, quot, 2)[-1]
+        assert abs(fitted - limit) <= 1e-6 * limit
 
 
 class TestConvexityRoundness:
