@@ -231,6 +231,16 @@ class ConvexityReport:
 # shape constructors
 
 
+def _cos_sin(t: np.ndarray) -> np.ndarray:
+    """cos t and sin t on a grid's nodes, exactly 0 at the multiples of pi/2: the
+    float cos(pi/2) is 6.1e-17 and sin(pi) 1.2e-16, which a semi-axis' square
+    outweighs in a quadratic form once the axis ratio passes about 1e8. Every
+    other node of N intervals is at least sin(pi/N) from a zero, far above the cut."""
+    cs = np.stack([np.cos(t), np.sin(t)])
+    cs[np.abs(cs) < 1e-15] = 0.0
+    return cs
+
+
 def sphere(radius: float, dim: int = 1, num: int = 256) -> RadialGraph:
     size = _grid_kit(dim, num).size
     return RadialGraph(dim, np.full(size, _param(radius, "sphere radius", 0.0)))
@@ -248,7 +258,7 @@ def ellipse(a: float, b: float, num: int = 256, center=(0.0, 0.0)) -> RadialGrap
     cx, cy = _param(center[0], "star center cx"), _param(center[1], "star center cy")
     if cx * cx / (a * a) + cy * cy / (b * b) >= 1.0:
         raise ShapeError("star center lies outside the ellipse")
-    ct, st = np.cos(th), np.sin(th)
+    ct, st = _cos_sin(th)
     qa = ct * ct / (a * a) + st * st / (b * b)
     qb = 2.0 * (cx * ct / (a * a) + cy * st / (b * b))
     qc = cx * cx / (a * a) + cy * cy / (b * b) - 1.0
@@ -260,7 +270,8 @@ def ellipsoid_of_revolution(a: float, c: float, num: int = 256) -> RadialGraph:
     """Spheroid with equatorial semi-axis a and polar semi-axis c."""
     phi = _grid_kit(2, num).param
     a, c = _semi_axis(a, "semi-axis a"), _semi_axis(c, "semi-axis c")
-    r = a * c / np.sqrt(c * c * np.sin(phi) ** 2 + a * a * np.cos(phi) ** 2)
+    cp, sp = _cos_sin(phi)
+    r = a * c / np.sqrt(c * c * sp**2 + a * a * cp**2)
     return RadialGraph(2, r)
 
 
@@ -312,8 +323,6 @@ def perturbed_sphere(
             for i, l in enumerate(modes)
         )
         r = radius * (1.0 + eps * bump)
-    if np.min(r) <= 0.0:
-        raise ShapeError("perturbation destroys starshapedness (min r <= 0)")
     return RadialGraph(dim, r)
 
 
@@ -655,6 +664,12 @@ def roundness(g: RadialGraph) -> float:
 # resampling and export
 
 
+def _even_extension(f: np.ndarray) -> np.ndarray:
+    """The 2N-periodic extension of N + 1 samples on [0, pi], even about both
+    poles: nodes 0..N, then N-1..1, along axis 0."""
+    return np.concatenate([f, f[-2:0:-1]])
+
+
 def _fft_resample_periodic(f: np.ndarray, out_size: int) -> np.ndarray:
     """Trigonometric interpolation of periodic samples f onto out_size > f.size
     nodes; irfft pads the spectrum with zeros up to its length."""
@@ -672,10 +687,8 @@ def refine(g: RadialGraph, factor: int) -> RadialGraph:
     if g.dim == 1:
         r_new = _fft_resample_periodic(g.r, size)
     else:
-        ext = np.concatenate([g.r, g.r[-2:0:-1]])  # even mirror, period 2N
+        ext = _even_extension(g.r)
         r_new = _fft_resample_periodic(ext, ext.size * factor)[:size]
-    if np.min(r_new) <= 0.0:
-        raise ShapeError("refinement produced a nonpositive radius")
     return RadialGraph(g.dim, r_new)
 
 

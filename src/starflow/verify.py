@@ -3,18 +3,20 @@
 The pointwise identities and the first-variation formula are tested on
 Lagrangian representations, where the motion is purely normal: a
 material plane curve for dim 1, the material meridian of an
-axisymmetric surface for dim 2. Spatial derivatives on the closed curve
-are spectral in the material parameter (exact on circles, so the circle
-residuals isolate the O(dt^2) time error); one helper,
-`_spectral_derivatives`, gives the first and second derivative of every
-column of an array from one rfft, so a curve's geometry takes one
-forward transform for both coordinates. The meridian uses
-second-order stencils with odd/even pole reflection. Above these two
-discretizations both dimensions share one speed sigma_{k-1}/sigma_k,
-one substepped RK4 evolver and one worst-node report. Time derivatives
-come from centered differences of a short forward evolution window. The
-integral rate identities, the quermassintegral inequality chain and
-trajectory monotonicity are checked on the radial pipeline directly.
+axisymmetric surface for dim 2. Both share one discretization: spatial
+derivatives are spectral in the material parameter of a closed curve
+(exact on circles, so the circle residuals isolate the O(dt^2) time
+error), and a meridian is the closed loop it makes with its mirror
+image in the axis. One helper, `_spectral_derivatives`, gives the first
+and second derivative of every column of an array from one rfft, so a
+curve's geometry takes one forward transform for both coordinates; on
+the meridian, scalar fields are differentiated through their even
+extension about both poles. Above this both dimensions share one speed
+sigma_{k-1}/sigma_k, one substepped RK4 evolver and one worst-node
+report. Time derivatives come from centered differences of a short
+forward evolution window. The integral rate identities, the
+quermassintegral inequality chain and trajectory monotonicity are
+checked on the radial pipeline directly.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from . import flow as flowmod
 from .geometry import (
     PointwiseGeometry,
     RadialGraph,
+    _even_extension,
     _grid_kit,
     _simpson_weights,
     _write_csv,
@@ -216,7 +219,6 @@ def _curve_geometry(pts: np.ndarray) -> _CurveGeo:
 
 @dataclass(frozen=True)
 class _MeridianGeo:
-    delta: float
     ga: np.ndarray  # metric along the meridian
     gth: np.ndarray  # metric along parallels, rho^2
     wa: np.ndarray
@@ -230,46 +232,44 @@ class _MeridianGeo:
 def _meridian_geometry(pts: np.ndarray) -> _MeridianGeo:
     """Geometry of an axisymmetric surface from its material meridian.
 
-    pts holds (rho, z) with the first and last points on the axis. rho
-    is reflected oddly and z evenly at the poles; the parallel curvature
-    at the poles takes its smooth limit, the meridian value.
+    pts holds (rho, z) with the first and last points on the axis. The
+    meridian, written as (z, rho), and its mirror image in the axis close
+    into one positively oriented loop of 2(M - 1) points, whose curve
+    geometry gives the metric, normal and meridian curvature. The parallel
+    curvature is nu_rho / rho, at the poles its smooth limit, the meridian
+    value.
     """
     m = pts.shape[0]
-    delta = pi / (m - 1)
-    rho = np.pad(pts[:, 0], 1, mode="reflect", reflect_type="odd")
-    zz = np.pad(pts[:, 1], 1, mode="reflect")
-    r1 = (rho[2:] - rho[:-2]) / (2.0 * delta)
-    z1 = (zz[2:] - zz[:-2]) / (2.0 * delta)
-    r2 = (rho[2:] - 2.0 * rho[1:-1] + rho[:-2]) / delta**2
-    z2 = (zz[2:] - 2.0 * zz[1:-1] + zz[:-2]) / delta**2
-    ga = r1 * r1 + z1 * z1
-    wa = np.sqrt(ga)
-    nu = np.stack([-z1, r1], axis=1) / wa[:, None]
-    h_mer = -(r2 * nu[:, 0] + z2 * nu[:, 1])
-    k_mer = h_mer / ga
-    rr = pts[:, 0]
-    k_par = np.empty(m)
-    k_par[1:-1] = nu[1:-1, 0] / rr[1:-1]
-    # pole limit of nu_rho/rho: even quadratic extrapolation of the
-    # interior estimator, so no jump is introduced at the axis
-    k_par[0] = (4.0 * k_par[1] - k_par[2]) / 3.0
-    k_par[-1] = (4.0 * k_par[-2] - k_par[-3]) / 3.0
-    h_par = k_par * rr * rr  # h_thth with g_thth = rho^2
-    dmu = 2.0 * pi * rr * wa * _simpson_weights(m - 1, delta)
+    loop = _even_extension(pts[:, ::-1])
+    loop[m:, 1] *= -1.0
+    cg = _curve_geometry(loop)
+    rho = pts[:, 0]
+    nu = cg.nu[:m, ::-1]
+    k_mer = cg.kappa[:m]
+    k_par = k_mer.copy()
+    k_par[1:-1] = nu[1:-1, 0] / rho[1:-1]
+    # the trapezoid rule of the loop is second order here: 2 pi rho wa is odd about the poles
+    dmu = 2.0 * pi * rho * cg.sqrtg[:m] * _simpson_weights(m - 1, pi / (m - 1))
     return _MeridianGeo(
-        delta=delta, ga=ga, gth=rr * rr, wa=wa, nu=nu,
-        h_mer=h_mer, h_par=h_par,
-        kappa=np.stack([k_mer, k_par], axis=1), dmu=dmu,
+        ga=cg.g11[:m], gth=rho * rho, wa=cg.sqrtg[:m], nu=nu, h_mer=cg.h11[:m],
+        h_par=k_par * rho * rho, kappa=np.stack([k_mer, k_par], axis=1), dmu=dmu,
     )
+
+
+def _even_derivatives(f: np.ndarray) -> tuple:
+    """First and second spectral derivatives, on the meridian's nodes, of columns
+    even about both poles."""
+    m = f.shape[0]
+    d1, d2 = _spectral_derivatives(_even_extension(f))
+    return d1[:m], d2[:m]
 
 
 # ---------------------------------------------------------------------------
 # material normal motion, either dimension
 
-# RK4 substep as a fraction of the explicit diffusive limit: spectral
-# curve derivatives have a larger spectral radius than the meridian's
-# second-order stencils
-_SUBSTEP = {1: 0.2, 2: 0.35}
+# RK4 substep as a fraction of the explicit diffusive limit of the spectral
+# curve derivatives
+_SUBSTEP = 0.2
 
 
 def _material_geometry(pts: np.ndarray, dim: int):
@@ -309,7 +309,7 @@ def _evolve(pts: np.ndarray, t_total: float, k: int, dim: int) -> np.ndarray:
     gk = 1.0 if k == 1 else np.max(np.abs(geo.kappa), axis=1)
     lead = 0.0 if k == 1 else sig[:, k]
     diff = float(np.max((lead + sig[:, k - 1] * gk) / sig[:, k] ** 2))
-    dt_sub = _SUBSTEP[dim] * float(np.min(chords)) ** 2 / diff
+    dt_sub = _SUBSTEP * float(np.min(chords)) ** 2 / diff
 
     def rhs(p):
         geo = _material_geometry(p, dim)
@@ -376,46 +376,45 @@ def check_prop1_axisym(g: RadialGraph, k: int, dt: float, tol: float = 1e-3):
     """Pointwise evolution identities on a material axisymmetric meridian.
 
     Same construction as the curve check, in the principal frame of the
-    surface of revolution, where the second fundamental form is diagonal
-    and covariant derivatives only need meridian stencils. Pole nodes
-    and their neighbors are excluded from the residual norms.
+    surface of revolution, where the second fundamental form is diagonal.
+    The meridian's geometry is the curve geometry of its closed mirror
+    loop, and every phi-derivative is spectral, taken on the even
+    extension about both poles. The two pole nodes, where the divergence
+    terms divide by rho = 0, are excluded from the residual norms.
     """
     if g.dim != 2:
         raise ValueError("check_prop1_axisym needs a dim-2 radial graph")
     k, dt, pts = _window(embed(g), k, dt, 2)
     geos = [_meridian_geometry(p) for p in pts]
     mid = geos[1]
-    delta = mid.delta
     f, sig = _material_speed(mid, k)
-    # np.gradient's one-sided end values reach only nodes 0, 1, M-2 and M-1,
-    # which the reports leave out
-    f1 = np.gradient(f, delta)
-    gamma = np.gradient(mid.ga, delta) / (2.0 * mid.ga)
-    hess_mer = np.gradient(f1, delta) - gamma * f1
-    # Gamma^phi_thth = -gth'/(2 ga), so nabla_th nabla_th F = +gth' F'/(2 ga)
-    hess_par = (np.gradient(mid.gth, delta) / (2.0 * mid.ga)) * f1
+    f1, f2 = _even_derivatives(f)
     rho = np.sqrt(mid.gth)
     sqrt_det = mid.wa * rho
-    k_par = mid.kappa[:, 1]
-    sig1 = sig[:, 1]
+    flux = rho * f1 / mid.wa
+    dga, dgth, dflux0, dflux1 = _even_derivatives(
+        np.stack([mid.ga, mid.gth, flux, mid.kappa[:, 1] * flux], axis=1))[0].T
+    hess_mer = f2 - dga / (2.0 * mid.ga) * f1
+    # Gamma^phi_thth = -gth'/(2 ga), so nabla_th nabla_th F = +gth' F'/(2 ga)
+    hess_par = (dgth / (2.0 * mid.ga)) * f1
     # one leave-one-out pass gives the gradients of sigma_1 and sigma_2
     pol1, pol2 = (polarized_sigma_square_table(mid.kappa, mid.kappa * grad.T)
                   for grad in _gradient_tables(mid.kappa))
     with np.errstate(divide="ignore", invalid="ignore"):
-        div_t0 = np.gradient(rho * f1 / mid.wa, delta) / sqrt_det
-        div_t1 = np.gradient(rho * k_par * f1 / mid.wa, delta) / sqrt_det
+        div_t0 = dflux0 / sqrt_det
+        div_t1 = dflux1 / sqrt_det
         h_par_sq = mid.h_par**2 / mid.gth
     pairs = {
         "g_meridian": ([g_.ga for g_ in geos], 2.0 * f * mid.h_mer),
         "g_parallel": ([g_.gth for g_ in geos], 2.0 * f * mid.h_par),
-        "area_element": ([np.sqrt(g_.gth) * g_.wa for g_ in geos], f * sig1 * sqrt_det),
+        "area_element": ([np.sqrt(g_.gth) * g_.wa for g_ in geos], f * sig[:, 1] * sqrt_det),
         "h_meridian": ([g_.h_mer for g_ in geos], -hess_mer + f * mid.h_mer**2 / mid.ga),
         "h_parallel": ([g_.h_par for g_ in geos], -hess_par + f * h_par_sq),
         "sigma1": ([g_.kappa.sum(axis=1) for g_ in geos], -div_t0 - f * pol1),
         "sigma2": ([g_.kappa.prod(axis=1) for g_ in geos], -div_t1 - f * pol2),
     }
     grid = f"M={pts[0].shape[0]},dt={dt:g}"
-    return _identity_reports("prop1_axisym", pairs, dt, grid, tol, slice(2, -2))
+    return _identity_reports("prop1_axisym", pairs, dt, grid, tol, slice(1, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -568,6 +568,17 @@ class TestVerify:
         assert all(row[6] == "True" for name, row in rows.items()
                    if name != "geometry/minkowski_ellipse")
 
+    @pytest.mark.parametrize("num", [1024, 2048])
+    def test_fine_grid_keeps_its_order_checks(self, tmp_path, num):
+        # the order pairs come from at most N = 512: at (1024, 2048) the dim-1
+        # consistency ratio read the stencil's roundoff floor, 0.27, and exited 4
+        report = tmp_path / "report.csv"
+        code = cli.main(["verify", "geometry", "--quiet", "--set", f"verify.grid_N={num}",
+                         "--set", f"verify.report_path={report}"])
+        assert code == cli.EXIT_OK
+        rows = {row[0]: row for row in read_csv(report)[1:]}
+        assert rows["geometry/curvature_consistency_dim1"][6] == "True"
+
     def test_section_override_applies_to_every_check(self, tmp_path):
         report = tmp_path / "report.csv"
         code = cli.main(["verify", "geometry", "--quiet",

@@ -155,6 +155,18 @@ class TestShapes:
             g = build(least)
         assert np.all(np.isfinite(g.r)) and np.min(g.r) > 0.0
 
+    @pytest.mark.parametrize("num", [64, 66])
+    @pytest.mark.parametrize("a, b", [(1e-20, 1.0), (1.0, 1e-20)])
+    def test_quarter_turn_nodes_hold_the_semi_axes(self, num, a, b):
+        # the float cos(pi/2) = 6.1e-17 and sin(pi) = 1.2e-16 built r = 1.6e-4 where the
+        # semi-axis 1 belongs at an axis ratio of 1e20; 66 intervals have no dim-1 node at pi/2
+        r = ellipse(a, b, num).r
+        assert r[0] == a and r[num // 2] == a
+        if num % 4 == 0:
+            assert r[num // 4] == b and r[3 * num // 4] == b
+        r = ellipsoid_of_revolution(a, b, num).r  # equatorial a, polar b
+        assert r[0] == b and r[num // 2] == a and r[num] == b
+
     def test_perturbed_mode_at_most_nyquist(self):
         # the grid's Nyquist mode is N/2 in dim 1 and N in dim 2: mode 40 at N = 64 was
         # silently aliased, and 2**1100 raised a bare OverflowError
@@ -311,6 +323,12 @@ class TestPointwiseGeometry:
             errs.append(np.max(np.abs(geo.kappa[1:-1] - kap[1:-1])))
         ratio = errs[0] / errs[1]
         assert 3.0 < ratio < 5.0
+
+    def test_meridian_loop_exact_on_sphere(self):
+        # the meridian and its mirror image close into a circle, where spectral
+        # derivatives are exact: 3.9e-13, against 6.0e-4 from second-order stencils
+        mg = _meridian_geometry(geom.embed(sphere(1.0, 2, 64)))
+        assert np.max(np.abs(mg.kappa - 1.0)) < 1e-12
 
     def test_spectral_curve_pipeline_agrees(self):
         # independent Lagrangian pipeline on the same nodes
