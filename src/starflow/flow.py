@@ -546,10 +546,9 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
 
     dt_work = config.dt_init
     dt_floor = DT_UNDERFLOW_FRACTION * config.dt_init
-    streak = 0
+    since_reject = 0  # accepted steps since the start or the last rejection
     t_end = config.t_max
     eps_t = 1e-14 * max(1.0, t_end)
-    since_estimate = RHO_EVERY
     vec = None  # the power iteration's last vector, its next start
     drifts = []  # (drift rate, dt) of the current run of conservation rejections
     for _ in range(MAX_STEPS):
@@ -557,8 +556,7 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
             return finish("t_max")
         if config.tol_round > 0.0 and roundness(state.graph) < config.tol_round:
             return finish("round")
-        if since_estimate >= RHO_EVERY:
-            since_estimate = 0
+        if since_reject % RHO_EVERY == 0:
             # the probes' base point, the raw stage map at the state: every mode but
             # normalized steps by the raw d r/dt, which the state carries
             f0 = _first_stage(state, "raw" if config.mode == "normalized" else config.mode,
@@ -581,8 +579,7 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
         new_state, why = _attempt(state, dt_eff, config)
         if new_state is None:
             dt_work = 0.5 * dt_eff
-            streak = 0
-            since_estimate = RHO_EVERY
+            since_reject = 0
             state = replace(state, rejections=state.rejections + 1)
             drifts = [] if why.drift_rate is None else drifts + [(why.drift_rate, dt_eff)]
             last = [rate for rate, _ in drifts[-3:]]
@@ -598,11 +595,9 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
             continue
         state = new_state
         drifts = []
-        since_estimate += 1
-        streak += 1
-        if streak >= DOUBLE_AFTER:
+        since_reject += 1
+        if since_reject % DOUBLE_AFTER == 0:
             dt_work = 2.0 * dt_eff
-            streak = 0
         if state.accepted % config.sample_every == 0:
             if record_samples:
                 record.rows.append(_record_row(state, config))

@@ -14,9 +14,9 @@ there, so the choice does not touch any integral.
 
 A grid is keyed by its dimension and its number of intervals N. Its kit,
 `_grid_kit(dim, N)`, is its one gate and its one layout of nodes and spacing:
-only the kit runs `_check_intervals`, checks dim against `DIMS` (the one
-dimension set) and maps N to a node count. RadialGraph, the shape builders and
-`verify.radial_from_curve` take their grid from it first, and
+only the kit runs `_check_intervals`, checks that dim is an integer in `DIMS`
+(the one dimension set) and maps N to a node count. RadialGraph, the shape
+builders and `verify.radial_from_curve` take their grid from it first, and
 `RadialGraph.num_intervals` is the one map back from nodes to N. A
 ShapeError's `field` names the input of `make_shape` at fault.
 
@@ -51,7 +51,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .symfunc import _BOOLS, _cone_status, _real, _whole, cnk
+from .symfunc import _cone_status, _real, _whole, cnk
 
 __all__ = [
     "ShapeError",
@@ -451,9 +451,9 @@ _KIT_CACHE: dict = {}
 def _grid_kit(dim: int, num: int, copies: int = 1) -> _GridKit:
     """The kit of `copies` stacked grids of `num` intervals in dimension `dim`. dim and
     num are checked before the cache is read: no junk kit is cached, and a whole float
-    or a bool (`True in DIMS`) never finds the kit of its integer, whose key hashes alike."""
-    if isinstance(dim, _BOOLS) or dim not in DIMS:
-        raise ShapeError(f"dim must be one of {DIMS}, got {dim}")
+    or a bool, which pass `in DIMS` and whose key hashes as its integer's, is rejected."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim not in DIMS:
+        raise ShapeError(f"dim must be an integer in {DIMS}, got {dim!r}")
     _check_intervals(num)
     key = (dim, num, copies)
     kit = _KIT_CACHE.get(key)
@@ -638,16 +638,16 @@ def iso_ratio_ball(n: int, k: int) -> float:
     return _iso(unit_ball_quermass(n, k), unit_ball_quermass(n, k + 1), n, k)
 
 
-def kconvex_report(geo: PointwiseGeometry, k: int, tol_cone: float = 1e-10) -> ConvexityReport:
+def kconvex_report(geo: PointwiseGeometry, k: int) -> ConvexityReport:
     """Minimum of sigma_1..sigma_k over the surface with a convexity flag.
 
-    strict: all minima positive. nonstrict: within -tol_cone (scaled by
-    the degree-m power of the curvature magnitude) of zero. violated
-    otherwise. The test is `symfunc`'s, shared with `in_gamma_k`.
+    strict: all minima positive. nonstrict: within 1e-10 (scaled by the
+    degree-m power of the curvature magnitude) of zero. violated
+    otherwise. The test is `symfunc._cone_status`, shared with `in_gamma_k`.
     """
     k = _whole(k, "convexity level k", 1, geo.dim)
     mins = geo.sigma[:, 1 : k + 1].min(axis=0)
-    return ConvexityReport(k=k, min_sigma=mins, status=_cone_status(mins, geo.kappa, tol_cone))
+    return ConvexityReport(k=k, min_sigma=mins, status=_cone_status(mins, geo.kappa))
 
 
 def roundness(g: RadialGraph) -> float:

@@ -185,25 +185,26 @@ def cnk(n, k) -> float:
     return comb(n, k) / comb(n, k - 1)
 
 
-def _cone_status(mins: np.ndarray, kappa: np.ndarray, tol_cone: float = 1e-10) -> str:
+def _cone_status(mins: np.ndarray, kappa: np.ndarray) -> str:
     """Garding-cone status ("strict", "nonstrict" or "violated") of curvatures kappa
     whose sigma_1..sigma_k have the minima mins. The closure floor of sigma_m is
-    -tol_cone * max(1, max|kappa|)**m; kappa is read only when a minimum is not positive."""
+    -1e-10 * max(1, max|kappa|)**m; kappa is read only when a minimum is not positive."""
     if np.minimum.reduce(mins) > 0.0:  # a NaN minimum compares false
         return "strict"
     scale = max(1.0, float(np.maximum.reduce(np.abs(kappa), axis=None)))
-    floor = -tol_cone * scale ** np.arange(1, mins.size + 1)
+    floor = -1e-10 * scale ** np.arange(1, mins.size + 1)
     return "nonstrict" if np.logical_and.reduce(mins >= floor) else "violated"
 
 
-def in_gamma_k(lam, k, strict: bool = True, tol_cone: float = 1e-10) -> bool:
+def in_gamma_k(lam, k, strict: bool = True) -> bool:
     """Garding cone membership: sigma_m positive for all m <= k.
 
-    With strict=False, membership of the closure as `_cone_status` floors it.
+    With strict=False, membership of the closure as `_cone_status` floors it:
+    each sigma_m at least -1e-10 * max(1, max|lam|)**m.
     """
     lam = _vector(lam)
     k = _whole(k, "degree k", 1, lam.size)
-    status = _cone_status(elem_sym_all(lam)[1 : k + 1], lam, tol_cone)
+    status = _cone_status(elem_sym_all(lam)[1 : k + 1], lam)
     return status == "strict" if strict else status != "violated"
 
 

@@ -17,6 +17,11 @@ report. Time derivatives come from centered differences of a short
 forward evolution window. The integral rate identities, the
 quermassintegral inequality chain and trajectory monotonicity are
 checked on the radial pipeline directly.
+
+Each report carries the one tolerance its check judges it by, written at
+its `_report` call; only the prop1 checks, whose callers vary it, take a
+`tol`. `cli`'s `verify.tolerance_overrides` re-judges a report from its
+`rel_residual`, which any other caller can compare itself.
 """
 
 from __future__ import annotations
@@ -421,21 +426,17 @@ def check_prop1_axisym(g: RadialGraph, k: int, dt: float, tol: float = 1e-3):
 # integral identities along the flow
 
 
-def check_lemma_integral(
-    config: flowmod.FlowConfig,
-    initial: RadialGraph,
-    rate_tol: float = 1e-3,
-    topo_tol: float = 1e-6,
-):
+def check_lemma_integral(config: flowmod.FlowConfig, initial: RadialGraph):
     """Rate identities d/dt int sigma_l dmu = (l+1) int sigma_{l+1}
     sigma_{k-1}/sigma_k dmu for every l = 0..n along one raw-flow
     trajectory.
 
     Samples both sides of each l densely from a single run,
     differentiates the left side with three-point nonuniform centered
-    differences, and reports the worst relative mismatch per l. For l = n
-    the right side vanishes identically and the integral must sit at its
-    topological value |S^n|; that pins a last report.
+    differences, and reports the worst relative mismatch per l, against
+    1e-3. For l = n the right side vanishes identically and the integral
+    must sit at its topological value |S^n|, to a relative 1e-6; that pins
+    a last report.
     """
     n, k = config.n, config.k
     if config.mode != "raw":
@@ -473,11 +474,11 @@ def check_lemma_integral(
     for l in range(n + 1):
         scale = float(np.max(np.abs(b[:, l]))) or float(np.max(np.abs(a[:, l])))
         reports.append(_worst(f"lemma/rate_sigma{l}_k{k}", da[:, l], b[1:-1, l], resid[:, l],
-                              scale, grid, rate_tol))
+                              scale, grid, 1e-3))
     topo = sphere_area(n)
     dev = np.abs(a[:, n] - topo)
     reports.append(_worst(f"lemma/topological_constant_n{n}", a[:, n], np.full_like(dev, topo),
-                          dev, topo, grid, topo_tol))
+                          dev, topo, grid, 1e-6))
     return reports
 
 
@@ -485,31 +486,23 @@ def check_lemma_integral(
 # first variation
 
 
-def check_first_variation(target, rho, l: int, s: float | None = None, tol: float = 1e-3):
+def check_first_variation(target: RadialGraph, rho, l: int, s: float | None = None):
     """First variation of int sigma_l dmu under the normal graft
-    X_s = X + s * rho * nu, against (l+1) int sigma_{l+1} rho dmu.
+    X_s = X + s * rho * nu, against (l+1) int sigma_{l+1} rho dmu, to a
+    relative 1e-3.
 
-    `target` is a RadialGraph (dim 1 goes through the material curve,
-    dim 2 through the material meridian) or a LagrangianCurve. rho is an
-    array per node or a callable on the parameter grid. The derivative
-    is a centered difference at +-s, s defaulting to 1e-4 of the mean
-    radius.
+    `target` is a RadialGraph: dim 1 goes through the material curve,
+    dim 2 through the material meridian. rho is an array per node or a
+    callable on the graph's parameter grid. The derivative is a centered
+    difference at +-s, s defaulting to 1e-4 of the mean radius.
     """
     s = None if s is None else _real(s, "probe size s", 0.0)
-    if isinstance(target, LagrangianCurve):
-        pts, dim, param = target.points, 1, None
-    elif isinstance(target, RadialGraph):
-        pts, dim, param = embed(target), target.dim, target.param
-    else:
-        raise TypeError("target must be a RadialGraph or LagrangianCurve")
+    if not isinstance(target, RadialGraph):
+        raise TypeError(f"target must be a RadialGraph, got {type(target).__name__}")
+    pts, dim = embed(target), target.dim
     l = _whole(l, "sigma index l", 0, dim)
     m = pts.shape[0]
-    if callable(rho):
-        if param is None:
-            param = 2.0 * pi * np.arange(m) / m
-        rho_arr = np.asarray(rho(param), dtype=float)
-    else:
-        rho_arr = np.asarray(rho, dtype=float)
+    rho_arr = np.asarray(rho(target.param) if callable(rho) else rho, dtype=float)
     if rho_arr.shape != (m,):
         raise ValueError(f"rho must have one value per node ({m})")
     geo = _material_geometry(pts, dim)
@@ -537,21 +530,21 @@ def check_first_variation(target, rho, l: int, s: float | None = None, tol: floa
     resid = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     grid = f"M={m},s={s:g}"
-    return _report(f"variation/sigma{l}", lhs, rhs, resid, resid / scale, grid, tol)
+    return _report(f"variation/sigma{l}", lhs, rhs, resid, resid / scale, grid, 1e-3)
 
 
 # ---------------------------------------------------------------------------
 # inequality chain and trajectory monotonicity
 
 
-def check_af_chain(geo: PointwiseGeometry, k: int, slack: float = 1e-6):
+def check_af_chain(geo: PointwiseGeometry, k: int):
     """Quermassintegral inequality chain on a k-convex surface.
 
     For each 0 <= m <= min(k, n-1) checks
     (V_{n+1-m}/V_{n+1-m}(B))^{1/(n+1-m)} <= (V_{n-m}/V_{n-m}(B))^{1/(n-m)}
-    within `slack`. The m with a degenerate lower exponent are skipped by
-    the range. Raises ValueError when the surface fails k-convexity:
-    that is a precondition, not a counterexample.
+    within a relative slack of 1e-6. The m with a degenerate lower
+    exponent are skipped by the range. Raises ValueError when the surface
+    fails k-convexity: that is a precondition, not a counterexample.
     """
     conv = kconvex_report(geo, k)
     n, k = geo.dim, conv.k
@@ -566,28 +559,19 @@ def check_af_chain(geo: PointwiseGeometry, k: int, slack: float = 1e-6):
         lhs = (vees[m] / unit_ball_quermass(n, m)) ** (1.0 / (n + 1 - m))
         rhs = (vees[m + 1] / unit_ball_quermass(n, m + 1)) ** (1.0 / (n - m))
         gap = lhs - rhs
-        reports.append(
-            _report(
-                f"af_chain/m{m}", lhs, rhs, gap, gap / rhs,
-                f"N={geo.num_intervals}", slack,
-            )
-        )
+        reports.append(_report(f"af_chain/m{m}", lhs, rhs, gap, gap / rhs,
+                               f"N={geo.num_intervals}", 1e-6))
     return reports
 
 
-def check_monotone_series(
-    record: flowmod.TrajectoryRecord,
-    slack: float = 1e-10,
-    conserve_tol: float = 1e-6,
-    ball_tol: float = 1e-4,
-):
+def check_monotone_series(record: flowmod.TrajectoryRecord):
     """Monotonicity and conservation along a normalized or rescaled run.
 
     Checks that the monitored iso ratio (I_k, or I_0 when k = n) never
-    decreases by more than `slack`, that the conserved quermassintegral
-    (V_{n-k}, or V_{n+1} when k = n) drifts less than `conserve_tol` per
-    unit time, and that the final ratio lands within `ball_tol` of the
-    round-ball value.
+    decreases by more than 1e-10 of its value, that the conserved
+    quermassintegral (V_{n-k}, or V_{n+1} when k = n) drifts less than
+    1e-6 of its start per unit time, and that the final ratio lands within
+    1e-4 of the round-ball value, relative to it.
     """
     if record.mode not in flowmod.CONSERVING_MODES:
         raise ValueError("monotonicity check needs a normalized or rescaled_raw record")
@@ -606,7 +590,7 @@ def check_monotone_series(
     worst = -float(np.min(drops))
     mono = _report(
         f"monotone/I{mono_idx}_nondecreasing", iso[j + 1], iso[j],
-        max(worst, 0.0), max(worst, 0.0) / abs(iso[j]), grid, slack,
+        max(worst, 0.0), max(worst, 0.0) / abs(iso[j]), grid, 1e-10,
     )
     span = max(float(t[-1] - t[0]), 1e-300)
     dev = np.abs(vcons - vcons[0]) / abs(vcons[0])
@@ -614,11 +598,11 @@ def check_monotone_series(
     rate = float(np.max(dev)) / span
     cons = _report(
         f"monotone/{cons_name}_conserved", vcons[jj], vcons[0],
-        float(np.max(dev)) * abs(vcons[0]), rate, grid, conserve_tol,
+        float(np.max(dev)) * abs(vcons[0]), rate, grid, 1e-6,
     )
     ball = iso_ratio_ball(n, mono_idx)
     gap = abs(float(iso[-1]) - ball)
     term = _report(
-        f"monotone/terminal_I{mono_idx}", iso[-1], ball, gap, gap / ball, grid, ball_tol,
+        f"monotone/terminal_I{mono_idx}", iso[-1], ball, gap, gap / ball, grid, 1e-4,
     )
     return [mono, cons, term]

@@ -103,12 +103,14 @@ def test_04_lemma_rate_identity():
     fc1 = FlowConfig(n=1, k=1, mode="raw", t_max=0.1, dt_init=1e-3)
     fc2 = FlowConfig(n=2, k=1, mode="raw", t_max=0.1, dt_init=1e-3)
     for fc, g in ((fc1, ellipse(2.0, 1.0, 256)), (fc2, ellipsoid_of_revolution(1.5, 1.0, 256))):
-        reports = check_lemma_integral(fc, g, rate_tol=1e-3, topo_tol=1e-6)
+        reports = check_lemma_integral(fc, g)
         assert all(r.passed for r in reports), reports
         for rep in reports:
             if rep.name.startswith("lemma/rate_"):
+                assert rep.tolerance == 1e-3, rep
                 worst_rate = max(worst_rate, rep.rel_residual)
             else:
+                assert rep.tolerance == 1e-6, rep
                 worst_topo = max(worst_topo, rep.abs_residual)
     announce(4, f"worst rate residual {worst_rate:.2e} (tol 1e-3), "
                 f"worst 2pi/4pi deviation {worst_topo:.2e} (tol 1e-6)")
@@ -149,8 +151,8 @@ def test_06_monotonicity(ellipse_monotone_record, spheroid_monotone_record):
     summary = []
     for (record, elapsed), label in ((ellipse_monotone_record, "ellipse I0"),
                                      (spheroid_monotone_record, "spheroid I1")):
-        mono, cons, term = check_monotone_series(
-            record, slack=1e-10, conserve_tol=1e-6, ball_tol=1e-4)
+        mono, cons, term = check_monotone_series(record)
+        assert (mono.tolerance, cons.tolerance, term.tolerance) == (1e-10, 1e-6, 1e-4)
         assert mono.passed, (label, mono)
         assert cons.passed, (label, cons)
         assert term.passed, (label, term)
@@ -192,8 +194,8 @@ def test_08_af_chain():
     for n, k in ((1, 1), (2, 1), (2, 2)):
         for _ in range(100):
             geo = _strictly_kconvex_sample(rng, n, k, 256)
-            for rep in check_af_chain(geo, k, slack=1e-6):
-                assert rep.passed, (n, k, rep)
+            for rep in check_af_chain(geo, k):
+                assert rep.passed and rep.tolerance == 1e-6, (n, k, rep)
                 worst_gap = max(worst_gap, rep.abs_residual)
     eq_worst = 0.0
     for n, num in ((1, 256), (2, 512)):

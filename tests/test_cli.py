@@ -230,6 +230,8 @@ class TestRun:
         ("verify geometry", "verify.grid_N=0", "verify.grid_N"),
         ("verify geometry", "verify.grid_N=32", "verify.grid_N"),  # N/4 = 8 intervals
         ("verify geometry", "verify.grid_N=68", "verify.grid_N"),  # N/4 = 17 is odd
+        # minkowski_ellipse reads 1.4e-6 at N=120 against 1e-6: the suite could not pass
+        ("verify geometry", "verify.grid_N=120", "verify.grid_N"),
         # checked for every command, not only by the suites that read them
         ("verify variation", "verify.seed=-4", "verify.seed"),
         ("verify prop1", "verify.grid_N=7", "verify.grid_N"),
@@ -567,6 +569,14 @@ class TestVerify:
         assert rows["geometry/minkowski_ellipse"][5:] == ["0.0", "False"]
         assert all(row[6] == "True" for name, row in rows.items()
                    if name != "geometry/minkowski_ellipse")
+
+    def test_least_grid_passes(self, tmp_path):
+        # 128 = 8 * MIN_NODES is the least grid_N accepted, and every check passes on it
+        report = tmp_path / "report.csv"
+        code = cli.main(["verify", "geometry", "--quiet", "--set", "verify.grid_N=128",
+                         "--set", f"verify.report_path={report}"])
+        assert code == cli.EXIT_OK
+        assert all(row[6] == "True" for row in read_csv(report)[1:])
 
     @pytest.mark.parametrize("num", [1024, 2048])
     def test_fine_grid_keeps_its_order_checks(self, tmp_path, num):

@@ -769,6 +769,18 @@ class TestGridGate:
             build()
         assert geom._KIT_CACHE == before
 
+    @pytest.mark.parametrize("dim, num", [(1.0, 90), (np.float64(2.0), 94)])
+    def test_whole_float_dim_is_rejected_and_spoils_no_kit(self, dim, num):
+        # on a grid no other test builds: 1.0 in DIMS held, so a float-dim shape cached a
+        # kit with a float dim under the key of the integer's kit, and every later geometry
+        # on that grid failed with a TypeError in _curvatures' np.empty((kit.dim + 1, ...))
+        before = dict(geom._KIT_CACHE)
+        with pytest.raises(ShapeError, match="dim must be an integer"):
+            sphere(1.0, dim, num)
+        assert geom._KIT_CACHE == before
+        geo = compute_geometry(perturbed_sphere(1.0, 0.1, 2, int(dim), num))
+        assert geo.num_intervals == num and geo.sigma.shape[1] == int(dim) + 1
+
     @pytest.mark.parametrize("num", [64.0, np.float64(64.0), 63, 8, True])
     def test_bad_num_is_rejected_even_when_its_integer_kit_is_cached(self, num):
         geom._grid_kit(1, 64)

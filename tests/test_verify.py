@@ -1,4 +1,5 @@
 import csv
+import inspect
 from math import pi, sqrt
 
 import numpy as np
@@ -12,11 +13,13 @@ from starflow.geometry import (
     ellipse,
     ellipsoid_of_revolution,
     embed,
+    kconvex_report,
     perturbed_sphere,
     quermass_minkowski,
     quermass_sigma,
     sphere,
 )
+from starflow.symfunc import in_gamma_k
 from starflow.verify import (
     LagrangianCurve,
     check_af_chain,
@@ -249,6 +252,11 @@ class TestFirstVariation:
                 sphere(1.0, 1, 64), lambda t: np.cos(t), 0, s=1.2
             )
 
+    def test_rejects_a_target_that_is_not_a_radial_graph(self):
+        curve = curve_from_radial(sphere(1.0, 1, 64))
+        with pytest.raises(TypeError, match="RadialGraph"):
+            check_first_variation(curve, np.ones(64), 0)
+
     @pytest.mark.parametrize("s", [0.0, -1e-4, float("nan"), float("inf"), True, "x"])
     def test_rejects_probe_size_that_is_not_positive_and_finite(self, s):
         # s = 0 divided by zero and s = NaN returned a NaN report
@@ -282,11 +290,9 @@ class TestAfChain:
             mode = int(rng.integers(2, 5))
             g = perturbed_sphere(1.0, eps, mode=mode, dim=2, num=256)
             geo = compute_geometry(g)
-            from starflow.geometry import kconvex_report
-
             if kconvex_report(geo, 1).status != "strict":
                 continue
-            for rep in check_af_chain(geo, 1, slack=1e-6):
+            for rep in check_af_chain(geo, 1):
                 assert rep.passed, rep
             checked += 1
 
@@ -301,8 +307,9 @@ class TestMonotoneSeries:
         config = FlowConfig(n=2, k=1, mode="normalized", t_max=0.2,
                             dt_init=1e-3, sample_every=5)
         record = run(config, sphere(1.0, 2, 64))
-        mono, cons, term = check_monotone_series(record, ball_tol=1e-6)
+        mono, cons, term = check_monotone_series(record)
         assert mono.passed and cons.passed and term.passed
+        assert term.rel_residual <= 1e-6
         iso = record.column("I1")
         assert np.max(np.abs(iso - iso[0])) < 1e-12
 
@@ -310,7 +317,7 @@ class TestMonotoneSeries:
         config = FlowConfig(n=1, k=1, mode="rescaled_raw", t_max=0.5,
                             dt_init=1e-3, sample_every=20)
         record = run(config, ellipse(2.0, 1.0, 128))
-        mono, cons, _term = check_monotone_series(record, ball_tol=np.inf)
+        mono, cons, _term = check_monotone_series(record)
         assert mono.passed and cons.passed
         iso = record.column("I0")
         assert iso[-1] > iso[0] + 1e-3  # genuinely increasing, not flat
@@ -320,6 +327,19 @@ class TestMonotoneSeries:
         record = run(config, ellipse(2.0, 1.0, 64))
         with pytest.raises(ValueError, match="normalized or rescaled_raw"):
             check_monotone_series(record)
+
+
+@pytest.mark.parametrize("func, params", [
+    (check_lemma_integral, ["config", "initial"]),
+    (check_af_chain, ["geo", "k"]),
+    (check_monotone_series, ["record"]),
+    (check_first_variation, ["target", "rho", "l", "s"]),
+    (kconvex_report, ["geo", "k"]),
+    (in_gamma_k, ["lam", "k", "strict"]),
+])
+def test_each_check_has_one_built_in_tolerance(func, params):
+    # a report's tolerance changes only through verify.tolerance_overrides
+    assert list(inspect.signature(func).parameters) == params
 
 
 class TestReportCsv:
