@@ -33,13 +33,18 @@ length of the scheme's stability interval on the negative real axis, where
 the spectrum of this parabolic flow lies, and rho bounds the spectral radius
 of the Jacobian of the stage map. The default cfl is 1.5961 / 2.5127: up to
 dt * |lambda| = 1.5961 the amplification stays in [0, 1), so every linear
-mode is damped without a sign flip. rho is 1.2 times a nonlinear power
-iteration estimate on difference quotients of the stage map (the RKC
-estimate of Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88,
-1998), refreshed every 25 accepted steps and after every rejection, each
-time warm-started from the previous iterate. A run of conservation
-rejections whose drift rate does not fall as dt is halved stops with
-the first drift rate and its dt: no step size can fix it.
+mode is damped without a sign flip. rho is the smaller of two values,
+refreshed every 25 accepted steps and after every rejection: 1.2 times a
+nonlinear power iteration estimate on difference quotients of the stage
+map (the RKC estimate of Sommeijer, Shampine & Verwer, J. Comput. Appl.
+Math. 88, 1998), each time warm-started from the previous iterate, and the
+largest row sum of |J| for the stage map's exact linearization J
+(`_linearization`), a rigorous bound (Gershgorin). In dim 1 the bound is
+within a few percent of the spectral radius and sets the cap; in dim 2 the
+pole rows hold it near 1.75 times the radius, so the estimate sets it, to
+the float. A run of conservation rejections whose drift rate does not fall
+as dt is halved stops with the first drift rate and its dt: no step size
+can fix it.
 
 The conventions are read, not restated: `monotone_pair` decides which
 V_j a flow holds, and so its scale rate, `CONSERVING_MODES` which modes
@@ -74,7 +79,7 @@ from .geometry import (
     quermass_sigma,  # noqa: F401 -- perfbench/selftest.py checks its tracer patches flow's name
     roundness,
 )
-from .symfunc import _real, _whole, cnk
+from .symfunc import _gradient_tables, _real, _whole, cnk
 
 __all__ = [
     "MODES",
@@ -105,8 +110,8 @@ ORDER = 3  # global order in dt of the stepper
 REAL_STABILITY = 2.5127453  # the real root of x^3 - 3x^2 + 6x - 12
 # and in [0, 1) for real z in [-MONOTONE_LIMIT, 0): damped without a sign flip
 MONOTONE_LIMIT = 1.5960716  # the real root of x^3 - 3x^2 + 6x - 6
-# the power iteration approaches rho from below or alternates about it;
-# the cap divides by RHO_SAFETY times the estimate
+# the power iteration approaches rho from below or alternates about it; the
+# cap divides by RHO_SAFETY times the estimate when the row-sum bound is larger
 RHO_SAFETY = 1.2
 RHO_EVERY = 25  # accepted steps between spectral-radius estimates
 RHO_RTOL = 5e-3  # the iteration stops when the estimate moves less than this
@@ -152,8 +157,8 @@ class FlowConfig:
     tol_conserve: float = 1e-5
     tol_round: float = 0.0  # 0 disables the roundness stop
     # fraction of the stepper's real-axis stability interval the step may use;
-    # the default steps at dt * RHO_SAFETY * estimate = MONOTONE_LIMIT, so while
-    # RHO_SAFETY times the estimate bounds rho no linear mode flips sign
+    # the default steps at dt * min(RHO_SAFETY * estimate, row-sum bound) =
+    # MONOTONE_LIMIT, so while that divisor bounds rho no linear mode flips sign
     cfl_coefficient: float = MONOTONE_LIMIT / REAL_STABILITY
 
     def __post_init__(self):
@@ -335,20 +340,93 @@ def _spectral_radius(geo: PointwiseGeometry, k: int, v: np.ndarray | None = None
     return est, v
 
 
-def _cap(rho: float, cfl: float) -> float:
-    bound = RHO_SAFETY * rho
-    if not (isfinite(bound) and bound > 0.0):
+def _linearization(geo: PointwiseGeometry, k: int):
+    """(a, b, c) per node: the exact linearization J = diag(a) + diag(b) D1 +
+    diag(c) D2 of the raw stage map r -> F(kappa(r, r', r'')) w / r at geo's
+    radius, with F = sigma_{k-1}/sigma_k and D1, D2 the linear maps of
+    `geometry._stencil_derivatives`. a, b and c are the partial derivatives
+    of the pointwise formula in r, r' and r''; dF/dkappa comes from
+    `symfunc._gradient_tables`. kappa_rad = (r^2 + 2 r'^2 - r r'') / w^3
+    reads (r, r', r''), kappa_par = (1 - r' cot / r) / w reads (r, r'), and
+    at the dim-2 poles kappa_par is kappa_rad, as `geometry._curvatures`
+    sets it. a follows from b and c by Euler's identity for homogeneous
+    maps. The rank-one -rate * r term of mode normalized is left out."""
+    r, r1, r2, w = geo.r, geo.r1, geo.r2, geo.w
+    sig = geo.sigma.T
+    f = sig[k - 1] / sig[k]
+    grads = _gradient_tables(geo.kappa)  # [m - 1][i] is dsigma_m/dkappa_i
+    dfk = -f * grads[k - 1]
+    if k > 1:
+        dfk += grads[k - 2]
+    dfk /= sig[k]
+    df_rad = dfk[0]
+    if geo.dim == 2:
+        kit = geomod._grid_kit(2, geo.num_intervals)
+        df_par = dfk[1]
+        for pole in kit.poles:
+            df_rad[pole] += df_par[pole]
+            df_par[pole] = 0.0
+    # w^3 dkappa_rad/dr' = r' (4 - 3 kappa_rad w) and w^3 dkappa_par/dr' = -(r' + r cot)
+    b = 4.0 - 3.0 * geo.kappa[:, 0] * w
+    b *= df_rad
+    b *= r1
+    if geo.dim == 2:
+        cot = kit.cos / kit.pole_safe_sin  # finite at the poles, where df_par is 0
+        b -= df_par * (r1 + r * cot)
+    w2 = w * w
+    b /= w2 * r
+    b += f * r1 / (w * r)
+    c = -df_rad / w2
+    # the stage map is homogeneous of degree one in (r, r', r''): a r + b r' + c r'' = F w / r
+    a = f * w / r
+    a -= b * r1
+    a -= c * r2
+    a /= r
+    return a, b, c
+
+
+def _row_sums(geo: PointwiseGeometry, k: int) -> np.ndarray:
+    """Row sums of |J| for `_linearization`'s J, each an upper bound on its
+    spectral radius (Gershgorin). The centre entry of row i is a - 490 c /
+    180h^2. At offsets +d and -d (d = 1..3) the D1 weights are +beta_d and
+    -beta_d and the D2 weights both gamma_d, up to one common sign, so those
+    two entries sum to 2 max(beta_d |b| / 60h, gamma_d |c| / 180h^2) in
+    absolute value. Near the dim-2 poles the reflected entries are summed
+    unfolded, which keeps each row an upper bound."""
+    kit = geomod._grid_kit(geo.dim, geo.num_intervals)
+    a, b, c = _linearization(geo, k)
+    c /= kit.d2_scale
+    rows = np.abs(a - geomod._D2_CENTRE * c)
+    off = np.maximum(geomod._D1_WEIGHTS * (np.abs(b) / kit.d1_scale),
+                     geomod._D2_WEIGHTS * np.abs(c))
+    rows += 2.0 * np.add.reduce(off, axis=0)
+    return rows
+
+
+def _rho_bound(geo: PointwiseGeometry, k: int) -> float:
+    """The largest of `_row_sums`: a rigorous bound on the spectral radius of J."""
+    return float(np.maximum.reduce(_row_sums(geo, k)))
+
+
+def _cap(rho: float, bound: float, cfl: float) -> float:
+    """cfl * REAL_STABILITY / min(RHO_SAFETY * rho, bound) for a spectral-radius
+    estimate rho and a rigorous bound; the exact float of the estimate's cap
+    whenever the bound is not smaller."""
+    safe = RHO_SAFETY * rho
+    if not (isfinite(safe) and safe > 0.0):
         raise ConeExitError(f"stability cap undefined: spectral radius estimate {rho}")
-    return cfl * REAL_STABILITY / bound
+    return cfl * REAL_STABILITY / min(safe, bound)
 
 
 def stability_cap(geo: PointwiseGeometry, k: int, cfl: float) -> float:
-    """Step cap cfl * REAL_STABILITY / (1.2 rho) on the flow at geo; a
-    stability guard, not an error bound. rho is a power-iteration estimate
+    """Step cap cfl * REAL_STABILITY / min(1.2 rho, bound) on the flow at geo;
+    a stability guard, not an error bound. rho is a power-iteration estimate
     of the stage map's spectral radius from a cold start, restarted from
     its last vector until a restart moves it by at most RHO_RTOL (on a dim-2
     sphere at N=512 the cold start alone stops at 0.88 of the spectral
-    radius). cfl passes the gate of FlowConfig's cfl_coefficient, `symfunc._real`."""
+    radius); bound is `_rho_bound`, the largest row sum of the exact
+    linearization, which is the smaller in dim 1 and the larger in dim 2.
+    cfl passes the gate of FlowConfig's cfl_coefficient, `symfunc._real`."""
     cfl = _real(cfl, "cfl", 0.0)
     k = _whole(k, "flow degree k", 1, geo.dim)
     f0 = _geo_stage(geo, "raw", k)[0]  # every restart probes about the same base point
@@ -358,7 +436,7 @@ def stability_cap(geo: PointwiseGeometry, k: int, cfl: float) -> float:
         if abs(warm - rho) <= RHO_RTOL * warm:
             break
         rho = warm
-    return _cap(rho, cfl)
+    return _cap(rho, _rho_bound(geo, k), cfl)
 
 
 def _strictly_kconvex(geo: PointwiseGeometry, k: int) -> tuple[bool, str]:
@@ -563,7 +641,7 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
                               config.k)[0]
             try:
                 rho, vec = _spectral_radius(state.geo, config.k, vec, f0)
-                cap = _cap(rho, config.cfl_coefficient)
+                cap = _cap(rho, _rho_bound(state.geo, config.k), config.cfl_coefficient)
             except (ConeExitError, ValueError) as exc:
                 # vec is None only when the first estimate itself failed, at t = 0: a
                 # probe r + v that leaves the cone there shows a start on the edge of Gamma_k

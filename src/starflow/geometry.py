@@ -85,9 +85,10 @@ DIMS = (1, 2)  # the dimensions n of every grid, shape and flow
 # sixth-order centered stencil weights of the offsets 1, 2, 3 (as columns,
 # repeated into full rows against each grid's gather tables): first
 # derivative on ahead - behind, second derivative on ahead + behind, whose
-# centre weight is -490
+# centre weight is -_D2_CENTRE
 _D1_WEIGHTS = np.array([[45.0], [9.0], [1.0]])
 _D2_WEIGHTS = np.array([[270.0], [27.0], [2.0]])
+_D2_CENTRE = 490.0
 
 
 class ShapeError(ValueError):
@@ -399,7 +400,7 @@ def _stencil_derivatives(kit: _GridKit, r: np.ndarray):
     d1 /= kit.d1_scale
     d2 = s[0] - s[1]
     d2 += s[2]
-    d2 -= 490.0 * r
+    d2 -= _D2_CENTRE * r
     d2 /= kit.d2_scale
     return d1, d2
 

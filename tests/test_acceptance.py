@@ -42,7 +42,8 @@ def announce(num, text):
 def test_01_sphere_exact_solution():
     # An exact sphere stays node-for-node uniform (identical floating-point
     # work per node); the step is capped at 0.3 of the stepper's real-axis
-    # stability interval over the estimated spectral radius.
+    # stability interval over the row-sum bound of the stage map's exact
+    # linearization, which on the circle is the spectral radius itself.
     config = FlowConfig(n=1, k=1, mode="raw", t_max=1.0, dt_init=1e-3,
                         cfl_coefficient=0.3, sample_every=100)
     start = time.perf_counter()

@@ -29,7 +29,7 @@ from starflow.geometry import (
     quermass,
     sphere,
 )
-from starflow.symfunc import elem_sym_table
+from starflow.symfunc import cnk, elem_sym_table
 
 from _oracles import conserved_value, held_index, held_quermass
 
@@ -302,17 +302,21 @@ def _default_cap(geo, k):
     return fl.stability_cap(geo, k, FlowConfig(n=geo.dim, k=k).cfl_coefficient)
 
 
+_CAP_CASES = [
+    (ellipse(2.0, 1.0, 64), 1),
+    (ellipse(2.0, 1.0, 128), 1),
+    (ellipsoid_of_revolution(1.5, 1.0, 64), 1),
+    (ellipsoid_of_revolution(1.5, 1.0, 128), 1),
+    (ellipsoid_of_revolution(1.5, 1.0, 128), 2),
+    (perturbed_sphere(1.0, 0.1, dim=1, num=64, seed=3), 1),
+    (perturbed_sphere(1.0, 0.1, dim=2, num=64, seed=3), 1),
+]
+_CAP_IDS = ["ellipse-64", "ellipse-128", "spheroid-64", "spheroid-128", "spheroid-128-k2",
+            "perturbed-dim1", "perturbed-dim2"]
+
+
 class TestStabilityCap:
-    @pytest.mark.parametrize("graph, k", [
-        (ellipse(2.0, 1.0, 64), 1),
-        (ellipse(2.0, 1.0, 128), 1),
-        (ellipsoid_of_revolution(1.5, 1.0, 64), 1),
-        (ellipsoid_of_revolution(1.5, 1.0, 128), 1),
-        (ellipsoid_of_revolution(1.5, 1.0, 128), 2),
-        (perturbed_sphere(1.0, 0.1, dim=1, num=64, seed=3), 1),
-        (perturbed_sphere(1.0, 0.1, dim=2, num=64, seed=3), 1),
-    ], ids=["ellipse-64", "ellipse-128", "spheroid-64", "spheroid-128", "spheroid-128-k2",
-            "perturbed-dim1", "perturbed-dim2"])
+    @pytest.mark.parametrize("graph, k", _CAP_CASES, ids=_CAP_IDS)
     def test_power_iteration_matches_dense_jacobian(self, graph, k):
         geo = compute_geometry(graph)
         assert geomod.kconvex_report(geo, k).strict
@@ -322,8 +326,10 @@ class TestStabilityCap:
         cap = fl.stability_cap(geo, k, 0.5)
         confirmed = _confirmed_estimate(geo, k)
         assert 0.95 <= confirmed / dense <= 1.35, confirmed / dense
-        assert cap == pytest.approx(0.5 * fl.REAL_STABILITY / (fl.RHO_SAFETY * confirmed),
-                                    rel=1e-12)
+        # the dim-1 cases take the row-sum bound, the dim-2 ones the estimate
+        bound = fl._rho_bound(geo, k)
+        assert cap == pytest.approx(
+            0.5 * fl.REAL_STABILITY / min(fl.RHO_SAFETY * confirmed, bound), rel=1e-12)
         # no linear mode flips sign at the default cap; measured 1.29-1.36
         assert _default_cap(geo, k) * dense <= fl.MONOTONE_LIMIT
 
@@ -362,6 +368,102 @@ class TestStabilityCap:
         small = fl.stability_cap(compute_geometry(sphere(1.0, dim, 64)), 1, 0.5)
         large = fl.stability_cap(compute_geometry(sphere(4.0, dim, 64)), 1, 0.5)
         assert large == pytest.approx(small, rel=2e-2)
+
+    @pytest.mark.parametrize("make", [lambda num: ellipsoid_of_revolution(1.5, 1.0, num),
+                                      lambda num: sphere(1.0, 2, num)],
+                             ids=["spheroid", "sphere"])
+    @pytest.mark.parametrize("num", [64, 128, 256])
+    def test_dim2_keeps_its_estimate_only_cap(self, make, num):
+        # the pole rows, where kappa_par is kappa_rad, double one row's diffusion
+        # and hold the bound near 1.75 rho, above RHO_SAFETY times the estimate:
+        # every dim-2 cap, and so every dim-2 trajectory, is the estimate's
+        geo = compute_geometry(make(num))
+        confirmed = _confirmed_estimate(geo, 1)
+        assert fl.stability_cap(geo, 1, 0.5) == \
+            0.5 * fl.REAL_STABILITY / (fl.RHO_SAFETY * confirmed)
+        rows = fl._row_sums(geo, 1)
+        assert rows.max() > fl.RHO_SAFETY * confirmed
+        assert int(rows.argmax()) in (0, num)
+
+
+def _dense_linearization(graph, k):
+    # diag(a) + diag(b) D1 + diag(c) D2, with D1 and D2 the stencils applied to
+    # the unit vectors: in dim 2 the reflection folds the entries past each pole
+    kit = geomod._grid_kit(graph.dim, graph.num_intervals)
+    a, b, c = fl._linearization(compute_geometry(graph), k)
+    d1, d2 = np.transpose([geomod._stencil_derivatives(kit, e) for e in np.eye(graph.r.size)],
+                          (1, 2, 0))
+    return np.diag(a) + b[:, None] * d1 + c[:, None] * d2
+
+
+def _smooth_direction(graph):
+    # a few low modes, even about both poles in dim 2
+    x = graph.param
+    third = np.sin(3 * x) if graph.dim == 1 else np.cos(3 * x)
+    return graph.r * (0.3 + np.cos(2 * x) + 0.5 * third)
+
+
+# relative max error of the central quotient (stage(r + eps v) - stage(r - eps v)) / 2 eps
+# against J v at eps = 1e-5, where it is O(eps^2) and rounding has not yet set in; measured
+# 1.3e-7 (ellipse), 4.8e-8 (spheroid, k = 1 and 2) and 3.0e-8 (peanut), at N = 128
+QUOTIENT_RTOL = 5e-7
+# _dense_spectral_radius steps 1e-6 r_j at one node, which moves r'' there by about
+# 490 / 180h^2 times that: its radius reads 7.7e-7 above the exact one on the unit
+# circle at N = 128, where the bound is exact
+DENSE_RTOL = 1e-5
+
+
+class TestLinearization:
+    @pytest.mark.parametrize("graph, k", [
+        (ellipse(2.0, 1.0, 128), 1),
+        (ellipsoid_of_revolution(1.5, 1.0, 128), 1),
+        (ellipsoid_of_revolution(1.5, 1.0, 128), 2),
+        (perturbed_sphere(1.0, 0.3, mode=2, dim=2, num=128), 1),
+    ], ids=["ellipse", "spheroid", "spheroid-k2", "peanut"])
+    def test_jv_matches_difference_quotients(self, graph, k):
+        kit = geomod._grid_kit(graph.dim, graph.num_intervals)
+        a, b, c = fl._linearization(compute_geometry(graph), k)
+        v = _smooth_direction(graph)
+        d1, d2 = geomod._stencil_derivatives(kit, v)
+        jv = a * v + b * d1 + c * d2
+        errors = []
+        for eps in (1e-4, 1e-5):
+            plus = fl._stage(kit, graph.r + eps * v, "raw", k)[0]
+            minus = fl._stage(kit, graph.r - eps * v, "raw", k)[0]
+            errors.append(np.max(np.abs((plus - minus) / (2 * eps) - jv)) / np.max(np.abs(jv)))
+        assert errors[1] < QUOTIENT_RTOL, errors
+        # the error is the quotient's: it falls like eps^2 (measured 78-99x)
+        assert errors[0] > 50 * errors[1], errors
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (2, 2)])
+    def test_sphere_spectrum(self, n, k):
+        # eigenvalues (1/C_{n,k})(1 - l(l+n-1)/n), each l >= 1 twice on the circle
+        # (cos and sin) and once on the axisymmetric sphere; measured within 1.1e-7
+        ev = np.sort(np.linalg.eigvals(_dense_linearization(sphere(1.0, n, 128), k)).real)[::-1]
+        expected = [(1 - l * (l + n - 1) / n) / cnk(n, k)
+                    for l in range(5) for _ in range(1 if n == 2 or l == 0 else 2)]
+        got = ev[:len(expected)]
+        assert np.all(np.abs(got - expected) <= 1e-6 * np.maximum(1.0, np.abs(expected))), got
+
+    @pytest.mark.parametrize("graph, k", _CAP_CASES + [(sphere(1.0, 1, 128), 1),
+                                                       (sphere(1.0, 2, 128), 1)],
+                             ids=_CAP_IDS + ["circle", "sphere"])
+    def test_bound_is_at_least_the_spectral_radius(self, graph, k):
+        bound = fl._rho_bound(compute_geometry(graph), k)
+        assert bound >= (1.0 - DENSE_RTOL) * _dense_spectral_radius(graph, k)
+        exact = float(np.max(np.abs(np.linalg.eigvals(_dense_linearization(graph, k)))))
+        assert bound >= (1.0 - 1e-12) * exact
+
+    @pytest.mark.parametrize("graph, most", [
+        (ellipse(2.0, 1.0, 128), 1.06),  # measured 1.041
+        (ellipse(2.0, 1.0, 256), 1.06),  # measured 1.020
+        # J = I + D2: the row sum is the modulus of the node-alternating eigenvalue
+        (sphere(1.0, 1, 128), 1.0 + 1e-12),
+    ], ids=["ellipse-128", "ellipse-256", "circle"])
+    def test_bound_is_tight_in_dim1(self, graph, most):
+        rho = float(np.max(np.abs(np.linalg.eigvals(_dense_linearization(graph, 1)))))
+        bound = fl._rho_bound(compute_geometry(graph), 1)
+        assert (1.0 - 1e-12) * rho <= bound <= most * rho, bound / rho
 
 
 class TestRun:
