@@ -17,9 +17,8 @@ rate's denominator. It is evaluated once per accepted state, on the
 candidate's geometry, and the state carries it under its mode and k, first
 same as last (Dormand & Prince, J. Comput. Appl. Math. 6, 1980): stage 1
 of the next attempt and of its retries, the conservation guard (V_held
-before and after the step), the record's r_t and, outside mode normalized,
-the stiffness probes' base point read it; a state stepped under another
-mode or k gets a fresh one.
+before and after the step) and the record's r_t read it; a state stepped
+under another mode or k gets a fresh one.
 The accumulated log-scale integral of r(t) is advanced with the same stage
 weights so that e^{-log_scale} times the raw trajectory reproduces the
 normalized one to integration order.
@@ -33,18 +32,16 @@ length of the scheme's stability interval on the negative real axis, where
 the spectrum of this parabolic flow lies, and rho bounds the spectral radius
 of the Jacobian of the stage map. The default cfl is 1.5961 / 2.5127: up to
 dt * |lambda| = 1.5961 the amplification stays in [0, 1), so every linear
-mode is damped without a sign flip. rho is the smaller of two values,
-refreshed every 25 accepted steps and after every rejection: 1.2 times a
-nonlinear power iteration estimate on difference quotients of the stage
-map (the RKC estimate of Sommeijer, Shampine & Verwer, J. Comput. Appl.
-Math. 88, 1998), each time warm-started from the previous iterate, and the
-largest row sum of |J| for the stage map's exact linearization J
-(`_linearization`), a rigorous bound (Gershgorin). In dim 1 the bound is
-within a few percent of the spectral radius and sets the cap; in dim 2 the
-pole rows hold it near 1.75 times the radius, so the estimate sets it, to
-the float. A run of conservation rejections whose drift rate does not fall
-as dt is halved stops with the first drift rate and its dt: no step size
-can fix it.
+mode is damped without a sign flip. rho is `_rho_bound`, refreshed every
+25 accepted steps and after every rejection: the Collatz-Wielandt bound
+max_i (|J| x)_i / x_i for the stage map's exact linearization J
+(`_linearization`) at x = |J|^2 1, two power steps from the row sums of
+|J|. It bounds the spectral radius rigorously, as the largest row sum
+(Gershgorin) does, and is no larger: within 2-7% of the radius on the dim-1
+graphs tried and within 16% in dim 2, where the pole rows hold the row sums
+near 1.75 times it. A run of conservation rejections whose drift rate does
+not fall as dt is halved stops with the first drift rate and its dt: no
+step size can fix it.
 
 The conventions are read, not restated: `monotone_pair` decides which
 V_j a flow holds, and so its scale rate, `CONSERVING_MODES` which modes
@@ -62,7 +59,7 @@ cfl_coefficient: finite, not a bool, the tolerances >= 0, the rest positive, dt_
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import exp, isfinite, sqrt
+from math import exp, sqrt
 from numbers import Integral
 
 import numpy as np
@@ -110,12 +107,12 @@ ORDER = 3  # global order in dt of the stepper
 REAL_STABILITY = 2.5127453  # the real root of x^3 - 3x^2 + 6x - 12
 # and in [0, 1) for real z in [-MONOTONE_LIMIT, 0): damped without a sign flip
 MONOTONE_LIMIT = 1.5960716  # the real root of x^3 - 3x^2 + 6x - 6
-# the power iteration approaches rho from below or alternates about it; the
-# cap divides by RHO_SAFETY times the estimate when the row-sum bound is larger
-RHO_SAFETY = 1.2
-RHO_EVERY = 25  # accepted steps between spectral-radius estimates
-RHO_RTOL = 5e-3  # the iteration stops when the estimate moves less than this
-RHO_MAX_ITER = 60
+RHO_EVERY = 25  # accepted steps between refreshes of the stability cap
+# power steps x <- |J| x before `_rho_bound` reads its ratio: each lowers the bound
+# (on the spheroid from 1.75 rho to 1.15 rho at two) and so the step count, and
+# the raw dim-2 lemma flow the benchmark replays at its step 200 takes 209 at two
+# and 195 at four
+CW_STEPS = 2
 # a halving of dt that leaves the drift rate above this fraction of its
 # previous value did not reduce it; two in a row end the run
 DRIFT_STALL = 0.75
@@ -157,8 +154,8 @@ class FlowConfig:
     tol_conserve: float = 1e-5
     tol_round: float = 0.0  # 0 disables the roundness stop
     # fraction of the stepper's real-axis stability interval the step may use;
-    # the default steps at dt * min(RHO_SAFETY * estimate, row-sum bound) =
-    # MONOTONE_LIMIT, so while that divisor bounds rho no linear mode flips sign
+    # the default steps at dt * `_rho_bound` = MONOTONE_LIMIT, and the bound is
+    # rigorous, so no linear mode of the stage map's linearization flips sign
     cfl_coefficient: float = MONOTONE_LIMIT / REAL_STABILITY
 
     def __post_init__(self):
@@ -305,41 +302,6 @@ def _first_stage(state: FlowState, mode: str, k: int):
     return _geo_stage(state.geo, mode, k)
 
 
-def _spectral_radius(geo: PointwiseGeometry, k: int, v: np.ndarray | None = None,
-                     f0: np.ndarray | None = None):
-    """Power-iteration estimate of the spectral radius of the Jacobian J of
-    the raw stage map r -> F w / r at geo's radius; returns (rho, v).
-
-    J v is the difference quotient (stage(r + v) - stage(r)) with |v| =
-    sqrt(eps) |r|, divided by |v|. The estimate is the two-step ratio
-    sqrt(|J^2 v| / |v|), which settles where the one-step ratio alternates
-    (the pole mode of dim 2). v starts from the node-alternating mode, or
-    from the v of the previous call (a warm start); the returned v is the
-    last iterate. f0, the raw stage map at geo, is evaluated when not given.
-    The normalization term of mode normalized is of order r(t) and is left out.
-    """
-    r = geo.r
-    kit = geomod._grid_kit(geo.dim, geo.num_intervals)
-    if v is None:
-        v = np.where(np.arange(r.size) % 2 == 0, 1.0, -1.0)
-    if f0 is None:
-        f0 = _geo_stage(geo, "raw", k)[0]
-    size = sqrt(np.finfo(float).eps) * sqrt(float(r @ r))
-    ratio = est = 0.0
-    for it in range(RHO_MAX_ITER):
-        v = v * (size / sqrt(float(v @ v)))
-        v = _stage(kit, r + v, "raw", k)[0]
-        v -= f0
-        prev_ratio, prev_est = ratio, est
-        ratio = sqrt(float(v @ v)) / size
-        est = sqrt(ratio * prev_ratio)
-        if not ratio > 0.0:
-            break
-        if it >= 2 and abs(est - prev_est) <= RHO_RTOL * est:
-            break
-    return est, v
-
-
 def _linearization(geo: PointwiseGeometry, k: int):
     """(a, b, c) per node: the exact linearization J = diag(a) + diag(b) D1 +
     diag(c) D2 of the raw stage map r -> F(kappa(r, r', r'')) w / r at geo's
@@ -350,10 +312,11 @@ def _linearization(geo: PointwiseGeometry, k: int):
     reads (r, r', r''), kappa_par = (1 - r' cot / r) / w reads (r, r'), and
     at the dim-2 poles kappa_par is kappa_rad, as `geometry._curvatures`
     sets it. a follows from b and c by Euler's identity for homogeneous
-    maps. The rank-one -rate * r term of mode normalized is left out."""
+    maps. The rank-one -rate * r term of mode normalized is left out.
+    Raises ConeExitError where sigma_k is not positive (`_speed`)."""
     r, r1, r2, w = geo.r, geo.r1, geo.r2, geo.w
     sig = geo.sigma.T
-    f = sig[k - 1] / sig[k]
+    f = _speed(sig, k)
     grads = _gradient_tables(geo.kappa)  # [m - 1][i] is dsigma_m/dkappa_i
     dfk = -f * grads[k - 1]
     if k > 1:
@@ -385,58 +348,44 @@ def _linearization(geo: PointwiseGeometry, k: int):
     return a, b, c
 
 
-def _row_sums(geo: PointwiseGeometry, k: int) -> np.ndarray:
-    """Row sums of |J| for `_linearization`'s J, each an upper bound on its
-    spectral radius (Gershgorin). The centre entry of row i is a - 490 c /
-    180h^2. At offsets +d and -d (d = 1..3) the D1 weights are +beta_d and
-    -beta_d and the D2 weights both gamma_d, up to one common sign, so those
-    two entries sum to 2 max(beta_d |b| / 60h, gamma_d |c| / 180h^2) in
-    absolute value. Near the dim-2 poles the reflected entries are summed
-    unfolded, which keeps each row an upper bound."""
+def _rho_bound(geo: PointwiseGeometry, k: int) -> float:
+    """The Collatz-Wielandt bound max_i (|J| x)_i / x_i on the spectral
+    radius of `_linearization`'s J, at x = |J|^CW_STEPS 1 (Horn & Johnson,
+    Matrix Analysis, 2nd ed., 8.1). The centre entry of row i is a - 490 c /
+    180h^2, and the entries at offsets +d and -d (d = 1..3) are, up to one
+    common sign, beta_d b / 60h + gamma_d c / 180h^2 and -beta_d b / 60h +
+    gamma_d c / 180h^2. |J| x is their moduli against the gathers of x, near
+    the dim-2 poles with the reflected entries unfolded, which only raises
+    each row. So at x = 1 the ratio is the largest row sum of |J|, and each
+    power step gives a rigorous bound no larger. Raises ConeExitError where
+    sigma_k is not positive."""
     kit = geomod._grid_kit(geo.dim, geo.num_intervals)
     a, b, c = _linearization(geo, k)
+    b /= kit.d1_scale
     c /= kit.d2_scale
-    rows = np.abs(a - geomod._D2_CENTRE * c)
-    off = np.maximum(geomod._D1_WEIGHTS * (np.abs(b) / kit.d1_scale),
-                     geomod._D2_WEIGHTS * np.abs(c))
-    rows += 2.0 * np.add.reduce(off, axis=0)
-    return rows
-
-
-def _rho_bound(geo: PointwiseGeometry, k: int) -> float:
-    """The largest of `_row_sums`: a rigorous bound on the spectral radius of J."""
-    return float(np.maximum.reduce(_row_sums(geo, k)))
-
-
-def _cap(rho: float, bound: float, cfl: float) -> float:
-    """cfl * REAL_STABILITY / min(RHO_SAFETY * rho, bound) for a spectral-radius
-    estimate rho and a rigorous bound; the exact float of the estimate's cap
-    whenever the bound is not smaller."""
-    safe = RHO_SAFETY * rho
-    if not (isfinite(safe) and safe > 0.0):
-        raise ConeExitError(f"stability cap undefined: spectral radius estimate {rho}")
-    return cfl * REAL_STABILITY / min(safe, bound)
+    centre = np.abs(a - geomod._D2_CENTRE * c)
+    b = kit.d1_weights * b
+    c = kit.d2_weights * c
+    off = np.abs(np.concatenate((c + b, c - b)))  # against x ahead, then x behind
+    gather = np.concatenate((kit.ahead, kit.behind))
+    x = np.add.reduce(off, axis=0)  # |J| 1
+    x += centre
+    bound = float(np.maximum.reduce(x))
+    for _ in range(CW_STEPS):
+        y = np.add.reduce(off * x[gather], axis=0)
+        y += centre * x
+        bound = float(np.maximum.reduce(y / x))
+        x = y
+    return bound
 
 
 def stability_cap(geo: PointwiseGeometry, k: int, cfl: float) -> float:
-    """Step cap cfl * REAL_STABILITY / min(1.2 rho, bound) on the flow at geo;
-    a stability guard, not an error bound. rho is a power-iteration estimate
-    of the stage map's spectral radius from a cold start, restarted from
-    its last vector until a restart moves it by at most RHO_RTOL (on a dim-2
-    sphere at N=512 the cold start alone stops at 0.88 of the spectral
-    radius); bound is `_rho_bound`, the largest row sum of the exact
-    linearization, which is the smaller in dim 1 and the larger in dim 2.
-    cfl passes the gate of FlowConfig's cfl_coefficient, `symfunc._real`."""
+    """Step cap cfl * REAL_STABILITY / `_rho_bound` on the flow at geo; a
+    stability guard, not an error bound. `run` refreshes its cap here. Raises
+    ConeExitError where sigma_k is not positive. cfl passes the gate of
+    FlowConfig's cfl_coefficient, `symfunc._real`."""
     cfl = _real(cfl, "cfl", 0.0)
-    k = _whole(k, "flow degree k", 1, geo.dim)
-    f0 = _geo_stage(geo, "raw", k)[0]  # every restart probes about the same base point
-    rho, vec = _spectral_radius(geo, k, None, f0)
-    for _ in range(RHO_MAX_ITER):  # bounds the restarts; each stops on its own rule
-        warm, vec = _spectral_radius(geo, k, vec, f0)
-        if abs(warm - rho) <= RHO_RTOL * warm:
-            break
-        rho = warm
-    return _cap(rho, _rho_bound(geo, k), cfl)
+    return cfl * REAL_STABILITY / _rho_bound(geo, _whole(k, "flow degree k", 1, geo.dim))
 
 
 def _strictly_kconvex(geo: PointwiseGeometry, k: int) -> tuple[bool, str]:
@@ -517,9 +466,16 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
                     _carried=(mode, k, geo_new, drdt, rate, v_new)), None
 
 
+def _check_dim(config: FlowConfig, dim: int) -> None:
+    if dim != config.n:
+        raise ValueError(f"config n={config.n} does not match graph dim={dim}")
+
+
 def step(state: FlowState, dt: float, config: FlowConfig):
     """Single trial step: the new FlowState on acceptance, None on rejection.
-    Raises ValueError unless dt is a positive finite number and not a bool (`symfunc._real`)."""
+    Raises ValueError unless dt is a positive finite number and not a bool
+    (`symfunc._real`), and when config's n is not the state's dim."""
+    _check_dim(config, state.graph.dim)
     return _attempt(state, _real(dt, "dt", 0.0), config)[0]
 
 
@@ -589,24 +545,39 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
     Samples every `sample_every` accepted steps plus the final state.
     `observer(state)` is called at each sample. record_samples=False keeps
     only the first and final record rows (observers still fire), for
-    callers that collect their own series. Raises ValueError when the
-    initial surface is not strictly k-convex, or so near the edge of the
-    cone that the first stiffness probe leaves it, and FlowError, with the
-    partial record attached, on dt underflow, on a conservation drift
-    rate that halving dt does not reduce, or when the stability cap is
-    undefined.
+    callers that collect their own series. The step is capped by
+    `stability_cap`, refreshed every RHO_EVERY accepted steps and after
+    every rejection. Raises ValueError when config's n is not the graph's
+    dim, or when the initial surface is not strictly k-convex or lies so
+    near the edge of the cone that a probe leaves it: r lowered by
+    sqrt(eps) |r| at the node of least sigma_k, under the raw stage map.
+    Raises FlowError, with the partial record attached, on dt underflow,
+    on a conservation drift rate that halving dt does not reduce, or when
+    the stability cap is undefined (a bound that overflowed).
     """
-    if initial.dim != config.n:
-        raise ValueError(f"config n={config.n} does not match graph dim={initial.dim}")
+    _check_dim(config, initial.dim)
     state = initial_state(initial)
-    ok, why = _strictly_kconvex(state.geo, config.k)
+    k = config.k
+    ok, why = _strictly_kconvex(state.geo, k)
     if not ok:
-        raise ValueError(f"initial surface is not strictly {config.k}-convex: {why}")
+        raise ValueError(f"initial surface is not strictly {k}-convex: {why}")
+    # a start on the edge of the cone: lowered by sqrt(eps) |r| at the node of
+    # least sigma_k, the radius leaves Gamma_k under the raw stage map
+    j = int(np.argmin(state.geo.sigma[:, k]))
+    probe = initial.r.copy()
+    probe[j] -= sqrt(np.finfo(float).eps * float(probe @ probe))
+    try:
+        _stage(geomod._grid_kit(initial.dim, initial.num_intervals), probe, "raw", k)
+    except ConeExitError as exc:
+        raise ValueError(
+            f"initial surface is not strictly {k}-convex: sigma_{k} min "
+            f"{state.geo.sigma[j, k]:.6e} is within a probe of the cone's edge "
+            f"(probe: {exc})") from exc
     # every later state carries the stage map its attempt evaluated
-    state = replace(state, _carried=(config.mode, config.k, state.geo)
-                    + _geo_stage(state.geo, config.mode, config.k))
+    state = replace(state, _carried=(config.mode, k, state.geo)
+                    + _geo_stage(state.geo, config.mode, k))
     record = TrajectoryRecord(
-        n=config.n, k=config.k, mode=config.mode,
+        n=config.n, k=k, mode=config.mode,
         columns=record_columns(config.n), rows=[_record_row(state, config)],
     )
     observed_t = state.t
@@ -627,7 +598,6 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
     since_reject = 0  # accepted steps since the start or the last rejection
     t_end = config.t_max
     eps_t = 1e-14 * max(1.0, t_end)
-    vec = None  # the power iteration's last vector, its next start
     drifts = []  # (drift rate, dt) of the current run of conservation rejections
     for _ in range(MAX_STEPS):
         if state.t >= t_end - eps_t:
@@ -635,24 +605,9 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
         if config.tol_round > 0.0 and roundness(state.graph) < config.tol_round:
             return finish("round")
         if since_reject % RHO_EVERY == 0:
-            # the probes' base point, the raw stage map at the state: every mode but
-            # normalized steps by the raw d r/dt, which the state carries
-            f0 = _first_stage(state, "raw" if config.mode == "normalized" else config.mode,
-                              config.k)[0]
-            try:
-                rho, vec = _spectral_radius(state.geo, config.k, vec, f0)
-                cap = _cap(rho, _rho_bound(state.geo, config.k), config.cfl_coefficient)
-            except (ConeExitError, ValueError) as exc:
-                # vec is None only when the first estimate itself failed, at t = 0: a
-                # probe r + v that leaves the cone there shows a start on the edge of Gamma_k
-                if vec is None and isinstance(exc, ConeExitError):
-                    low = float(np.min(state.geo.sigma[:, config.k]))
-                    raise ValueError(
-                        f"initial surface is not strictly {config.k}-convex: sigma_{config.k} "
-                        f"min {low:.6e} is within a stiffness probe of the cone's edge "
-                        f"(probe: {exc})") from exc
-                raise FlowError(f"stiffness estimate failed: {exc}", finish("cap_undefined"),
-                                state) from exc
+            cap = stability_cap(state.geo, k, config.cfl_coefficient)
+            if not cap > 0.0:  # a bound that overflowed, or NaN
+                raise FlowError(f"stability cap undefined: {cap}", finish("cap_undefined"), state)
         dt_eff = min(dt_work, config.dt_max, cap, t_end - state.t)
         new_state, why = _attempt(state, dt_eff, config)
         if new_state is None:
