@@ -351,29 +351,23 @@ def _linearization(geo: PointwiseGeometry, k: int):
 def _rho_bound(geo: PointwiseGeometry, k: int) -> float:
     """The Collatz-Wielandt bound max_i (|J| x)_i / x_i on the spectral
     radius of `_linearization`'s J, at x = |J|^CW_STEPS 1 (Horn & Johnson,
-    Matrix Analysis, 2nd ed., 8.1). The centre entry of row i is a - 490 c /
-    180h^2, and the entries at offsets +d and -d (d = 1..3) are, up to one
-    common sign, beta_d b / 60h + gamma_d c / 180h^2 and -beta_d b / 60h +
-    gamma_d c / 180h^2. |J| x is their moduli against the gathers of x, near
-    the dim-2 poles with the reflected entries unfolded, which only raises
-    each row. So at x = 1 the ratio is the largest row sum of |J|, and each
-    power step gives a rigorous bound no larger. Raises ConeExitError where
-    sigma_k is not positive."""
+    Matrix Analysis, 2nd ed., 8.1). Row i of J holds b_i times the first
+    and c_i times the second row of the kit's (2, 7) stencil weights
+    against the taps of node i, plus a_i at the node itself: its centre
+    entry is a - 490 c / 180h^2. |J| x is their moduli against the gather
+    of x, near the dim-2 poles with the reflected taps unfolded, which only
+    raises each row. So at x = 1 the ratio is the largest row sum of |J|,
+    and each power step gives a rigorous bound no larger. Raises
+    ConeExitError where sigma_k is not positive."""
     kit = geomod._grid_kit(geo.dim, geo.num_intervals)
     a, b, c = _linearization(geo, k)
-    b /= kit.d1_scale
-    c /= kit.d2_scale
-    centre = np.abs(a - geomod._D2_CENTRE * c)
-    b = kit.d1_weights * b
-    c = kit.d2_weights * c
-    off = np.abs(np.concatenate((c + b, c - b)))  # against x ahead, then x behind
-    gather = np.concatenate((kit.ahead, kit.behind))
+    off = kit.weights.T @ np.stack((b, c))  # (7, M): the entries against x[kit.taps]
+    off[0] += a
+    off = np.abs(off)
     x = np.add.reduce(off, axis=0)  # |J| 1
-    x += centre
     bound = float(np.maximum.reduce(x))
     for _ in range(CW_STEPS):
-        y = np.add.reduce(off * x[gather], axis=0)
-        y += centre * x
+        y = np.add.reduce(off * x[kit.taps], axis=0)
         bound = float(np.maximum.reduce(y / x))
         x = y
     return bound

@@ -4,13 +4,16 @@ A surface is stored as a positive radial function on a uniform parameter
 grid: N periodic samples of r(theta) on [0, 2pi) for a plane curve
 (dim 1), or N+1 samples of r(phi) on [0, pi] for the profile of an
 axisymmetric surface (dim 2). Curvatures, support function and area
-weights come from sixth-order centered difference stencils, applied
-through per-grid gather tables of the nodes one to three places ahead
-of and behind each node (indices wrap for dim 1 and reflect evenly at
-both poles for dim 2); quermassintegrals from trapezoid (dim 1) or
-composite Simpson (dim 2) quadrature. The parallel principal curvature at the poles is assigned
-its smooth limit, the meridian value; the sin(phi) area weight vanishes
-there, so the choice does not touch any integral.
+weights come from sixth-order centered difference stencils (Fornberg,
+Math. Comp. 51, 1988): one gather of the seven taps of every node, itself
+and the nodes one to three places ahead of and behind it (indices wrap for
+dim 1 and reflect evenly at both poles for dim 2), and one product with
+the grid's (2, 7) weight matrix, whose rows give the first and the second
+derivative; quermassintegrals from trapezoid (dim 1) or composite Simpson
+(dim 2) quadrature. The first derivative is set to exactly 0 at the poles,
+where the reflection makes it vanish. The parallel principal curvature at
+the poles is assigned its smooth limit, the meridian value; the sin(phi)
+area weight vanishes there, so the choice does not touch any integral.
 
 A grid is keyed by its dimension and its number of intervals N. Its kit,
 `_grid_kit(dim, N)`, is its one gate and its one layout of nodes and spacing:
@@ -34,10 +37,11 @@ principal direction or degree, which is the layout the flow's stages and
 
 A grid kit may be stacked: `_grid_kit(dim, num, copies)` lays `copies`
 grids of `size` nodes end to end, so one `_curvatures` call evaluates
-that many radial graphs of one grid, each copy bitwise as on its own. The
-dim-2 pole rule is written on the kit's strided slices `[::size]` and
-`[N::size]`, which are nodes 0 and N of every copy; with one copy they
-are the two poles.
+that many radial graphs of one grid, each copy bitwise as on its own: the
+stencil product sums each output over its own seven taps, wherever the
+copy sits in the stack. The dim-2 pole rules are written on the kit's
+strided slices `[::size]` and `[N::size]`, which are nodes 0 and N of
+every copy; with one copy they are the two poles.
 """
 
 from __future__ import annotations
@@ -82,13 +86,11 @@ __all__ = [
 MIN_NODES = 16
 DIMS = (1, 2)  # the dimensions n of every grid, shape and flow
 
-# sixth-order centered stencil weights of the offsets 1, 2, 3 (as columns,
-# repeated into full rows against each grid's gather tables): first
-# derivative on ahead - behind, second derivative on ahead + behind, whose
-# centre weight is -_D2_CENTRE
-_D1_WEIGHTS = np.array([[45.0], [9.0], [1.0]])
-_D2_WEIGHTS = np.array([[270.0], [27.0], [2.0]])
-_D2_CENTRE = 490.0
+# sixth-order centered stencil weights (Fornberg, Math. Comp. 51, 1988) against
+# the rows of each grid's tap table: the node, the nodes 1..3 ahead, the nodes
+# 1..3 behind; row 0 is 60h times the first derivative, row 1 180h^2 times the second
+_STENCIL = np.array([[0.0, 45.0, -9.0, 1.0, -45.0, 9.0, -1.0],
+                     [-490.0, 270.0, -27.0, 2.0, 270.0, -27.0, 2.0]])
 
 
 class ShapeError(ValueError):
@@ -381,27 +383,17 @@ def make_shape(spec, dim: int, num: int) -> RadialGraph:
 
 
 def _stencil_derivatives(kit: _GridKit, r: np.ndarray):
-    """Sixth-order centered first and second derivatives of r on kit's grid.
-
-    The rows of `a` and `s` are the offset-1, -2 and -3 terms in the order
-    the stencil adds them, so the sums round exactly as the textbook
-    formula (45 a1 - 9 a2 + a3) / 60h, (270 s1 - 27 s2 + 2 s3 - 490 f) / 180h^2.
-    The updates after the two gathers are in place, against full-shape
-    weight rows, so no operand is broadcast.
+    """Sixth-order centered first and second derivatives of r on kit's grid:
+    one gather of the seven taps of every node and one product with the
+    (2, 7) weight matrix. The first derivative is set to exactly 0 at the
+    dim-2 poles, where the even reflection makes it vanish but a BLAS sum
+    of the reflected taps need not cancel bit for bit.
     """
-    ahead, behind = r[kit.ahead], r[kit.behind]
-    a = ahead - behind
-    a *= kit.d1_weights
-    s = ahead  # the gather is not read again: the sums overwrite it
-    s += behind
-    s *= kit.d2_weights
-    d1 = a[0] - a[1]
-    d1 += a[2]
-    d1 /= kit.d1_scale
-    d2 = s[0] - s[1]
-    d2 += s[2]
-    d2 -= _D2_CENTRE * r
-    d2 /= kit.d2_scale
+    d1, d2 = kit.weights @ r[kit.taps]
+    if kit.poles is not None:
+        north, south = kit.poles
+        d1[north] = 0.0
+        d1[south] = 0.0
     return d1, d2
 
 
@@ -418,8 +410,9 @@ class _GridKit:
 
     A stacked kit lays `copies` grids of `size` nodes end to end: copy c
     holds the nodes c * size .. (c + 1) * size - 1 of every node array, and
-    its gather tables read only its own nodes. `param` is one copy's grid.
-    Every array is read-only: the kit is cached and shared.
+    its columns of the tap table read only its own nodes; the (2, 7) weight
+    matrix is the same for every copy. `param` is one copy's grid. Every
+    array is read-only: the kit is cached and shared.
     """
 
     dim: int
@@ -435,15 +428,12 @@ class _GridKit:
     # of every copy; None for dim 1
     poles: tuple | None
     area_weight: np.ndarray  # h for dim 1, simpson * 2 pi sin(phi) for dim 2
-    # (3, copies * size) indices of the nodes 1..3 places ahead of / behind each node
-    ahead: np.ndarray
-    behind: np.ndarray
-    # (3, copies * size) stencil weights of those offsets, one full row per offset
-    d1_weights: np.ndarray
-    d2_weights: np.ndarray
-    # the stencils' denominators 60 h and 180 h^2
-    d1_scale: float
-    d2_scale: float
+    # (7, copies * size) indices of the taps of each node: the node, the nodes
+    # 1..3 places ahead, the nodes 1..3 places behind
+    taps: np.ndarray
+    # (2, 7) weights of the taps: _STENCIL over 60 h and 180 h^2, whose product
+    # with the gathered taps is the first and second derivative
+    weights: np.ndarray
 
 
 _KIT_CACHE: dict = {}
@@ -461,15 +451,13 @@ def _grid_kit(dim: int, num: int, copies: int = 1) -> _GridKit:
     if kit is None:
         size = num if dim == 1 else num + 1
         nodes = np.arange(size)
-        ahead = nodes + np.arange(1, 4)[:, None]
-        behind = nodes - np.arange(1, 4)[:, None]
+        taps = nodes + np.array([0, 1, 2, 3, -1, -2, -3])[:, None]
         if dim == 1:
             param = 2.0 * pi * nodes / num
             h = 2.0 * pi / num
             sin = cos = poles = None
             area = np.full(size, h)
-            ahead %= num
-            behind %= num
+            taps %= num
         else:
             # even reflection about both poles: node -j is node j, node
             # N + j is node N - j
@@ -481,14 +469,10 @@ def _grid_kit(dim: int, num: int, copies: int = 1) -> _GridKit:
             safe[[0, -1]] = 1.0
             sin, cos = np.tile(safe, copies), np.tile(np.cos(param), copies)
             poles = (slice(None, None, size), slice(num, None, size))
-            ahead = np.where(ahead > num, 2 * num - ahead, ahead)
-            behind = np.abs(behind)
-        offsets = size * np.arange(copies)[:, None]
-        ahead, behind = ((table[:, None, :] + offsets).reshape(3, copies * size)
-                         for table in (ahead, behind))
-        kit = _GridKit(dim, num, size, h, param, sin, cos, poles, np.tile(area, copies),
-                       ahead, behind, np.repeat(_D1_WEIGHTS, copies * size, axis=1),
-                       np.repeat(_D2_WEIGHTS, copies * size, axis=1), 60.0 * h, 180.0 * h * h)
+            taps = np.where(taps > num, 2 * num - taps, np.abs(taps))
+        taps = (taps[:, None, :] + size * np.arange(copies)[:, None]).reshape(7, copies * size)
+        kit = _GridKit(dim, num, size, h, param, sin, cos, poles, np.tile(area, copies), taps,
+                       _STENCIL / np.array([[60.0 * h], [180.0 * h * h]]))
         for value in vars(kit).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -504,12 +488,16 @@ def _curvatures(kit: _GridKit, r: np.ndarray):
     Returns (r1, r2, w, rr, kappa, sigma, dmu) with rr = r * r, the arrays
     of PointwiseGeometry that a flow stage needs, except that kappa is
     (n, M) and sigma (n + 1, M): one contiguous row per direction and
-    degree. Raises ShapeError on r <= 0 or NaN and ValueError on non-finite
-    curvature data, which an infinite r makes.
+    degree. Raises ShapeError on r <= 0 or NaN and ValueError on an infinite
+    r, before the stencil product would warn of it, and on non-finite
+    curvature data, which a finite r can make by overflow.
     """
     rmin = float(np.minimum.reduce(r))
     if not rmin > 0.0:
         raise ShapeError(f"radial function not positive (min r = {rmin})")
+    rmax = float(np.maximum.reduce(r))
+    if not rmax < inf:
+        raise ValueError(f"non-finite curvature data: r = {rmax} at node {int(r.argmax())}")
     r1, r2 = _stencil_derivatives(kit, r)
     rr = r * r
     r1r1 = r1 * r1

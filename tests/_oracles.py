@@ -59,25 +59,33 @@ def gradient_tables_rowmajor(lams):
     return np.stack([elem_sym_gradient_rowmajor(lams, m).T for m in range(1, lams.shape[1] + 1)])
 
 
+# the sixth-order centered stencil against the node, the nodes 1..3 ahead and the
+# nodes 1..3 behind: 60h times the first derivative, 180h^2 times the second
+STENCIL_ROWS = [[0.0, 45.0, -9.0, 1.0, -45.0, 9.0, -1.0],
+                [-490.0, 270.0, -27.0, 2.0, 270.0, -27.0, 2.0]]
+
+
+def stencil_weights(h):
+    """The (2, 7) weights of the first and second derivative on a grid of spacing h."""
+    return np.array(STENCIL_ROWS) / np.array([[60.0 * h], [180.0 * h * h]])
+
+
 def stencil_derivatives_padded(r, dim, h):
     """Sixth-order centered first and second derivatives of radial samples,
     evaluated on a copy padded with three ghost nodes at each end:
     periodic wrap for dim 1, even reflection about both poles for dim 2.
-    Written as the plain slice formula, term by term in stencil order."""
+    The seven shifted slices of the padded copy, in tap order, times the
+    (2, 7) weights; the dim-2 first derivative is 0 at both poles."""
     r = np.asarray(r, float)
     if dim == 1:
         pad = np.concatenate([r[-3:], r, r[:3]])
     else:
         pad = np.concatenate([r[3:0:-1], r, r[-2:-5:-1]])
-    f = pad[3:-3]
-    a1 = pad[4:-2] - pad[2:-4]
-    a2 = pad[5:-1] - pad[1:-5]
-    a3 = pad[6:] - pad[:-6]
-    s1 = pad[4:-2] + pad[2:-4]
-    s2 = pad[5:-1] + pad[1:-5]
-    s3 = pad[6:] + pad[:-6]
-    d1 = (45.0 * a1 - 9.0 * a2 + a3) / (60.0 * h)
-    d2 = (270.0 * s1 - 27.0 * s2 + 2.0 * s3 - 490.0 * f) / (180.0 * h * h)
+    size = r.size
+    shifted = np.stack([pad[3 + d : 3 + d + size] for d in (0, 1, 2, 3, -1, -2, -3)])
+    d1, d2 = stencil_weights(h) @ shifted
+    if dim == 2:
+        d1[[0, -1]] = 0.0
     return d1, d2
 
 
@@ -179,17 +187,15 @@ def ellipse_mean_radius(a, b, n=1 << 16):
 
 def grid_kit_arrays(dim, size):
     """The node arrays of one unstacked grid kit, built node table by node
-    table: (param, pole_safe_sin, cos, area_weight, ahead, behind, d1_weights,
-    d2_weights), with None for the dim-1 sin and cos."""
+    table: (param, pole_safe_sin, cos, area_weight, taps, weights), with None
+    for the dim-1 sin and cos."""
     nodes = np.arange(size)
     ahead = nodes + np.arange(1, 4)[:, None]
     behind = nodes - np.arange(1, 4)[:, None]
-    weights = (np.repeat([[45.0], [9.0], [1.0]], size, axis=1),
-               np.repeat([[270.0], [27.0], [2.0]], size, axis=1))
     if dim == 1:
         h = 2.0 * pi / size
-        return (2.0 * pi * nodes / size, None, None, np.full(size, h),
-                ahead % size, behind % size, *weights)
+        taps = np.concatenate([nodes[None], ahead % size, behind % size])
+        return (2.0 * pi * nodes / size, None, None, np.full(size, h), taps, stencil_weights(h))
     top = size - 1
     param = pi * nodes / top
     h = pi / top
@@ -199,8 +205,10 @@ def grid_kit_arrays(dim, size):
     simpson = np.ones(size)
     simpson[1:-1:2] = 4.0
     simpson[2:-1:2] = 2.0
-    return (param, safe, np.cos(param), simpson * (h / 3.0) * (2.0 * pi) * sin,
-            np.where(ahead > top, 2 * top - ahead, ahead), np.abs(behind), *weights)
+    taps = np.concatenate([nodes[None], np.where(ahead > top, 2 * top - ahead, ahead),
+                           np.abs(behind)])
+    return (param, safe, np.cos(param), simpson * (h / 3.0) * (2.0 * pi) * sin, taps,
+            stencil_weights(h))
 
 
 def random_kconvex_sample(rng, n, k, num):

@@ -276,10 +276,9 @@ class TestStep:
             return drdt, rate, v_held
 
         monkeypatch.setattr(fl, "_stage", spoiled)
-        # an infinite sample meets inf - inf in the stencils before the finite
-        # check; any real way to it has already overflowed in a stage
-        with np.errstate(invalid="ignore"):
-            new, why = fl._attempt(state, 1e-4, config)
+        # an infinite sample is rejected before the stencil product meets
+        # inf - inf, with no warning
+        new, why = fl._attempt(state, 1e-4, config)
         assert new is None and len(calls) == 2
         assert str(why).startswith(reason)
 

@@ -367,8 +367,7 @@ class TestPointwiseGeometry:
     def test_single_copy_kit_is_the_unstacked_kit(self, dim, num):
         size = num if dim == 1 else num + 1
         kit = geom._grid_kit(dim, num)
-        got = (kit.param, kit.pole_safe_sin, kit.cos, kit.area_weight, kit.ahead, kit.behind,
-               kit.d1_weights, kit.d2_weights)
+        got = (kit.param, kit.pole_safe_sin, kit.cos, kit.area_weight, kit.taps, kit.weights)
         for mine, want in zip(got, grid_kit_arrays(dim, size)):
             if want is None:
                 assert mine is None
@@ -400,6 +399,34 @@ class TestPointwiseGeometry:
             if dim == 2:  # both poles of every copy take the meridian curvature
                 for pole in (c * size, (c + 1) * size - 1):
                     assert kappa[1, pole] == kappa[0, pole]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stacked_stencil_product_is_the_single_copy_product(self, dim):
+        # at the default BLAS thread count: every copy's columns of the one
+        # (2, 7) product are bitwise its own product, and every pole reads 0
+        num, copies = 512, 16
+        size = num if dim == 1 else num + 1
+        rng = np.random.default_rng(7 * dim)
+        rows = 1.0 + 0.1 * rng.standard_normal((copies, size))
+        r1, r2 = geom._stencil_derivatives(geom._grid_kit(dim, num, copies), rows.ravel())
+        kit = geom._grid_kit(dim, num)
+        for c, r in enumerate(rows):
+            cols = slice(c * size, (c + 1) * size)
+            d1, d2 = geom._stencil_derivatives(kit, r)
+            assert r1[cols].tobytes() == d1.tobytes()
+            assert r2[cols].tobytes() == d2.tobytes()
+            if dim == 2:
+                assert r1[c * size] == 0.0 and r1[(c + 1) * size - 1] == 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_infinite_radius_is_rejected_without_a_warning(self, dim):
+        # the pytest filter error::RuntimeWarning:starflow fails the test on any
+        # warning; the stencil product used to warn of inf - inf before the raise
+        kit = geom._grid_kit(dim, 64)
+        r = np.ones(kit.size)
+        r[5] = np.inf
+        with pytest.raises(ValueError, match="^non-finite curvature data: r = inf at node 5$"):
+            geom._curvatures(kit, r)
 
     def test_pole_derivative_vanishes(self):
         # even reflection makes the profile derivative exactly zero at poles
@@ -736,7 +763,7 @@ class TestGridLayout:
     def test_kit_arrays_are_read_only(self, dim, size, copies):
         kit = geom._grid_kit(dim, RadialGraph(dim, np.ones(size)).num_intervals, copies)
         arrays = [value for value in vars(kit).values() if isinstance(value, np.ndarray)]
-        assert len(arrays) == (6 if dim == 1 else 8)
+        assert len(arrays) == (4 if dim == 1 else 6)
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -794,7 +821,7 @@ class TestGridGate:
     def test_kit_maps_intervals_to_nodes(self, dim):
         kit = geom._grid_kit(dim, 32, 3)
         assert (kit.num, kit.size) == (32, 32 if dim == 1 else 33)
-        assert kit.ahead.shape == (3, 3 * kit.size)
+        assert kit.taps.shape == (7, 3 * kit.size)
         g = sphere(1.0, dim, 32)
         assert g.r.size == kit.size and g.num_intervals == 32
         assert compute_geometry(g).num_intervals == 32
