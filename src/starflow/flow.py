@@ -235,22 +235,24 @@ def _rate(u: np.ndarray | None, f: np.ndarray, sig: np.ndarray, dmu: np.ndarray,
           k: int, held: int) -> tuple:
     """(log-scale rate that holds V_held under the degree-k flow, V_held), from
     the per-node arrays, the speed f and the (n + 1, M) rows sig of
-    sigma_0..sigma_n; the caller has checked sigma_k > 0. The rate's
-    denominator is V_held, bitwise `geometry.quermass(geo, n + 1 - held)`.
+    sigma_0..sigma_n; the caller has checked sigma_k > 0. Each integral is
+    one dot with dmu, as in `geometry`'s quadrature, so the rate's
+    denominator V_held is bitwise `geometry.quermass(geo, n + 1 - held)`.
 
     held = n + 1: int(F dmu) / int(u dmu) with u = r^2 / w the support
     function, and V_{n+1} = int(u sigma_0 dmu) with sigma_0 = 1. held = n - k
     (k <= n - 1): r(t) = int(sigma_{k+1} sigma_{k-1} / sigma_k) / V_{n-k}
-    with V_{n-k} = C_{n,k+1} int sigma_k; f and u are not read.
+    with V_{n-k} = C_{n,k+1} int sigma_k, the product by sigma_0 = 1 skipped
+    at k = 1; f and u are not read.
     """
     n = sig.shape[0] - 1
     if held == n + 1:
-        v_held = float(np.add.reduce(u * dmu))
-        return float(np.add.reduce(f * dmu)) / v_held, v_held
+        v_held = float(u @ dmu)
+        return float(f @ dmu) / v_held, v_held
     sk = sig[k]
-    num = float(np.add.reduce(sig[k + 1] * sig[k - 1] / sk * dmu))
-    v_held = cnk(n, k + 1) * float(np.add.reduce(sk * dmu))
-    return num / v_held, v_held
+    top = sig[k + 1] if k == 1 else sig[k + 1] * sig[k - 1]
+    v_held = cnk(n, k + 1) * float(sk @ dmu)
+    return float((top / sk) @ dmu) / v_held, v_held
 
 
 def volume_scale_rate(geo: PointwiseGeometry, k: int) -> float:
@@ -309,9 +311,10 @@ def _linearization(geo: PointwiseGeometry, k: int):
     `geometry._stencil_derivatives`. a, b and c are the partial derivatives
     of the pointwise formula in r, r' and r''; dF/dkappa comes from
     `symfunc._gradient_tables`. kappa_rad = (r^2 + 2 r'^2 - r r'') / w^3
-    reads (r, r', r''), kappa_par = (1 - r' cot / r) / w reads (r, r'), and
-    at the dim-2 poles kappa_par is kappa_rad, as `geometry._curvatures`
-    sets it. a follows from b and c by Euler's identity for homogeneous
+    reads (r, r', r''), kappa_par = (1 - r' cot / r) / w reads (r, r'), on
+    the kit's pole-safe cotangent `cot` that `geometry._curvatures` reads,
+    and at the dim-2 poles kappa_par is kappa_rad, as `_curvatures` sets
+    it. a follows from b and c by Euler's identity for homogeneous
     maps. The rank-one -rate * r term of mode normalized is left out.
     Raises ConeExitError where sigma_k is not positive (`_speed`)."""
     r, r1, r2, w = geo.r, geo.r1, geo.r2, geo.w
@@ -326,16 +329,14 @@ def _linearization(geo: PointwiseGeometry, k: int):
     if geo.dim == 2:
         kit = geomod._grid_kit(2, geo.num_intervals)
         df_par = dfk[1]
-        for pole in kit.poles:
-            df_rad[pole] += df_par[pole]
-            df_par[pole] = 0.0
+        df_rad[kit.poles] += df_par[kit.poles]
+        df_par[kit.poles] = 0.0
     # w^3 dkappa_rad/dr' = r' (4 - 3 kappa_rad w) and w^3 dkappa_par/dr' = -(r' + r cot)
     b = 4.0 - 3.0 * geo.kappa[:, 0] * w
     b *= df_rad
     b *= r1
-    if geo.dim == 2:
-        cot = kit.cos / kit.pole_safe_sin  # finite at the poles, where df_par is 0
-        b -= df_par * (r1 + r * cot)
+    if geo.dim == 2:  # the kit's cot is finite at the poles, where df_par is 0
+        b -= df_par * (r1 + r * kit.cot)
     w2 = w * w
     b /= w2 * r
     b += f * r1 / (w * r)

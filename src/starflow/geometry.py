@@ -14,6 +14,10 @@ derivative; quermassintegrals from trapezoid (dim 1) or composite Simpson
 where the reflection makes it vanish. The parallel principal curvature at
 the poles is assigned its smooth limit, the meridian value; the sin(phi)
 area weight vanishes there, so the choice does not touch any integral.
+Elsewhere it is (r - r' cot(phi)) / (r w), on the kit's pole-safe cotangent.
+Every quadrature sum is one BLAS dot of the integrand with the weights dmu.
+The curvature data pass a one-sum finiteness gate: only a sum that is not
+finite runs the exact per-entry test, which alone rejects.
 
 A grid is keyed by its dimension and its number of intervals N. Its kit,
 `_grid_kit(dim, N)`, is its one gate and its one layout of nodes and spacing:
@@ -23,11 +27,12 @@ builders and `verify.radial_from_curve` take their grid from it first, and
 `RadialGraph.num_intervals` is the one map back from nodes to N. A
 ShapeError's `field` names the input of `make_shape` at fault.
 
-Three more conventions have their one owner here: `quermass(geo, m)` is the
-only place that picks between the Minkowski form (m = 0) and the curvature
-integral (m >= 1) for V_{n+1-m}, `_iso` is the only formula of the ratio
-I_m = V_{n+1-m}^{1/(n+1-m)} / V_{n-m}^{1/(n-m)}, and `_write_csv` the only
-CSV number format. The Garding-cone status of `kconvex_report` is `symfunc`'s.
+Three more conventions have their one owner here: V_{n+1-m} is the
+Minkowski form at m = 0 and the curvature integral at m >= 1, picked by
+`quermass(geo, m)` and, for every m at once and ungated, by
+`quermass_vector`; `_iso` is the only formula of the ratio
+I_m = V_{n+1-m}^{1/(n+1-m)} / V_{n-m}^{1/(n-m)}; and `_write_csv` is the
+only CSV number format. The Garding-cone status of `kconvex_report` is `symfunc`'s.
 
 The curvature data are stored row by row: kappa as an (n, M) array and
 sigma_0..sigma_n as an (n + 1, M) array, one contiguous row per
@@ -40,8 +45,8 @@ grids of `size` nodes end to end, so one `_curvatures` call evaluates
 that many radial graphs of one grid, each copy bitwise as on its own: the
 stencil product sums each output over its own seven taps, wherever the
 copy sits in the stack. The dim-2 pole rules are written on the kit's
-strided slices `[::size]` and `[N::size]`, which are nodes 0 and N of
-every copy; with one copy they are the two poles.
+read-only index array `poles`, which holds nodes 0 and N of every copy;
+with one copy they are the two poles.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ import csv
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
-from math import comb, gamma, inf, pi
+from math import comb, gamma, inf, isfinite, pi
 from numbers import Integral
 
 import numpy as np
@@ -391,9 +396,7 @@ def _stencil_derivatives(kit: _GridKit, r: np.ndarray):
     """
     d1, d2 = kit.weights @ r[kit.taps]
     if kit.poles is not None:
-        north, south = kit.poles
-        d1[north] = 0.0
-        d1[south] = 0.0
+        d1[kit.poles] = 0.0
     return d1, d2
 
 
@@ -420,13 +423,11 @@ class _GridKit:
     size: int  # nodes of one copy: N for dim 1, N + 1 for dim 2
     h: float
     param: np.ndarray
-    # dim 2: sin(phi) with 1.0 at both poles, where the parallel curvature
-    # is overwritten with the meridian one, and cos(phi); None for dim 1
-    pole_safe_sin: np.ndarray | None
-    cos: np.ndarray | None
-    # dim 2: the strided slices [::size] and [num::size], nodes 0 and N
-    # of every copy; None for dim 1
-    poles: tuple | None
+    # dim 2: cos(phi) / sin(phi), with sin(phi) read as 1.0 at both poles, where
+    # the parallel curvature is overwritten with the meridian one; None for dim 1
+    cot: np.ndarray | None
+    # dim 2: the indices of nodes 0 and N of every copy; None for dim 1
+    poles: np.ndarray | None
     area_weight: np.ndarray  # h for dim 1, simpson * 2 pi sin(phi) for dim 2
     # (7, copies * size) indices of the taps of each node: the node, the nodes
     # 1..3 places ahead, the nodes 1..3 places behind
@@ -455,7 +456,7 @@ def _grid_kit(dim: int, num: int, copies: int = 1) -> _GridKit:
         if dim == 1:
             param = 2.0 * pi * nodes / num
             h = 2.0 * pi / num
-            sin = cos = poles = None
+            cot = poles = None
             area = np.full(size, h)
             taps %= num
         else:
@@ -467,11 +468,11 @@ def _grid_kit(dim: int, num: int, copies: int = 1) -> _GridKit:
             area = _simpson_weights(num, h) * (2.0 * pi) * sin
             safe = sin.copy()
             safe[[0, -1]] = 1.0
-            sin, cos = np.tile(safe, copies), np.tile(np.cos(param), copies)
-            poles = (slice(None, None, size), slice(num, None, size))
+            cot = np.tile(np.cos(param) / safe, copies)
+            poles = (size * np.arange(copies)[:, None] + [0, num]).ravel()
             taps = np.where(taps > num, 2 * num - taps, np.abs(taps))
         taps = (taps[:, None, :] + size * np.arange(copies)[:, None]).reshape(7, copies * size)
-        kit = _GridKit(dim, num, size, h, param, sin, cos, poles, np.tile(area, copies), taps,
+        kit = _GridKit(dim, num, size, h, param, cot, poles, np.tile(area, copies), taps,
                        _STENCIL / np.array([[60.0 * h], [180.0 * h * h]]))
         for value in vars(kit).values():
             if isinstance(value, np.ndarray):
@@ -518,18 +519,23 @@ def _curvatures(kit: _GridKit, r: np.ndarray):
         k_rad, k_par = kappa
         np.divide(num, w2 * w, out=k_rad)
         rw = r * w
-        sin = kit.pole_safe_sin
-        np.divide(r * sin - r1 * kit.cos, rw * sin, out=k_par)
-        north, south = kit.poles
-        k_par[north] = k_rad[north]
-        k_par[south] = k_rad[south]
+        np.divide(r - r1 * kit.cot, rw, out=k_par)
+        k_par[kit.poles] = k_rad[kit.poles]
         np.add(k_rad, k_par, out=sig[1])
         np.multiply(k_rad, k_par, out=sig[2])
         dmu = kit.area_weight * rw
-    if not np.logical_and.reduce(np.isfinite(sig), axis=None):
+    _check_finite(sig)
+    return r1, r2, w, rr, kappa, sig, dmu
+
+
+def _check_finite(sig: np.ndarray) -> None:
+    """Raise ValueError naming the first node at which the rows sig, one per
+    degree, hold a NaN or an infinity. One sum decides when it is finite; only
+    a sum that is not finite runs the exact test, so a sum that overflows over
+    finite entries (numpy warns of it) is no rejection."""
+    if not isfinite(float(np.add.reduce(sig, axis=None))) and not np.isfinite(sig).all():
         bad = int(np.argwhere(~np.isfinite(sig.T))[0][0])
         raise ValueError(f"non-finite curvature data at node {bad}")
-    return r1, r2, w, rr, kappa, sig, dmu
 
 
 def _pointwise(kit: _GridKit, r: np.ndarray, curvatures: tuple | None = None) -> PointwiseGeometry:
@@ -561,6 +567,16 @@ def compute_geometry(g: RadialGraph) -> PointwiseGeometry:
 # quermassintegrals and ratios
 
 
+def _sigma_form(geo: PointwiseGeometry, m: int) -> float:
+    """`quermass_sigma` at an index m already checked to lie in 1..n."""
+    return cnk(geo.dim, m) * float(geo.sigma[:, m - 1] @ geo.dmu)
+
+
+def _minkowski_form(geo: PointwiseGeometry, m: int) -> float:
+    """`quermass_minkowski` at an index m already checked to lie in 0..n."""
+    return float((geo.u * geo.sigma[:, m]) @ geo.dmu)
+
+
 def quermass_sigma(geo: PointwiseGeometry, m: int) -> float:
     """V_{n+1-m} from the curvature-integral definition.
 
@@ -569,8 +585,7 @@ def quermass_sigma(geo: PointwiseGeometry, m: int) -> float:
     the top integral V_{n+1} has no index here and is only reachable
     through the Minkowski form.
     """
-    n, m = geo.dim, _whole(m, "sigma-form index m", 1, geo.dim)
-    return cnk(n, m) * float(np.add.reduce(geo.sigma[:, m - 1] * geo.dmu))
+    return _sigma_form(geo, _whole(m, "sigma-form index m", 1, geo.dim))
 
 
 def quermass_minkowski(geo: PointwiseGeometry, m: int) -> float:
@@ -578,8 +593,7 @@ def quermass_minkowski(geo: PointwiseGeometry, m: int) -> float:
 
     m = 0 gives V_{n+1} = (n+1) * volume of the enclosed domain.
     """
-    m = _whole(m, "Minkowski-form index m", 0, geo.dim)
-    return float(np.add.reduce(geo.u * geo.sigma[:, m] * geo.dmu))
+    return _minkowski_form(geo, _whole(m, "Minkowski-form index m", 0, geo.dim))
 
 
 def quermass(geo: PointwiseGeometry, m: int) -> float:
@@ -590,8 +604,10 @@ def quermass(geo: PointwiseGeometry, m: int) -> float:
 
 
 def quermass_vector(geo: PointwiseGeometry) -> np.ndarray:
-    """V_{n+1}, V_n, ..., V_1: `quermass` at m = 0..n."""
-    return np.array([quermass(geo, m) for m in range(geo.dim + 1)])
+    """V_{n+1}, V_n, ..., V_1: `quermass` at m = 0..n, through the ungated
+    forms, as every index of the range is valid."""
+    return np.array([_minkowski_form(geo, 0)]
+                    + [_sigma_form(geo, m) for m in range(1, geo.dim + 1)])
 
 
 def sphere_area(n: int) -> float:
@@ -602,7 +618,11 @@ def sphere_area(n: int) -> float:
 def unit_ball_quermass(n: int, m: int) -> float:
     """V_{n+1-m} of the unit ball: binom(n, m) * |S^n|."""
     n = _whole(n, "dimension n")
-    m = _whole(m, "index m", 0, n)
+    return _unit_ball(n, _whole(m, "index m", 0, n))
+
+
+def _unit_ball(n: int, m: int) -> float:
+    """unit_ball_quermass at a checked n and m."""
     return comb(n, m) * sphere_area(n)
 
 

@@ -38,13 +38,13 @@ from .geometry import (
     _even_extension,
     _grid_kit,
     _simpson_weights,
+    _unit_ball,
     _write_csv,
     embed,
     iso_ratio_ball,
     kconvex_report,
     quermass_vector,
     sphere_area,
-    unit_ball_quermass,
 )
 from .symfunc import _gradient_tables, _real, _whole, elem_sym_table, polarized_sigma_square_table
 
@@ -448,9 +448,8 @@ def check_lemma_integral(config: flowmod.FlowConfig, initial: RadialGraph):
         geo = state.geo
         sig = geo.sigma.T  # contiguous rows sigma_0..sigma_n
         times.append(state.t)
-        lhs_series.append(np.add.reduce(sig * geo.dmu, axis=1))
-        rates = sig[1:] * sig[k - 1] / sig[k] * geo.dmu
-        rhs_series.append(degrees * np.add.reduce(rates, axis=1))
+        lhs_series.append(sig @ geo.dmu)
+        rhs_series.append(degrees * ((sig[1:] * sig[k - 1] / sig[k]) @ geo.dmu))
 
     record = flowmod.run(replace(config, sample_every=1), initial, observer=observer,
                          record_samples=False)
@@ -545,6 +544,8 @@ def check_af_chain(geo: PointwiseGeometry, k: int):
     within a relative slack of 1e-6. The m with a degenerate lower
     exponent are skipped by the range. Raises ValueError when the surface
     fails k-convexity: that is a precondition, not a counterexample.
+    k is gated once, by `kconvex_report`; the V vector and the unit-ball
+    values are read through ungated helpers.
     """
     conv = kconvex_report(geo, k)
     n, k = geo.dim, conv.k
@@ -556,8 +557,8 @@ def check_af_chain(geo: PointwiseGeometry, k: int):
     reports = []
     vees = quermass_vector(geo)
     for m in range(0, min(k, n - 1) + 1):
-        lhs = (vees[m] / unit_ball_quermass(n, m)) ** (1.0 / (n + 1 - m))
-        rhs = (vees[m + 1] / unit_ball_quermass(n, m + 1)) ** (1.0 / (n - m))
+        lhs = (vees[m] / _unit_ball(n, m)) ** (1.0 / (n + 1 - m))
+        rhs = (vees[m + 1] / _unit_ball(n, m + 1)) ** (1.0 / (n - m))
         gap = lhs - rhs
         reports.append(_report(f"af_chain/m{m}", lhs, rhs, gap, gap / rhs,
                                f"N={geo.num_intervals}", 1e-6))

@@ -93,8 +93,8 @@ def curvatures_rowmajor(r, dim):
     """(kappa, sigma, w, u, dmu) of radial samples on the grid of
     geometry.RadialGraph, with kappa an (M, n) and sigma an (M, n + 1)
     table written one strided column at a time, the parallel curvature
-    computed on the interior nodes only and set to the meridian value at
-    the poles. Derivatives from stencil_derivatives_padded; the
+    (r - r' cot) / (r w) computed on the interior nodes only and set to the
+    meridian value at the poles. Derivatives from stencil_derivatives_padded; the
     arithmetic is the formula of geometry.compute_geometry, term by term."""
     r = np.asarray(r, float)
     size = r.size
@@ -116,12 +116,11 @@ def curvatures_rowmajor(r, dim):
         dmu = np.full(size, h) * w
     else:
         phi = np.pi * np.arange(size) / (size - 1)
-        sin, cos = np.sin(phi), np.cos(phi)
+        sin = np.sin(phi)
+        cot = np.cos(phi[1:-1]) / sin[1:-1]
         kappa = np.empty((size, 2))
         kappa[:, 0] = k_rad
-        kappa[1:-1, 1] = (r[1:-1] * sin[1:-1] - r1[1:-1] * cos[1:-1]) / (
-            w[1:-1] * r[1:-1] * sin[1:-1]
-        )
+        kappa[1:-1, 1] = (r[1:-1] - r1[1:-1] * cot) / (r[1:-1] * w[1:-1])
         kappa[0, 1] = k_rad[0]
         kappa[-1, 1] = k_rad[-1]
         sig = np.empty((size, 3))
@@ -187,15 +186,15 @@ def ellipse_mean_radius(a, b, n=1 << 16):
 
 def grid_kit_arrays(dim, size):
     """The node arrays of one unstacked grid kit, built node table by node
-    table: (param, pole_safe_sin, cos, area_weight, taps, weights), with None
-    for the dim-1 sin and cos."""
+    table: (param, cot, area_weight, taps, weights), with None for the dim-1
+    cot; the dim-2 cot is cos / sin with sin read as 1 at both poles."""
     nodes = np.arange(size)
     ahead = nodes + np.arange(1, 4)[:, None]
     behind = nodes - np.arange(1, 4)[:, None]
     if dim == 1:
         h = 2.0 * pi / size
         taps = np.concatenate([nodes[None], ahead % size, behind % size])
-        return (2.0 * pi * nodes / size, None, None, np.full(size, h), taps, stencil_weights(h))
+        return (2.0 * pi * nodes / size, None, np.full(size, h), taps, stencil_weights(h))
     top = size - 1
     param = pi * nodes / top
     h = pi / top
@@ -207,7 +206,7 @@ def grid_kit_arrays(dim, size):
     simpson[2:-1:2] = 2.0
     taps = np.concatenate([nodes[None], np.where(ahead > top, 2 * top - ahead, ahead),
                            np.abs(behind)])
-    return (param, safe, np.cos(param), simpson * (h / 3.0) * (2.0 * pi) * sin, taps,
+    return (param, np.cos(param) / safe, simpson * (h / 3.0) * (2.0 * pi) * sin, taps,
             stencil_weights(h))
 
 

@@ -2,7 +2,7 @@ import io
 import pickle
 import re
 from dataclasses import replace
-from math import e, exp, pi, sqrt
+from math import e, exp, fsum, pi, sqrt
 
 import numpy as np
 import pytest
@@ -831,6 +831,21 @@ def _carried_conserved(state, config):
     if config.mode == "normalized":
         return v_held
     return exp(-held_index(config.n, config.k) * state.log_scale) * v_held
+
+
+class TestDotQuadrature:
+    @pytest.mark.parametrize("config, shape", _CSV_RUNS, ids=_CSV_RUN_IDS)
+    def test_quermass_matches_an_exact_sum(self, config, shape):
+        # each integral is one BLAS dot; math.fsum of the same products is
+        # the correctly rounded sum
+        geo = compute_geometry(shape)
+        n = shape.dim
+        for m in range(n + 1):
+            if m == 0:
+                exact = fsum(geo.u * geo.sigma[:, 0] * geo.dmu)
+            else:
+                exact = cnk(n, m) * fsum(geo.sigma[:, m - 1] * geo.dmu)
+            assert abs(quermass(geo, m) - exact) <= 1e-14 * abs(exact)
 
 
 class TestConservedCache:

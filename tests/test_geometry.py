@@ -367,15 +367,15 @@ class TestPointwiseGeometry:
     def test_single_copy_kit_is_the_unstacked_kit(self, dim, num):
         size = num if dim == 1 else num + 1
         kit = geom._grid_kit(dim, num)
-        got = (kit.param, kit.pole_safe_sin, kit.cos, kit.area_weight, kit.taps, kit.weights)
+        got = (kit.param, kit.cot, kit.area_weight, kit.taps, kit.weights)
         for mine, want in zip(got, grid_kit_arrays(dim, size)):
             if want is None:
                 assert mine is None
             else:
                 assert mine.dtype == want.dtype and mine.shape == want.shape
                 assert mine.tobytes() == want.tobytes()
-        if dim == 2:  # the pole slices select exactly nodes 0 and N
-            assert [list(np.arange(size)[pole]) for pole in kit.poles] == [[0], [num]]
+        if dim == 2:  # the pole index holds exactly nodes 0 and N
+            assert list(kit.poles) == [0, num]
         else:
             assert kit.poles is None
 
@@ -428,6 +428,39 @@ class TestPointwiseGeometry:
         with pytest.raises(ValueError, match="^non-finite curvature data: r = inf at node 5$"):
             geom._curvatures(kit, r)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("bump, bad", [(None, 0), (40, 37)], ids=["sphere", "bump"])
+    def test_overflowing_squares_are_rejected_at_the_first_bad_node(self, dim, bump, bad):
+        # every r is finite, but r = 1e160 squares to inf: the curvature sum is
+        # not finite and the exact test names the first node whose data are not;
+        # a lone 1e160 at node 40 reaches the curvatures three taps before it
+        kit = geom._grid_kit(dim, 64)
+        if bump is None:
+            r = sphere(1e160, dim, 64).r
+        else:
+            r = np.ones(kit.size)
+            r[bump] = 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=f"^non-finite curvature data at node {bad}$"):
+                geom._curvatures(kit, r)
+
+    @pytest.mark.parametrize("row, bad", [
+        ([1e308, 1e308], None),  # the sum overflows, every entry is finite
+        ([1.0, np.nan], 1),
+        ([1.0, np.inf], 1),
+        ([np.inf, -np.inf], 0),
+    ])
+    def test_finite_gate_rejects_exactly_a_non_finite_entry(self, row, bad):
+        # rows sigma_0, sigma_1 of two nodes; numpy warns of the overflowing or
+        # invalid sum, which is not what the gate decides on
+        sig = np.array([[1.0, 1.0], row])
+        with np.errstate(over="ignore", invalid="ignore"):
+            if bad is None:
+                geom._check_finite(sig)
+            else:
+                with pytest.raises(ValueError, match=f"^non-finite curvature data at node {bad}$"):
+                    geom._check_finite(sig)
+
     def test_pole_derivative_vanishes(self):
         # even reflection makes the profile derivative exactly zero at poles
         geo = compute_geometry(ellipsoid_of_revolution(1.5, 1.0, 128))
@@ -453,6 +486,20 @@ class TestQuermass:
         assert quermass_sigma(geo, 1) == pytest.approx(8 * pi, rel=1e-9)
         assert quermass_sigma(geo, 2) == pytest.approx(4 * pi, rel=1e-9)
         assert quermass_minkowski(geo, 1) == pytest.approx(8 * pi, rel=1e-9)
+
+    @pytest.mark.parametrize("num", [128, 512])
+    def test_dot_quadrature_matches_the_closed_forms(self, num):
+        # the unit circle's V_2 = V_1 = 2 pi exactly on the trapezoid rule; the
+        # unit sphere's V_3, V_2, V_1 = 4 pi, 8 pi, 4 pi within Simpson's error
+        # h^4 / 180 of int sin plus the stencil's roundoff in sigma_2 (1.4e-11
+        # at N = 512)
+        circle = compute_geometry(sphere(1.0, 1, num))
+        for m in range(2):
+            assert quermass(circle, m) == pytest.approx(2 * pi, rel=1e-14)
+        ball = compute_geometry(sphere(1.0, 2, num))
+        tol = (pi / num) ** 4 / 180 + 1e-11
+        for m, want in enumerate((4 * pi, 8 * pi, 4 * pi)):
+            assert abs(quermass(ball, m) / want - 1.0) < tol
 
     def test_sphere_volume_form(self):
         geo = compute_geometry(sphere(1.5, 2, 256))
