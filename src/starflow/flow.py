@@ -219,15 +219,16 @@ def monotone_pair(n: int, k: int) -> tuple:
 def _speed(sig: np.ndarray, k: int) -> np.ndarray:
     """sigma_{k-1}/sigma_k from the (n + 1, M) rows sigma_0..sigma_n, for 1 <= k <= n."""
     sk = sig[k]
-    if np.minimum.reduce(sk) <= 0.0:
-        j = int(sk.argmin())
+    j = sk.argmin()  # the first NaN, if any: it compares false and is rejected
+    if not sk[j] > 0.0:
         raise ConeExitError(f"sigma_{k} <= 0 at node {j}: {sk[j]:.6e}")
     return sig[k - 1] / sk
 
 
 def speed_raw(geo: PointwiseGeometry, k: int) -> np.ndarray:
     """Normal speed sigma_{k-1}/sigma_k per node; positive on strictly
-    k-convex data. Raises ConeExitError naming the worst node otherwise."""
+    k-convex data. Raises ConeExitError naming the worst node otherwise, the
+    first NaN of sigma_k when it holds one."""
     return _speed(geo.sigma.T, _whole(k, "flow degree k", 1, geo.dim))
 
 
@@ -247,12 +248,12 @@ def _rate(u: np.ndarray | None, f: np.ndarray, sig: np.ndarray, dmu: np.ndarray,
     """
     n = sig.shape[0] - 1
     if held == n + 1:
-        v_held = float(u @ dmu)
-        return float(f @ dmu) / v_held, v_held
+        v_held = float(u.dot(dmu))
+        return float(f.dot(dmu)) / v_held, v_held
     sk = sig[k]
     top = sig[k + 1] if k == 1 else sig[k + 1] * sig[k - 1]
-    v_held = cnk(n, k + 1) * float(sk @ dmu)
-    return float((top / sk) @ dmu) / v_held, v_held
+    v_held = cnk(n, k + 1) * float(sk.dot(dmu))
+    return float((top / sk).dot(dmu)) / v_held, v_held
 
 
 def volume_scale_rate(geo: PointwiseGeometry, k: int) -> float:
@@ -366,10 +367,11 @@ def _rho_bound(geo: PointwiseGeometry, k: int) -> float:
     off[0] += a
     off = np.abs(off)
     x = np.add.reduce(off, axis=0)  # |J| 1
-    bound = float(np.maximum.reduce(x))
+    bound = float(x[x.argmax()])
     for _ in range(CW_STEPS):
         y = np.add.reduce(off * x[kit.taps], axis=0)
-        bound = float(np.maximum.reduce(y / x))
+        ratio = y / x
+        bound = float(ratio[ratio.argmax()])
         x = y
     return bound
 
@@ -385,13 +387,11 @@ def stability_cap(geo: PointwiseGeometry, k: int, cfl: float) -> float:
 
 def _strictly_kconvex(geo: PointwiseGeometry, k: int) -> tuple[bool, str]:
     """(True, "") inside the open cone Gamma_k, else False and the first failing degree."""
-    rows = geo.sigma.T[1 : k + 1]
-    # a NaN compares false, as in `_cone_status`
-    if np.minimum.reduce(rows, axis=None) > 0.0:
-        return True, ""
-    mins = np.minimum.reduce(rows, axis=1)
-    m = int(np.argmin(mins > 0.0))
-    return False, f"sigma_{m + 1} min {mins[m]:.6e}"
+    for m, row in enumerate(geo.sigma.T[1 : k + 1], 1):
+        low = row[row.argmin()]  # the first NaN, if any: it compares false, as in `_cone_status`
+        if not low > 0.0:
+            return False, f"sigma_{m} min {low:.6e}"
+    return True, ""
 
 
 @dataclass(frozen=True)
@@ -525,10 +525,11 @@ def _record_row(state: FlowState, config: FlowConfig) -> tuple:
     # each V_j once; the iso ratios are scale invariant and read the unscaled values
     vees = [quermass(geo, m) for m in range(n + 1)]
     rate = _first_stage(state, config.mode, k)[1]
+    sk = geo.sigma[:, k]
     row = [state.t, state.last_dt, state.log_scale]
     row += [v * scale ** (n + 1 - m) for m, v in enumerate(vees)]
     row += [_iso(vees[m], vees[m + 1], n, m) for m in range(n)]
-    row += [rate, roundness(state.graph), float(np.min(geo.sigma[:, k])) / scale**k]
+    row += [rate, roundness(state.graph), float(sk[sk.argmin()]) / scale**k]
     return tuple(row)
 
 

@@ -15,9 +15,12 @@ where the reflection makes it vanish. The parallel principal curvature at
 the poles is assigned its smooth limit, the meridian value; the sin(phi)
 area weight vanishes there, so the choice does not touch any integral.
 Elsewhere it is (r - r' cot(phi)) / (r w), on the kit's pole-safe cotangent.
-Every quadrature sum is one BLAS dot of the integrand with the weights dmu.
-The curvature data pass a one-sum finiteness gate: only a sum that is not
-finite runs the exact per-entry test, which alone rejects.
+Every quadrature sum is one BLAS dot of the integrand with the weights dmu,
+and no gate is a ufunc reduction. The positivity gate reads r at its
+argmin, the first NaN if there is one, which compares false and is
+rejected. r and the curvature data pass a finiteness gate of one BLAS
+self-dot: only a self-dot that is not finite runs the exact per-entry
+test, which alone rejects.
 
 A grid is keyed by its dimension and its number of intervals N. Its kit,
 `_grid_kit(dim, N)`, is its one gate and its one layout of nodes and spacing:
@@ -493,12 +496,13 @@ def _curvatures(kit: _GridKit, r: np.ndarray):
     r, before the stencil product would warn of it, and on non-finite
     curvature data, which a finite r can make by overflow.
     """
-    rmin = float(np.minimum.reduce(r))
-    if not rmin > 0.0:
-        raise ShapeError(f"radial function not positive (min r = {rmin})")
-    rmax = float(np.maximum.reduce(r))
-    if not rmax < inf:
-        raise ValueError(f"non-finite curvature data: r = {rmax} at node {int(r.argmax())}")
+    j = r.argmin()  # the first NaN, if any, which the gate rejects as the minimum would
+    if not r[j] > 0.0:
+        raise ShapeError(f"radial function not positive (min r = {float(r[j])})")
+    if not isfinite(r.dot(r)):  # an infinity, or an overflow over finite entries
+        j = r.argmax()
+        if not r[j] < inf:
+            raise ValueError(f"non-finite curvature data: r = {float(r[j])} at node {j}")
     r1, r2 = _stencil_derivatives(kit, r)
     rr = r * r
     r1r1 = r1 * r1
@@ -530,10 +534,11 @@ def _curvatures(kit: _GridKit, r: np.ndarray):
 
 def _check_finite(sig: np.ndarray) -> None:
     """Raise ValueError naming the first node at which the rows sig, one per
-    degree, hold a NaN or an infinity. One sum decides when it is finite; only
-    a sum that is not finite runs the exact test, so a sum that overflows over
-    finite entries (numpy warns of it) is no rejection."""
-    if not isfinite(float(np.add.reduce(sig, axis=None))) and not np.isfinite(sig).all():
+    degree, hold a NaN or an infinity. One BLAS self-dot decides when it is
+    finite; only a self-dot that is not finite runs the exact test, so one that
+    overflows over finite entries (numpy warns of it) is no rejection."""
+    flat = sig.ravel()
+    if not isfinite(flat.dot(flat)) and not np.isfinite(sig).all():
         bad = int(np.argwhere(~np.isfinite(sig.T))[0][0])
         raise ValueError(f"non-finite curvature data at node {bad}")
 
@@ -569,12 +574,12 @@ def compute_geometry(g: RadialGraph) -> PointwiseGeometry:
 
 def _sigma_form(geo: PointwiseGeometry, m: int) -> float:
     """`quermass_sigma` at an index m already checked to lie in 1..n."""
-    return cnk(geo.dim, m) * float(geo.sigma[:, m - 1] @ geo.dmu)
+    return cnk(geo.dim, m) * float(geo.sigma[:, m - 1].dot(geo.dmu))
 
 
 def _minkowski_form(geo: PointwiseGeometry, m: int) -> float:
     """`quermass_minkowski` at an index m already checked to lie in 0..n."""
-    return float((geo.u * geo.sigma[:, m]) @ geo.dmu)
+    return float((geo.u * geo.sigma[:, m]).dot(geo.dmu))
 
 
 def quermass_sigma(geo: PointwiseGeometry, m: int) -> float:
@@ -666,7 +671,7 @@ def roundness(g: RadialGraph) -> float:
         mean = float(np.mean(r))
     else:
         mean = float((0.5 * r[0] + np.sum(r[1:-1]) + 0.5 * r[-1]) / g.num_intervals)
-    return float((np.max(r) - np.min(r)) / mean)
+    return float((r[r.argmax()] - r[r.argmin()]) / mean)
 
 
 # ---------------------------------------------------------------------------

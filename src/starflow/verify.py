@@ -448,8 +448,8 @@ def check_lemma_integral(config: flowmod.FlowConfig, initial: RadialGraph):
         geo = state.geo
         sig = geo.sigma.T  # contiguous rows sigma_0..sigma_n
         times.append(state.t)
-        lhs_series.append(sig @ geo.dmu)
-        rhs_series.append(degrees * ((sig[1:] * sig[k - 1] / sig[k]) @ geo.dmu))
+        lhs_series.append(sig.dot(geo.dmu))
+        rhs_series.append(degrees * (sig[1:] * sig[k - 1] / sig[k]).dot(geo.dmu))
 
     record = flowmod.run(replace(config, sample_every=1), initial, observer=observer,
                          record_samples=False)

@@ -1,6 +1,7 @@
 import io
 import pickle
 import re
+import sys
 from dataclasses import replace
 from math import e, exp, fsum, pi, sqrt
 
@@ -104,6 +105,16 @@ class TestSpeed:
         geo = compute_geometry(perturbed_sphere(1.0, 0.3, mode=3, dim=1, num=128))
         with pytest.raises(ConeExitError, match="node"):
             speed_raw(geo, 1)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (2, 2)])
+    def test_nan_in_sigma_k_names_its_node(self, n, k):
+        # the gate reads sigma_k at its argmin, the first NaN, which compares false
+        # against 0 and outranks a negative entry
+        geo = compute_geometry(sphere(2.0, n, 64))
+        sigma = geo.sigma.copy()
+        sigma[[7, 9], k] = np.nan, -1.0
+        with pytest.raises(ConeExitError, match=f"^sigma_{k} <= 0 at node 7: nan$"):
+            speed_raw(replace(geo, sigma=sigma), k)
 
     @pytest.mark.parametrize("call, hi", [
         (lambda geo, k: speed_raw(geo, k), 2),
@@ -683,6 +694,39 @@ class TestStepperCost:
         retry = replace(state, rejections=state.rejections + 1)
         new, maps, curvature_calls = self.counted_step(retry, 0.5e-4, config, monkeypatch)
         assert new is not None and (maps, curvature_calls) == (3, 3)
+
+    @staticmethod
+    def reductions(call):
+        """(call's result, the ufunc of every ufunc.reduce C call made under it)."""
+        seen = []
+
+        def profile(frame, event, arg):
+            if event == "c_call" and isinstance(getattr(arg, "__self__", None), np.ufunc) \
+                    and arg.__name__ == "reduce":
+                seen.append(arg.__self__.__name__)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            result = call()
+        finally:
+            sys.setprofile(previous)
+        return result, seen
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("mode", ["raw", "rescaled_raw"])
+    def test_one_step_makes_no_ufunc_reduction(self, n, k, mode):
+        # every gate reads argmin, argmax or a BLAS self-dot and every integral
+        # is a BLAS dot; the counter does see a method's reduction
+        assert self.reductions(lambda: np.ones(3).max())[1] == ["maximum"]
+        config = FlowConfig(n=n, k=k, mode=mode, t_max=1.0)
+        shape = ellipse(2.0, 1.0, 64) if n == 1 else ellipsoid_of_revolution(1.2, 1.0, 64)
+        state = initial_state(shape)
+        for _ in range(3):
+            state = step(state, 1e-4, config)
+        new, seen = self.reductions(lambda: step(state, 1e-4, config))
+        assert new is not None and new.accepted == 4
+        assert seen == []
 
 
 class TestQuermassOwners:

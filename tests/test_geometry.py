@@ -429,6 +429,21 @@ class TestPointwiseGeometry:
             geom._curvatures(kit, r)
 
     @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("bad, shown", [
+        ([np.nan, -1.0], "nan"),  # the first NaN outranks a negative, as in a NaN minimum
+        ([0.0, 1.0], "0.0"),
+        ([-0.5, -2.0], "-2.0"),
+    ], ids=["nan", "zero", "negative"])
+    def test_radius_not_positive_is_rejected_at_its_minimum(self, dim, bad, shown):
+        # the gate reads r at its argmin, which is the first NaN when there is one
+        kit = geom._grid_kit(dim, 64)
+        r = np.ones(kit.size)
+        r[[5, 9]] = bad
+        message = re.escape(f"radial function not positive (min r = {shown})")
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            geom._curvatures(kit, r)
+
+    @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("bump, bad", [(None, 0), (40, 37)], ids=["sphere", "bump"])
     def test_overflowing_squares_are_rejected_at_the_first_bad_node(self, dim, bump, bad):
         # every r is finite, but r = 1e160 squares to inf: the curvature sum is
