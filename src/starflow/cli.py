@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from dataclasses import replace
-from itertools import islice
+from itertools import count, islice
 from math import comb
 
 import numpy as np
@@ -138,10 +138,6 @@ def parse_config(text: str) -> dict:
     return cfg
 
 
-def serialize_config(cfg: dict) -> str:
-    return json.dumps(cfg, indent=2, sort_keys=True) + "\n"
-
-
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -222,25 +218,19 @@ def cmd_run(cfg: dict, args) -> int:
     out = cfg["output"]
     traj_path = out["trajectory_path"]
     snap_every = out.get("snapshot_every", 0)
-    snap_dir = out.get("snapshot_dir", os.path.dirname(traj_path) or ".")
-    if os.path.dirname(traj_path):
-        os.makedirs(os.path.dirname(traj_path), exist_ok=True)
-    counter = {"sample": 0}
+    snap_dir = out.get("snapshot_dir", os.path.dirname(traj_path))
+    samples = count()
 
     def observer(state):
-        if snap_every > 0:
-            if counter["sample"] % snap_every == 0:
-                os.makedirs(snap_dir, exist_ok=True)
-                path = os.path.join(snap_dir, f"snapshot_{counter['sample']:05d}.csv")
-                geom.export_snapshot(state.geo, fc.k, path)
-            counter["sample"] += 1
+        i = next(samples)
+        if i % snap_every == 0:
+            geom.export_snapshot(state.geo, fc.k, os.path.join(snap_dir, f"snapshot_{i:05d}.csv"))
 
     try:
-        record = flowmod.run(fc, initial, observer=observer)
+        record = flowmod.run(fc, initial, observer=observer if snap_every > 0 else None)
     except flowmod.FlowError as exc:
         exc.record.to_csv(traj_path)
         if snap_every > 0:
-            os.makedirs(snap_dir, exist_ok=True)
             geom.export_snapshot(exc.state.geo, fc.k, os.path.join(snap_dir, "snapshot_last.csv"))
         print(f"partial trajectory in {traj_path}", file=sys.stderr)
         raise
@@ -557,17 +547,17 @@ def suite_af(cfg: dict) -> list:
     geo = geom.compute_geometry(geom.ellipse(2.0, 1.0, 512))
     reports.extend(vfy.check_af_chain(geo, 1))
     rng = np.random.default_rng(seed)
-    count = min(100, max(10, samples // 1000))
+    per_case = min(100, max(10, samples // 1000))
     for n, k in ((1, 1), (2, 1), (2, 2)):
         worst = -np.inf
         at = (0.0, 0.0)
-        for geo in islice(_random_kconvex_samples(rng, n, k, 256), count):
+        for geo in islice(_random_kconvex_samples(rng, n, k, 256), per_case):
             for rep in vfy.check_af_chain(geo, k):
                 if rep.abs_residual > worst:
                     worst, at = rep.abs_residual, (rep.lhs, rep.rhs)
         worst = max(0.0, worst)
         reports.append(vfy._report(f"af_chain/random_n{n}k{k}", at[0], at[1], worst, worst,
-                                   f"samples={count},N=256", 1e-6))
+                                   f"samples={per_case},N=256", 1e-6))
     return reports
 
 
@@ -610,8 +600,6 @@ def cmd_verify(cfg: dict, args) -> int:
         reports.extend(_SUITE_FUNCS[name](cfg))
     reports = _override_tolerances(reports, cfg.get("verify", {}).get("tolerance_overrides", {}))
     path = cfg.get("verify", {}).get("report_path", "verification_report.csv")
-    if os.path.dirname(path):
-        os.makedirs(os.path.dirname(path), exist_ok=True)
     vfy.write_report_csv(reports, path)
     for rep in reports:
         _say(args.quiet, str(rep))
@@ -635,7 +623,6 @@ def _sweep_run(payload):
     try:
         record = flowmod.run(fc, graph)
         for traj_path in traj_paths:
-            os.makedirs(os.path.dirname(traj_path), exist_ok=True)
             record.to_csv(traj_path)
         mono = flowmod.monotone_pair(fc.n, fc.k)[0]
         checks = vfy.check_monotone_series(record) if fc.mode in flowmod.CONSERVING_MODES else []
@@ -677,7 +664,7 @@ def cmd_sweep(cfg: dict, args) -> int:
     # A shape that reads no seed builds the same graph for every seed, so each distinct
     # (flow config, radial samples) pair runs once and writes the trajectory of every
     # combination that shares it.
-    traj_dir = sweep.get("trajectory_dir", os.path.dirname(sweep["index_path"]) or ".")
+    traj_dir = sweep.get("trajectory_dir", os.path.dirname(sweep["index_path"]))
     rows, keys, runs = [], [], {}
     for spec in sweep["shapes"]:
         params = spec.get("params", {})
@@ -705,8 +692,6 @@ def cmd_sweep(cfg: dict, args) -> int:
     results = [({**row, **outcomes[flow_key][0]}, outcomes[flow_key][1])
                for row, flow_key in zip(rows, keys)]
     index_path = sweep["index_path"]
-    if os.path.dirname(index_path):
-        os.makedirs(os.path.dirname(index_path), exist_ok=True)
     fields = ["id", "shape_type", "params", "seed", "n", "k", "status",
               "final_t", "final_iso", "monotone_pass", "conserve_pass"]
     geom._write_csv(index_path, fields, ([row[name] for name in fields] for row, _ok in results))

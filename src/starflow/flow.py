@@ -47,10 +47,14 @@ The conventions are read, not restated: `monotone_pair` decides which
 V_j a flow holds, and so its scale rate, `CONSERVING_MODES` which modes
 hold it, `_stage_map` is the one place that assembles that held rate and
 the guard's V_held (the record's r_t reads it),
-`geometry.quermass` computes every V_j of the record, `geometry._iso` is
-the I_m formula of the record, and strict k-convexity in step acceptance
-is `symfunc._cone_status`'s strict case, every sigma_1..sigma_k positive. The grid is the initial
-graph's: FlowConfig holds no grid size, and `geometry` owns the rule for one.
+`geometry.quermass` computes every V_j of the record, and `geometry._iso` is
+the I_m formula of the record. Strict k-convexity is one rule, every
+sigma_1..sigma_k positive (a NaN fails), with two implementations:
+`symfunc._cone_status`'s strict case, which `in_gamma_k` and
+`geometry.kconvex_report` read, and `_strictly_kconvex`, which the initial
+check and step acceptance read; it takes each sigma_m row at its argmin and
+does not call `_cone_status`. The grid is the initial graph's: FlowConfig
+holds no grid size, and `geometry` owns the rule for one.
 FlowConfig requires integer n, k and sample_every (a bool is not one), and keeps
 `symfunc._real`'s float of t_max, dt_init, dt_max, tol_conserve, tol_round and
 cfl_coefficient: finite, not a bool, the tolerances >= 0, the rest positive, dt_init <= dt_max.

@@ -25,8 +25,12 @@ test, which alone rejects.
 A grid is keyed by its dimension and its number of intervals N. Its kit,
 `_grid_kit(dim, N)`, is its one gate and its one layout of nodes and spacing:
 only the kit runs `_check_intervals`, checks that dim is an integer in `DIMS`
-(the one dimension set) and maps N to a node count. RadialGraph, the shape
-builders and `verify.radial_from_curve` take their grid from it first, and
+(the one dimension set) and maps N to a node count. The kits are held by
+`functools.lru_cache` (64 of them, keyed by the arguments and their types), so
+a kit is built, and its gate run, on a miss only: a bool or a whole float has
+a key of its own and fails the gate, which caches nothing, and an unhashable
+argument is the cache's TypeError. RadialGraph, the shape builders and
+`verify.radial_from_curve` take their grid from it first, and
 `RadialGraph.num_intervals` is the one map back from nodes to N. A
 ShapeError's `field` names the input of `make_shape` at fault.
 
@@ -35,7 +39,8 @@ Minkowski form at m = 0 and the curvature integral at m >= 1, picked by
 `quermass(geo, m)` and, for every m at once and ungated, by
 `quermass_vector`; `_iso` is the only formula of the ratio
 I_m = V_{n+1-m}^{1/(n+1-m)} / V_{n-m}^{1/(n-m)}; and `_write_csv` is the
-only CSV number format. The Garding-cone status of `kconvex_report` is `symfunc`'s.
+only CSV writer and number format; it makes the directory of every
+output it writes. The Garding-cone status of `kconvex_report` is `symfunc`'s.
 
 The curvature data are stored row by row: kappa as an (n, M) array and
 sigma_0..sigma_n as an (n + 1, M) array, one contiguous row per
@@ -55,9 +60,11 @@ with one copy they are the two poles.
 from __future__ import annotations
 
 import csv
+import os
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, gamma, inf, isfinite, pi
 from numbers import Integral
 
@@ -440,49 +447,42 @@ class _GridKit:
     weights: np.ndarray
 
 
-_KIT_CACHE: dict = {}
-
-
+@lru_cache(maxsize=64, typed=True)
 def _grid_kit(dim: int, num: int, copies: int = 1) -> _GridKit:
-    """The kit of `copies` stacked grids of `num` intervals in dimension `dim`. dim and
-    num are checked before the cache is read: no junk kit is cached, and a whole float
-    or a bool, which pass `in DIMS` and whose key hashes as its integer's, is rejected."""
+    """The kit of `copies` stacked grids of `num` intervals in dimension `dim`, cached
+    by its arguments and their types: a bool or a whole float, which passes `in DIMS`
+    and hashes as its integer, has its own key and is rejected, and a gate that raises
+    caches nothing. An unhashable argument is the cache's TypeError."""
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim not in DIMS:
         raise ShapeError(f"dim must be an integer in {DIMS}, got {dim!r}")
     _check_intervals(num)
-    key = (dim, num, copies)
-    kit = _KIT_CACHE.get(key)
-    if kit is None:
-        size = num if dim == 1 else num + 1
-        nodes = np.arange(size)
-        taps = nodes + np.array([0, 1, 2, 3, -1, -2, -3])[:, None]
-        if dim == 1:
-            param = 2.0 * pi * nodes / num
-            h = 2.0 * pi / num
-            cot = poles = None
-            area = np.full(size, h)
-            taps %= num
-        else:
-            # even reflection about both poles: node -j is node j, node
-            # N + j is node N - j
-            param = pi * nodes / num
-            h = pi / num
-            sin = np.sin(param)
-            area = _simpson_weights(num, h) * (2.0 * pi) * sin
-            safe = sin.copy()
-            safe[[0, -1]] = 1.0
-            cot = np.tile(np.cos(param) / safe, copies)
-            poles = (size * np.arange(copies)[:, None] + [0, num]).ravel()
-            taps = np.where(taps > num, 2 * num - taps, np.abs(taps))
-        taps = (taps[:, None, :] + size * np.arange(copies)[:, None]).reshape(7, copies * size)
-        kit = _GridKit(dim, num, size, h, param, cot, poles, np.tile(area, copies), taps,
-                       _STENCIL / np.array([[60.0 * h], [180.0 * h * h]]))
-        for value in vars(kit).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-        if len(_KIT_CACHE) > 64:
-            _KIT_CACHE.clear()
-        _KIT_CACHE[key] = kit
+    size = num if dim == 1 else num + 1
+    nodes = np.arange(size)
+    taps = nodes + np.array([0, 1, 2, 3, -1, -2, -3])[:, None]
+    if dim == 1:
+        param = 2.0 * pi * nodes / num
+        h = 2.0 * pi / num
+        cot = poles = None
+        area = np.full(size, h)
+        taps %= num
+    else:
+        # even reflection about both poles: node -j is node j, node
+        # N + j is node N - j
+        param = pi * nodes / num
+        h = pi / num
+        sin = np.sin(param)
+        area = _simpson_weights(num, h) * (2.0 * pi) * sin
+        safe = sin.copy()
+        safe[[0, -1]] = 1.0
+        cot = np.tile(np.cos(param) / safe, copies)
+        poles = (size * np.arange(copies)[:, None] + [0, num]).ravel()
+        taps = np.where(taps > num, 2 * num - taps, np.abs(taps))
+    taps = (taps[:, None, :] + size * np.arange(copies)[:, None]).reshape(7, copies * size)
+    kit = _GridKit(dim, num, size, h, param, cot, poles, np.tile(area, copies), taps,
+                   _STENCIL / np.array([[60.0 * h], [180.0 * h * h]]))
+    for value in vars(kit).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
     return kit
 
 
@@ -727,7 +727,9 @@ def export_snapshot(geo: PointwiseGeometry, k: int, path) -> None:
 
 def _write_csv(path, header, rows) -> None:
     """Write a CSV table: a text cell as it is, every other cell as repr(float(cell)),
-    which round-trips the value exactly."""
+    which round-trips the value exactly. The path's directory is made if it is missing;
+    a path with no directory part is written in the working directory."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -6,8 +6,11 @@ the cancellation of naive subset expansion, and is exact for integer
 input up to rounding. Tables are column-major: the recurrence runs on one
 contiguous array per degree, and each table is a view with contiguous
 columns. The Garding-cone test lives here as well: `_cone_status` is the
-one strict / nonstrict / violated rule, read by `in_gamma_k`,
-`geometry.kconvex_report` and the flow's step acceptance. Each identity the
+one strict / nonstrict / violated rule, read by `in_gamma_k` and
+`geometry.kconvex_report`. Its strict case, every sigma_1..sigma_k positive
+(a NaN fails), has a second implementation in `flow._strictly_kconvex`, which
+the flow's initial check and step acceptance read: it takes each sigma_m row at
+its argmin and does not call `_cone_status`. Each identity the
 paper's argument uses (the polarization row-sum, the Newton gap, the
 MacLaurin power gap) is written here once, as a table form on the arrays
 of `elem_sym_table` and `elem_sym_gradient_table`; the polarization reads

@@ -485,7 +485,7 @@ def check_lemma_integral(config: flowmod.FlowConfig, initial: RadialGraph):
 # first variation
 
 
-def check_first_variation(target: RadialGraph, rho, l: int, s: float | None = None):
+def check_first_variation(target: RadialGraph, rho, l: int):
     """First variation of int sigma_l dmu under the normal graft
     X_s = X + s * rho * nu, against (l+1) int sigma_{l+1} rho dmu, to a
     relative 1e-3.
@@ -493,9 +493,8 @@ def check_first_variation(target: RadialGraph, rho, l: int, s: float | None = No
     `target` is a RadialGraph: dim 1 goes through the material curve,
     dim 2 through the material meridian. rho is an array per node or a
     callable on the graph's parameter grid. The derivative is a centered
-    difference at +-s, s defaulting to 1e-4 of the mean radius.
+    difference at +-s, s = 1e-4 of the mean radius.
     """
-    s = None if s is None else _real(s, "probe size s", 0.0)
     if not isinstance(target, RadialGraph):
         raise TypeError(f"target must be a RadialGraph, got {type(target).__name__}")
     pts, dim = embed(target), target.dim
@@ -505,8 +504,7 @@ def check_first_variation(target: RadialGraph, rho, l: int, s: float | None = No
     if rho_arr.shape != (m,):
         raise ValueError(f"rho must have one value per node ({m})")
     geo = _material_geometry(pts, dim)
-    if s is None:
-        s = 1e-4 * float(np.mean(np.hypot(pts[:, 0], pts[:, 1])))
+    s = 1e-4 * float(np.mean(np.hypot(pts[:, 0], pts[:, 1])))
     plus = pts + s * rho_arr[:, None] * geo.nu
     minus = pts - s * rho_arr[:, None] * geo.nu
     for probe in (plus, minus):

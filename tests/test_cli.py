@@ -75,16 +75,6 @@ def _same_geometry(a, b):
 
 
 class TestConfigHandling:
-    def test_roundtrip_idempotent(self):
-        text = json.dumps({
-            "problem": {"n": 2, "k": 1, "mode": "normalized"},
-            "grid": {"N": 128},
-        })
-        cfg = cli.parse_config(text)
-        once = cli.serialize_config(cfg)
-        twice = cli.serialize_config(cli.parse_config(once))
-        assert once == twice
-
     def test_unknown_key_named(self):
         with pytest.raises(cli.ConfigError, match="problem.kk"):
             cli.parse_config(json.dumps({"problem": {"kk": 1}}))
@@ -94,6 +84,33 @@ class TestConfigHandling:
     def test_type_mismatch_named(self):
         with pytest.raises(cli.ConfigError, match="grid.N"):
             cli.parse_config(json.dumps({"grid": {"N": "lots"}}))
+        # True is an int to isinstance, but no config number
+        with pytest.raises(cli.ConfigError, match="grid.N"):
+            cli.parse_config(json.dumps({"grid": {"N": True}}))
+
+    @pytest.mark.parametrize("text, key", [("[1, 2]", "<root>"), ('{"problem": 1}', "problem")],
+                             ids=["document", "section"])
+    def test_document_and_section_must_be_objects(self, text, key):
+        with pytest.raises(cli.ConfigError, match="must be") as info:
+            cli.parse_config(text)
+        assert info.value.key == key
+
+    def test_unreadable_config_file_exits_two_naming_it(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert cli.main(["run", str(missing)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error at <file>: cannot read") and str(missing) in err
+
+    def test_override_without_equals_sign_named(self):
+        with pytest.raises(cli.ConfigError, match="is not key=value") as info:
+            cli.apply_overrides({}, ["grid.N"])
+        assert info.value.key == "--set"
+
+    def test_override_path_through_a_non_object_named(self):
+        cfg = cli.parse_config(json.dumps({"problem": {"n": 1}}))
+        with pytest.raises(cli.ConfigError, match="crosses a non-object") as info:
+            cli.apply_overrides(cfg, ["problem.n.x=1"])
+        assert info.value.key == "problem.n.x"
 
     def test_set_override_applies_after_parse(self):
         cfg = cli.parse_config(json.dumps({"problem": {"n": 1, "k": 1, "mode": "raw"}}))
@@ -162,6 +179,32 @@ class TestRun:
                 float(cell)  # strict numeric, '.' decimal separator
         snaps = sorted(os.listdir(tmp_path / "snaps"))
         assert snaps and snaps[0] == "snapshot_00000.csv"
+
+    def test_empty_snapshot_dir_is_the_working_directory(self, tmp_path, monkeypatch):
+        # "" names the working directory, as a path with no directory part does
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, **{"output.snapshot_every": 1, "output.snapshot_dir": ""})
+        assert cli.main(["run", str(cfg_path), "--quiet"]) == cli.EXIT_OK
+        assert (tmp_path / "snapshot_00000.csv").is_file()
+        assert read_csv(tmp_path / "snapshot_00000.csv")[0][:2] == ["grid_coordinate", "r"]
+
+    def test_dt_underflow_exits_three_and_writes_the_partial_trajectory(self, tmp_path, monkeypatch,
+                                                                        capsys):
+        # every attempt is rejected, so dt halves until it underflows at t = 0
+        monkeypatch.setattr(flowmod, "_attempt",
+                            lambda state, dt, config: (None, flowmod._Rejection("forced")))
+        monkeypatch.setattr(flowmod, "MAX_STEPS", 100)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, **{"output.snapshot_every": 1,
+                                  "output.snapshot_dir": str(tmp_path / "snaps")})
+        assert cli.main(["run", str(cfg_path), "--quiet"]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure: dt underflow after rejection: forced (t=0)" in err
+        assert f"partial trajectory in {tmp_path / 'traj.csv'}" in err
+        rows = read_csv(tmp_path / "traj.csv")
+        assert len(rows) == 2 and float(rows[1][0]) == 0.0
+        assert sorted(os.listdir(tmp_path / "snaps")) == ["snapshot_00000.csv", "snapshot_last.csv"]
 
     def test_trajectory_text_is_loadable_and_roundtrips(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -798,6 +841,21 @@ class TestSweep:
         statuses = [row[6] for row in rows[1:]]
         assert any(s == "ok" for s in statuses)
         assert any(s.startswith("failed") for s in statuses)
+
+    def test_empty_trajectory_dir_is_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = self._sweep_config(tmp_path, shapes=[{"type": "sphere", "params": {"radius": 1.0}}])
+        argv = ["sweep", str(path), "--quiet", "--set", 'sweep.trajectory_dir=""']
+        assert cli.main(argv) == cli.EXIT_OK
+        assert (tmp_path / "traj_000.csv").is_file() and (tmp_path / "traj_001.csv").is_file()
+        assert len(read_csv(tmp_path / "index.csv")) == 1 + 2
+
+    def test_flow_config_error_off_k_keeps_its_key(self, tmp_path, capsys):
+        # only a fault at problem.k is the fault of a k_values entry
+        path = self._sweep_config(tmp_path)
+        argv = ["sweep", str(path), "--quiet", "--set", "stepping.t_max=-1"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error at stepping.t_max:")
 
     def test_sweep_needs_no_output_section(self, tmp_path):
         path = self._sweep_config(tmp_path)

@@ -484,6 +484,43 @@ class TestRun:
         assert [s.accepted for s in seen[1:-1]] == list(range(7, final.accepted, 7))
         assert [row[0] for row in record.rows] == [s.t for s in seen]
 
+    def test_dt_underflow_stops_with_the_partial_record(self, monkeypatch):
+        # every attempt is rejected: dt halves from dt_init until it is below
+        # DT_UNDERFLOW_FRACTION * dt_init, 40 halvings, and the record holds the t = 0
+        # row; the step budget bounds the loop should the underflow stop not fire
+        monkeypatch.setattr(fl, "_attempt", lambda state, dt, config: (None, fl._Rejection("forced")))
+        monkeypatch.setattr(fl, "MAX_STEPS", 100)
+        config = FlowConfig(n=1, k=1, mode="raw", t_max=0.1, dt_init=1e-3)
+        with pytest.raises(FlowError, match="dt underflow after rejection: forced") as info:
+            run(config, sphere(1.0, 1, 64))
+        err = info.value
+        assert err.record.stop_reason == "dt_underflow"
+        assert err.record.final_state is err.state
+        assert (err.state.accepted, err.state.rejections) == (0, 40)
+        assert err.state.t == 0.0 and [row[0] for row in err.record.rows] == [0.0]
+
+    def test_step_budget_stops_with_max_steps(self, monkeypatch):
+        monkeypatch.setattr(fl, "MAX_STEPS", 3)
+        config = FlowConfig(n=1, k=1, mode="raw", t_max=1.0, dt_init=1e-3, sample_every=1)
+        with pytest.raises(FlowError, match="step budget exhausted") as info:
+            run(config, sphere(1.0, 1, 64))
+        record = info.value.record
+        assert record.stop_reason == "max_steps"
+        final = record.final_state
+        assert final.accepted + final.rejections == 3 and final.accepted > 0
+        assert len(record.rows) == 1 + final.accepted and record.rows[-1][0] == final.t < 1.0
+
+    def test_column_of_an_unknown_name_is_a_key_error(self):
+        record = fl.TrajectoryRecord(n=1, k=1, mode="raw", columns=fl.record_columns(1), rows=[])
+        with pytest.raises(KeyError, match="no column 'V3'"):
+            record.column("V3")
+
+    def test_to_csv_makes_the_missing_directory(self, tmp_path):
+        record = fl.TrajectoryRecord(n=1, k=1, mode="raw", columns=("t", "dt"), rows=[(0.0, 1e-3)])
+        path = tmp_path / "a" / "b" / "traj.csv"
+        record.to_csv(path)
+        assert path.read_text().splitlines() == ["t,dt", "0.0,0.001"]
+
     def test_drift_that_dt_cannot_fix_fails_fast(self):
         # a spatial-discretization drift rate of about 5e-6 per unit time
         # against a budget of 1e-9: halving dt leaves the rate where it is

@@ -736,6 +736,11 @@ class TestRefine:
 
 
 class TestSnapshotExport:
+    def test_makes_the_missing_directory(self, tmp_path):
+        path = tmp_path / "a" / "b" / "snap.csv"
+        export_snapshot(compute_geometry(sphere(1.0, 1, 32)), 1, path)
+        assert len(path.read_text().splitlines()) == 1 + 32
+
     def test_roundtrip(self, tmp_path):
         geo = compute_geometry(ellipsoid_of_revolution(1.5, 1.0, 32))
         path = tmp_path / "snap.csv"
@@ -847,37 +852,58 @@ class TestGridGate:
         lambda: perturbed_sphere(1.0, 0.1, None, 0, 64, seed=1),
         lambda: RadialGraph(3, np.ones(65)),
         lambda: geom._grid_kit(3, 64),
-        # True in DIMS holds, and (True, 64, 1) is the key of the dim-1 kit
+        # True in DIMS holds, and True hashes as 1: the typed cache keys it apart
         lambda: sphere(1.0, True, 64),
         lambda: geom._grid_kit(True, 64),
     ], ids=["sphere", "perturbed_sphere", "perturbed_sphere_dim0", "graph", "kit",
             "sphere_bool_dim", "kit_bool_dim"])
     def test_bad_dim_caches_no_kit(self, build):
-        before = dict(geom._KIT_CACHE)
+        before = geom._grid_kit.cache_info().currsize
         with pytest.raises(ShapeError, match="dim"):
             build()
-        assert geom._KIT_CACHE == before
+        assert geom._grid_kit.cache_info().currsize == before
 
     @pytest.mark.parametrize("dim, num", [(1.0, 90), (np.float64(2.0), 94)])
     def test_whole_float_dim_is_rejected_and_spoils_no_kit(self, dim, num):
         # on a grid no other test builds: 1.0 in DIMS held, so a float-dim shape cached a
         # kit with a float dim under the key of the integer's kit, and every later geometry
         # on that grid failed with a TypeError in _curvatures' np.empty((kit.dim + 1, ...))
-        before = dict(geom._KIT_CACHE)
+        before = geom._grid_kit.cache_info().currsize
         with pytest.raises(ShapeError, match="dim must be an integer"):
             sphere(1.0, dim, num)
-        assert geom._KIT_CACHE == before
+        assert geom._grid_kit.cache_info().currsize == before
         geo = compute_geometry(perturbed_sphere(1.0, 0.1, 2, int(dim), num))
         assert geo.num_intervals == num and geo.sigma.shape[1] == int(dim) + 1
 
     @pytest.mark.parametrize("num", [64.0, np.float64(64.0), 63, 8, True])
     def test_bad_num_is_rejected_even_when_its_integer_kit_is_cached(self, num):
         geom._grid_kit(1, 64)
-        before = dict(geom._KIT_CACHE)
+        before = geom._grid_kit.cache_info().currsize
         with pytest.raises(ShapeError) as err:
             geom._grid_kit(1, num)
         assert err.value.field == "num"
-        assert geom._KIT_CACHE == before
+        assert geom._grid_kit.cache_info().currsize == before
+
+    @pytest.mark.parametrize("dim, num", [([1], 64), (1, [64])], ids=["dim", "num"])
+    def test_unhashable_grid_argument_caches_no_kit(self, dim, num):
+        # the cache hashes the arguments before the gate runs: a list is the cache's
+        # TypeError, not a ShapeError
+        before = geom._grid_kit.cache_info().currsize
+        with pytest.raises(TypeError, match="unhashable"):
+            sphere(1.0, dim, num)
+        assert geom._grid_kit.cache_info().currsize == before
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_samples_that_are_not_one_dimensional_are_rejected(self, dim):
+        with pytest.raises(ShapeError, match="one-dimensional"):
+            RadialGraph(dim, np.ones((64, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_samples_that_are_not_finite_are_rejected(self, bad):
+        r = np.ones(64)
+        r[5] = bad
+        with pytest.raises(ShapeError, match="non-finite"):
+            RadialGraph(1, r)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_kit_maps_intervals_to_nodes(self, dim):

@@ -24,6 +24,11 @@ class TestElemSym:
         assert sfc.elem_sym([1, 1, 1], 2) == 3.0 == math.comb(3, 2)
         assert sfc.elem_sym([1, 2], 3) == 0.0
 
+    @pytest.mark.parametrize("lam", [np.ones((2, 2)), np.array([])], ids=["two_dim", "empty"])
+    def test_vector_must_be_one_dimensional_and_non_empty(self, lam):
+        with pytest.raises(ValueError, match="one-dimensional and non-empty"):
+            sfc.elem_sym(lam, 1)
+
     def test_sigma_zero_is_one(self):
         assert sfc.elem_sym([4.2, -1.0], 0) == 1.0
 

@@ -57,6 +57,23 @@ class TestLagrangianCurve:
         v_b = quermass_minkowski(compute_geometry(ref), 0)
         assert abs(v_a - v_b) / v_b < 1e-8
 
+    @pytest.mark.parametrize("pts", [np.ones((64, 3)), embed(sphere(1.0, 1, 64))[::8]],
+                             ids=["three_columns", "eight_points"])
+    def test_rejects_points_that_are_not_m_by_2_with_m_at_least_16(self, pts):
+        with pytest.raises(ValueError, match=r"\(M, 2\) array with M >= 16"):
+            LagrangianCurve(pts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_points_that_are_not_finite(self, bad):
+        pts = embed(sphere(1.0, 1, 64))
+        pts[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            LagrangianCurve(pts)
+
+    def test_curve_from_radial_needs_dim_one(self):
+        with pytest.raises(ValueError, match="dim-1 radial graph"):
+            curve_from_radial(sphere(1.0, 2, 64))
+
     def test_not_starshaped_rejected(self):
         t = 2 * pi * np.arange(64) / 64
         pts = np.stack([np.cos(t) + 1.5, np.sin(t)], axis=1)  # origin outside
@@ -246,22 +263,24 @@ class TestFirstVariation:
         assert rep.rel_residual < 1e-3
 
     def test_rejects_destructive_probe(self):
-        # s rho pushes part of the curve through the origin
-        with pytest.raises(ValueError):
-            check_first_variation(
-                sphere(1.0, 1, 64), lambda t: np.cos(t), 0, s=1.2
-            )
+        # at the probe size s = 1e-4 of the unit radius, s rho = 1.2 cos t pushes part
+        # of the curve through the origin
+        with pytest.raises(ValueError, match="starshapedness"):
+            check_first_variation(sphere(1.0, 1, 64), lambda t: 12000.0 * np.cos(t), 0)
+
+    def test_rejects_rho_without_one_value_per_node(self):
+        with pytest.raises(ValueError, match=r"one value per node \(64\)"):
+            check_first_variation(sphere(1.0, 1, 64), np.ones(63), 0)
+
+    def test_rejects_a_probe_through_the_axis(self):
+        # s rho = 1.2 along the unit sphere's normal carries the meridian across the axis
+        with pytest.raises(ValueError, match="through the axis"):
+            check_first_variation(sphere(1.0, 2, 64), lambda t: np.full_like(t, 12000.0), 0)
 
     def test_rejects_a_target_that_is_not_a_radial_graph(self):
         curve = curve_from_radial(sphere(1.0, 1, 64))
         with pytest.raises(TypeError, match="RadialGraph"):
             check_first_variation(curve, np.ones(64), 0)
-
-    @pytest.mark.parametrize("s", [0.0, -1e-4, float("nan"), float("inf"), True, "x"])
-    def test_rejects_probe_size_that_is_not_positive_and_finite(self, s):
-        # s = 0 divided by zero and s = NaN returned a NaN report
-        with pytest.raises(ValueError, match=r"probe size s"):
-            check_first_variation(sphere(1.0, 1, 64), lambda t: np.ones_like(t), 0, s=s)
 
 
 class TestAfChain:
@@ -333,7 +352,7 @@ class TestMonotoneSeries:
     (check_lemma_integral, ["config", "initial"]),
     (check_af_chain, ["geo", "k"]),
     (check_monotone_series, ["record"]),
-    (check_first_variation, ["target", "rho", "l", "s"]),
+    (check_first_variation, ["target", "rho", "l"]),
     (kconvex_report, ["geo", "k"]),
     (in_gamma_k, ["lam", "k", "strict"]),
 ])
@@ -343,6 +362,12 @@ def test_each_check_has_one_built_in_tolerance(func, params):
 
 
 class TestReportCsv:
+    def test_makes_the_missing_directory(self, tmp_path):
+        reports = check_af_chain(compute_geometry(sphere(1.0, 1, 64)), 1)
+        path = tmp_path / "a" / "b" / "report.csv"
+        write_report_csv(reports, path)
+        assert len(path.read_text().splitlines()) == 1 + len(reports)
+
     def test_write_and_parse(self, tmp_path):
         curve = curve_from_radial(sphere(1.0, 1, 128))
         reports = check_prop1_pointwise(curve, 1, 7e-5, tol=1e-8)
