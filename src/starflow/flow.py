@@ -289,9 +289,9 @@ def _stage_map(r: np.ndarray, w: np.ndarray, u: np.ndarray | None, sig: np.ndarr
 def _stage(kit: geomod._GridKit, r: np.ndarray, mode: str, k: int):
     """The stage map at r on kit's grid from bare curvature rows: no PointwiseGeometry."""
     _, _, w, rr, _, sig, dmu = geomod._curvatures(kit, r)
-    held = monotone_pair(kit.dim, k)[1]
+    held = monotone_pair(kit.family.dim, k)[1]
     # u as `geometry._pointwise` forms it, so a stage is bitwise a full-geometry stage
-    u = rr / w if held == kit.dim + 1 else None
+    u = rr / w if held == kit.family.dim + 1 else None
     return _stage_map(r, w, u, sig, dmu, mode, k, held)
 
 
@@ -316,12 +316,14 @@ def _linearization(geo: PointwiseGeometry, k: int):
     `geometry._stencil_derivatives`. a, b and c are the partial derivatives
     of the pointwise formula in r, r' and r''; dF/dkappa comes from
     `symfunc._gradient_tables`. kappa_rad = (r^2 + 2 r'^2 - r r'') / w^3
-    reads (r, r', r''), kappa_par = (1 - r' cot / r) / w reads (r, r'), on
-    the kit's pole-safe cotangent `cot` that `geometry._curvatures` reads,
-    and at the dim-2 poles kappa_par is kappa_rad, as `_curvatures` sets
-    it. a follows from b and c by Euler's identity for homogeneous
-    maps. The rank-one -rate * r term of mode normalized is left out.
-    Raises ConeExitError where sigma_k is not positive (`_speed`)."""
+    reads (r, r', r''); the rows beyond it, and their pole rules, are the
+    grid family's: it reads its pole fold and the parallel term of b from
+    `linear_fold`, where the profile's kappa_par = (1 - r' cot / r) / w
+    reads (r, r') on the kit's pole-safe cotangent `cot` that
+    `geometry._curvatures` reads, and at the poles kappa_par is kappa_rad,
+    as `_curvatures` sets it. a follows from b and c by Euler's identity
+    for homogeneous maps. The rank-one -rate * r term of mode normalized is
+    left out. Raises ConeExitError where sigma_k is not positive (`_speed`)."""
     r, r1, r2, w = geo.r, geo.r1, geo.r2, geo.w
     sig = geo.sigma.T
     f = _speed(sig, k)
@@ -330,22 +332,17 @@ def _linearization(geo: PointwiseGeometry, k: int):
     if k > 1:
         dfk += grads[k - 2]
     dfk /= sig[k]
-    df_rad = dfk[0]
-    if geo.dim == 2:
-        kit = geomod._grid_kit(2, geo.num_intervals)
-        df_par = dfk[1]
-        df_rad[kit.poles] += df_par[kit.poles]
-        df_par[kit.poles] = 0.0
-    # w^3 dkappa_rad/dr' = r' (4 - 3 kappa_rad w) and w^3 dkappa_par/dr' = -(r' + r cot)
+    kit = geomod._grid_kit(geo.dim, geo.num_intervals)
+    parallel = kit.family.linear_fold(kit, dfk, r, r1)
+    # w^3 dkappa_rad/dr' = r' (4 - 3 kappa_rad w)
     b = 4.0 - 3.0 * geo.kappa[:, 0] * w
-    b *= df_rad
+    b *= dfk[0]
     b *= r1
-    if geo.dim == 2:  # the kit's cot is finite at the poles, where df_par is 0
-        b -= df_par * (r1 + r * kit.cot)
+    b -= parallel
     w2 = w * w
     b /= w2 * r
     b += f * r1 / (w * r)
-    c = -df_rad / w2
+    c = -dfk[0] / w2
     # the stage map is homogeneous of degree one in (r, r', r''): a r + b r' + c r'' = F w / r
     a = f * w / r
     a -= b * r1
@@ -361,13 +358,13 @@ def _rho_bound(geo: PointwiseGeometry, k: int) -> float:
     and c_i times the second row of the kit's (2, 7) stencil weights
     against the taps of node i, plus a_i at the node itself: its centre
     entry is a - 490 c / 180h^2. |J| x is their moduli against the gather
-    of x, near the dim-2 poles with the reflected taps unfolded, which only
+    of x, near the profile's poles with the reflected taps unfolded, which only
     raises each row. So at x = 1 the ratio is the largest row sum of |J|,
     and each power step gives a rigorous bound no larger. Raises
     ConeExitError where sigma_k is not positive."""
     kit = geomod._grid_kit(geo.dim, geo.num_intervals)
     a, b, c = _linearization(geo, k)
-    off = kit.weights.T @ np.stack((b, c))  # (7, M): the entries against x[kit.taps]
+    off = kit.weights.T.dot(np.stack((b, c)))  # (7, M): the entries against x[kit.taps]
     off[0] += a
     off = np.abs(off)
     x = np.add.reduce(off, axis=0)  # |J| 1
@@ -440,7 +437,7 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
     except (ConeExitError, ValueError) as exc:
         return None, _Rejection(str(exc))
     r_new.setflags(write=False)
-    graph_new = _trusted(RadialGraph, dim=kit.dim, r=r_new)
+    graph_new = _trusted(RadialGraph, dim=state.graph.dim, r=r_new)
     geo_new = geomod._pointwise(kit, r_new, curv)
     ok, why = _strictly_kconvex(geo_new, k)
     if not ok:
@@ -451,7 +448,7 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
         # the held V_j in the rescaled gauge: times e^{-j log_scale} in rescaled_raw
         conserved = v_new
         if mode == "rescaled_raw":
-            held = monotone_pair(kit.dim, k)[1]
+            held = monotone_pair(state.graph.dim, k)[1]
             v_old *= exp(-held * state.log_scale)
             conserved *= exp(-held * log_new)
         drift = abs(conserved - v_old) / abs(v_old)
@@ -565,7 +562,7 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
     # least sigma_k, the radius leaves Gamma_k under the raw stage map
     j = int(np.argmin(state.geo.sigma[:, k]))
     probe = initial.r.copy()
-    probe[j] -= sqrt(np.finfo(float).eps * float(probe @ probe))
+    probe[j] -= sqrt(np.finfo(float).eps * float(probe.dot(probe)))
     try:
         _stage(geomod._grid_kit(initial.dim, initial.num_intervals), probe, "raw", k)
     except ConeExitError as exc:

@@ -1,31 +1,47 @@
 """Starshaped hypersurfaces as radial graphs and their integral geometry.
 
 A surface is stored as a positive radial function on a uniform parameter
-grid: N periodic samples of r(theta) on [0, 2pi) for a plane curve
-(dim 1), or N+1 samples of r(phi) on [0, pi] for the profile of an
-axisymmetric surface (dim 2). Curvatures, support function and area
-weights come from sixth-order centered difference stencils (Fornberg,
-Math. Comp. 51, 1988): one gather of the seven taps of every node, itself
-and the nodes one to three places ahead of and behind it (indices wrap for
-dim 1 and reflect evenly at both poles for dim 2), and one product with
-the grid's (2, 7) weight matrix, whose rows give the first and the second
-derivative; quermassintegrals from trapezoid (dim 1) or composite Simpson
-(dim 2) quadrature. The first derivative is set to exactly 0 at the poles,
-where the reflection makes it vanish. The parallel principal curvature at
-the poles is assigned its smooth limit, the meridian value; the sin(phi)
-area weight vanishes there, so the choice does not touch any integral.
-Elsewhere it is (r - r' cot(phi)) / (r w), on the kit's pole-safe cotangent.
-Every quadrature sum is one BLAS dot of the integrand with the weights dmu,
-and no gate is a ufunc reduction. The positivity gate reads r at its
-argmin, the first NaN if there is one, which compares false and is
-rejected. r and the curvature data pass a finiteness gate of one BLAS
-self-dot: only a self-dot that is not finite runs the exact per-entry
-test, which alone rejects.
+grid of one of two grid families:
+
+- `_Curve`, the periodic curve (dim 1): N samples of r(theta) on
+  [0, 2pi), node N being node 0;
+- `_Profile`, the rotational profile (dim 2): N+1 samples of r(phi) on
+  [0, pi], the profile of an axisymmetric surface, even about both poles.
+
+Each family owns the rules of its grid: its node count and Nyquist mode,
+the random harmonics of `perturbed_sphere`, the fold of its stencil taps
+(they wrap on the curve and reflect evenly at both poles of the profile)
+and its poles, where r' is set to exactly 0; its quadrature weights
+(trapezoid, all h, on the curve; composite Simpson on the profile, times
+2 pi sin(phi) for the area); the curvature rows beyond the curve or
+meridian one, with the pole override; its pieces of
+`flow._linearization`; its periodic extension, which `refine` resamples;
+the mean of `roundness`; `embed`; and the starshapedness rule of embedded
+points. A Clenshaw-Curtis area weight on the profile is one rule of
+`_Profile.arrays`, rotational hypersurfaces in R^{n+1} are a parameter n
+of `_Profile` (n - 1 parallel rows and the area form (r sin(phi))^(n-1)),
+and a new surface kind is a third family.
+
+Curvatures, support function and area weights come from sixth-order
+centered difference stencils (Fornberg, Math. Comp. 51, 1988): one gather
+of the seven taps of every node, itself and the nodes one to three places
+ahead of and behind it, and one product with the grid's (2, 7) weight
+matrix, whose rows give the first and the second derivative. The
+profile's parallel principal curvature is (r - r' cot(phi)) / (r w), on
+the kit's pole-safe cotangent; at the poles it is assigned its smooth
+limit, the meridian value, and the sin(phi) area weight vanishes there,
+so the choice does not touch any integral. Every quadrature sum is one
+BLAS dot of the integrand with the weights dmu, and no gate is a ufunc
+reduction. The positivity gate reads r at its argmin, the first NaN if
+there is one, which compares false and is rejected. r and the curvature
+data pass a finiteness gate of one BLAS self-dot: only a self-dot that
+is not finite runs the exact per-entry test, which alone rejects.
 
 A grid is keyed by its dimension and its number of intervals N. Its kit,
-`_grid_kit(dim, N)`, is its one gate and its one layout of nodes and spacing:
-only the kit runs `_check_intervals`, checks that dim is an integer in `DIMS`
-(the one dimension set) and maps N to a node count. The kits are held by
+`_grid_kit(dim, N)`, is its one gate and the holder of every per-node
+array: only the kit runs `_check_intervals`, takes its family from
+`_family` (the one dim gate: an integer in `DIMS`, the families'
+dimensions) and maps N to a node count. The kits are held by
 `functools.lru_cache` (64 of them, keyed by the arguments and their types), so
 a kit is built, and its gate run, on a miss only: a bool or a whole float has
 a key of its own and fails the gate, which caches nothing, and an unhashable
@@ -52,9 +68,9 @@ A grid kit may be stacked: `_grid_kit(dim, num, copies)` lays `copies`
 grids of `size` nodes end to end, so one `_curvatures` call evaluates
 that many radial graphs of one grid, each copy bitwise as on its own: the
 stencil product sums each output over its own seven taps, wherever the
-copy sits in the stack. The dim-2 pole rules are written on the kit's
-read-only index array `poles`, which holds nodes 0 and N of every copy;
-with one copy they are the two poles.
+copy sits in the stack. The pole rules are written on the kit's
+read-only index array `poles`, which holds nodes 0 and N of every copy of
+a profile and no node of a curve.
 """
 
 from __future__ import annotations
@@ -99,7 +115,6 @@ __all__ = [
 ]
 
 MIN_NODES = 16
-DIMS = (1, 2)  # the dimensions n of every grid, shape and flow
 
 # sixth-order centered stencil weights (Fornberg, Math. Comp. 51, 1988) against
 # the rows of each grid's tap table: the node, the nodes 1..3 ahead, the nodes
@@ -164,11 +179,11 @@ def _trusted(cls, **fields):
 class RadialGraph:
     """Radial function of a starshaped hypersurface on a uniform grid.
 
-    dim 1: r has N samples of r(theta), theta_j = 2*pi*j/N, periodic.
-    dim 2: r has N+1 samples of r(phi), phi_j = pi*j/N, axisymmetric,
-    with an even profile at both poles. The grid kit of (dim, N) gates the
-    graph; `param` and `h` are the kit's, and `param` is its read-only node
-    array, shared by every graph on the grid.
+    dim 1 (`_Curve`): r has N samples of r(theta), theta_j = 2*pi*j/N,
+    periodic. dim 2 (`_Profile`): r has N+1 samples of r(phi), phi_j =
+    pi*j/N, axisymmetric, with an even profile at both poles. The grid kit
+    of (dim, N) gates the graph; `param` and `h` are the kit's, and `param`
+    is its read-only node array, shared by every graph on the grid.
     """
 
     dim: int
@@ -189,7 +204,7 @@ class RadialGraph:
 
     @property
     def num_intervals(self) -> int:
-        return self.r.size if self.dim == 1 else self.r.size - 1
+        return self.r.size - _family(self.dim).ends
 
     @property
     def h(self) -> float:
@@ -243,6 +258,127 @@ class ConvexityReport:
     @property
     def strict(self) -> bool:
         return self.status == "strict"
+
+
+# ---------------------------------------------------------------------------
+# grid families
+
+
+class _Curve:
+    """The periodic curve (dim 1): r(theta) at the N nodes theta_j = 2 pi j / N,
+    node N being node 0. Its taps wrap, its quadrature is the trapezoid rule,
+    every weight h, and sigma_1 is its one curvature. It has no pole, and its
+    samples are their own periodic extension."""
+
+    # ends: the nodes beyond the N intervals; the grid spans [0, half_turns pi]
+    dim, ends, half_turns = 1, 0, 2
+    modes, sines = range(2, 6), True  # perturbed_sphere's random harmonics
+
+    def arrays(self, taps, num, size, h, param, copies):
+        """(taps folded onto one copy, quadrature, area weight, cot, poles): the taps
+        wrap, the trapezoid weights h are the area weight, and no node is a pole."""
+        return taps % num, np.full(size, h), np.full(size, h), None, np.empty(0, dtype=int)
+
+    def rows(self, kit, r, r1, w, num, w3, sig):
+        """(kappa, dmu) from the curvature num / w3: sigma_1 is kappa, dmu is h w."""
+        np.divide(num, w3, out=sig[1])
+        return sig[1:], kit.area_weight * w
+
+    def linear_fold(self, kit, dfk, r, r1):
+        """The parallel term of `flow._linearization`'s b: a curve has none."""
+        return 0.0
+
+    mean = staticmethod(np.mean)  # roundness's mean of r
+
+    def extension(self, r):
+        return r
+
+    def embed(self, r, t):
+        return np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
+
+    def unstarshaped(self, pts) -> str:
+        """Why the embedded points pts are no curve starshaped about the origin, or ""."""
+        ang = np.unwrap(np.arctan2(pts[:, 1], pts[:, 0]))
+        bad = np.min(np.hypot(pts[:, 0], pts[:, 1])) <= 0.0 or np.any(np.diff(ang) <= 0.0)
+        return "destroys starshapedness" if bad else ""
+
+
+class _Profile:
+    """The rotational profile (dim 2): r(phi) at the N + 1 nodes phi_j = pi j / N
+    from pole to pole of an axisymmetric surface, even about both poles. Its
+    taps reflect there, its quadrature is composite Simpson, times
+    2 pi sin(phi) for the area, and its parallel curvature is a second row,
+    the meridian one at the poles. Its periodic extension is the even one."""
+
+    dim, ends, half_turns = 2, 1, 1
+    # cos(l phi) only: Chebyshev polynomials in cos(phi), smooth at the poles
+    modes, sines = range(2, 5), False
+
+    def arrays(self, taps, num, size, h, param, copies):
+        """(taps folded onto one copy, quadrature, area weight, cot, poles): node -j
+        is node j and node N + j is node N - j; cot is cos(phi) / sin(phi) with
+        sin(phi) read as 1.0 at both poles, where the parallel curvature is
+        overwritten; poles holds nodes 0 and N of every copy."""
+        # composite Simpson: h / 3 times 1, 4, 2, 4, ..., 2, 4, 1
+        quadrature = np.r_[1.0, np.tile([4.0, 2.0], num // 2)[:-1], 1.0] * (h / 3.0)
+        cot = np.cos(param) / np.r_[1.0, np.sin(param[1:-1]), 1.0]
+        return (np.where(taps > num, 2 * num - taps, np.abs(taps)), quadrature,
+                quadrature * (2.0 * pi) * np.sin(param), np.tile(cot, copies),
+                (size * np.arange(copies)[:, None] + [0, num]).ravel())
+
+    def rows(self, kit, r, r1, w, num, w3, sig):
+        """(kappa, dmu) from the meridian curvature num / w3: the parallel one
+        (r - r' cot) / (r w), the meridian one at the poles; dmu is the area weight times r w."""
+        kappa = np.empty((2, r.size))
+        k_mer, k_par = kappa
+        np.divide(num, w3, out=k_mer)
+        rw = r * w
+        np.divide(r - r1 * kit.cot, rw, out=k_par)
+        k_par[kit.poles] = k_mer[kit.poles]
+        np.add(k_mer, k_par, out=sig[1])
+        np.multiply(k_mer, k_par, out=sig[2])
+        return kappa, kit.area_weight * rw
+
+    def linear_fold(self, kit, dfk, r, r1):
+        """Folds the rows dF/dkappa_i of dfk at the poles, where kappa_par is set to
+        kappa_mer, into the meridian row, and returns dF/dkappa_par (r' + r cot),
+        the parallel term that `flow._linearization` takes off w^2 r b, as
+        w^3 dkappa_par/dr' = -(r' + r cot); the kit's cot is finite at the
+        poles, where dF/dkappa_par is now 0."""
+        df_mer, df_par = dfk
+        df_mer[kit.poles] += df_par[kit.poles]
+        df_par[kit.poles] = 0.0
+        return df_par * (r1 + r * kit.cot)
+
+    def mean(self, r):
+        """roundness's mean of r: the trapezoid mean over phi."""
+        return float((0.5 * r[0] + np.sum(r[1:-1]) + 0.5 * r[-1]) / (r.size - 1))
+
+    def extension(self, f):
+        """The 2N-periodic extension of N + 1 samples on [0, pi], even about both
+        poles: nodes 0..N, then N-1..1, along axis 0."""
+        return np.concatenate([f, f[-2:0:-1]])
+
+    def embed(self, r, t):
+        """Meridian (rho, z) points."""
+        return np.stack([r * np.sin(t), r * np.cos(t)], axis=1)
+
+    def unstarshaped(self, pts) -> str:
+        """Why the embedded meridian points pts leave the half plane rho > 0 between
+        the poles, or ""."""
+        return "pushes the meridian through the axis" if np.min(pts[1:-1, 0]) <= 0.0 else ""
+
+
+_CURVE, _PROFILE = _Curve(), _Profile()
+_FAMILIES = {family.dim: family for family in (_CURVE, _PROFILE)}
+DIMS = tuple(_FAMILIES)  # the dimensions n of every grid, shape and flow
+
+
+def _family(dim):
+    """The grid family of dimension dim, after the one dim gate: an integer in DIMS."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim not in _FAMILIES:
+        raise ShapeError(f"dim must be an integer in {DIMS}, got {dim!r}")
+    return _FAMILIES[dim]
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +449,18 @@ def perturbed_sphere(
     A single cosine mode when `mode` is given, otherwise random harmonics
     drawn from `seed` (an integer >= 0; None means 0, so every call is
     reproducible) and normalized so the perturbation never exceeds eps in
-    absolute value. dim 2 uses cos(l*phi) modes only, which are Chebyshev
-    polynomials in cos(phi) and hence smooth at the poles.
+    absolute value. The grid family sets the random harmonics: the
+    profile's are cos(l*phi) alone.
     """
-    x = _grid_kit(dim, num).param
+    kit = _grid_kit(dim, num)
+    x, family = kit.param, kit.family
     _check_seed(seed)
     radius = _param(radius, "sphere radius", 0.0)
     eps = _param(eps, "perturbation amplitude eps", 0.0, strict=False)
     if mode is not None:
         # a fractional mode is not periodic on the grid: it leaves a kink; one above the
-        # grid's Nyquist mode, N/2 in dim 1 and N in dim 2, is aliased to a lower one
-        nyquist = num // 2 if dim == 1 else num
+        # grid's Nyquist mode pi / h, N/2 on the curve and N on the profile, is aliased
+        nyquist = num // family.half_turns
         try:
             mode = _whole(mode, "perturbation mode", 1, nyquist)
         except ValueError:
@@ -332,14 +469,11 @@ def perturbed_sphere(
         r = _single_mode_radius(radius, eps, np.cos(mode * x))
     else:
         rng = np.random.default_rng(0 if seed is None else seed)
-        modes = np.arange(2, 6) if dim == 1 else np.arange(2, 5)
-        ca = rng.normal(size=modes.size)
-        cb = rng.normal(size=modes.size) if dim == 1 else np.zeros(modes.size)
+        ca = rng.normal(size=len(family.modes))
+        cb = rng.normal(size=len(family.modes)) if family.sines else np.zeros(len(family.modes))
         norm = np.sum(np.abs(ca)) + np.sum(np.abs(cb))
-        bump = sum(
-            (ca[i] * np.cos(l * x) + cb[i] * np.sin(l * x)) / norm
-            for i, l in enumerate(modes)
-        )
+        bump = sum((ca[i] * np.cos(l * x) + cb[i] * np.sin(l * x)) / norm
+                   for i, l in enumerate(family.modes))
         r = radius * (1.0 + eps * bump)
     return RadialGraph(dim, r)
 
@@ -401,44 +535,37 @@ def _stencil_derivatives(kit: _GridKit, r: np.ndarray):
     """Sixth-order centered first and second derivatives of r on kit's grid:
     one gather of the seven taps of every node and one product with the
     (2, 7) weight matrix. The first derivative is set to exactly 0 at the
-    dim-2 poles, where the even reflection makes it vanish but a BLAS sum
-    of the reflected taps need not cancel bit for bit.
+    kit's poles (a curve has none), where the even reflection makes it
+    vanish but a BLAS sum of the reflected taps need not cancel bit for bit.
     """
-    d1, d2 = kit.weights @ r[kit.taps]
-    if kit.poles is not None:
-        d1[kit.poles] = 0.0
+    d1, d2 = kit.weights.dot(r[kit.taps])
+    d1[kit.poles] = 0.0
     return d1, d2
-
-
-def _simpson_weights(n_int: int, h: float) -> np.ndarray:
-    w = np.ones(n_int + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
 
 
 @dataclass(frozen=True)
 class _GridKit:
-    """Static per-grid data shared by every geometry evaluation.
+    """Static per-grid data shared by every geometry evaluation: the arrays
+    of its grid family, built once.
 
     A stacked kit lays `copies` grids of `size` nodes end to end: copy c
     holds the nodes c * size .. (c + 1) * size - 1 of every node array, and
     its columns of the tap table read only its own nodes; the (2, 7) weight
-    matrix is the same for every copy. `param` is one copy's grid. Every
-    array is read-only: the kit is cached and shared.
+    matrix is the same for every copy. `param` and `quadrature` are one
+    copy's. Every array is read-only: the kit is cached and shared.
     """
 
-    dim: int
+    family: _Curve | _Profile  # its dim is the kit's
     num: int  # intervals N of one copy
-    size: int  # nodes of one copy: N for dim 1, N + 1 for dim 2
+    size: int  # nodes of one copy: N + family.ends
     h: float
     param: np.ndarray
-    # dim 2: cos(phi) / sin(phi), with sin(phi) read as 1.0 at both poles, where
-    # the parallel curvature is overwritten with the meridian one; None for dim 1
+    # the profile's cos(phi) / sin(phi), with sin(phi) read as 1.0 at both poles,
+    # where the parallel curvature is overwritten with the meridian one; None on a curve
     cot: np.ndarray | None
-    # dim 2: the indices of nodes 0 and N of every copy; None for dim 1
-    poles: np.ndarray | None
-    area_weight: np.ndarray  # h for dim 1, simpson * 2 pi sin(phi) for dim 2
+    poles: np.ndarray  # the profile's nodes 0 and N of every copy; empty on a curve
+    quadrature: np.ndarray  # the plain rule: trapezoid (all h) or composite Simpson
+    area_weight: np.ndarray  # the quadrature times the area form: 1, or 2 pi sin(phi)
     # (7, copies * size) indices of the taps of each node: the node, the nodes
     # 1..3 places ahead, the nodes 1..3 places behind
     taps: np.ndarray
@@ -453,32 +580,16 @@ def _grid_kit(dim: int, num: int, copies: int = 1) -> _GridKit:
     by its arguments and their types: a bool or a whole float, which passes `in DIMS`
     and hashes as its integer, has its own key and is rejected, and a gate that raises
     caches nothing. An unhashable argument is the cache's TypeError."""
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim not in DIMS:
-        raise ShapeError(f"dim must be an integer in {DIMS}, got {dim!r}")
+    family = _family(dim)
     _check_intervals(num)
-    size = num if dim == 1 else num + 1
+    size = num + family.ends
     nodes = np.arange(size)
-    taps = nodes + np.array([0, 1, 2, 3, -1, -2, -3])[:, None]
-    if dim == 1:
-        param = 2.0 * pi * nodes / num
-        h = 2.0 * pi / num
-        cot = poles = None
-        area = np.full(size, h)
-        taps %= num
-    else:
-        # even reflection about both poles: node -j is node j, node
-        # N + j is node N - j
-        param = pi * nodes / num
-        h = pi / num
-        sin = np.sin(param)
-        area = _simpson_weights(num, h) * (2.0 * pi) * sin
-        safe = sin.copy()
-        safe[[0, -1]] = 1.0
-        cot = np.tile(np.cos(param) / safe, copies)
-        poles = (size * np.arange(copies)[:, None] + [0, num]).ravel()
-        taps = np.where(taps > num, 2 * num - taps, np.abs(taps))
+    h = family.half_turns * pi / num
+    param = family.half_turns * pi * nodes / num
+    taps, quadrature, area, cot, poles = family.arrays(
+        nodes + np.array([0, 1, 2, 3, -1, -2, -3])[:, None], num, size, h, param, copies)
     taps = (taps[:, None, :] + size * np.arange(copies)[:, None]).reshape(7, copies * size)
-    kit = _GridKit(dim, num, size, h, param, cot, poles, np.tile(area, copies), taps,
+    kit = _GridKit(family, num, size, h, param, cot, poles, quadrature, np.tile(area, copies), taps,
                    _STENCIL / np.array([[60.0 * h], [180.0 * h * h]]))
     for value in vars(kit).values():
         if isinstance(value, np.ndarray):
@@ -512,22 +623,9 @@ def _curvatures(kit: _GridKit, r: np.ndarray):
     num = r1r1 + r1r1
     num += rr
     num -= r * r2
-    sig = np.empty((kit.dim + 1, r.size))
+    sig = np.empty((kit.family.dim + 1, r.size))
     sig[0] = 1.0
-    if kit.dim == 1:
-        np.divide(num, w2 * w, out=sig[1])
-        kappa = sig[1:]
-        dmu = kit.area_weight * w
-    else:
-        kappa = np.empty((2, r.size))
-        k_rad, k_par = kappa
-        np.divide(num, w2 * w, out=k_rad)
-        rw = r * w
-        np.divide(r - r1 * kit.cot, rw, out=k_par)
-        k_par[kit.poles] = k_rad[kit.poles]
-        np.add(k_rad, k_par, out=sig[1])
-        np.multiply(k_rad, k_par, out=sig[2])
-        dmu = kit.area_weight * rw
+    kappa, dmu = kit.family.rows(kit, r, r1, w, num, w2 * w, sig)
     _check_finite(sig)
     return r1, r2, w, rr, kappa, sig, dmu
 
@@ -546,7 +644,7 @@ def _check_finite(sig: np.ndarray) -> None:
 def _pointwise(kit: _GridKit, r: np.ndarray, curvatures: tuple | None = None) -> PointwiseGeometry:
     """PointwiseGeometry of r on kit's grid, from r's `_curvatures` data when given."""
     r1, r2, w, rr, kappa, sig, dmu = _curvatures(kit, r) if curvatures is None else curvatures
-    return _trusted(PointwiseGeometry, dim=kit.dim, num_intervals=kit.num, param=kit.param,
+    return _trusted(PointwiseGeometry, dim=kit.family.dim, num_intervals=kit.num, param=kit.param,
                     h=kit.h, r=r, r1=r1, r2=r2, w=w, u=rr / w, kappa=kappa.T, sigma=sig.T, dmu=dmu)
 
 
@@ -665,23 +763,14 @@ def kconvex_report(geo: PointwiseGeometry, k: int) -> ConvexityReport:
 
 
 def roundness(g: RadialGraph) -> float:
-    """(max r - min r) / mean r; zero exactly for centered spheres."""
+    """(max r - min r) / mean r, the mean of the graph's grid family; zero exactly
+    for centered spheres."""
     r = g.r
-    if g.dim == 1:
-        mean = float(np.mean(r))
-    else:
-        mean = float((0.5 * r[0] + np.sum(r[1:-1]) + 0.5 * r[-1]) / g.num_intervals)
-    return float((r[r.argmax()] - r[r.argmin()]) / mean)
+    return float((r[r.argmax()] - r[r.argmin()]) / _family(g.dim).mean(r))
 
 
 # ---------------------------------------------------------------------------
 # resampling and export
-
-
-def _even_extension(f: np.ndarray) -> np.ndarray:
-    """The 2N-periodic extension of N + 1 samples on [0, pi], even about both
-    poles: nodes 0..N, then N-1..1, along axis 0."""
-    return np.concatenate([f, f[-2:0:-1]])
 
 
 def _fft_resample_periodic(f: np.ndarray, out_size: int) -> np.ndarray:
@@ -694,25 +783,18 @@ def _fft_resample_periodic(f: np.ndarray, out_size: int) -> np.ndarray:
 
 def refine(g: RadialGraph, factor: int) -> RadialGraph:
     """Resample onto a grid `factor` times finer by trigonometric
-    interpolation (dim 2 through the even periodic extension of the
-    profile)."""
+    interpolation of the periodic extension of the samples (on the profile,
+    the even one about both poles)."""
     factor = _whole(factor, "refinement factor", 2)
     size = _grid_kit(g.dim, g.num_intervals * factor).size
-    if g.dim == 1:
-        r_new = _fft_resample_periodic(g.r, size)
-    else:
-        ext = _even_extension(g.r)
-        r_new = _fft_resample_periodic(ext, ext.size * factor)[:size]
-    return RadialGraph(g.dim, r_new)
+    ext = _family(g.dim).extension(g.r)
+    return RadialGraph(g.dim, _fft_resample_periodic(ext, ext.size * factor)[:size])
 
 
 def embed(g: RadialGraph) -> np.ndarray:
-    """Embedded sample points: (N, 2) curve points for dim 1, meridian
-    (rho, z) points for dim 2."""
-    t = g.param
-    if g.dim == 1:
-        return np.stack([g.r * np.cos(t), g.r * np.sin(t)], axis=1)
-    return np.stack([g.r * np.sin(t), g.r * np.cos(t)], axis=1)
+    """Embedded sample points of the graph's grid family: (N, 2) curve points,
+    or meridian (rho, z) points of the profile."""
+    return _family(g.dim).embed(g.r, g.param)
 
 
 def export_snapshot(geo: PointwiseGeometry, k: int, path) -> None:

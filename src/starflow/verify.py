@@ -7,7 +7,8 @@ axisymmetric surface for dim 2. Both share one discretization: spatial
 derivatives are spectral in the material parameter of a closed curve
 (exact on circles, so the circle residuals isolate the O(dt^2) time
 error), and a meridian is the closed loop it makes with its mirror
-image in the axis. One helper, `_spectral_derivatives`, gives the first
+image in the axis; `_material_geometry` picks the curve or the meridian
+from the grid family. One helper, `_spectral_derivatives`, gives the first
 and second derivative of every column of an array from one rfft, so a
 curve's geometry takes one forward transform for both coordinates; on
 the meridian, scalar fields are differentiated through their even
@@ -35,9 +36,10 @@ from . import flow as flowmod
 from .geometry import (
     PointwiseGeometry,
     RadialGraph,
-    _even_extension,
+    _CURVE,
+    _PROFILE,
+    _family,
     _grid_kit,
-    _simpson_weights,
     _unit_ball,
     _write_csv,
     embed,
@@ -245,7 +247,7 @@ def _meridian_geometry(pts: np.ndarray) -> _MeridianGeo:
     value.
     """
     m = pts.shape[0]
-    loop = _even_extension(pts[:, ::-1])
+    loop = _PROFILE.extension(pts[:, ::-1])
     loop[m:, 1] *= -1.0
     cg = _curve_geometry(loop)
     rho = pts[:, 0]
@@ -253,11 +255,12 @@ def _meridian_geometry(pts: np.ndarray) -> _MeridianGeo:
     k_mer = cg.kappa[:m]
     k_par = k_mer.copy()
     k_par[1:-1] = nu[1:-1, 0] / rho[1:-1]
-    # the trapezoid rule of the loop is second order here: 2 pi rho wa is odd about the poles
-    dmu = 2.0 * pi * rho * cg.sqrtg[:m] * _simpson_weights(m - 1, pi / (m - 1))
+    # dmu: the trapezoid rule of the loop is second order here, as 2 pi rho wa is odd
+    # about the poles; the profile grid's kit holds its Simpson weights
     return _MeridianGeo(
         ga=cg.g11[:m], gth=rho * rho, wa=cg.sqrtg[:m], nu=nu, h_mer=cg.h11[:m],
-        h_par=k_par * rho * rho, kappa=np.stack([k_mer, k_par], axis=1), dmu=dmu,
+        h_par=k_par * rho * rho, kappa=np.stack([k_mer, k_par], axis=1),
+        dmu=2.0 * pi * rho * cg.sqrtg[:m] * _grid_kit(_PROFILE.dim, m - 1).quadrature,
     )
 
 
@@ -265,7 +268,7 @@ def _even_derivatives(f: np.ndarray) -> tuple:
     """First and second spectral derivatives, on the meridian's nodes, of columns
     even about both poles."""
     m = f.shape[0]
-    d1, d2 = _spectral_derivatives(_even_extension(f))
+    d1, d2 = _spectral_derivatives(_PROFILE.extension(f))
     return d1[:m], d2[:m]
 
 
@@ -277,8 +280,10 @@ def _even_derivatives(f: np.ndarray) -> tuple:
 _SUBSTEP = 0.2
 
 
-def _material_geometry(pts: np.ndarray, dim: int):
-    return _curve_geometry(pts) if dim == 1 else _meridian_geometry(pts)
+def _material_geometry(pts: np.ndarray, family):
+    """The geometry of material points of a grid family: a closed curve on a
+    periodic grid, a meridian between two poles on a grid with ends."""
+    return _meridian_geometry(pts) if family.ends else _curve_geometry(pts)
 
 
 def _material_speed(geo, k: int):
@@ -303,13 +308,13 @@ def _rk4(rhs, pts: np.ndarray, t_total: float, dt_sub: float) -> np.ndarray:
     return pts
 
 
-def _evolve(pts: np.ndarray, t_total: float, k: int, dim: int) -> np.ndarray:
-    """Material normal motion dX/dt = F nu of a closed curve (dim 1) or a
-    meridian (dim 2) by substepped RK4, the substep set by the shortest
-    chord and a bound on the diffusivity of F = sigma_{k-1}/sigma_k."""
-    geo = _material_geometry(pts, dim)
+def _evolve(pts: np.ndarray, t_total: float, k: int, family) -> np.ndarray:
+    """Material normal motion dX/dt = F nu of the material points of a grid
+    family, a closed curve or a meridian, by substepped RK4, the substep set
+    by the shortest chord and a bound on the diffusivity of F = sigma_{k-1}/sigma_k."""
+    geo = _material_geometry(pts, family)
     _, sig = _material_speed(geo, k)
-    ends = np.concatenate([pts, pts[:1]]) if dim == 1 else pts  # the curve closes
+    ends = pts if family.ends else np.concatenate([pts, pts[:1]])  # a curve closes
     chords = np.linalg.norm(np.diff(ends, axis=0), axis=1)
     gk = 1.0 if k == 1 else np.max(np.abs(geo.kappa), axis=1)
     lead = 0.0 if k == 1 else sig[:, k]
@@ -317,18 +322,18 @@ def _evolve(pts: np.ndarray, t_total: float, k: int, dim: int) -> np.ndarray:
     dt_sub = _SUBSTEP * float(np.min(chords)) ** 2 / diff
 
     def rhs(p):
-        geo = _material_geometry(p, dim)
+        geo = _material_geometry(p, family)
         return _material_speed(geo, k)[0][:, None] * geo.nu
 
     return _rk4(rhs, pts, t_total, dt_sub)
 
 
-def _window(p0: np.ndarray, k, dt, dim: int):
+def _window(p0: np.ndarray, k, dt, family):
     """(k, dt, [p0, p1, p2]): k and dt through their gates, and the material
-    points at t = 0, dt, 2*dt under the degree-k motion."""
-    k, dt = _whole(k, "flow degree k", 1, dim), _real(dt, "dt", 0.0)
-    p1 = _evolve(p0, dt, k, dim)
-    return k, dt, [p0, p1, _evolve(p1, dt, k, dim)]
+    points of the grid family at t = 0, dt, 2*dt under the degree-k motion."""
+    k, dt = _whole(k, "flow degree k", 1, family.dim), _real(dt, "dt", 0.0)
+    p1 = _evolve(p0, dt, k, family)
+    return k, dt, [p0, p1, _evolve(p1, dt, k, family)]
 
 
 def _identity_reports(prefix, pairs, dt, grid, tol, sl=slice(None)) -> list:
@@ -358,7 +363,7 @@ def check_prop1_pointwise(curve: LagrangianCurve, k: int, dt: float, tol: float 
     to rounding on circles up to the time truncation. Returns one report
     per identity.
     """
-    k, dt, pts = _window(curve.points, k, dt, 1)
+    k, dt, pts = _window(curve.points, k, dt, _CURVE)
     geos = [_curve_geometry(p) for p in pts]
     mid = geos[1]
     f, _ = _material_speed(mid, k)
@@ -389,7 +394,7 @@ def check_prop1_axisym(g: RadialGraph, k: int, dt: float, tol: float = 1e-3):
     """
     if g.dim != 2:
         raise ValueError("check_prop1_axisym needs a dim-2 radial graph")
-    k, dt, pts = _window(embed(g), k, dt, 2)
+    k, dt, pts = _window(embed(g), k, dt, _PROFILE)
     geos = [_meridian_geometry(p) for p in pts]
     mid = geos[1]
     f, sig = _material_speed(mid, k)
@@ -490,35 +495,29 @@ def check_first_variation(target: RadialGraph, rho, l: int):
     X_s = X + s * rho * nu, against (l+1) int sigma_{l+1} rho dmu, to a
     relative 1e-3.
 
-    `target` is a RadialGraph: dim 1 goes through the material curve,
-    dim 2 through the material meridian. rho is an array per node or a
+    `target` is a RadialGraph: the material points of its grid family, a
+    curve or a meridian, carry the graft. rho is an array per node or a
     callable on the graph's parameter grid. The derivative is a centered
     difference at +-s, s = 1e-4 of the mean radius.
     """
     if not isinstance(target, RadialGraph):
         raise TypeError(f"target must be a RadialGraph, got {type(target).__name__}")
-    pts, dim = embed(target), target.dim
+    pts, dim, family = embed(target), target.dim, _family(target.dim)
     l = _whole(l, "sigma index l", 0, dim)
     m = pts.shape[0]
     rho_arr = np.asarray(rho(target.param) if callable(rho) else rho, dtype=float)
     if rho_arr.shape != (m,):
         raise ValueError(f"rho must have one value per node ({m})")
-    geo = _material_geometry(pts, dim)
+    geo = _material_geometry(pts, family)
     s = 1e-4 * float(np.mean(np.hypot(pts[:, 0], pts[:, 1])))
     plus = pts + s * rho_arr[:, None] * geo.nu
     minus = pts - s * rho_arr[:, None] * geo.nu
-    for probe in (plus, minus):
-        radii = np.hypot(probe[:, 0], probe[:, 1])
-        if dim == 1:
-            ang = np.unwrap(np.arctan2(probe[:, 1], probe[:, 0]))
-            if np.min(radii) <= 0.0 or np.any(np.diff(ang) <= 0.0):
-                raise ValueError("variation destroys starshapedness at the probe size")
-        else:
-            if np.min(probe[1:-1, 0]) <= 0.0:
-                raise ValueError("variation pushes the meridian through the axis")
+    why = family.unstarshaped(plus) or family.unstarshaped(minus)
+    if why:
+        raise ValueError(f"variation {why} at the probe size")
 
     def integral(probe):
-        pg = _material_geometry(probe, dim)
+        pg = _material_geometry(probe, family)
         return float(np.sum(elem_sym_table(pg.kappa.reshape(m, -1))[:, l] * pg.dmu))
 
     lhs = (integral(plus) - integral(minus)) / (2.0 * s)

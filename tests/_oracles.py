@@ -186,15 +186,17 @@ def ellipse_mean_radius(a, b, n=1 << 16):
 
 def grid_kit_arrays(dim, size):
     """The node arrays of one unstacked grid kit, built node table by node
-    table: (param, cot, area_weight, taps, weights), with None for the dim-1
-    cot; the dim-2 cot is cos / sin with sin read as 1 at both poles."""
+    table: (param, cot, poles, quadrature, area_weight, taps, weights), with
+    None for the dim-1 cot and no dim-1 pole; the dim-2 cot is cos / sin with
+    sin read as 1 at both poles, and its quadrature is composite Simpson."""
     nodes = np.arange(size)
     ahead = nodes + np.arange(1, 4)[:, None]
     behind = nodes - np.arange(1, 4)[:, None]
     if dim == 1:
         h = 2.0 * pi / size
         taps = np.concatenate([nodes[None], ahead % size, behind % size])
-        return (2.0 * pi * nodes / size, None, np.full(size, h), taps, stencil_weights(h))
+        return (2.0 * pi * nodes / size, None, np.array([], dtype=int), np.full(size, h),
+                np.full(size, h), taps, stencil_weights(h))
     top = size - 1
     param = pi * nodes / top
     h = pi / top
@@ -206,8 +208,8 @@ def grid_kit_arrays(dim, size):
     simpson[2:-1:2] = 2.0
     taps = np.concatenate([nodes[None], np.where(ahead > top, 2 * top - ahead, ahead),
                            np.abs(behind)])
-    return (param, np.cos(param) / safe, simpson * (h / 3.0) * (2.0 * pi) * sin, taps,
-            stencil_weights(h))
+    return (param, np.cos(param) / safe, np.array([0, top]), simpson * (h / 3.0),
+            simpson * (h / 3.0) * (2.0 * pi) * sin, taps, stencil_weights(h))
 
 
 def random_kconvex_sample(rng, n, k, num):

@@ -190,13 +190,14 @@ class TestRadialRhs:
     def test_matches_lagrangian_flow_map(self):
         # independent oracle: evolve the material curve, resample to the
         # radial grid, difference in time
+        from starflow.geometry import _CURVE
         from starflow.verify import LagrangianCurve, _evolve, curve_from_radial, radial_from_curve
 
         g = perturbed_sphere(1.0, 0.08, mode=3, dim=1, num=256)
         dt = 1e-5
         p0 = curve_from_radial(g).points
-        p1 = _evolve(p0, dt, 1, 1)
-        p2 = _evolve(p1, dt, 1, 1)
+        p1 = _evolve(p0, dt, 1, _CURVE)
+        p2 = _evolve(p1, dt, 1, _CURVE)
         r0 = radial_from_curve(LagrangianCurve(p0), 256).r
         r2 = radial_from_curve(LagrangianCurve(p2), 256).r
         mid = radial_from_curve(LagrangianCurve(p1), 256)

@@ -367,17 +367,15 @@ class TestPointwiseGeometry:
     def test_single_copy_kit_is_the_unstacked_kit(self, dim, num):
         size = num if dim == 1 else num + 1
         kit = geom._grid_kit(dim, num)
-        got = (kit.param, kit.cot, kit.area_weight, kit.taps, kit.weights)
-        for mine, want in zip(got, grid_kit_arrays(dim, size)):
+        # the pole index holds exactly nodes 0 and N of a profile and no node of a curve
+        got = (kit.param, kit.cot, kit.poles, kit.quadrature, kit.area_weight, kit.taps,
+               kit.weights)
+        for mine, want in zip(got, grid_kit_arrays(dim, size), strict=True):
             if want is None:
                 assert mine is None
             else:
                 assert mine.dtype == want.dtype and mine.shape == want.shape
                 assert mine.tobytes() == want.tobytes()
-        if dim == 2:  # the pole index holds exactly nodes 0 and N
-            assert list(kit.poles) == [0, num]
-        else:
-            assert kit.poles is None
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("copies", [1, 3, 16])
@@ -830,11 +828,11 @@ class TestGridLayout:
     def test_kit_arrays_are_read_only(self, dim, size, copies):
         kit = geom._grid_kit(dim, RadialGraph(dim, np.ones(size)).num_intervals, copies)
         arrays = [value for value in vars(kit).values() if isinstance(value, np.ndarray)]
-        assert len(arrays) == (4 if dim == 1 else 6)
+        assert len(arrays) == (6 if dim == 1 else 7)
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
-                arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+                arr[...] = arr  # a whole-array write, which an empty pole index takes too
 
     def test_shared_param_cannot_leak_between_geometries(self):
         with pytest.raises(ValueError):
