@@ -44,7 +44,6 @@ from .flow import (
     TrajectoryRecord,
     rescale_state,
     run,
-    speed_raw,
     step,
 )
 from .verify import (

@@ -235,7 +235,7 @@ def cmd_run(cfg: dict, args) -> int:
         print(f"partial trajectory in {traj_path}", file=sys.stderr)
         raise
     record.to_csv(traj_path)
-    mono = flowmod.monotone_pair(fc.n, fc.k)[0]
+    mono = flowmod._law(fc.mode, fc.n, fc.k).raised
     _say(args.quiet,
          f"run complete: t={record.column('t')[-1]:.6g} "
          f"I{mono}={record.column(f'I{mono}')[-1]:.9f} "
@@ -569,7 +569,7 @@ def _monotone_run(n, k, shape_graph, t_max):
 def suite_monotone(cfg: dict) -> list:
     if "shape" in cfg:
         fc, g = _flow_and_shape(cfg)
-        if fc.mode not in flowmod.CONSERVING_MODES:
+        if not flowmod._law(fc.mode, fc.n, fc.k).conserving:
             raise ConfigError("problem.mode", f"the monotonicity check needs one of "
                                               f"{flowmod.CONSERVING_MODES}, got {fc.mode!r}")
         return vfy.check_monotone_series(flowmod.run(fc, g))
@@ -624,12 +624,12 @@ def _sweep_run(payload):
         record = flowmod.run(fc, graph)
         for traj_path in traj_paths:
             record.to_csv(traj_path)
-        mono = flowmod.monotone_pair(fc.n, fc.k)[0]
-        checks = vfy.check_monotone_series(record) if fc.mode in flowmod.CONSERVING_MODES else []
+        law = flowmod._law(fc.mode, fc.n, fc.k)
+        checks = vfy.check_monotone_series(record) if law.conserving else []
         fields = {
             "status": "ok",
             "final_t": record.rows[-1][0],
-            "final_iso": record.column(f"I{mono}")[-1],
+            "final_iso": record.column(f"I{law.raised}")[-1],
             "monotone_pass": str(all(r.passed for r in checks[:1]) if checks else ""),
             "conserve_pass": str(all(r.passed for r in checks[1:2]) if checks else ""),
         }

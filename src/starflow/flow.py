@@ -14,11 +14,11 @@ finite, as an infinite radius makes them, reject it); its RadialGraph
 wraps the checked samples without a second pass. The stage map returns
 d r/dt, the log-scale rate and the held quermassintegral V_held, the
 rate's denominator. It is evaluated once per accepted state, on the
-candidate's geometry, and the state carries it under its mode and k, first
+candidate's geometry, and the state carries it under its flow law, first
 same as last (Dormand & Prince, J. Comput. Appl. Math. 6, 1980): stage 1
 of the next attempt and of its retries, the conservation guard (V_held
 before and after the step) and the record's r_t read it; a state stepped
-under another mode or k gets a fresh one.
+under another law gets a fresh one.
 The accumulated log-scale integral of r(t) is advanced with the same stage
 weights so that e^{-log_scale} times the raw trajectory reproduces the
 normalized one to integration order.
@@ -43,12 +43,18 @@ near 1.75 times it. A run of conservation rejections whose drift rate does
 not fall as dt is halved stops with the first drift rate and its dt: no
 step size can fix it.
 
-The conventions are read, not restated: `monotone_pair` decides which
-V_j a flow holds, and so its scale rate, `CONSERVING_MODES` which modes
-hold it, `_stage_map` is the one place that assembles that held rate and
+The conventions are read, not restated: `_law(mode, n, k)`, one cached
+record per (mode, n, k) from the table `_MODE_RULES`, decides which I_m
+the flow raises and which V_j it holds, and so its scale rate; whether
+that rate reads the support function; whether the mode holds V_j (the
+conservation guard, `verify.check_monotone_series` and the sweep's pass
+flags); whether the stage map subtracts rate * r (normalized); whether
+the guard and the record read the rescaled gauge (rescaled_raw); and
+normalized's k <= n - 1 rule. `MODES` and `CONSERVING_MODES` are the
+table's. `_stage_map` is the one place that assembles the held rate and
 the guard's V_held (the record's r_t reads it),
-`geometry.quermass` computes every V_j of the record, and `geometry._iso` is
-the I_m formula of the record. Strict k-convexity is one rule, every
+`geometry.quermass_vector` computes every V_j of the record, and
+`geometry._iso` is the I_m formula of the record. Strict k-convexity is one rule, every
 sigma_1..sigma_k positive (a NaN fails), with two implementations:
 `symfunc._cone_status`'s strict case, which `in_gamma_k` and
 `geometry.kconvex_report` read, and `_strictly_kconvex`, which the initial
@@ -62,7 +68,9 @@ cfl_coefficient: finite, not a bool, the tolerances >= 0, the rest positive, dt_
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from math import exp, sqrt
 from numbers import Integral
 
@@ -76,8 +84,8 @@ from .geometry import (
     _trusted,
     _write_csv,
     compute_geometry,
-    quermass,
     quermass_sigma,  # noqa: F401 -- perfbench/selftest.py checks its tracer patches flow's name
+    quermass_vector,
     roundness,
 )
 from .symfunc import _gradient_tables, _real, _whole, cnk
@@ -91,8 +99,6 @@ __all__ = [
     "TrajectoryRecord",
     "FlowError",
     "ConeExitError",
-    "speed_raw",
-    "volume_scale_rate",
     "stability_cap",
     "initial_state",
     "step",
@@ -100,8 +106,11 @@ __all__ = [
     "rescale_state",
 ]
 
-CONSERVING_MODES = ("normalized", "rescaled_raw")  # hold monotone_pair's V_j; raw holds none
-MODES = ("raw",) + CONSERVING_MODES
+# per mode, the fields conserving, subtracts and rescaled of its `_law`
+_MODE_RULES = {"raw": (False, False, False), "normalized": (True, True, False),
+               "rescaled_raw": (True, False, True)}
+MODES = tuple(_MODE_RULES)
+CONSERVING_MODES = tuple(mode for mode in MODES if _MODE_RULES[mode][0])
 
 DT_UNDERFLOW_FRACTION = 1e-12
 DOUBLE_AFTER = 10
@@ -120,6 +129,34 @@ CW_STEPS = 2
 # a halving of dt that leaves the drift rate above this fraction of its
 # previous value did not reduce it; two in a row end the run
 DRIFT_STALL = 0.75
+
+
+_Law = namedtuple("_Law", "n k raised held support conserving subtracts rescaled degenerate")
+
+
+@lru_cache(maxsize=64)
+def _law(mode: str, n: int, k: int) -> _Law:
+    """The flow law of mode at dimension n and degree k: everything that the
+    convention of the flow decides, one object per key, so that
+    `_first_stage` tells laws apart by identity.
+
+    - raised, held: the degree-k flow raises the iso ratio I_m and its
+      log-scale rate holds V_j, (m, j) = (k, n - k) for k <= n - 1 and
+      (0, n + 1) at k = n;
+    - support: held = n + 1, where the rate reads the support function u;
+    - conserving: the mode holds V_held; the step guard,
+      `verify.check_monotone_series` and the sweep's pass flags read it;
+    - subtracts: the stage map subtracts rate * r (normalized);
+    - rescaled: the guard and the record read the gauge e^{-log_scale}
+      (rescaled_raw);
+    - degenerate: normalized at k = n, where r(t) degenerates; FlowConfig
+      refuses it.
+
+    A mode that the table does not name holds nothing."""
+    conserving, subtracts, rescaled = _MODE_RULES.get(mode, (False, False, False))
+    raised, held = (k, n - k) if k <= n - 1 else (0, n + 1)
+    support = held == n + 1
+    return _Law(n, k, raised, held, support, conserving, subtracts, rescaled, subtracts and support)
 
 
 class ConeExitError(RuntimeError):
@@ -173,7 +210,7 @@ class FlowConfig:
             raise FlowConfigError("k", f"flow degree k={self.k} out of range 1..{self.n}")
         if self.mode not in MODES:
             raise FlowConfigError("mode", f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "normalized" and monotone_pair(self.n, self.k)[1] != self.n - self.k:
+        if _law(self.mode, self.n, self.k).degenerate:
             raise FlowConfigError(
                 "k",
                 f"normalized mode needs k <= n-1 (r(t) degenerates at k=n); "
@@ -205,19 +242,13 @@ class FlowState:
     last_dt: float = 0.0
     accepted: int = 0
     rejections: int = 0
-    # the stage map at geo, (mode, k, geo, drdt, rate, v_held), from the attempt
-    # that accepted this state; `_first_stage` reads it only under its own mode, k and geo
+    # the stage map at geo, (law, geo, drdt, rate, v_held), from the attempt
+    # that accepted this state; `_first_stage` reads it only under its own law and geo
     _carried: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def initial_state(graph: RadialGraph) -> FlowState:
     return FlowState(t=0.0, graph=graph, log_scale=0.0, geo=compute_geometry(graph))
-
-
-def monotone_pair(n: int, k: int) -> tuple:
-    """(m, j): the flow of degree k raises the iso ratio I_m and holds V_j,
-    that is (k, n - k) for k <= n - 1 and (0, n + 1) at k = n."""
-    return (k, n - k) if k <= n - 1 else (0, n + 1)
 
 
 def _speed(sig: np.ndarray, k: int) -> np.ndarray:
@@ -229,29 +260,22 @@ def _speed(sig: np.ndarray, k: int) -> np.ndarray:
     return sig[k - 1] / sk
 
 
-def speed_raw(geo: PointwiseGeometry, k: int) -> np.ndarray:
-    """Normal speed sigma_{k-1}/sigma_k per node; positive on strictly
-    k-convex data. Raises ConeExitError naming the worst node otherwise, the
-    first NaN of sigma_k when it holds one."""
-    return _speed(geo.sigma.T, _whole(k, "flow degree k", 1, geo.dim))
-
-
 def _rate(u: np.ndarray | None, f: np.ndarray, sig: np.ndarray, dmu: np.ndarray,
-          k: int, held: int) -> tuple:
-    """(log-scale rate that holds V_held under the degree-k flow, V_held), from
-    the per-node arrays, the speed f and the (n + 1, M) rows sig of
-    sigma_0..sigma_n; the caller has checked sigma_k > 0. Each integral is
-    one dot with dmu, as in `geometry`'s quadrature, so the rate's
-    denominator V_held is bitwise `geometry.quermass(geo, n + 1 - held)`.
+          law: _Law) -> tuple:
+    """(log-scale rate that holds law's V_held, V_held), from the per-node
+    arrays, the speed f and the (n + 1, M) rows sig of sigma_0..sigma_n; the
+    caller has checked sigma_k > 0. Each integral is one dot with dmu, as in
+    `geometry`'s quadrature, so the rate's denominator V_held is bitwise
+    `geometry.quermass(geo, n + 1 - held)`.
 
-    held = n + 1: int(F dmu) / int(u dmu) with u = r^2 / w the support
-    function, and V_{n+1} = int(u sigma_0 dmu) with sigma_0 = 1. held = n - k
-    (k <= n - 1): r(t) = int(sigma_{k+1} sigma_{k-1} / sigma_k) / V_{n-k}
-    with V_{n-k} = C_{n,k+1} int sigma_k, the product by sigma_0 = 1 skipped
-    at k = 1; f and u are not read.
+    held = n + 1 (law.support): int(F dmu) / int(u dmu) with u = r^2 / w the
+    support function, and V_{n+1} = int(u sigma_0 dmu) with sigma_0 = 1.
+    held = n - k (k <= n - 1): r(t) = int(sigma_{k+1} sigma_{k-1} / sigma_k) /
+    V_{n-k} with V_{n-k} = C_{n,k+1} int sigma_k, the product by sigma_0 = 1
+    skipped at k = 1; f and u are not read.
     """
-    n = sig.shape[0] - 1
-    if held == n + 1:
+    n, k = law.n, law.k
+    if law.support:
         v_held = float(u.dot(dmu))
         return float(f.dot(dmu)) / v_held, v_held
     sk = sig[k]
@@ -260,53 +284,41 @@ def _rate(u: np.ndarray | None, f: np.ndarray, sig: np.ndarray, dmu: np.ndarray,
     return float((top / sk).dot(dmu)) / v_held, v_held
 
 
-def volume_scale_rate(geo: PointwiseGeometry, k: int) -> float:
-    """Log-derivative rate holding the top quermassintegral V_{n+1} fixed.
-
-    Equals int(F dmu) / int(u dmu); used as the rescaling rate for the
-    k = n flow where r(t) is unavailable.
-    """
-    k = _whole(k, "flow degree k", 1, geo.dim)
-    return _rate(geo.u, _speed(geo.sigma.T, k), geo.sigma.T, geo.dmu, k, geo.dim + 1)[0]
-
-
 def _stage_map(r: np.ndarray, w: np.ndarray, u: np.ndarray | None, sig: np.ndarray,
-               dmu: np.ndarray, mode: str, k: int, held: int):
+               dmu: np.ndarray, law: _Law):
     """(d r/dt, log-scale rate, V_held) at the radial samples r from their
     checked curvature data (w, the support function u = r^2 / w, the
-    (n + 1, M) rows sig of sigma_0..sigma_n, dmu); the rate holds V_held,
-    the V_j of `monotone_pair`, and reads u only when held = n + 1."""
-    f = _speed(sig, k)
-    rate, v_held = _rate(u, f, sig, dmu, k, held)
+    (n + 1, M) rows sig of sigma_0..sigma_n, dmu); the rate holds law's
+    V_held and reads u only when law.support."""
+    f = _speed(sig, law.k)
+    rate, v_held = _rate(u, f, sig, dmu, law)
     drdt = f  # a fresh quotient, not read again
     drdt *= w
     drdt /= r
-    if mode == "normalized":
+    if law.subtracts:
         drdt -= rate * r
     return drdt, rate, v_held
 
 
-def _stage(kit: geomod._GridKit, r: np.ndarray, mode: str, k: int):
+def _stage(kit: geomod._GridKit, r: np.ndarray, law: _Law):
     """The stage map at r on kit's grid from bare curvature rows: no PointwiseGeometry."""
     _, _, w, rr, _, sig, dmu = geomod._curvatures(kit, r)
-    held = monotone_pair(kit.family.dim, k)[1]
     # u as `geometry._pointwise` forms it, so a stage is bitwise a full-geometry stage
-    u = rr / w if held == kit.family.dim + 1 else None
-    return _stage_map(r, w, u, sig, dmu, mode, k, held)
+    u = rr / w if law.support else None
+    return _stage_map(r, w, u, sig, dmu, law)
 
 
-def _geo_stage(geo: PointwiseGeometry, mode: str, k: int):
-    return _stage_map(geo.r, geo.w, geo.u, geo.sigma.T, geo.dmu, mode, k,
-                      monotone_pair(geo.dim, k)[1])
+def _geo_stage(geo: PointwiseGeometry, law: _Law):
+    return _stage_map(geo.r, geo.w, geo.u, geo.sigma.T, geo.dmu, law)
 
 
-def _first_stage(state: FlowState, mode: str, k: int):
-    """The stage map at state's geometry under (mode, k): the one the state
-    carries when it was evaluated there under them, else a fresh one."""
+def _first_stage(state: FlowState, law: _Law):
+    """The stage map at state's geometry under law: the one the state
+    carries when it was evaluated there under it, else a fresh one."""
     carried = state._carried
-    if carried is not None and carried[2] is state.geo and carried[0] == mode and carried[1] == k:
-        return carried[3:]
-    return _geo_stage(state.geo, mode, k)
+    if carried is not None and carried[0] is law and carried[1] is state.geo:
+        return carried[2:]
+    return _geo_stage(state.geo, law)
 
 
 def _linearization(geo: PointwiseGeometry, k: int):
@@ -419,16 +431,16 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
     """
     r0 = state.graph.r
     kit = geomod._grid_kit(state.geo.dim, state.geo.num_intervals)
-    mode, k = config.mode, config.k
+    law = _law(config.mode, config.n, config.k)
     try:
-        k1, q1, v_old = _first_stage(state, mode, k)
+        k1, q1, v_old = _first_stage(state, law)
         x = dt * k1
         x += r0
-        k2, q2, _ = _stage(kit, x, mode, k)
+        k2, q2, _ = _stage(kit, x, law)
         k12 = k1 + k2
         x = (0.25 * dt) * k12
         x += r0
-        k3, q3, _ = _stage(kit, x, mode, k)
+        k3, q3, _ = _stage(kit, x, law)
         r_new = k12
         r_new += 4.0 * k3
         r_new *= dt / 6.0
@@ -439,18 +451,17 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
     r_new.setflags(write=False)
     graph_new = _trusted(RadialGraph, dim=state.graph.dim, r=r_new)
     geo_new = geomod._pointwise(kit, r_new, curv)
-    ok, why = _strictly_kconvex(geo_new, k)
+    ok, why = _strictly_kconvex(geo_new, config.k)
     if not ok:
         return None, _Rejection(f"k-convexity lost: {why}")
-    drdt, rate, v_new = _geo_stage(geo_new, mode, k)  # sigma_k > 0: it does not raise
+    drdt, rate, v_new = _geo_stage(geo_new, law)  # sigma_k > 0: it does not raise
     log_new = state.log_scale + (dt / 6.0) * (q1 + q2 + 4.0 * q3)
-    if mode in CONSERVING_MODES:
+    if law.conserving:
         # the held V_j in the rescaled gauge: times e^{-j log_scale} in rescaled_raw
         conserved = v_new
-        if mode == "rescaled_raw":
-            held = monotone_pair(state.graph.dim, k)[1]
-            v_old *= exp(-held * state.log_scale)
-            conserved *= exp(-held * log_new)
+        if law.rescaled:
+            v_old *= exp(-law.held * state.log_scale)
+            conserved *= exp(-law.held * log_new)
         drift = abs(conserved - v_old) / abs(v_old)
         if drift > config.tol_conserve * dt:
             return None, _Rejection(
@@ -459,7 +470,7 @@ def _attempt(state: FlowState, dt: float, config: FlowConfig):
             )
     return _trusted(FlowState, t=state.t + dt, graph=graph_new, log_scale=log_new, geo=geo_new,
                     last_dt=dt, accepted=state.accepted + 1, rejections=state.rejections,
-                    _carried=(mode, k, geo_new, drdt, rate, v_new)), None
+                    _carried=(law, geo_new, drdt, rate, v_new)), None
 
 
 def _check_dim(config: FlowConfig, dim: int) -> None:
@@ -519,13 +530,13 @@ def record_columns(n: int) -> tuple:
     return tuple(cols)
 
 
-def _record_row(state: FlowState, config: FlowConfig) -> tuple:
-    n, k = config.n, config.k
+def _record_row(state: FlowState, law: _Law) -> tuple:
+    n, k = law.n, law.k
     geo = state.geo
-    scale = exp(-state.log_scale) if config.mode == "rescaled_raw" else 1.0
+    scale = exp(-state.log_scale) if law.rescaled else 1.0
     # each V_j once; the iso ratios are scale invariant and read the unscaled values
-    vees = [quermass(geo, m) for m in range(n + 1)]
-    rate = _first_stage(state, config.mode, k)[1]
+    vees = quermass_vector(geo).tolist()
+    rate = _first_stage(state, law)[1]
     sk = geo.sigma[:, k]
     row = [state.t, state.last_dt, state.log_scale]
     row += [v * scale ** (n + 1 - m) for m, v in enumerate(vees)]
@@ -564,18 +575,19 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
     probe = initial.r.copy()
     probe[j] -= sqrt(np.finfo(float).eps * float(probe.dot(probe)))
     try:
-        _stage(geomod._grid_kit(initial.dim, initial.num_intervals), probe, "raw", k)
+        _stage(geomod._grid_kit(initial.dim, initial.num_intervals), probe,
+               _law("raw", config.n, k))
     except ConeExitError as exc:
         raise ValueError(
             f"initial surface is not strictly {k}-convex: sigma_{k} min "
             f"{state.geo.sigma[j, k]:.6e} is within a probe of the cone's edge "
             f"(probe: {exc})") from exc
     # every later state carries the stage map its attempt evaluated
-    state = replace(state, _carried=(config.mode, k, state.geo)
-                    + _geo_stage(state.geo, config.mode, k))
+    law = _law(config.mode, config.n, k)
+    state = replace(state, _carried=(law, state.geo) + _geo_stage(state.geo, law))
     record = TrajectoryRecord(
         n=config.n, k=k, mode=config.mode,
-        columns=record_columns(config.n), rows=[_record_row(state, config)],
+        columns=record_columns(config.n), rows=[_record_row(state, law)],
     )
     observed_t = state.t
     if observer is not None:
@@ -583,7 +595,7 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
 
     def finish(reason: str) -> TrajectoryRecord:
         if record.rows[-1][0] != state.t:
-            record.rows.append(_record_row(state, config))
+            record.rows.append(_record_row(state, law))
         if observer is not None and observed_t != state.t:
             observer(state)
         record.stop_reason = reason
@@ -630,7 +642,7 @@ def run(config: FlowConfig, initial: RadialGraph, observer=None,
             dt_work = 2.0 * dt_eff
         if state.accepted % config.sample_every == 0:
             if record_samples:
-                record.rows.append(_record_row(state, config))
+                record.rows.append(_record_row(state, law))
             if observer is not None:
                 observed_t = state.t
                 observer(state)

@@ -444,7 +444,7 @@ def check_lemma_integral(config: flowmod.FlowConfig, initial: RadialGraph):
     a last report.
     """
     n, k = config.n, config.k
-    if config.mode != "raw":
+    if flowmod._law(config.mode, n, k).conserving:  # raw is the one mode that holds no V_j
         raise ValueError("lemma rate check requires raw flow mode")
     times, lhs_series, rhs_series = [], [], []
     degrees = np.arange(1, n + 1)
@@ -493,7 +493,9 @@ def check_lemma_integral(config: flowmod.FlowConfig, initial: RadialGraph):
 def check_first_variation(target: RadialGraph, rho, l: int):
     """First variation of int sigma_l dmu under the normal graft
     X_s = X + s * rho * nu, against (l+1) int sigma_{l+1} rho dmu, to a
-    relative 1e-3.
+    relative 1e-3, for l = 0..n-1. At l = n the integral is the topological
+    constant |S^n|, which the lemma suite checks: its first variation is 0,
+    and a relative residual against 0 reads only roundoff.
 
     `target` is a RadialGraph: the material points of its grid family, a
     curve or a meridian, carry the graft. rho is an array per node or a
@@ -503,7 +505,7 @@ def check_first_variation(target: RadialGraph, rho, l: int):
     if not isinstance(target, RadialGraph):
         raise TypeError(f"target must be a RadialGraph, got {type(target).__name__}")
     pts, dim, family = embed(target), target.dim, _family(target.dim)
-    l = _whole(l, "sigma index l", 0, dim)
+    l = _whole(l, "sigma index l", 0, dim - 1)
     m = pts.shape[0]
     rho_arr = np.asarray(rho(target.param) if callable(rho) else rho, dtype=float)
     if rho_arr.shape != (m,):
@@ -521,7 +523,7 @@ def check_first_variation(target: RadialGraph, rho, l: int):
         return float(np.sum(elem_sym_table(pg.kappa.reshape(m, -1))[:, l] * pg.dmu))
 
     lhs = (integral(plus) - integral(minus)) / (2.0 * s)
-    tail = elem_sym_table(geo.kappa.reshape(m, -1))[:, l + 1] if l < dim else np.zeros(m)
+    tail = elem_sym_table(geo.kappa.reshape(m, -1))[:, l + 1]
     rhs = (l + 1) * float(np.sum(tail * rho_arr * geo.dmu))
     resid = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -571,13 +573,13 @@ def check_monotone_series(record: flowmod.TrajectoryRecord):
     1e-6 of its start per unit time, and that the final ratio lands within
     1e-4 of the round-ball value, relative to it.
     """
-    if record.mode not in flowmod.CONSERVING_MODES:
-        raise ValueError("monotonicity check needs a normalized or rescaled_raw record")
     n, k = record.n, record.k
-    mono_idx, held = flowmod.monotone_pair(n, k)
-    iso = record.column(f"I{mono_idx}")
+    law = flowmod._law(record.mode, n, k)
+    if not law.conserving:
+        raise ValueError("monotonicity check needs a normalized or rescaled_raw record")
+    iso = record.column(f"I{law.raised}")
     t = record.column("t")
-    cons_name = f"V{held}"
+    cons_name = f"V{law.held}"
     vcons = record.column(cons_name)
     if t.size < 2:
         raise ValueError(f"monotonicity check needs at least two samples, got {t.size} "
@@ -587,7 +589,7 @@ def check_monotone_series(record: flowmod.TrajectoryRecord):
     j = int(np.argmin(drops))
     worst = -float(np.min(drops))
     mono = _report(
-        f"monotone/I{mono_idx}_nondecreasing", iso[j + 1], iso[j],
+        f"monotone/I{law.raised}_nondecreasing", iso[j + 1], iso[j],
         max(worst, 0.0), max(worst, 0.0) / abs(iso[j]), grid, 1e-10,
     )
     span = max(float(t[-1] - t[0]), 1e-300)
@@ -598,9 +600,9 @@ def check_monotone_series(record: flowmod.TrajectoryRecord):
         f"monotone/{cons_name}_conserved", vcons[jj], vcons[0],
         float(np.max(dev)) * abs(vcons[0]), rate, grid, 1e-6,
     )
-    ball = iso_ratio_ball(n, mono_idx)
+    ball = iso_ratio_ball(n, law.raised)
     gap = abs(float(iso[-1]) - ball)
     term = _report(
-        f"monotone/terminal_I{mono_idx}", iso[-1], ball, gap, gap / ball, grid, 1e-4,
+        f"monotone/terminal_I{law.raised}", iso[-1], ball, gap, gap / ball, grid, 1e-4,
     )
     return [mono, cons, term]

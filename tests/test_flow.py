@@ -17,9 +17,7 @@ from starflow.flow import (
     initial_state,
     rescale_state,
     run,
-    speed_raw,
     step,
-    volume_scale_rate,
 )
 from starflow.geometry import (
     compute_geometry,
@@ -33,6 +31,16 @@ from starflow.geometry import (
 from starflow.symfunc import cnk, elem_sym_table
 
 from _oracles import conserved_value, held_index, held_quermass
+
+
+def geo_stage(geo, mode, k):
+    """The stage map at geo under the law of (mode, geo's dim, k)."""
+    return fl._geo_stage(geo, fl._law(mode, geo.dim, k))
+
+
+def raw_stage(kit, r, k):
+    """The raw stage map at r on kit's grid, from bare curvature rows."""
+    return fl._stage(kit, r, fl._law("raw", kit.family.dim, k))
 
 
 class TestConfigValidation:
@@ -96,15 +104,15 @@ class TestConfigValidation:
 class TestSpeed:
     def test_sphere_values(self):
         geo = compute_geometry(sphere(2.0, 1, 64))
-        assert np.allclose(speed_raw(geo, 1), 2.0, rtol=1e-13)
+        assert np.allclose(fl._speed(geo.sigma.T, 1), 2.0, rtol=1e-13)
         geo = compute_geometry(sphere(2.0, 2, 64))
-        assert np.allclose(speed_raw(geo, 1), 1.0, rtol=1e-12)  # R/2
-        assert np.allclose(speed_raw(geo, 2), 4.0, rtol=1e-12)  # 2R
+        assert np.allclose(fl._speed(geo.sigma.T, 1), 1.0, rtol=1e-12)  # R/2
+        assert np.allclose(fl._speed(geo.sigma.T, 2), 4.0, rtol=1e-12)  # 2R
 
     def test_cone_exit_names_node(self):
         geo = compute_geometry(perturbed_sphere(1.0, 0.3, mode=3, dim=1, num=128))
         with pytest.raises(ConeExitError, match="node"):
-            speed_raw(geo, 1)
+            geo_stage(geo, "raw", 1)
 
     @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (2, 2)])
     def test_nan_in_sigma_k_names_its_node(self, n, k):
@@ -114,13 +122,11 @@ class TestSpeed:
         sigma = geo.sigma.copy()
         sigma[[7, 9], k] = np.nan, -1.0
         with pytest.raises(ConeExitError, match=f"^sigma_{k} <= 0 at node 7: nan$"):
-            speed_raw(replace(geo, sigma=sigma), k)
+            fl._speed(sigma.T, k)
 
     @pytest.mark.parametrize("call, hi", [
-        (lambda geo, k: speed_raw(geo, k), 2),
-        (lambda geo, k: volume_scale_rate(geo, k), 2),
         (lambda geo, k: fl.stability_cap(geo, k, 0.5), 2),
-    ], ids=["speed_raw", "volume_scale_rate", "stability_cap"])
+    ], ids=["stability_cap"])
     def test_fractional_degree_names_the_argument(self, call, hi):
         # 1.5 passes every range check; it used to reach numpy's row index
         # and raise an IndexError that names no argument
@@ -143,16 +149,16 @@ class TestNormalizationRate:
         # k/(n-k+1) on any sphere: 1/2 for n=2, k=1
         for radius in (0.7, 1.0, 5.0):
             geo = compute_geometry(sphere(radius, 2, 128))
-            assert fl._geo_stage(geo, "raw", 1)[1] == pytest.approx(0.5, abs=1e-12)
+            assert geo_stage(geo, "raw", 1)[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_scale_invariance(self):
         g = ellipsoid_of_revolution(1.2, 1.0, 128)
-        a = fl._geo_stage(compute_geometry(g), "raw", 1)[1]
-        b = fl._geo_stage(compute_geometry(g.scaled(5.0)), "raw", 1)[1]
+        a = geo_stage(compute_geometry(g), "raw", 1)[1]
+        b = geo_stage(compute_geometry(g.scaled(5.0)), "raw", 1)[1]
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_refined_grid_oracle(self):
-        coarse, fine = (fl._geo_stage(compute_geometry(ellipsoid_of_revolution(1.2, 1.0, num)),
+        coarse, fine = (geo_stage(compute_geometry(ellipsoid_of_revolution(1.2, 1.0, num)),
                                       "raw", 1)[1] for num in (256, 4096))
         assert coarse == pytest.approx(fine, abs=1e-8)
 
@@ -160,18 +166,10 @@ class TestNormalizationRate:
         # r(t) degenerates at k = n: mode normalized rejects it
         with pytest.raises(fl.FlowConfigError, match="k <= n-1"):
             FlowConfig(n=2, k=2, mode="normalized")
-        # and the stage map's rate there holds V_{n+1}
+        # and the stage map's rate there holds V_{n+1}: int(F dmu) / int(u dmu),
+        # 2 on the unit sphere, where F = sigma_1 / sigma_2 = 2 and u = 1
         geo = compute_geometry(sphere(1.0, 2, 64))
-        assert fl._geo_stage(geo, "raw", 2)[1] == volume_scale_rate(geo, 2)
-        assert volume_scale_rate(geo, 2) == pytest.approx(2.0, rel=1e-12)
-
-    def test_volume_rate_below_top_degree(self):
-        # below k = n the flow holds V_{n-k}, but volume_scale_rate still holds V_{n+1}
-        geo = compute_geometry(ellipsoid_of_revolution(1.2, 1.0, 128))
-        f = geo.sigma[:, 0] / geo.sigma[:, 1]
-        expected = float(np.sum(f * geo.dmu)) / float(np.sum(geo.u * geo.dmu))
-        assert volume_scale_rate(geo, 1) == pytest.approx(expected, rel=1e-14)
-        assert abs(volume_scale_rate(geo, 1) - fl._geo_stage(geo, "raw", 1)[1]) > 1e-3
+        assert geo_stage(geo, "raw", 2)[1] == pytest.approx(2.0, rel=1e-12)
 
 
 class TestRadialRhs:
@@ -179,13 +177,13 @@ class TestRadialRhs:
 
     def test_sphere_raw(self):
         geo = compute_geometry(sphere(2.0, 1, 64))
-        assert np.allclose(fl._geo_stage(geo, "raw", 1)[0], 2.0, rtol=1e-13)
+        assert np.allclose(geo_stage(geo, "raw", 1)[0], 2.0, rtol=1e-13)
         geo = compute_geometry(sphere(2.0, 2, 64))
-        assert np.allclose(fl._geo_stage(geo, "raw", 2)[0], 4.0, rtol=1e-12)
+        assert np.allclose(geo_stage(geo, "raw", 2)[0], 4.0, rtol=1e-12)
 
     def test_sphere_normalized_fixed_point(self):
         geo = compute_geometry(sphere(3.0, 2, 128))
-        assert np.max(np.abs(fl._geo_stage(geo, "normalized", 1)[0])) < 1e-12
+        assert np.max(np.abs(geo_stage(geo, "normalized", 1)[0])) < 1e-12
 
     def test_matches_lagrangian_flow_map(self):
         # independent oracle: evolve the material curve, resample to the
@@ -201,7 +199,7 @@ class TestRadialRhs:
         r0 = radial_from_curve(LagrangianCurve(p0), 256).r
         r2 = radial_from_curve(LagrangianCurve(p2), 256).r
         mid = radial_from_curve(LagrangianCurve(p1), 256)
-        rhs = fl._geo_stage(compute_geometry(mid), "raw", 1)[0]
+        rhs = geo_stage(compute_geometry(mid), "raw", 1)[0]
         cd = (r2 - r0) / (2 * dt)
         assert np.max(np.abs(cd - rhs)) / np.max(np.abs(rhs)) < 1e-3
 
@@ -303,8 +301,8 @@ def _dense_spectral_radius(graph, k):
     for j in range(r.size):
         step = np.zeros(r.size)
         step[j] = 1e-6 * r[j]
-        plus = fl._stage(kit, r + step, "raw", k)[0]
-        minus = fl._stage(kit, r - step, "raw", k)[0]
+        plus = raw_stage(kit, r + step, k)[0]
+        minus = raw_stage(kit, r - step, k)[0]
         jac[:, j] = (plus - minus) / (2e-6 * r[j])
     return float(np.max(np.abs(np.linalg.eigvals(jac))))
 
@@ -404,8 +402,8 @@ class TestLinearization:
         jv = a * v + b * d1 + c * d2
         errors = []
         for eps in (1e-4, 1e-5):
-            plus = fl._stage(kit, graph.r + eps * v, "raw", k)[0]
-            minus = fl._stage(kit, graph.r - eps * v, "raw", k)[0]
+            plus = raw_stage(kit, graph.r + eps * v, k)[0]
+            minus = raw_stage(kit, graph.r - eps * v, k)[0]
             errors.append(np.max(np.abs((plus - minus) / (2 * eps) - jv)) / np.max(np.abs(jv)))
         assert errors[1] < QUOTIENT_RTOL, errors
         # the error is the quotient's: it falls like eps^2 (measured 78-99x)
@@ -631,9 +629,11 @@ class TestRun:
 
     @pytest.mark.parametrize("n, k, pair", [(1, 1, (0, 2)), (2, 1, (1, 1)), (2, 2, (0, 3))])
     def test_monotone_pair_names_recorded_columns(self, n, k, pair):
-        mono, held = fl.monotone_pair(n, k)
-        assert (mono, held) == pair
-        assert {f"I{mono}", f"V{held}"} <= set(fl.record_columns(n))
+        # the law's raised I_m and held V_j depend on n and k, not on the mode
+        for mode in fl.MODES:
+            law = fl._law(mode, n, k)
+            assert (law.raised, law.held) == pair
+        assert {f"I{law.raised}", f"V{law.held}"} <= set(fl.record_columns(n))
 
 
 # global order in dt of the stepper
@@ -776,16 +776,18 @@ class TestQuermassOwners:
         state = run(config, shape).final_state
         assert state.log_scale != 0.0
         calls = []
-        monkeypatch.setattr(fl, "quermass", lambda geo, m: calls.append(m) or quermass(geo, m))
-        row = dict(zip(fl.record_columns(n), fl._record_row(state, config)))
-        assert sorted(calls) == list(range(n + 1))
+        vector = geomod.quermass_vector
+        monkeypatch.setattr(fl, "quermass_vector", lambda geo: calls.append(geo) or vector(geo))
+        row = dict(zip(fl.record_columns(n), fl._record_row(state, fl._law(mode, n, k))))
+        # one all-m read: each V_j once
+        assert calls == [state.geo]
         scale = exp(-state.log_scale) if mode == "rescaled_raw" else 1.0
         for m in range(n):
             assert row[f"I{m}"] == iso_ratio(state.geo, m)
         for m in range(n + 1):
             assert row[f"V{n + 1 - m}"] == quermass(state.geo, m) * scale ** (n + 1 - m)
-        # the guard holds the V_j that monotone_pair names, in the same gauge
-        held = fl.monotone_pair(n, k)[1]
+        # the guard holds the V_j that the law names, in the same gauge
+        held = fl._law(mode, n, k).held
         conserved = conserved_value(state.geo, state.log_scale, config)
         assert conserved == pytest.approx(row[f"V{held}"], rel=1e-14)
 
@@ -854,8 +856,8 @@ def _kit_and_profile(n, eps):
     return geomod._grid_kit(n, g.num_intervals), g.r
 
 
-def _full_stage(kit, r, mode, k):
-    return fl._geo_stage(geomod._pointwise(kit, r), mode, k)
+def _full_stage(kit, r, law):
+    return fl._geo_stage(geomod._pointwise(kit, r), law)
 
 
 _CSV_RUNS = [
@@ -877,8 +879,9 @@ class TestLeanStage:
     @pytest.mark.parametrize("n, k, mode", _accepted_combos())
     def test_matches_full_geometry_bitwise(self, n, k, mode):
         kit, r = _kit_and_profile(n, 0.05)
-        lean_rhs, lean_rate, lean_held = fl._stage(kit, r, mode, k)
-        full_rhs, full_rate, full_held = _full_stage(kit, r, mode, k)
+        law = fl._law(mode, n, k)
+        lean_rhs, lean_rate, lean_held = fl._stage(kit, r, law)
+        full_rhs, full_rate, full_held = _full_stage(kit, r, law)
         assert lean_rhs.tobytes() == full_rhs.tobytes()
         assert lean_rate == full_rate
         assert lean_held == full_held
@@ -886,10 +889,11 @@ class TestLeanStage:
     @pytest.mark.parametrize("n, k, mode", _accepted_combos())
     def test_same_error_off_the_cone(self, n, k, mode):
         kit, r = _kit_and_profile(n, 0.3)
+        law = fl._law(mode, n, k)
         with pytest.raises(Exception) as lean:
-            fl._stage(kit, r, mode, k)
+            fl._stage(kit, r, law)
         with pytest.raises(Exception) as full:
-            _full_stage(kit, r, mode, k)
+            _full_stage(kit, r, law)
         assert lean.type is full.type is ConeExitError
         assert str(lean.value) == str(full.value)
 
@@ -909,7 +913,7 @@ def _carried_conserved(state, config):
     value the next step's conservation guard compares against; None in mode raw."""
     if config.mode == "raw":
         return None
-    v_held = state._carried[5]
+    v_held = state._carried[4]
     if config.mode == "normalized":
         return v_held
     return exp(-held_index(config.n, config.k) * state.log_scale) * v_held
@@ -989,9 +993,9 @@ class TestCarriedStage:
         run(config, shape, observer=states.append)
         assert len(states) > 3
         for state in states:
-            c_mode, c_k, c_geo, drdt, rate, v_held = state._carried
-            assert (c_mode, c_k) == (mode, k) and c_geo is state.geo
-            fresh_drdt, fresh_rate, fresh_held = fl._geo_stage(state.geo, mode, k)
+            c_law, c_geo, drdt, rate, v_held = state._carried
+            assert c_law is fl._law(mode, n, k) and c_geo is state.geo
+            fresh_drdt, fresh_rate, fresh_held = fl._geo_stage(state.geo, c_law)
             assert drdt.tobytes() == fresh_drdt.tobytes()
             assert rate == fresh_rate
             assert v_held == fresh_held == held_quermass(state.geo, n, k)
@@ -1002,8 +1006,7 @@ class TestCarriedStage:
     @pytest.mark.parametrize("config, shape", _CSV_RUNS, ids=_CSV_RUN_IDS)
     def test_run_csv_identical_without_the_carried_stage(self, monkeypatch, tmp_path, config, shape):
         carried = run(config, shape)
-        monkeypatch.setattr(fl, "_first_stage",
-                            lambda state, mode, k: fl._geo_stage(state.geo, mode, k))
+        monkeypatch.setattr(fl, "_first_stage", lambda state, law: fl._geo_stage(state.geo, law))
         fresh = run(config, shape)
         carried.to_csv(tmp_path / "carried.csv")
         fresh.to_csv(tmp_path / "fresh.csv")

@@ -936,7 +936,7 @@ class TestFractionalLevel:
         (lambda geo, path, v: iso_ratio(geo, v), "iso ratio index k", 0, 1),
         (lambda geo, path, v: iso_ratio_ball(2, v), "iso ratio index k", 0, 1),
         (lambda geo, path, v: check_first_variation(sphere(1.0, 2, 32), np.ones(33), v),
-         "sigma index l", 0, 2),
+         "sigma index l", 0, 1),
         (lambda geo, path, v: check_prop1_pointwise(curve_from_radial(sphere(1.0, 1, 64)), v,
                                                     1e-4), "flow degree k", 1, 1),
         (lambda geo, path, v: cnk(2, v), "k", 1, 2),

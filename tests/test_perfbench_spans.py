@@ -3,7 +3,8 @@
 The per-layer metrics read spans by starflow name; a name that no longer
 resolves would read 0 without any error. One guard runs
 `perfbench/child.py`'s metric function against a recorder and checks that
-every name it reads is still an attribute of its starflow module.
+every name it reads is still an attribute of its starflow module, but for
+the `RETIRED` names of a metric that reads 0 either way.
 
 The replay metrics time single layer functions on states captured at a
 fixed accepted step of three flows. A flow that ends before that step fails
@@ -19,6 +20,11 @@ import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# read by the metric `flow.rhs_evals`, which counts `flow.speed_raw` calls;
+# no run has made one since the stage map stopped calling it, so the metric
+# read 0 before the two functions were deleted and reads 0 after. Its next
+# version counts `flow._stage_map` (ROADMAP); then this set goes.
+RETIRED = {"flow.speed_raw", "flow.volume_scale_rate"}
 
 
 class NameRecorder:
@@ -65,7 +71,8 @@ def test_every_span_name_resolves(monkeypatch):
             obj = getattr(obj, attr, None)
         if obj is None:
             missing.append(name)
-    assert missing == []
+    assert RETIRED <= names
+    assert missing == sorted(RETIRED)
 
 
 def test_replay_captures_reach_their_step(monkeypatch):

@@ -249,6 +249,10 @@ class TestFirstVariation:
         rep = check_first_variation(sphere(1.0, 1, 256), lambda t: np.ones_like(t), 0)
         assert rep.lhs == pytest.approx(2 * pi, rel=1e-6)
         assert rep.passed
+        # l = n is the topological constant, whose first variation is 0: the
+        # residual against 0 would read roundoff alone, so the gate refuses it
+        with pytest.raises(ValueError, match=r"^sigma index l=1 out of range 0\.\.0$"):
+            check_first_variation(sphere(1.0, 1, 256), lambda t: np.ones_like(t), 1)
 
     def test_sphere_mean_curvature_integral(self):
         rep = check_first_variation(sphere(1.0, 2, 256), lambda t: np.ones_like(t), 1)
